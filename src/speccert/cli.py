@@ -9,6 +9,7 @@ verified-inverse or eigenbasis abort, 5 any other certification error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -25,6 +26,7 @@ from .finite import gershgorin_disks, assemble_jacobian, build_pseudo_diag, \
     kernel_from_state, newton_solve
 from .fourier import Grid, FourierSeq, index_list
 from .models import (
+    DecayBound,
     essential_spectrum,
     gray_scott_model,
     sh_model,
@@ -40,7 +42,8 @@ def build_model(doc: dict):
     if name == "swift-hohenberg":
         return sh_model(params["mu"], params["nu1"], params["nu2"], m=m)
     if name == "whitham":
-        table = tuple(tuple(row) for row in params.get("decay_table", ()))
+        table = tuple(DecayBound(*(float(x) for x in row))
+                      for row in params.get("decay_table", ()))
         return whitham_model(params["T"], params["c"], decay_table=table, m=m)
     if name == "gray-scott":
         return gray_scott_model(params["lambda1"], params["lambda2"])
@@ -65,10 +68,24 @@ def _write(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
+class ConfigError(Exception):
+    """A configuration entry has the wrong type or form."""
+
+
+@contextlib.contextmanager
+def _reading_config():
+    """Report a value of the wrong type or form as a ConfigError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad configuration value: {exc}") from exc
+
+
 def run(cfg: dict, plot_path: str | None = None) -> int:
     t_start = time.monotonic()
     mode = cfg.get("mode", "certify")
-    model = build_model(cfg["model"])
+    with _reading_config():
+        model = build_model(cfg["model"])
     out = cfg.get("output", "out.json")
 
     if mode == "essential-spectrum":
@@ -87,21 +104,22 @@ def run(cfg: dict, plot_path: str | None = None) -> int:
         _log(f"essential spectrum written to {out}", t_start)
         return 0
 
-    grid = Grid(int(cfg["grid"]["m"]), float(cfg["grid"]["d"]))
-    sector = cfg["sector"]
-    n_inner = int(cfg["N"])
+    with _reading_config():
+        grid = Grid(int(cfg["grid"]["m"]), float(cfg["grid"]["d"]))
+        sector = cfg["sector"]
+        n_inner = int(cfg["N"])
+        u0 = load_solution(cfg, grid, sector)
 
     if mode == "newton":
-        seed = load_solution(cfg, grid, sector)
-        nt = cfg.get("newton", {})
-        u0 = newton_solve(model, grid, sector, seed, n_inner,
-                          tol=float(nt.get("tol", 1e-11)),
-                          max_iter=int(nt.get("max_iter", 80)))
+        with _reading_config():
+            nt = cfg.get("newton", {})
+            tol = float(nt.get("tol", 1e-11))
+            max_iter = int(nt.get("max_iter", 80))
+        u0 = newton_solve(model, grid, sector, u0, n_inner,
+                          tol=tol, max_iter=max_iter)
         _write(out, serialize.seq_to_doc(u0))
         _log(f"newton state written to {out}", t_start)
         return 0
-
-    u0 = load_solution(cfg, grid, sector)
 
     if mode == "gershgorin-only":
         w = kernel_from_state(model, u0)
@@ -122,17 +140,19 @@ def run(cfg: dict, plot_path: str | None = None) -> int:
         raise InvalidParameter(
             "mode certify needs r0: the certified distance to the true "
             "state is an external proof input")
-    opts = CertifyOptions(
-        delta0=float(cfg.get("delta0", 1e-2)),
-        q_mult=float(cfg.get("q_mult", 2.0)),
-        margin=float(cfg.get("margin", 1.0)),
-        two_pass=bool(cfg.get("two_pass", True)),
-        selfadjoint_path=cfg.get("selfadjoint_path"),
-        window=tuple(cfg["window"]) if "window" in cfg else None,
-        t=cfg.get("t"),
-        k_inv=int(cfg.get("k_inv", 0)),
-    )
-    cert = certify(model, u0, float(cfg["r0"]), n_inner, opts)
+    with _reading_config():
+        r0 = float(cfg["r0"])
+        opts = CertifyOptions(
+            delta0=float(cfg.get("delta0", 1e-2)),
+            q_mult=float(cfg.get("q_mult", 2.0)),
+            margin=float(cfg.get("margin", 1.0)),
+            two_pass=bool(cfg.get("two_pass", True)),
+            selfadjoint_path=cfg.get("selfadjoint_path"),
+            window=tuple(cfg["window"]) if "window" in cfg else None,
+            t=cfg.get("t"),
+            k_inv=int(cfg.get("k_inv", 0)),
+        )
+    cert = certify(model, u0, r0, n_inner, opts)
     _write(out, serialize.certificate_to_doc(cert))
     if plot_path:
         _emit_plot(plot_path, sector, cert.disk_centers, cert.disk_radii_final)
@@ -186,7 +206,7 @@ def main(argv=None) -> int:
     except (SingularityUnverified, DegenerateEigenbasis) as exc:
         print(f"verification abort: {exc}", file=sys.stderr)
         return 4
-    except (OSError, KeyError) as exc:
+    except (OSError, KeyError, ConfigError) as exc:
         print(f"I/O or configuration error: {exc}", file=sys.stderr)
         return 2
     except CertifyError as exc:

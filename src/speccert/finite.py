@@ -109,6 +109,7 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     sym_axes = [ax for ax, kind in enumerate(axes) if kind != "signed"]
     acc_lo = np.zeros((len(rows), len(cols)))
     acc_hi = np.zeros((len(rows), len(cols)))
+    reached = np.zeros((len(rows), len(cols)), dtype=bool)
     for flips in itertools.product(*([(1, -1)] * len(sym_axes))):
         sig = np.ones(grid.m, dtype=np.int64)
         chi = 1
@@ -123,32 +124,40 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
         for ax in range(grid.m):
             if sig[ax] == -1:
                 redundant |= cols_a[:, ax] == 0
-        distinct = ~redundant
-        inside = np.all(np.abs(diff) <= sw, axis=2)
-        idx = np.clip(diff + sw, 0, 2 * sw)
+        skip = np.any(np.abs(diff) > sw, axis=2)
+        skip |= redundant[None, :]
+        reached |= ~skip
+        diff += sw
+        np.clip(diff, 0, 2 * sw, out=diff)
         if grid.m == 1:
-            glo = wlo[idx[:, :, 0]]
-            ghi = whi[idx[:, :, 0]]
+            glo = wlo[diff[:, :, 0]]
+            ghi = whi[diff[:, :, 0]]
         else:
-            glo = wlo[idx[:, :, 0], idx[:, :, 1]]
-            ghi = whi[idx[:, :, 0], idx[:, :, 1]]
-        mask = inside & distinct[None, :]
-        glo = np.where(mask, glo, 0.0)
-        ghi = np.where(mask, ghi, 0.0)
+            glo = wlo[diff[:, :, 0], diff[:, :, 1]]
+            ghi = whi[diff[:, :, 0], diff[:, :, 1]]
+        glo[skip] = 0.0
+        ghi[skip] = 0.0
         if chi == -1:
-            glo, ghi = -ghi, -glo
-        acc_lo = np.nextafter(acc_lo + glo, -_INF)
-        acc_hi = np.nextafter(acc_hi + ghi, _INF)
+            acc_lo -= ghi
+            acc_hi -= glo
+        else:
+            acc_lo += glo
+            acc_hi += ghi
+        np.nextafter(acc_lo, -_INF, out=acc_lo)
+        np.nextafter(acc_hi, _INF, out=acc_hi)
 
-    # normalization sqrt(m_n / m_k) as a tiny outward-rounded interval
+    # normalization sqrt(m_n / m_k) as a tiny outward-rounded interval; as
+    # f > 0 the product bounds are acc_lo * f and acc_hi * f at one end of f
     mr = np.array([orbit_mult(axes, n) for n in rows], dtype=np.float64)
     mc = np.array([orbit_mult(axes, k) for k in cols], dtype=np.float64)
     ratio = np.sqrt(mr[:, None] / mc[None, :])
     f_lo = np.nextafter(np.nextafter(ratio, -_INF), -_INF)
     f_hi = np.nextafter(np.nextafter(ratio, _INF), _INF)
-    cands = np.stack([acc_lo * f_lo, acc_lo * f_hi, acc_hi * f_lo, acc_hi * f_hi])
-    out_lo = np.nextafter(cands.min(axis=0), -_INF)
-    out_hi = np.nextafter(cands.max(axis=0), _INF)
+    out_lo = np.nextafter(np.minimum(acc_lo * f_lo, acc_lo * f_hi), -_INF)
+    out_hi = np.nextafter(np.maximum(acc_hi * f_lo, acc_hi * f_hi), _INF)
+    # entries no kernel coefficient reaches are exact zeros, not subnormals
+    out_lo[~reached] = 0.0
+    out_hi[~reached] = 0.0
     z = np.zeros_like(out_lo)
     return IMatrix(out_lo, out_hi, z, z.copy())
 
@@ -274,10 +283,6 @@ class DiskSet:
     min_tail_s: float = 0.0
     sym_factor: float = 1.0
 
-    def disks(self):
-        return list(zip(self.inner_indices + self.mid_indices,
-                        self.centers, self.radii))
-
 
 def _kernel_w0(w: FourierSeq) -> Interval:
     zero = (0,) * w.grid.m
@@ -378,7 +383,6 @@ def _offdiag_mag(a: IMatrix) -> np.ndarray:
 @dataclass
 class Cluster:
     members: list            # positions into DiskSet.centers
-    center_hull: ComplexBox
     lo: float                # real-part extent of the union of disks
     hi: float
     count: int
@@ -417,7 +421,6 @@ def cluster_disks(diskset: DiskSet) -> list:
         hi = max((cs[i].re.hi + rs[i]) for i in members)
         clusters.append(Cluster(
             members=members,
-            center_hull=ComplexBox.hull(*(cs[i] for i in members)),
             lo=math.nextafter(lo, -_INF),
             hi=math.nextafter(hi, _INF),
             count=len(members),

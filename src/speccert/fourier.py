@@ -46,10 +46,6 @@ class Grid:
         if not (self.d > 0 and math.isfinite(self.d)):
             raise InvalidParameter(f"half-period d={self.d} must be positive")
 
-    def freq(self, n) -> np.ndarray:
-        """Unscaled frequency n / (2d) of a lattice multi-index."""
-        return np.asarray(n, dtype=np.float64) / (2.0 * self.d)
-
 
 def _axis_types(m: int, sector: str):
     if sector not in _SECTORS[m]:

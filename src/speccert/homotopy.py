@@ -181,8 +181,7 @@ class HomotopyBounds:
     zu1: Interval
     zu2: Interval
     zu3: Interval
-    zu1q: Interval                # q-refined variants; zu1q is diagnostic only
-    zu2q: Interval
+    zu2q: Interval                # q-refined variants
     zu3q: Interval
     c1r0: Interval
     c2r0: Interval
@@ -309,7 +308,6 @@ def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     kappa2 = kappa2_formula(z11, z12, zu2, sq * c1r0, p_norm)
     factor_inf = z13 + z14 * kappa2 + (zu3 + c2r0 * sq) * (p_norm + kappa2)
 
-    zu1q = Interval(q_mult) * zu1
     zu2q = Interval(q_mult) * zu2
     zu3q = Interval(q_mult) * zu3
     kappa2q = kappa2_formula(z11, z12, zu2q, Interval(0.0), p_norm)
@@ -349,7 +347,7 @@ def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
         q_mult=q_mult,
         z11=z11, z12=z12, z13=Interval(0.0, z13.hi), z14=Interval(0.0, z14.hi),
         zu1=zu1, zu2=zu2, zu3=zu3,
-        zu1q=Interval(0.0, zu1q.hi), zu2q=Interval(0.0, zu2q.hi),
+        zu2q=Interval(0.0, zu2q.hi),
         zu3q=Interval(0.0, zu3q.hi),
         c1r0=c1r0, c2r0=c2r0,
         kappa1=Interval(0.0, kappa1.hi),

@@ -1,11 +1,26 @@
 """Dense complex interval matrices backed by numpy.
 
 Storage is four float64 arrays (lower/upper bounds of the real and imaginary
-parts).  Products use the classical midpoint-radius scheme: the midpoint
-product is one floating-point matmul and the radius collects operand radii
-plus a (k+4)u accumulation term that dominates the rounding error of any
-summation order, so the result encloses the exact product entrywise without
-touching the FPU rounding mode.
+parts).  Products use the classical midpoint-radius scheme (Rump, "Fast and
+parallel interval arithmetic", BIT 39, 1999): the midpoint product is one
+floating-point matmul and the radius collects operand radii plus a (k+4)u
+accumulation term that dominates the rounding error of any summation order,
+so the result encloses the exact product entrywise without touching the FPU
+rounding mode.
+
+Exact zeros stay exact.  Outward rounding steps a bound by nextafter, which
+would turn a zero into a subnormal, and BLAS runs many times slower on
+subnormal operands.  So:
+
+* a radius of exactly 0 is not stepped: max(hi - mid, mid - lo) is 0 only
+  when lo == mid == hi, so the entry is a point and its radius is exact;
+* a sum or difference of bounds that rounds to exactly 0 is not stepped:
+  with gradual underflow a floating sum is 0 only when the exact sum is 0;
+* in a product, an operand that is identically [0, 0] gives exact zeros
+  without any matmul, a point operand (all radii 0) drops the radius terms
+  it would multiply, and an all-zero midpoint drops the midpoint products.
+  Each dropped term is a matmul of an exact zero matrix, which is exactly
+  zero, so the enclosure is the one the full formula gives.
 """
 
 from __future__ import annotations
@@ -34,29 +49,55 @@ def _bump_down(x: np.ndarray, steps: int = 2) -> np.ndarray:
     return x
 
 
+def _mid_rad(lo, hi):
+    """Midpoint and outward radius; a radius of exactly 0 stays 0."""
+    mid = lo + 0.5 * (hi - lo)
+    r = np.maximum(hi - mid, mid - lo)
+    rad = _bump_up(r)
+    rad[r == 0] = 0.0
+    return mid, rad
+
+
 def _mm_real(al, ah, bl, bh):
     """Enclosure of the product of real interval matrices."""
-    am = al + 0.5 * (ah - al)
-    bm = bl + 0.5 * (bh - bl)
-    ar = _bump_up(np.maximum(ah - am, am - al))
-    br = _bump_up(np.maximum(bh - bm, bm - bl))
+    shape = (al.shape[0], bl.shape[1])
+    if not (al.any() or ah.any()) or not (bl.any() or bh.any()):
+        return np.zeros(shape), np.zeros(shape)
+    am, ar = _mid_rad(al, ah)
+    bm, br = _mid_rad(bl, bh)
     aa = np.abs(am)
     ba = np.abs(bm)
     k = al.shape[1]
     gamma = (k + 4) * _U
-    cm = am @ bm
-    m1 = aa @ ba
-    m2 = ar @ (ba + br) + aa @ br
+    if am.any() and bm.any():
+        cm = am @ bm
+        m1 = aa @ ba
+    else:
+        cm = np.zeros(shape)
+        m1 = np.zeros(shape)
+    a_point = not ar.any()
+    b_point = not br.any()
+    if a_point:
+        m2 = np.zeros(shape) if b_point else aa @ br
+    else:
+        m2 = ar @ ba if b_point else ar @ (ba + br) + aa @ br
     rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
     return _bump_down(cm - rad), _bump_up(cm + rad)
 
 
+def _step(x, to):
+    """One step of x toward `to`; an exact zero stays 0."""
+    out = np.nextafter(x, to)
+    out[x == 0] = 0.0
+    return out
+
+
 def _add(lo1, hi1, lo2, hi2):
-    return np.nextafter(lo1 + lo2, -_INF), np.nextafter(hi1 + hi2, _INF)
+    return _step(lo1 + lo2, -_INF), _step(hi1 + hi2, _INF)
 
 
 def _sub(lo1, hi1, lo2, hi2):
-    return np.nextafter(lo1 - hi2, -_INF), np.nextafter(hi1 - lo2, _INF)
+    return _step(lo1 - hi2, -_INF), _step(hi1 - lo2, _INF)
 
 
 def _scale(lo, hi, s: Interval):

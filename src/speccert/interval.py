@@ -344,11 +344,6 @@ class ComplexBox:
         z = complex(z)
         return cls(Interval.point(z.real), Interval.point(z.imag))
 
-    @classmethod
-    def hull(cls, *items: "ComplexBox") -> "ComplexBox":
-        return cls(Interval.hull(*(b.re for b in items)),
-                   Interval.hull(*(b.im for b in items)))
-
     def contains(self, z) -> bool:
         if isinstance(z, ComplexBox):
             return self.re.contains(z.re) and self.im.contains(z.im)

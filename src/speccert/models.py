@@ -492,17 +492,6 @@ def gray_scott_model(lam1, lam2) -> Model:
         return Interval(0.0, max(head.hi, tail_hi))
 
     model.kappa_hook = kappa_hook
-
-    def lip_dg(linf_u01: Interval, linf_u02: Interval, r0: Interval,
-               kappa: Interval) -> Interval:
-        # G = ((u2 + 1 - lam1 u1) u1^2, 0)
-        k_r0 = kappa * r0
-        a1 = (Interval(2.0) * (Interval(1.0) + linf_u02 + k_r0)
-              + Interval(3.0) * lam1 * (Interval(2.0) * linf_u01 + k_r0))
-        a2 = Interval(2.0) * linf_u01
-        return (a1 + a2) * k_r0
-
-    model.lip_dg = lip_dg
     return model
 
 

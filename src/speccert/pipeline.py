@@ -34,8 +34,6 @@ from .homotopy import HomotopyBounds, compute_bounds, inflate_disks
 from .interval import ComplexBox, Interval
 from .models import Model, essential_spectrum, sh_lambda_max
 
-__tool_version__ = "0.1.0"
-
 
 @dataclass
 class CountedCluster:

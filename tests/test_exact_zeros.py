@@ -1,0 +1,246 @@
+"""Exact zeros and point operands in the interval layer.
+
+The products in `imatrix` and the blocks of `finite.conv_block` keep exact
+zeros exact instead of rounding them out to subnormals.  These tests check
+the fast paths against the plain formulas they replace, which are kept here
+as references, and against exact rational arithmetic.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from speccert.finite import conv_block, orbit_mult, shell_indices
+from speccert.fourier import FourierSeq, Grid, _axis_types, index_list
+from speccert.imatrix import IMatrix
+
+_U = 2.0 ** -53
+_TINY = 5e-308
+_INF = math.inf
+
+
+# -- reference formulas: every bound stepped outward, zeros included --------
+
+def _ref_bump(x, steps, to):
+    for _ in range(steps):
+        x = np.nextafter(x, to)
+    return x
+
+
+def _ref_mm_real(al, ah, bl, bh):
+    am = al + 0.5 * (ah - al)
+    bm = bl + 0.5 * (bh - bl)
+    ar = _ref_bump(np.maximum(ah - am, am - al), 2, _INF)
+    br = _ref_bump(np.maximum(bh - bm, bm - bl), 2, _INF)
+    aa = np.abs(am)
+    ba = np.abs(bm)
+    gamma = (al.shape[1] + 4) * _U
+    cm = am @ bm
+    m1 = aa @ ba
+    m2 = ar @ (ba + br) + aa @ br
+    rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
+    return _ref_bump(cm - rad, 2, -_INF), _ref_bump(cm + rad, 2, _INF)
+
+
+def ref_matmul(a, b):
+    rr = _ref_mm_real(a.rl, a.rh, b.rl, b.rh)
+    ii = _ref_mm_real(a.il, a.ih, b.il, b.ih)
+    ri = _ref_mm_real(a.rl, a.rh, b.il, b.ih)
+    ir = _ref_mm_real(a.il, a.ih, b.rl, b.rh)
+    return (np.nextafter(rr[0] - ii[1], -_INF), np.nextafter(rr[1] - ii[0], _INF),
+            np.nextafter(ri[0] + ir[0], -_INF), np.nextafter(ri[1] + ir[1], _INF))
+
+
+def ref_conv_block(w, sector, rows, cols):
+    grid = w.grid
+    axes = _axis_types(grid.m, sector)
+    wlo, whi = w.expand_signed()
+    sw = w.S
+    rows_a = np.asarray(rows, dtype=np.int64).reshape(len(rows), grid.m)
+    cols_a = np.asarray(cols, dtype=np.int64).reshape(len(cols), grid.m)
+    sym_axes = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+    acc_lo = np.zeros((len(rows), len(cols)))
+    acc_hi = np.zeros((len(rows), len(cols)))
+    for flips in itertools.product(*([(1, -1)] * len(sym_axes))):
+        sig = np.ones(grid.m, dtype=np.int64)
+        chi = 1
+        for ax, fl in zip(sym_axes, flips):
+            sig[ax] = fl
+            if fl == -1 and axes[ax] == "s":
+                chi = -chi
+        diff = rows_a[:, None, :] - (cols_a * sig)[None, :, :]
+        redundant = np.zeros(len(cols), dtype=bool)
+        for ax in range(grid.m):
+            if sig[ax] == -1:
+                redundant |= cols_a[:, ax] == 0
+        inside = np.all(np.abs(diff) <= sw, axis=2)
+        idx = np.clip(diff + sw, 0, 2 * sw)
+        glo = wlo[tuple(idx[:, :, ax] for ax in range(grid.m))]
+        ghi = whi[tuple(idx[:, :, ax] for ax in range(grid.m))]
+        mask = inside & ~redundant[None, :]
+        glo = np.where(mask, glo, 0.0)
+        ghi = np.where(mask, ghi, 0.0)
+        if chi == -1:
+            glo, ghi = -ghi, -glo
+        acc_lo = np.nextafter(acc_lo + glo, -_INF)
+        acc_hi = np.nextafter(acc_hi + ghi, _INF)
+    mr = np.array([orbit_mult(axes, n) for n in rows], dtype=np.float64)
+    mc = np.array([orbit_mult(axes, k) for k in cols], dtype=np.float64)
+    ratio = np.sqrt(mr[:, None] / mc[None, :])
+    f_lo = _ref_bump(ratio, 2, -_INF)
+    f_hi = _ref_bump(ratio, 2, _INF)
+    cands = np.stack([acc_lo * f_lo, acc_lo * f_hi, acc_hi * f_lo, acc_hi * f_hi])
+    return (np.nextafter(cands.min(axis=0), -_INF),
+            np.nextafter(cands.max(axis=0), _INF))
+
+
+def reached(sector, m, S, rows, cols):
+    """Entries some kernel coefficient reaches, by direct enumeration."""
+    axes = _axis_types(m, sector)
+    sym = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+    out = np.zeros((len(rows), len(cols)), dtype=bool)
+    for i, n in enumerate(rows):
+        for j, k in enumerate(cols):
+            for flips in itertools.product(*([(1, -1)] * len(sym))):
+                sig = [1] * m
+                for ax, fl in zip(sym, flips):
+                    sig[ax] = fl
+                if any(s == -1 and k[ax] == 0 for ax, s in enumerate(sig)):
+                    continue
+                if all(abs(n[ax] - sig[ax] * k[ax]) <= S for ax in range(m)):
+                    out[i, j] = True
+    return out
+
+
+# -- random operands ---------------------------------------------------------
+
+KINDS = ("zero", "real-point", "point", "real", "interval")
+SCALES = (1.0, 1e-300, 1e-150)
+
+
+def draw_part(rng, shape, kind, scale, imag):
+    if kind == "zero" or (imag and kind.startswith("real")):
+        z = np.zeros(shape)
+        return z, z.copy()
+    mid = rng.standard_normal(shape) * scale
+    if kind.endswith("point"):
+        rad = np.zeros(shape)
+    else:
+        # mixed zero and nonzero radii
+        rad = rng.uniform(0.0, 1e-3, shape) * scale * (rng.random(shape) < 0.6)
+    lo, hi = mid - rad, mid + rad
+    # an exact-zero block
+    r0, c0 = rng.integers(0, shape[0] + 1), rng.integers(0, shape[1] + 1)
+    lo[:r0, :c0] = 0.0
+    hi[:r0, :c0] = 0.0
+    return lo, hi
+
+
+def draw_imatrix(rng, shape, kind, scale):
+    rl, rh = draw_part(rng, shape, kind, scale, imag=False)
+    il, ih = draw_part(rng, shape, kind, scale, imag=True)
+    return IMatrix(rl, rh, il, ih)
+
+
+def pick_exact(rng, lo, hi):
+    """A rational point matrix inside [lo, hi], as nested lists."""
+    t = rng.random(lo.shape)
+    return [[Fraction(l) + Fraction(s) * (Fraction(h) - Fraction(l))
+             for l, h, s in zip(rl, rh, rt)]
+            for rl, rh, rt in zip(lo.tolist(), hi.tolist(), t.tolist())]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 5),
+       st.integers(1, 5), st.sampled_from(KINDS), st.sampled_from(KINDS),
+       st.sampled_from(SCALES), st.sampled_from(SCALES))
+@settings(max_examples=120, deadline=None)
+def test_matmul_fast_path_encloses_and_is_no_wider(seed, m, k, n, kind_a, kind_b,
+                                                   scale_a, scale_b):
+    rng = np.random.default_rng(seed)
+    a = draw_imatrix(rng, (m, k), kind_a, scale_a)
+    b = draw_imatrix(rng, (k, n), kind_b, scale_b)
+    prod = a @ b
+
+    ref = ref_matmul(a, b)
+    for got, want in zip((prod.rl, prod.il), (ref[0], ref[2])):
+        assert np.all(got >= want)
+    for got, want in zip((prod.rh, prod.ih), (ref[1], ref[3])):
+        assert np.all(got <= want)
+
+    for _ in range(2):
+        ar, ai = pick_exact(rng, a.rl, a.rh), pick_exact(rng, a.il, a.ih)
+        br, bi = pick_exact(rng, b.rl, b.rh), pick_exact(rng, b.il, b.ih)
+        for i in range(m):
+            for j in range(n):
+                re = sum(ar[i][q] * br[q][j] - ai[i][q] * bi[q][j] for q in range(k))
+                im = sum(ar[i][q] * bi[q][j] + ai[i][q] * br[q][j] for q in range(k))
+                assert float(prod.rl[i, j]) <= re <= float(prod.rh[i, j])
+                assert float(prod.il[i, j]) <= im <= float(prod.ih[i, j])
+
+
+CONV_CASES = [(1, "c", "c"), (1, "c", "s"), (1, "full", "full"), (1, "c", "full"),
+              (2, "cc", "cc"), (2, "cc", "cs"), (2, "cc", "ss"), (2, "cc", "full")]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(CONV_CASES),
+       st.integers(0, 3), st.integers(0, 3), st.sampled_from(SCALES))
+@settings(max_examples=60, deadline=None)
+def test_conv_block_matches_reference(seed, case, S, inner, scale):
+    m, w_sector, sector = case
+    rng = np.random.default_rng(seed)
+    grid = Grid(m, 7.0)
+    side = 2 * S + 1 if w_sector == "full" else S + 1
+    mid = rng.standard_normal((side,) * m) * scale
+    rad = rng.uniform(0.0, 1e-6, mid.shape) * scale * (rng.random(mid.shape) < 0.5)
+    mid[rng.random(mid.shape) < 0.3] = 0.0
+    w = FourierSeq(grid, w_sector, mid - rad, mid + rad)
+    rows = index_list(grid, sector, inner)
+    cols = rows + shell_indices(grid, sector, inner, inner + 2 * S + 2)
+
+    got = conv_block(w, sector, rows, cols)
+    want_lo, want_hi = ref_conv_block(w, sector, rows, cols)
+    hit = reached(sector, m, S, rows, cols)
+    assert not np.all(hit)
+    assert np.array_equal(got.rl[hit], want_lo[hit])
+    assert np.array_equal(got.rh[hit], want_hi[hit])
+    assert np.all(got.rl[~hit] == 0.0) and np.all(got.rh[~hit] == 0.0)
+    assert not got.il.any() and not got.ih.any()
+
+
+# -- no subnormal bounds on the 1D pulse -------------------------------------
+
+def _subnormal_count(x):
+    return int(np.count_nonzero((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)))
+
+
+def _assert_no_subnormal(name, mat):
+    for part in (mat.rl, mat.rh, mat.il, mat.ih):
+        assert _subnormal_count(part) == 0, name
+
+
+def test_no_subnormal_bounds_on_sh_toy(sh_toy):
+    grid, w, N = sh_toy["grid"], sh_toy["w"], sh_toy["N"]
+    pseudo = sh_toy["pseudo"]
+    inner = index_list(grid, "c", N)
+    ext = shell_indices(grid, "c", N, N + 2 * w.S)
+    block = conv_block(w, "c", inner, ext)
+    # far columns are out of the kernel's reach: exact zeros
+    assert not block.rl[:, -1].any() and not block.rh[:, -1].any()
+    r0m = IMatrix.from_point(np.linalg.inv(pseudo.P.mid()))
+    for name, mat in (("conv_block", block), ("P", pseudo.P),
+                      ("Pinv", pseudo.Pinv), ("D", pseudo.D),
+                      ("r0m @ p", r0m @ pseudo.P)):
+        _assert_no_subnormal(name, mat)
+
+
+def test_real_point_product_has_exact_zero_imaginary_part():
+    rng = np.random.default_rng(5)
+    a = IMatrix.from_point(rng.standard_normal((9, 7)))
+    b = IMatrix.from_point(rng.standard_normal((7, 4)) + 0j)
+    prod = a @ b
+    assert not prod.il.any() and not prod.ih.any()
+    assert prod.contains(a.mid().real @ b.mid().real)
+    _assert_no_subnormal("product", prod)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -131,6 +132,12 @@ def test_hull_and_intersect():
 cplx = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 
 
+def box_contains_exact(box, re, im):
+    """Containment of the point re + i im, with rational re and im."""
+    return (float(box.re.lo) <= re <= float(box.re.hi)
+            and float(box.im.lo) <= im <= float(box.im.hi))
+
+
 @given(cplx, cplx, cplx, cplx, st.floats(0, 1), st.floats(0, 1),
        st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=250)
@@ -139,9 +146,13 @@ def test_complex_box_containment(a, b, c, d, t1, t2, t3, t4):
     y = ComplexBox(make_interval(c[0], d[0]), make_interval(c[1], d[1]))
     px = complex(pick(x.re, t1), pick(x.im, t2))
     py = complex(pick(y.re, t3), pick(y.im, t4))
-    assert (x + y).contains(px + py)
-    assert (x - y).contains(px - py)
-    assert (x * y).contains(px * py)
+    # the oracle is the exact rational result for the picked points, not
+    # Python's rounded complex arithmetic
+    xr, xi = Fraction(px.real), Fraction(px.imag)
+    yr, yi = Fraction(py.real), Fraction(py.imag)
+    assert box_contains_exact(x + y, xr + yr, xi + yi)
+    assert box_contains_exact(x - y, xr - yr, xi - yi)
+    assert box_contains_exact(x * y, xr * yr - xi * yi, xr * yi + xi * yr)
     assert x.abs().contains(abs(px))
     assert x.conj().contains(px.conjugate())
     if not (y.re.contains_zero() and y.im.contains_zero()):
@@ -150,7 +161,9 @@ def test_complex_box_containment(a, b, c, d, t1, t2, t3, t4):
         except DivisionByZeroInterval:
             return
         if py != 0:
-            assert q.contains(px / py)
+            den = yr * yr + yi * yi
+            assert box_contains_exact(q, (xr * yr + xi * yi) / den,
+                                      (xi * yr - xr * yi) / den)
 
 
 def test_complex_mag_mig():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from speccert import serialize
-from speccert.cli import main
+from speccert.cli import build_model, main
 from speccert.errors import ConditionViolated, KernelMismatch
 from speccert.finite import (
     assemble_jacobian,
@@ -15,7 +15,7 @@ from speccert.finite import (
 )
 from speccert.fourier import FourierSeq, Grid, index_list
 from speccert.interval import ComplexBox, Interval
-from speccert.models import sh_model
+from speccert.models import DecayBound, sh_model
 from speccert.pipeline import (
     CertifyOptions,
     CountedCluster,
@@ -230,6 +230,33 @@ def test_cli_exit_codes(tmp_path, sh_toy):
     path2, _ = _toy_config(tmp_path, sh_toy,
                            model={"name": "unknown", "params": {}})
     assert main(["--config", str(path2)]) == 5
+
+
+def test_cli_malformed_value_exits_2(tmp_path, sh_toy, capsys):
+    path, _ = _toy_config(tmp_path, sh_toy, N="abc")
+    assert main(["--config", str(path)]) == 2
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_cli_whitham_decay_table_rows(tmp_path, capsys):
+    params = {"T": 0.5, "c": 0.8, "decay_table": [[-10.0, 10.0, 2.0, 0.5]]}
+    model = build_model({"name": "whitham", "params": params})
+    assert model.decay_table == (DecayBound(-10.0, 10.0, 2.0, 0.5),)
+    assert model.decay_for(Interval(-1.0, 1.0)).C == 2.0
+    # the decay rows are read; certify then stops at the missing kappa
+    grid = Grid(1, 20.0)
+    sol = tmp_path / "u0.json"
+    u0 = FourierSeq.from_point(grid, "c", 0.05 * np.exp(-0.3 * np.arange(17)))
+    sol.write_text(serialize.dumps(serialize.seq_to_doc(u0)))
+    cfg = {"mode": "certify",
+           "model": {"name": "whitham", "m": 1, "params": params},
+           "grid": {"m": 1, "d": 20.0}, "sector": "c", "N": 16, "r0": 1e-8,
+           "solution": {"path": str(sol)},
+           "output": str(tmp_path / "cert.json")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 5
+    assert "kappa" in capsys.readouterr().err
 
 
 def test_cli_essential_mode(tmp_path):
