@@ -58,7 +58,9 @@ class ConditionViolated(CertifyError):
 
 
 class ReductionUnavailable(CertifyError):
-    """The self-adjoint shortcut was requested for a non-self-adjoint model."""
+    """The model lacks what a requested stage needs: the self-adjoint
+    shortcut for a non-self-adjoint model, the matrix pipeline for a system,
+    or the kappa and Lipschitz hooks for certify."""
 
 
 class DecayDomainMismatch(CertifyError):

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.signal import convolve as _sp_convolve
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .interval import Interval, iv_sqrt
+from .interval import Interval
 
 _U = 2.0 ** -53
 _TINY = 5e-308
@@ -312,53 +312,6 @@ def seq_l1(u: FourierSeq) -> Interval:
     return Interval(lo, hi)
 
 
-def seq_l2(u: FourierSeq) -> Interval:
-    """Enclosure of the l2 norm (with orbit multiplicities)."""
-    w = _mult_weights(u.lo.shape, u.axes)
-    mag = u.mag_arr()
-    mig = np.where((u.lo <= 0.0) & (u.hi >= 0.0), 0.0,
-                   np.minimum(np.abs(u.lo), np.abs(u.hi)))
-    n = u.lo.size
-    hi2 = float((w * mag * mag).sum()) * (1.0 + (n + 6) * _U) + _TINY
-    lo2 = max(float((w * mig * mig).sum()) * (1.0 - (n + 6) * _U) - _TINY, 0.0)
-    return iv_sqrt(Interval(lo2, hi2))
-
-
-def sup_bound(u: FourierSeq) -> Interval:
-    """Upper bound on the sup norm of the represented function."""
-    l1 = seq_l1(u)
-    return Interval(0.0, l1.hi)
-
-
-def project_inner(u: FourierSeq, N: int) -> FourierSeq:
-    """Coefficients with |n|_inf <= N; entries move exactly, none change."""
-    out = u.copy()
-    signed = out.axes[0] == "signed"
-    idx = np.arange(-u.S, u.S + 1) if signed else np.arange(u.S + 1)
-    mask1 = np.abs(idx) > N
-    for ax in range(u.grid.m):
-        sl = [slice(None)] * u.grid.m
-        sl[ax] = mask1
-        out.lo[tuple(sl)] = 0.0
-        out.hi[tuple(sl)] = 0.0
-    return out
-
-
-def project_outer(u: FourierSeq, N: int) -> FourierSeq:
-    """Complementary projection: coefficients with |n|_inf > N."""
-    out = u.copy()
-    signed = out.axes[0] == "signed"
-    idx = np.arange(-u.S, u.S + 1) if signed else np.arange(u.S + 1)
-    inside = np.ones(u.lo.shape, dtype=bool)
-    for ax in range(u.grid.m):
-        sl = [None] * u.grid.m
-        sl[ax] = slice(None)
-        inside &= (np.abs(idx) <= N)[tuple(sl)]
-    out.lo[inside] = 0.0
-    out.hi[inside] = 0.0
-    return out
-
-
 def index_list(grid: Grid, sector: str, S: int):
     """Fundamental-domain multi-indices in deterministic (row-major) order."""
     axes = _axis_types(grid.m, sector)
@@ -369,40 +322,3 @@ def index_list(grid: Grid, sector: str, S: int):
     if grid.m == 1:
         return [(n,) for n in rng]
     return [(n1, n2) for n1 in rng for n2 in rng]
-
-
-def sample_gamma_dagger(u: FourierSeq, points: np.ndarray) -> np.ndarray:
-    """Non-rigorous midpoint samples of the extension-by-zero of u.
-
-    Points are given as an array of shape (..., m) (or (...,) when m = 1);
-    the value is 0 outside the closed box Omega_d.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    m = u.grid.m
-    if m == 1 and (pts.ndim == 0 or pts.shape[-1] != 1):
-        pts = pts.reshape(pts.shape + (1,))
-    flat = pts.reshape(-1, m)
-    lo, hi = u.expand_signed()
-    coef = lo + 0.5 * (hi - lo)
-    coef = coef.astype(np.complex128)
-    # restore the i factors of odd axes
-    S = u.S
-    idx = np.arange(-S, S + 1)
-    for ax, kind in enumerate(u.axes):
-        if kind == "s":
-            sl = [None] * m
-            sl[ax] = slice(None)
-            coef = coef * (1j * np.ones_like(idx))[tuple(sl)]
-    vals = np.zeros(flat.shape[0], dtype=np.complex128)
-    inside = np.all(np.abs(flat) <= u.grid.d, axis=1)
-    theta = math.pi / u.grid.d
-    phase0 = np.exp(1j * theta * np.outer(flat[:, 0], idx))
-    if m == 1:
-        vals[:] = phase0 @ coef
-    else:
-        phase1 = np.exp(1j * theta * np.outer(flat[:, 1], idx))
-        vals[:] = np.einsum("pi,ij,pj->p", phase0, coef, phase1)
-    vals = np.where(inside, vals, 0.0)
-    if u.sector == "full":
-        return vals.reshape(pts.shape[:-1])
-    return np.real(vals).reshape(pts.shape[:-1])

@@ -12,6 +12,14 @@ approximation; this stage charges three families of defects against them:
 Every disk is inflated by eps = |center + t| * factor with a factor shared
 by all disks, and a self-adjoint shortcut yields the alternative inflation
 (r + |center + t|) * factor_sa when the model is self-adjoint.
+
+Most bounds depend on the spectral window but not on the shift t, so
+`window_bounds` computes them once per certificate: kappa and the Lipschitz
+drift, Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q, the window
+distances of the symbol, and the operator blocks DG(shell <- inner) P and
+Pinv DG(inner <- shell).  `compute_bounds` adds what each shift of the
+ladder needs: (S + t)^{-1}, Z13, Z14, the matrix factor behind Zu3 and
+C2 r0, the inflation factors, and the self-adjoint factor with its disk gap.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated, ReductionUnavailable
+from .errors import ConditionViolated, DivisionByZeroInterval, ReductionUnavailable
 from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
 from .fourier import FourierSeq, conv, seq_l1
 from .imatrix import IMatrix, op_norm2_bound
@@ -55,20 +63,28 @@ def sup_to_window(v: Interval, window: ComplexBox) -> Interval:
     return iv_sqrt(Interval(dx.hi).sq() + Interval(dy.hi).sq())
 
 
-def window_dist_inf(model: Model, window: ComplexBox, s_min: float) -> Interval:
-    """Certified inf over s >= s_min of dist(l(s), window)."""
-    wmag = window.abs().hi
-
-    def f(s: Interval) -> Interval:
-        return dist_to_window(model.symbol_at(s), window)
+def _minorant_tail_lo(model: Model, mag: float):
+    """tail_lo(r) for radial_inf: a lower bound on |l(s)| - mag over s >= r
+    from the growth minorant, and 0 below its threshold.  It bounds every
+    |l(s) - z| with |z| <= mag."""
 
     def tail_lo(r: float) -> float:
         if r < model.minorant.s0:
             return 0.0
-        v = Interval(model.minorant.value_lo(r)) - Interval(wmag)
+        v = Interval(model.minorant.value_lo(r)) - Interval(mag)
         return max(v.lo, 0.0)
 
-    return radial_inf(f, s_min, tail_lo, tol=1e-9)
+    return tail_lo
+
+
+def window_dist_inf(model: Model, window: ComplexBox, s_min: float) -> Interval:
+    """Certified inf over s >= s_min of dist(l(s), window)."""
+
+    def f(s: Interval) -> Interval:
+        return dist_to_window(model.symbol_at(s), window)
+
+    return radial_inf(f, s_min, _minorant_tail_lo(model, window.abs().hi),
+                      tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -214,44 +230,71 @@ def kappa2_formula(z11: Interval, z12: Interval, zu2_eff: Interval,
 
 
 def _diag_shift_inv(pseudo: PseudoDiag, t: float):
-    """diag((lam_n + t)^{-1}) as an interval matrix; fails through zero."""
+    """diag((lam_n + t)^{-1}) as an interval matrix; a shift whose -t lies in
+    the enclosure of some lam_n is rejected."""
     boxes = []
     for lam in pseudo.lams:
-        boxes.append(ComplexBox(Interval(1.0)) / (lam + ComplexBox(Interval(t))))
+        try:
+            boxes.append(ComplexBox(Interval(1.0)) / (lam + ComplexBox(Interval(t))))
+        except DivisionByZeroInterval:
+            raise ConditionViolated(
+                f"shift t = {t!r} puts -t inside the eigenvalue enclosure "
+                f"{lam} of the finite block") from None
     return IMatrix.diag(boxes)
 
 
-def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
-                   pseudo: PseudoDiag, disks: DiskSet, window: ComplexBox,
-                   t: float, q_mult: float = 2.0,
-                   want_selfadjoint: bool = True) -> HomotopyBounds:
+@dataclass
+class WindowBounds:
+    """The bounds of one certificate that do not depend on the shift t.
+
+    Built once by `window_bounds` and shared by every `compute_bounds` call
+    of the shift ladder.
+    """
+
+    model: Model
+    pseudo: PseudoDiag
+    disks: DiskSet
+    window: ComplexBox
+    q_mult: float
+    l1w: Interval
+    lam_mid: list                 # l(n~) over the shell indices
+    d_off: IMatrix                # |D| with its diagonal zeroed
+    pinv_dg: IMatrix | None       # Pinv DG(inner <- shell); None without a shell
+    dg_p: IMatrix | None          # DG(shell <- inner) P, for Z11 and the Neumann defect
+    colw: np.ndarray              # sup distance of each inner l(n~) to the window
+    z11: Interval
+    z12: Interval
+    zu1: Interval
+    zu2: Interval
+    zu2q: Interval
+    c1r0: Interval
+    kappa1: Interval
+    sq: Interval                  # sqrt(1 + kappa1^2)
+    kappa2: Interval
+    kappa2q: Interval
+    conditions: dict
+
+
+def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
+                  pseudo: PseudoDiag, disks: DiskSet, window: ComplexBox,
+                  q_mult: float = 2.0) -> WindowBounds:
+    """Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q for a window,
+    with the operator blocks the shift-dependent bounds reuse.  Raises
+    ConditionViolated when an inequality fails for every shift."""
     grid = w.grid
     sector = disks.sector
-    n_in = disks.n_inner
     inner = disks.inner_indices
     mid = disks.mid_indices
     c_m = disks.sym_factor
     l1w = seq_l1(w)
     w0_abs = disks.w0.abs()
 
-    sinv = _diag_shift_inv(pseudo, t)
-
-    # Z13: off-diagonal of the diagonalized block, weighted by (S + t)^{-1}
-    dmat = pseudo.D
-    off = dmat.mag()
+    off = pseudo.D.mag()
     np.fill_diagonal(off, 0.0)
-    z13 = op_norm2_bound(sinv @ IMatrix.from_point(off))
-
-    # Z14: coupling into the shell through Pinv DG
-    if mid:
-        dg_in_mid = conv_block(w, sector, inner, mid)
-        z14 = op_norm2_bound(sinv @ (pseudo.Pinv @ dg_in_mid))
-    else:
-        z14 = Interval(0.0)
 
     # Z11: shell rows against the window-weighted resolvent
     lam_mid = symbol_diag(model, grid, mid) if mid else []
-    dg_mid_in = None
+    pinv_dg = dg_p = None
     if mid:
         wts = []
         for lam in lam_mid:
@@ -261,42 +304,35 @@ def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
                     "window touches a symbol value in the shell")
             wts.append(Interval(1.0) / dist)
         wdiag = IMatrix.diag([ComplexBox(Interval(0.0, x.hi)) for x in wts])
-        dg_mid_in = conv_block(w, sector, mid, inner)
-        z11 = op_norm2_bound(wdiag @ (dg_mid_in @ pseudo.P))
+        dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
+        z11 = op_norm2_bound(wdiag @ dg_p)
+        pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
     else:
         z11 = Interval(0.0)
 
     # Z12: Schur bound on the outer-outer block
-    s_min_n = min_tail_freq(grid, n_in)
+    s_min_n = min_tail_freq(grid, disks.n_inner)
     dist_outer = window_dist_inf(model, window, s_min_n)
     if dist_outer.lo <= 0:
         raise ConditionViolated("window touches the outer symbol range")
     z12 = Interval(c_m) * (l1w - w0_abs) / Interval(dist_outer.lo)
     z12 = Interval(0.0, z12.hi)
 
-    # finite matrix factor shared by Zu3 and C2
-    colw = []
-    for lam in symbol_diag(model, grid, inner):
-        colw.append(sup_to_window(lam, window))
-    g = sinv @ pseudo.Pinv
-    gmag = g.mag() * np.array([x.hi for x in colw])[None, :]
-    fmat = op_norm2_bound(IMatrix.from_point(gmag))
+    # column weights of the finite matrix factor shared by Zu3 and C2
+    colw = np.array([sup_to_window(lam, window).hi
+                     for lam in symbol_diag(model, grid, inner)])
 
     # decay-based periodization defects
     decay = model.decay_provider(window.re)
     zu1, zu2 = zu_base_bounds(w, decay)
-    zu3 = Interval(0.0, (zu2 * fmat).hi)
 
     # Lipschitz drift
-    r0_iv = Interval(r0)
     kappa = model.kappa()
-    lip_total = model.lip_dg(u0_l1, r0_iv, kappa)
+    lip_total = model.lip_dg(u0_l1, Interval(r0), kappa)
     dist_all = window_dist_inf(model, window, 0.0)
     if dist_all.lo <= 0:
         raise ConditionViolated("window touches the essential spectrum")
     c1r0 = Interval(0.0, (lip_total / Interval(dist_all.lo)).hi)
-    c2r0 = Interval(0.0, (c1r0 * fmat).hi)
-
     if c1r0.hi >= 1.0:
         raise ConditionViolated(
             f"C1 r0 = {c1r0.hi} >= 1; shrink r0 or move the window away "
@@ -306,33 +342,66 @@ def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
 
     p_norm = pseudo.p_norm
     kappa2 = kappa2_formula(z11, z12, zu2, sq * c1r0, p_norm)
-    factor_inf = z13 + z14 * kappa2 + (zu3 + c2r0 * sq) * (p_norm + kappa2)
-
     zu2q = Interval(q_mult) * zu2
-    zu3q = Interval(q_mult) * zu3
     kappa2q = kappa2_formula(z11, z12, zu2q, Interval(0.0), p_norm)
-    factor_q = z13 + z14 * kappa2q + zu3q * (p_norm + kappa2q)
-
-    eps_factor = Interval(0.0, max(factor_inf.hi, factor_q.hi))
     conditions = {
         "C1 r0 < 1": (c1r0.hi, 1.0),
         "1 - Z12 - Zu2 - sqrt(1+kappa1^2) C1 r0 > 0":
             ((Interval(1.0) - z12 - zu2 - sq * c1r0).lo, 0.0),
         "1 - Z12 - Zu2_q > 0": ((Interval(1.0) - z12 - zu2q).lo, 0.0),
     }
+    return WindowBounds(
+        model=model, pseudo=pseudo, disks=disks, window=window,
+        q_mult=q_mult, l1w=l1w, lam_mid=lam_mid,
+        d_off=IMatrix.from_point(off), pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
+        z11=z11, z12=z12, zu1=zu1, zu2=zu2, zu2q=zu2q, c1r0=c1r0,
+        kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
+        conditions=conditions,
+    )
+
+
+def compute_bounds(wb: WindowBounds, t: float,
+                   want_selfadjoint: bool = True) -> HomotopyBounds:
+    """The bounds at shift t: Z13, Z14, Zu3, C2 r0, the inflation factors
+    and, for a self-adjoint model, the self-adjoint factor."""
+    model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
+    q_mult = wb.q_mult
+    sinv = _diag_shift_inv(pseudo, t)
+
+    # Z13: off-diagonal of the diagonalized block, weighted by (S + t)^{-1}
+    z13 = op_norm2_bound(sinv @ wb.d_off)
+
+    # Z14: coupling into the shell through Pinv DG
+    if wb.pinv_dg is not None:
+        z14 = op_norm2_bound(sinv @ wb.pinv_dg)
+    else:
+        z14 = Interval(0.0)
+
+    # finite matrix factor shared by Zu3 and C2
+    g = sinv @ pseudo.Pinv
+    fmat = op_norm2_bound(IMatrix.from_point(g.mag() * wb.colw[None, :]))
+    zu2, c1r0, sq = wb.zu2, wb.c1r0, wb.sq
+    zu3 = Interval(0.0, (zu2 * fmat).hi)
+    c2r0 = Interval(0.0, (c1r0 * fmat).hi)
+
+    p_norm = pseudo.p_norm
+    kappa2, kappa2q = wb.kappa2, wb.kappa2q
+    factor_inf = z13 + z14 * kappa2 + (zu3 + c2r0 * sq) * (p_norm + kappa2)
+    zu3q = Interval(q_mult) * zu3
+    factor_q = z13 + z14 * kappa2q + zu3q * (p_norm + kappa2q)
+    eps_factor = Interval(0.0, max(factor_inf.hi, factor_q.hi))
 
     sa_factor = None
     gap = None
     if want_selfadjoint and model.self_adjoint:
-        gap = _disk_gap(model, disks, t)
+        tail_inf = _shifted_tail_inf(model, disks, t)
+        gap = _disk_gap(disks, t, tail_inf)
         if gap.lo <= 0:
             raise ConditionViolated("shift -t is not separated from the disks")
         sup_tmu = sup_to_window(Interval(-t), window)
-        dgn = Interval(c_m) * l1w
+        dgn = Interval(disks.sym_factor) * wb.l1w
         fsa = Interval(1.0) + (dgn + Interval(sup_tmu.hi)) / Interval(gap.lo)
-        fne = _selfadjoint_factor_neumann(
-            model, w, disks, pseudo, window, t, z13, z14, fmat,
-            dg_mid_in if mid else None)
+        fne = _selfadjoint_factor_neumann(wb, t, z13, z14, fmat, tail_inf)
         if fne is not None and fne.hi < fsa.hi:
             fsa = fne
         zu3_sa = zu2 * fsa
@@ -345,12 +414,13 @@ def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
         window=window,
         t=t,
         q_mult=q_mult,
-        z11=z11, z12=z12, z13=Interval(0.0, z13.hi), z14=Interval(0.0, z14.hi),
-        zu1=zu1, zu2=zu2, zu3=zu3,
-        zu2q=Interval(0.0, zu2q.hi),
+        z11=wb.z11, z12=wb.z12,
+        z13=Interval(0.0, z13.hi), z14=Interval(0.0, z14.hi),
+        zu1=wb.zu1, zu2=zu2, zu3=zu3,
+        zu2q=Interval(0.0, wb.zu2q.hi),
         zu3q=Interval(0.0, zu3q.hi),
         c1r0=c1r0, c2r0=c2r0,
-        kappa1=Interval(0.0, kappa1.hi),
+        kappa1=Interval(0.0, wb.kappa1.hi),
         kappa2=Interval(0.0, kappa2.hi),
         kappa2q=Interval(0.0, kappa2q.hi),
         p_norm=p_norm,
@@ -359,24 +429,23 @@ def compute_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
         eps_factor_q=Interval(0.0, factor_q.hi),
         sa_factor=sa_factor,
         gap=gap,
-        conditions=conditions,
+        conditions=wb.conditions,
     )
 
 
-def _selfadjoint_factor_neumann(model: Model, w: FourierSeq, disks: DiskSet,
-                                pseudo: PseudoDiag, window: ComplexBox,
-                                t: float, z13: Interval, z14: Interval,
-                                fmat: Interval, dg_mid_in) -> Interval | None:
+def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
+                                z14: Interval, fmat: Interval,
+                                den_tail: Interval) -> Interval | None:
     """Pseudo-diagonal route to sup_mu |(DF + t)^{-1} (L - mu)|_2.
 
     Conjugating by the extended basis P (+) I gives S + t plus a defect E
     weighted by (S + t)^{-1}; when the total block-norm bound e of E stays
     below 1 the factor is |P| / (1 - e) times the weighted comparison of
-    the symbol against the diagonal.  Returns None when e >= 1.
+    the symbol against the diagonal.  den_tail is the certified min of
+    |l + w0 + t| over the continuum tail.  Returns None when e >= 1.
     """
-    grid = w.grid
+    model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
     c_m = disks.sym_factor
-    l1w = seq_l1(w)
     w0 = disks.w0.re
     t_iv = Interval(t)
     n_fin = len(pseudo.lams)
@@ -388,19 +457,6 @@ def _selfadjoint_factor_neumann(model: Model, w: FourierSeq, disks: DiskSet,
             return None
         shell_w.append(Interval(1.0) / d)
 
-    # certified min of |l + w0 + t| over the continuum tail
-    def fden(s: Interval) -> Interval:
-        return (model.symbol_at(s) + w0 + t_iv).abs()
-
-    mag = (w0.abs() + Interval(abs(t))).hi
-
-    def tail_lo(r: float) -> float:
-        if r < model.minorant.s0:
-            return 0.0
-        v = Interval(model.minorant.value_lo(r)) - Interval(mag)
-        return max(v.lo, 0.0)
-
-    den_tail = radial_inf(fden, disks.min_tail_s, tail_lo, tol=1e-9)
     if den_tail.lo <= 0:
         return None
     den_min = den_tail.lo
@@ -411,24 +467,25 @@ def _selfadjoint_factor_neumann(model: Model, w: FourierSeq, disks: DiskSet,
     e = z13 + z14
     if shell:
         wdiag = IMatrix.diag([ComplexBox(Interval(0.0, x.hi)) for x in shell_w])
-        e = e + op_norm2_bound(wdiag @ (dg_mid_in @ pseudo.P))
-    e = e + Interval(c_m) * (l1w - disks.w0.abs()) / Interval(den_min)
+        e = e + op_norm2_bound(wdiag @ wb.dg_p)
+    e = e + Interval(c_m) * (wb.l1w - disks.w0.abs()) / Interval(den_min)
     if e.hi >= 1.0:
         return None
 
     # weighted symbol comparison: finite block via fmat, outer rows by ratio
     ratio = fmat
-    lam_shell = symbol_diag(model, grid, disks.mid_indices)
-    for lam, wi in zip(lam_shell, shell_w):
+    for lam, wi in zip(wb.lam_mid, shell_w):
         r = sup_to_window(lam, window) * wi
         if r.hi > ratio.hi:
             ratio = Interval(0.0, r.hi)
 
-    wmag = window.abs().hi
-
     def fratio(s: Interval) -> Interval:
-        return sup_to_window(model.symbol_at(s), window) / fden(s)
+        lam = model.symbol_at(s)
+        return sup_to_window(lam, window) / (lam + w0 + t_iv).abs()
 
+    mag = (w0.abs() + Interval(abs(t))).hi
+    wmag = window.abs().hi
+    tail_lo = _minorant_tail_lo(model, mag)
     r_cut = max(4.0 * model.minorant.s0, 2.0 * disks.min_tail_s, 16.0)
     for _ in range(40):
         if tail_lo(r_cut) > 0:
@@ -445,26 +502,25 @@ def _selfadjoint_factor_neumann(model: Model, w: FourierSeq, disks: DiskSet,
             / (Interval(1.0) - e))
 
 
-def _disk_gap(model: Model, disks: DiskSet, t: float) -> Interval:
-    """Lower bound on dist(-t, union of certified disks)."""
-    best = math.inf
-    for center, radius in zip(disks.centers, disks.radii):
-        v = (center + ComplexBox(Interval(t))).mig() - radius
-        best = min(best, v)
+def _shifted_tail_inf(model: Model, disks: DiskSet, t: float) -> Interval:
+    """Certified inf of |l(s) + w0 + t| over the tail region s >= min_tail_s."""
     w0 = disks.w0.re
 
     def f(s: Interval) -> Interval:
         return (model.symbol_at(s) + w0 + Interval(t)).abs()
 
     mag = (w0.abs() + Interval(abs(t))).hi
+    return radial_inf(f, disks.min_tail_s, _minorant_tail_lo(model, mag),
+                      tol=1e-9)
 
-    def tail_lo(r: float) -> float:
-        if r < model.minorant.s0:
-            return 0.0
-        v = Interval(model.minorant.value_lo(r)) - Interval(mag)
-        return max(v.lo, 0.0)
 
-    tail_inf = radial_inf(f, disks.min_tail_s, tail_lo, tol=1e-9)
+def _disk_gap(disks: DiskSet, t: float, tail_inf: Interval) -> Interval:
+    """Lower bound on dist(-t, union of certified disks), given the tail
+    minimum from `_shifted_tail_inf`."""
+    best = math.inf
+    for center, radius in zip(disks.centers, disks.radii):
+        v = (center + ComplexBox(Interval(t))).mig() - radius
+        best = min(best, v)
     best = min(best, tail_inf.lo - disks.tail_radius)
     return Interval(best)
 

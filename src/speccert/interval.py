@@ -114,13 +114,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def intersect(self, other: "Interval") -> "Interval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise DomainError(f"empty intersection of {self} and {other}")
-        return Interval(lo, hi)
-
     # -- scalar views -----------------------------------------------------
 
     def mid(self) -> float:
@@ -287,10 +280,6 @@ def _monotone_inc(fn, x: Interval) -> Interval:
 
 def iv_exp(x: Interval) -> Interval:
     return _monotone_inc(mpmath.exp, x)
-
-
-def iv_expm1(x: Interval) -> Interval:
-    return _monotone_inc(mpmath.expm1, x)
 
 
 def iv_tanh(x: Interval) -> Interval:

@@ -71,12 +71,13 @@ class Model:
     minorant: GrowthMinorant
     params: dict = field(default_factory=dict)
     decay_table: tuple = ()            # loaded DecayBound entries
+    _kappa: Interval | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     # hooks filled in by the factories
     symbol = None                      # Interval -> Interval (scalar models)
     symbol_matrix = None               # Interval -> 2x2 tuple of Intervals
     range_tail_hull = None             # R -> (float lo, float hi), +-inf allowed
-    gap_tail_lo = None                 # (R, ComplexBox) -> float
     lip_dg = None                      # (l1_U0, r0, kappa) -> Interval
     kappa_hook = None                  # () -> Interval
     decay_provider = None              # Interval window -> DecayBound
@@ -85,17 +86,6 @@ class Model:
         if self.symbol is None:
             raise NonRadialUnsupported(f"{self.name} has no scalar symbol")
         return self.symbol(s)
-
-    def gap(self, s: Interval, lam: ComplexBox) -> Interval:
-        """Lower-boundable distance |l(s) - lambda| (smallest singular value
-        of l(s) - lambda for systems)."""
-        if self.components == 1:
-            d2 = (self.symbol_at(s) - lam.re).sq() + lam.im.sq()
-            return iv_sqrt(d2)
-        return self._system_gap(s, lam)
-
-    def _system_gap(self, s: Interval, lam: ComplexBox) -> Interval:
-        raise NonRadialUnsupported(f"{self.name}: no system gap available")
 
     def decay_for(self, window: Interval) -> DecayBound:
         """Decay constants valid for every shift in the window."""
@@ -110,9 +100,13 @@ class Model:
         return tuple((deg - 1, Interval(deg) * coeff) for deg, coeff in self.nonlin)
 
     def kappa(self) -> Interval:
+        """The hook's kappa, evaluated once per model: it depends on the
+        symbol alone, and every shift and the eigenvalue bound use it."""
         if self.kappa_hook is None:
             raise InvalidParameter(f"{self.name}: no kappa available")
-        return self.kappa_hook()
+        if self._kappa is None:
+            self._kappa = self.kappa_hook()
+        return self._kappa
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +172,6 @@ def _merge_rays(rays):
     return merged
 
 
-def spectral_gap_inf(model: Model, lam, tol: float = 1e-10) -> Interval:
-    """Enclosure of inf over frequencies of the gap to lambda."""
-    if not isinstance(lam, ComplexBox):
-        lam = ComplexBox.point(complex(lam))
-    return radial_inf(lambda s: model.gap(s, lam), 0.0,
-                      lambda r: model.gap_tail_lo(r, lam), tol)
-
-
-def sigma_delta_test(model: Model, lam, delta: float) -> bool:
-    """True when lambda is certified to keep distance > delta from every
-    symbol value; False means "could not certify", never "certified inside"."""
-    try:
-        gap = spectral_gap_inf(model, lam, tol=max(1e-12, delta * 1e-6))
-    except DomainError:
-        return False
-    return gap.lo > delta
-
-
 def rigorous_L2_of_reciprocal(model: Model, rel_tol: float = 0.01) -> Interval:
     """Enclosure of the L2(R^m) norm of 1/l for a scalar radial symbol."""
     if model.components != 1:
@@ -257,12 +233,6 @@ def sh_model(mu, nu1, nu2, m: int = 2) -> Model:
         # (1 - s^2)^2 is increasing for s >= 1, so l is decreasing there
         return (-math.inf, symbol(Interval(r, r)).hi)
 
-    def gap_tail_lo(r: float, lam: ComplexBox) -> float:
-        if r < minorant.s0:
-            return 0.0
-        v = Interval(minorant.value_lo(r), minorant.value_lo(r)) - Interval(lam.mag())
-        return max(v.lo, 0.0)
-
     model = Model(
         name="swift-hohenberg",
         m=m,
@@ -275,7 +245,6 @@ def sh_model(mu, nu1, nu2, m: int = 2) -> Model:
     )
     model.symbol = symbol
     model.range_tail_hull = range_tail_hull
-    model.gap_tail_lo = gap_tail_lo
 
     def lip_dg(l1_u0: Interval, r0: Interval, kappa: Interval) -> Interval:
         # multiplication-operator bound: |2 nu1 (u - u0) + 3 nu2 (u^2 - u0^2)|_inf
@@ -371,12 +340,6 @@ def whitham_model(T, c, decay_table=(), m: int = 1) -> Model:
             return (-math.inf, math.inf)
         return (minorant.value_lo(r), math.inf)
 
-    def gap_tail_lo(r: float, lam: ComplexBox) -> float:
-        if r < minorant.s0:
-            return 0.0
-        v = Interval(minorant.value_lo(r)) - Interval(lam.mag())
-        return max(v.lo, 0.0)
-
     model = Model(
         name="whitham",
         m=1,
@@ -390,7 +353,6 @@ def whitham_model(T, c, decay_table=(), m: int = 1) -> Model:
     )
     model.symbol = symbol
     model.range_tail_hull = range_tail_hull
-    model.gap_tail_lo = gap_tail_lo
     model.decay_provider = model.decay_for
     return model
 
@@ -458,25 +420,6 @@ def gray_scott_model(lam1, lam2) -> Model:
         c2 = coupling.sq()
         return (Interval(1.0) / a2 + Interval(1.0) / d2
                 + c2 / (a2 * d2))
-
-    def system_gap(s: Interval, lam: ComplexBox) -> Interval:
-        f2 = inv_fnorm_sq(s, lam)
-        return Interval(1.0) / iv_sqrt(f2)
-
-    model._system_gap = system_gap
-
-    def gap_tail_lo(r: float, lam: ComplexBox) -> float:
-        # |a - lam|, |d - lam| >= |diag| - |lam| both grow like s^2
-        if r < minorant.s0:
-            return 0.0
-        floor = Interval(minorant.value_lo(r)) - Interval(lam.mag())
-        if floor.lo <= 0:
-            return 0.0
-        f2 = (Interval(2.0) / floor.sq()
-              + coupling.sq() / iv_pow_int(floor.sq(), 2))
-        return (Interval(1.0) / iv_sqrt(f2)).lo
-
-    model.gap_tail_lo = gap_tail_lo
 
     def kappa_hook() -> Interval:
         zero = ComplexBox.point(0.0)

@@ -30,7 +30,7 @@ from .finite import (
     kernel_from_state,
 )
 from .fourier import FourierSeq, index_list, seq_l1
-from .homotopy import HomotopyBounds, compute_bounds, inflate_disks
+from .homotopy import HomotopyBounds, compute_bounds, inflate_disks, window_bounds
 from .interval import ComplexBox, Interval
 from .models import Model, essential_spectrum, sh_lambda_max
 
@@ -120,6 +120,12 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
         raise ReductionUnavailable(
             "the matrix pipeline handles scalar models; system models are "
             "limited to essential-spectrum and constant computations")
+    missing = [hook for hook in ("kappa_hook", "lip_dg")
+               if getattr(model, hook) is None]
+    if missing:
+        raise ReductionUnavailable(
+            f"{model.name} has no {' or '.join(missing)}: certify needs kappa "
+            "and the Lipschitz bound of DG to reach the true state")
     sector = u0.sector
     grid = u0.grid
 
@@ -161,14 +167,15 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
                        opts.margin, 2.0 * opts.margin):
                 shifts.append(select_shift(model, edge, mg))
 
+    wb = window_bounds(model, w, l1u, r0, pseudo, disks, window, opts.q_mult)
+
     # each (shift, path) pair yields a complete valid disk family; keep the
     # tightest family, never mix radii across families
     best = None
     first_error = None
     for t in shifts:
         try:
-            cand = compute_bounds(model, w, l1u, r0, pseudo, disks, window, t,
-                                  q_mult=opts.q_mult, want_selfadjoint=use_sa)
+            cand = compute_bounds(wb, t, want_selfadjoint=use_sa)
         except ConditionViolated as exc:
             if first_error is None:
                 first_error = exc

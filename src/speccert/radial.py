@@ -69,8 +69,13 @@ def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
     if not (hi >= lo):
         raise DomainError("empty radial window")
 
+    samples = {}
+
     def pt(x: float) -> float:
-        return f(Interval(x, x)).hi
+        # a box's right end was sampled when its parent was split
+        if x not in samples:
+            samples[x] = f(Interval(x, x)).hi
+        return samples[x]
 
     best_ub = min(pt(lo), pt(hi), pt(lo + 0.5 * (hi - lo)))
     heap = [(f(Interval(lo, hi)).lo, lo, hi)]
@@ -118,25 +123,29 @@ def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01,
 
     Boxes where f is not evaluable (division by an interval through zero)
     are bisected; refinement continues until the enclosure width is below
-    rel_tol times the midpoint estimate.
+    rel_tol times the midpoint estimate.  Each segment's contribution is
+    kept, so a round evaluates f only on the segments it has just split.
     """
-    segments = [(lo, hi)]
+
+    def piece(a: float, b: float):
+        try:
+            enc = f(Interval(a, b))
+        except DivisionByZeroInterval:
+            return None
+        return enc * (Interval(b) - Interval(a))
+
+    segments = [(lo, hi, piece(lo, hi))]
     for _ in range(200):
         total = Interval(0.0)
         widths = []
         ok = True
-        for a, b in segments:
-            try:
-                enc = f(Interval(a, b))
-            except DivisionByZeroInterval:
+        for a, b, contrib in segments:
+            if contrib is None:
                 ok = False
-                enc = None
-            if enc is not None:
-                contrib = enc * (Interval(b) - Interval(a))
+                widths.append((math.inf, a, b))
+            else:
                 total = total + contrib
                 widths.append((contrib.width(), a, b))
-            else:
-                widths.append((math.inf, a, b))
         if ok and total.width() <= rel_tol * max(abs(total.mid()), 1e-300):
             return total
         if len(segments) > max_boxes:
@@ -144,12 +153,13 @@ def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01,
         widths.sort(reverse=True)
         refine = {(a, b) for _, a, b in widths[: max(1, len(widths) // 4)]}
         new_segments = []
-        for a, b in segments:
+        for a, b, contrib in segments:
             if (a, b) in refine and (b - a) > 1e-15 * max(1.0, abs(b)):
                 mid = a + 0.5 * (b - a)
-                new_segments.extend([(a, mid), (mid, b)])
+                new_segments.append((a, mid, piece(a, mid)))
+                new_segments.append((mid, b, piece(mid, b)))
             else:
-                new_segments.append((a, b))
+                new_segments.append((a, b, contrib))
         segments = new_segments
     raise DomainError("quadrature did not converge")
 

@@ -23,7 +23,7 @@ from speccert.finite import (
     newton_solve,
 )
 from speccert.fourier import FourierSeq, Grid, index_list, seq_l1
-from speccert.homotopy import compute_bounds, inflate_disks
+from speccert.homotopy import compute_bounds, inflate_disks, window_bounds
 from speccert.imatrix import IMatrix, op_norm2_bound
 from speccert.interval import (
     ComplexBox,
@@ -264,8 +264,8 @@ def test_selfadjoint_dominance_20_runs():
                                 Interval(1e-8)).hi
         window = default_window(model, lam_max, 0.01)
         t = select_shift(model, edge, 4.0)
-        b = compute_bounds(model, w, seq_l1(u0), 1e-8, pseudo, disks,
-                           window, t)
+        b = compute_bounds(window_bounds(model, w, seq_l1(u0), 1e-8, pseudo,
+                                         disks, window), t)
         assert b.sa_factor is not None
         gen = inflate_disks(disks, b, selfadjoint_path=False)
         sa = inflate_disks(disks, b, selfadjoint_path=True)

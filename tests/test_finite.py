@@ -255,7 +255,7 @@ def test_cluster_disks_closure_random():
 # -- Newton states --------------------------------------------------------
 
 def test_newton_state_is_localized(sh_toy):
-    from speccert.fourier import sample_gamma_dagger
+    from oracles import sample_gamma_dagger
 
     u0 = sh_toy["u0"]
     x = np.linspace(-sh_toy["grid"].d, sh_toy["grid"].d, 2001)

@@ -15,6 +15,7 @@ from speccert.homotopy import (
     kappa2_formula,
     kernel_weight_integrals,
     sup_to_window,
+    window_bounds,
     zu_base_bounds,
 )
 from speccert.interval import ComplexBox, Interval
@@ -157,9 +158,10 @@ def toy_bounds(sh_toy):
     t = select_shift(model, edge, 1.0)
     window = default_window(model, 3.56, 0.01)
     u0_l1 = seq_l1(sh_toy["u0"])
-    bounds = compute_bounds(model, sh_toy["w"], u0_l1, 1e-8,
-                            sh_toy["pseudo"], disks, window, t)
-    return {"bounds": bounds, "t": t, "window": window}
+    wb = window_bounds(model, sh_toy["w"], u0_l1, 1e-8, sh_toy["pseudo"],
+                       disks, window)
+    bounds = compute_bounds(wb, t)
+    return {"bounds": bounds, "t": t, "window": window, "wb": wb}
 
 
 def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
@@ -222,8 +224,7 @@ def test_selfadjoint_path_dominates_at_generous_shift(sh_toy, toy_bounds):
     clusters = cluster_disks(disks)
     edge = _spectral_edge(model, clusters)
     t = select_shift(model, edge, 4.0)
-    b = compute_bounds(model, sh_toy["w"], seq_l1(sh_toy["u0"]), 1e-8,
-                       sh_toy["pseudo"], disks, toy_bounds["window"], t)
+    b = compute_bounds(toy_bounds["wb"], t)
     gen = inflate_disks(disks, b, selfadjoint_path=False)
     sa = inflate_disks(disks, b, selfadjoint_path=True)
     for r_gen, r_sa in zip(gen, sa):
@@ -232,7 +233,7 @@ def test_selfadjoint_path_dominates_at_generous_shift(sh_toy, toy_bounds):
 
 def test_huge_r0_rejected(sh_toy, toy_bounds):
     with pytest.raises(ConditionViolated) as exc:
-        compute_bounds(sh_toy["model"], sh_toy["w"], seq_l1(sh_toy["u0"]),
-                       1e3, sh_toy["pseudo"], sh_toy["disks"],
-                       toy_bounds["window"], toy_bounds["t"])
+        window_bounds(sh_toy["model"], sh_toy["w"], seq_l1(sh_toy["u0"]),
+                      1e3, sh_toy["pseudo"], sh_toy["disks"],
+                      toy_bounds["window"])
     assert "r0" in str(exc.value)

@@ -11,7 +11,6 @@ from speccert.interval import (
     ComplexBox,
     Interval,
     iv_exp,
-    iv_expm1,
     iv_log,
     iv_pow_int,
     iv_sqrt,
@@ -78,8 +77,7 @@ def test_transcendental_containment(a, b, t):
     x = make_interval(a, b)
     p = pick(x, t)
     with mpmath.workdps(40):
-        for fn, iv_fn in ((mpmath.exp, iv_exp), (mpmath.expm1, iv_expm1),
-                          (mpmath.tanh, iv_tanh)):
+        for fn, iv_fn in ((mpmath.exp, iv_exp), (mpmath.tanh, iv_tanh)):
             true = fn(mpmath.mpf(p))
             enc = iv_fn(x)
             assert mpmath.mpf(enc.lo) <= true <= mpmath.mpf(enc.hi)
@@ -126,7 +124,8 @@ def test_log_nonpositive_rejected():
 def test_hull_and_intersect():
     h = Interval.hull(Interval(0.0, 1.0), Interval(3.0, 4.0), 2.5)
     assert h == Interval(0.0, 4.0)
-    assert Interval(0.0, 2.0).intersect(Interval(1.0, 3.0)) == Interval(1.0, 2.0)
+    assert Interval(0.0, 2.0).intersects(Interval(1.0, 3.0))
+    assert not Interval(0.0, 1.0).intersects(Interval(2.0, 3.0))
 
 
 cplx = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))

@@ -10,7 +10,7 @@ from speccert.errors import (
     InvalidParameter,
     TailNotIntegrable,
 )
-from speccert.interval import ComplexBox, Interval
+from speccert.interval import Interval
 from speccert.models import (
     DecayBound,
     essential_spectrum,
@@ -18,8 +18,6 @@ from speccert.models import (
     rigorous_L2_of_reciprocal,
     sh_lambda_max,
     sh_model,
-    sigma_delta_test,
-    spectral_gap_inf,
     whitham_model,
 )
 
@@ -104,38 +102,6 @@ def test_gray_scott_essential_is_union_of_diagonal_ranges():
             assert any((ray.lo is None or ray.lo.lo <= val + 1e-9)
                        and (ray.hi is None or val <= ray.hi.hi + 1e-9)
                        for ray in rays)
-
-
-# -- sigma_delta and gap --------------------------------------------------
-
-def test_sigma_delta_sh():
-    model = sh_model(0.28, -1.6, 1.0, m=2)
-    lam = ComplexBox.point(0.05)
-    assert sigma_delta_test(model, lam, 0.26)
-    assert not sigma_delta_test(model, ComplexBox.point(-0.28), 0.01)
-
-
-def test_sigma_delta_whitham():
-    model = whitham_model(0.5, 0.8)
-    assert sigma_delta_test(model, ComplexBox.point(0.0), 0.15)
-
-
-def test_sigma_delta_soundness_sampled():
-    model = sh_model(0.28, -1.6, 1.0, m=2)
-    lam = ComplexBox.point(complex(0.1, 0.05))
-    delta = 0.3
-    if sigma_delta_test(model, lam, delta):
-        ss = np.linspace(0.0, 50.0, 100000)
-        vals = -(1.0 - ss ** 2) ** 2 - 0.28
-        dist = np.abs(vals - complex(0.1, 0.05))
-        assert dist.min() > delta
-
-
-def test_spectral_gap_matches_geometry():
-    model = sh_model(0.28, -1.6, 1.0, m=2)
-    gap = spectral_gap_inf(model, 0.05)
-    assert gap.contains(0.33)
-    assert gap.width() < 1e-6
 
 
 # -- kappa ----------------------------------------------------------------

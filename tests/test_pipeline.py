@@ -1,12 +1,13 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from speccert import serialize
+from speccert import homotopy, models, pipeline, serialize
 from speccert.cli import build_model, main
-from speccert.errors import ConditionViolated, KernelMismatch
+from speccert.errors import ConditionViolated, KernelMismatch, ReductionUnavailable
 from speccert.finite import (
     assemble_jacobian,
     build_pseudo_diag,
@@ -15,7 +16,7 @@ from speccert.finite import (
 )
 from speccert.fourier import FourierSeq, Grid, index_list
 from speccert.interval import ComplexBox, Interval
-from speccert.models import DecayBound, sh_model
+from speccert.models import DecayBound, Model, sh_model, whitham_model
 from speccert.pipeline import (
     CertifyOptions,
     CountedCluster,
@@ -67,6 +68,46 @@ def test_certify_huge_r0_rejected(sh_toy):
     with pytest.raises(ConditionViolated) as exc:
         certify(sh_toy["model"], sh_toy["u0"], 1e3, sh_toy["N"])
     assert "r0" in str(exc.value) or "contraction" in str(exc.value)
+
+
+# -- shift-independent bounds, once per certificate -----------------------
+
+def _toy_model():
+    # the sh_toy model, built anew so that no earlier test has cached kappa
+    return sh_model(1.5, -3.2, 1.0, m=1)
+
+
+def test_window_bounds_computed_once_per_certificate(sh_toy, monkeypatch):
+    calls = Counter()
+    for module, name in ((models, "rigorous_L2_of_reciprocal"),
+                         (homotopy, "zu_base_bounds"),
+                         (pipeline, "compute_bounds")):
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    assert calls == {"rigorous_L2_of_reciprocal": 1, "zu_base_bounds": 1,
+                     "compute_bounds": 5}
+
+
+def test_kappa_cache_leaves_certificate_bytes_unchanged(sh_toy, toy_cert,
+                                                        monkeypatch):
+    monkeypatch.setattr(Model, "kappa", lambda self: self.kappa_hook())
+    uncached = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    assert (serialize.dumps(serialize.certificate_to_doc(uncached))
+            == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
+
+
+def test_missing_hooks_fail_before_the_finite_stage(sh_toy, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the finite stage ran")
+
+    monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
+    with pytest.raises(ReductionUnavailable) as exc:
+        certify(whitham_model(0.5, 0.8), sh_toy["u0"], 1e-8, 8)
+    assert "kappa_hook" in str(exc.value) and "lip_dg" in str(exc.value)
 
 
 def test_default_window_and_shift_orientation():
@@ -230,6 +271,15 @@ def test_cli_exit_codes(tmp_path, sh_toy):
     path2, _ = _toy_config(tmp_path, sh_toy,
                            model={"name": "unknown", "params": {}})
     assert main(["--config", str(path2)]) == 5
+
+
+def test_cli_shift_on_a_disk_is_rejected_exits_3(tmp_path, sh_toy, capsys):
+    # -t at the midpoint of a pseudo-diagonal entry: (lam + t)^{-1} cannot
+    # be enclosed, so the only shift of the ladder is rejected
+    t = -sh_toy["pseudo"].lams[0].re.mid()
+    path, _ = _toy_config(tmp_path, sh_toy, t=t)
+    assert main(["--config", str(path)]) == 3
+    assert f"shift t = {t!r}" in capsys.readouterr().err
 
 
 def test_cli_malformed_value_exits_2(tmp_path, sh_toy, capsys):

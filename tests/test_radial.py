@@ -1,10 +1,18 @@
+import heapq
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from speccert.errors import DomainError, TailNotIntegrable
+from speccert.errors import (
+    CertifyError,
+    DivisionByZeroInterval,
+    DomainError,
+    TailNotIntegrable,
+)
 from speccert.interval import Interval, iv_exp
 from speccert.radial import (
+    _MIN_WIDTH,
     GrowthMinorant,
     bb_inf,
     bb_sup,
@@ -114,3 +122,141 @@ def test_tail_integral_divergent_rejected():
     g2 = GrowthMinorant(c=1.0, k=2.0, s0=2.0)
     with pytest.raises(DomainError):
         tail_integral_monomial(g2, 1, 1.0)  # cut below threshold
+
+
+# -- sample memo and segment cache against the plain implementations ------
+# The references re-evaluate every sample and every segment; the memoized
+# versions must return bit-identical intervals from no more evaluations.
+
+
+def _bb_inf_reference(f, lo, hi, tol=1e-10):
+    if not (hi >= lo):
+        raise DomainError("empty radial window")
+
+    def pt(x):
+        return f(Interval(x, x)).hi
+
+    best_ub = min(pt(lo), pt(hi), pt(lo + 0.5 * (hi - lo)))
+    heap = [(f(Interval(lo, hi)).lo, lo, hi)]
+    while heap:
+        glb = min(heap[0][0], best_ub)
+        if best_ub - glb <= tol:
+            return Interval(glb, best_ub)
+        _, a, b = heapq.heappop(heap)
+        if b - a <= _MIN_WIDTH:
+            return Interval(glb, best_ub)
+        mid = a + 0.5 * (b - a)
+        for aa, bb in ((a, mid), (mid, b)):
+            enc = f(Interval(aa, bb))
+            best_ub = min(best_ub, pt(bb))
+            if enc.lo <= best_ub:
+                heapq.heappush(heap, (enc.lo, aa, bb))
+    return Interval(best_ub, best_ub)
+
+
+def _bb_sup_reference(f, lo, hi, tol=1e-10):
+    neg = _bb_inf_reference(lambda s: -f(s), lo, hi, tol)
+    return Interval(-neg.hi, -neg.lo)
+
+
+def _integrate_reference(f, lo, hi, rel_tol=0.01, max_boxes=200000):
+    segments = [(lo, hi)]
+    for _ in range(200):
+        total = Interval(0.0)
+        widths = []
+        ok = True
+        for a, b in segments:
+            try:
+                enc = f(Interval(a, b))
+            except DivisionByZeroInterval:
+                ok = False
+                enc = None
+            if enc is not None:
+                contrib = enc * (Interval(b) - Interval(a))
+                total = total + contrib
+                widths.append((contrib.width(), a, b))
+            else:
+                widths.append((math.inf, a, b))
+        if ok and total.width() <= rel_tol * max(abs(total.mid()), 1e-300):
+            return total
+        if len(segments) > max_boxes:
+            raise DomainError("quadrature refinement exploded")
+        widths.sort(reverse=True)
+        refine = {(a, b) for _, a, b in widths[: max(1, len(widths) // 4)]}
+        new_segments = []
+        for a, b in segments:
+            if (a, b) in refine and (b - a) > 1e-15 * max(1.0, abs(b)):
+                mid = a + 0.5 * (b - a)
+                new_segments.extend([(a, mid), (mid, b)])
+            else:
+                new_segments.append((a, b))
+        segments = new_segments
+    raise DomainError("quadrature did not converge")
+
+
+class _Counted:
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, s):
+        self.calls += 1
+        return self.f(s)
+
+
+@st.composite
+def radial_functions(draw, positive=False):
+    """A polynomial in s, or a polynomial over s^2 - 2as + a^2 + b (b > 0),
+    written with s * s so that wide boxes straddle zero and divide by it.
+    With positive=True the numerator is squared and shifted up by 0.1."""
+    # integer coefficients keep minima from being flat enough that bisection
+    # runs to millions of boxes before it meets the tolerance
+    cs = draw(st.lists(st.integers(-4, 4).map(float), min_size=1, max_size=4))
+
+    def num(s):
+        acc = Interval(cs[-1])
+        for c in reversed(cs[:-1]):
+            acc = acc * s + Interval(c)
+        return acc.sq() + Interval(0.1) if positive else acc
+
+    if draw(st.booleans()):
+        return num
+    a = draw(st.floats(0.0, 6.0))
+    b = draw(st.floats(0.25, 2.0))
+
+    def rational(s):
+        return num(s) / (s * s - Interval(2.0 * a) * s + Interval(a * a + b))
+
+    return rational
+
+
+def _run(fn, f, *args):
+    """(lo, hi) as exact hex strings, or the error class, plus f's calls."""
+    counted = _Counted(f)
+    try:
+        out = fn(counted, *args)
+    except CertifyError as exc:
+        return type(exc), counted.calls
+    return (out.lo.hex(), out.hi.hex()), counted.calls
+
+
+@given(radial_functions(), st.floats(0.0, 5.0), st.floats(0.1, 10.0),
+       st.sampled_from([1e-5, 1e-3]))
+@settings(max_examples=60, deadline=None)
+def test_bb_inf_sup_match_reference(f, lo, width, tol):
+    hi = lo + width
+    for fn, ref in ((bb_inf, _bb_inf_reference), (bb_sup, _bb_sup_reference)):
+        out, calls = _run(fn, f, lo, hi, tol)
+        ref_out, ref_calls = _run(ref, f, lo, hi, tol)
+        assert out == ref_out
+        assert calls <= ref_calls
+
+
+@given(radial_functions(positive=True), st.floats(0.0, 5.0),
+       st.floats(0.1, 6.0), st.sampled_from([1e-2, 3e-3]))
+@settings(max_examples=30, deadline=None)
+def test_integrate_radial_matches_reference(f, lo, width, rel_tol):
+    out, calls = _run(integrate_radial, f, lo, lo + width, rel_tol)
+    ref_out, ref_calls = _run(_integrate_reference, f, lo, lo + width, rel_tol)
+    assert out == ref_out
+    assert calls <= ref_calls
