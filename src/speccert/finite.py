@@ -342,8 +342,9 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         mag_ext = dg_mid_ext.mag()
         diag_boxes = []
         lam_mid = symbol_diag(model, grid, mid)
+        ext_col = {n: j for j, n in enumerate(ext)}
         for i, n in enumerate(mid):
-            j = ext.index(n)
+            j = ext_col[n]
             diag_entry = dg_mid_ext.get(i, j).re
             mag_ext[i, j] = 0.0
             center = ComplexBox(lam_mid[i] + diag_entry)

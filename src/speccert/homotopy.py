@@ -33,7 +33,7 @@ from .errors import ConditionViolated, DivisionByZeroInterval, ReductionUnavaila
 from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
 from .fourier import FourierSeq, conv, seq_l1
 from .imatrix import IMatrix, op_norm2_bound
-from .interval import PI, ComplexBox, Interval, iv_exp, iv_sqrt
+from .interval import PI, ComplexBox, Interval, elementwise, iv_exp, iv_sqrt
 from .models import DecayBound, Model
 from .radial import bb_sup, radial_inf
 
@@ -42,6 +42,7 @@ from .radial import bb_sup, radial_inf
 # distances between symbol values and the spectral window
 
 
+@elementwise
 def dist_to_window(v: Interval, window: ComplexBox) -> Interval:
     """Enclosure of inf over mu in the window of |v - mu| for real v."""
     re = window.re
@@ -57,10 +58,11 @@ def dist_to_window(v: Interval, window: ComplexBox) -> Interval:
 
 
 def sup_to_window(v: Interval, window: ComplexBox) -> Interval:
-    """Enclosure of sup over mu in the window of |v - mu| for real v."""
+    """Enclosure of sup over mu in the window of |v - mu| for real v (or,
+    elementwise, an IArray)."""
     dx = (v - window.re).abs()
     dy = window.im.abs()
-    return iv_sqrt(Interval(dx.hi).sq() + Interval(dy.hi).sq())
+    return iv_sqrt(dx.upper().sq() + dy.upper().sq())
 
 
 def _minorant_tail_lo(model: Model, mag: float):

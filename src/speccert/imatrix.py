@@ -140,14 +140,6 @@ class IMatrix:
         return cls(z, z.copy(), z.copy(), z.copy())
 
     @classmethod
-    def from_boxes(cls, rows) -> "IMatrix":
-        rl = np.array([[b.re.lo for b in r] for r in rows])
-        rh = np.array([[b.re.hi for b in r] for r in rows])
-        il = np.array([[b.im.lo for b in r] for r in rows])
-        ih = np.array([[b.im.hi for b in r] for r in rows])
-        return cls(rl, rh, il, ih)
-
-    @classmethod
     def diag(cls, boxes) -> "IMatrix":
         n = len(boxes)
         out = cls.zeros(n, n)
@@ -197,12 +189,6 @@ class IMatrix:
 
     def hermitian(self) -> "IMatrix":
         return IMatrix(self.rl.T, self.rh.T, -self.ih.T, -self.il.T)
-
-    def submatrix(self, rows, cols) -> "IMatrix":
-        rows = np.asarray(rows)
-        cols = np.asarray(cols)
-        return IMatrix(self.rl[np.ix_(rows, cols)], self.rh[np.ix_(rows, cols)],
-                       self.il[np.ix_(rows, cols)], self.ih[np.ix_(rows, cols)])
 
     # -- arithmetic -------------------------------------------------------
 

@@ -9,13 +9,23 @@ endpoint is 0 or +-1, which covers sign flips and identities.
 
 Infinite endpoints are legal only as markers for unbounded spectral regions;
 arithmetic on an unbounded interval raises UnboundedOperand.
+
+IArray holds a batch of intervals in two float64 arrays, so that a function
+evaluated on many boxes (a bisection level of the radial branch-and-bound,
+say) costs a few numpy calls instead of one Python call per box.  Its
+operations give, element by element, the bits of the Interval operations.
+An element whose scalar operation would raise does not stop the batch: the
+element records the exception's class, and the exception is raised only
+when a caller takes that element (`IArray.elements`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath
+import numpy as np
 
 from .errors import (
     DivisionByZeroInterval,
@@ -111,9 +121,6 @@ class Interval:
     def contains_zero(self) -> bool:
         return self.lo <= 0.0 <= self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     # -- scalar views -----------------------------------------------------
 
     def mid(self) -> float:
@@ -141,7 +148,10 @@ class Interval:
         return Interval(-self.hi, -self.lo)
 
     def __add__(self, other) -> "Interval":
-        other = _as_interval(other)
+        if not isinstance(other, Interval):
+            if not isinstance(other, (int, float)):
+                return NotImplemented   # an IArray runs its reflected operator
+            other = Interval(float(other))
         self._require_bounded()
         other._require_bounded()
         return Interval(_sum_lo(self.lo, other.lo), _sum_hi(self.hi, other.hi))
@@ -149,13 +159,18 @@ class Interval:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Interval":
-        return self + (-_as_interval(other))
+        if not isinstance(other, (Interval, int, float)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> "Interval":
         return _as_interval(other) + (-self)
 
     def __mul__(self, other) -> "Interval":
-        other = _as_interval(other)
+        if not isinstance(other, Interval):
+            if not isinstance(other, (int, float)):
+                return NotImplemented   # an IArray runs its reflected operator
+            other = Interval(float(other))
         self._require_bounded()
         other._require_bounded()
         al, ah, bl, bh = self.lo, self.hi, other.lo, other.hi
@@ -172,7 +187,10 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Interval":
-        other = _as_interval(other)
+        if not isinstance(other, Interval):
+            if not isinstance(other, (int, float)):
+                return NotImplemented   # an IArray runs its reflected operator
+            other = Interval(float(other))
         self._require_bounded()
         other._require_bounded()
         if other.contains_zero():
@@ -200,10 +218,9 @@ class Interval:
     def abs(self) -> "Interval":
         return Interval(self.mig(), self.mag())
 
-    def widened(self, eps: float) -> "Interval":
-        if eps < 0:
-            raise DomainError("negative widening")
-        return Interval(_down(self.lo - eps), _up(self.hi + eps))
+    def upper(self) -> "Interval":
+        """The point interval [hi, hi]."""
+        return Interval(self.hi)
 
     # -- misc -------------------------------------------------------------
 
@@ -230,8 +247,297 @@ ZERO = Interval(0.0)
 ONE = Interval(1.0)
 
 
+# -- interval arrays ------------------------------------------------------
+
+_MAX = math.nextafter(_INF, 0.0)
+# the errors an IArray records per element; IArray.err holds 1 + the
+# position of the class here, and 0 for an element without error
+_LAZY = (DivisionByZeroInterval, UnboundedOperand, DomainError)
+_DIV0, _UNBOUNDED, _DOMAIN = 1, 2, 3
+_MESSAGES = ("division by an interval containing zero",
+             "arithmetic on an unbounded interval",
+             "argument outside the domain")
+
+
+class IArray:
+    """Intervals [lo[i], hi[i]] held in two float64 arrays.
+
+    Every operation gives, element by element, the bits the Interval
+    operation gives: the same two-sum, exact-product, square and square-root
+    rules, the same outward steps and the same signed zeros (a minimum or
+    maximum keeps the first of equal candidates, as Python's min and max
+    do).  Where the scalar operation would raise, the element records the
+    exception class in `err` and continues as a finite placeholder.  An
+    element keeps the first error met in evaluation order: an operation
+    keeps its left operand's, then its right operand's, then records its
+    own.  Python evaluates an expression left to right, so a function whose
+    result is one expression records, per element, the exception its scalar
+    evaluation raises.
+
+    Interval's operators return NotImplemented for an IArray operand, so a
+    function written for Interval arguments, such as the Swift-Hohenberg
+    symbol, runs on an IArray unchanged.  A function that branches on
+    endpoint values runs on one through `elementwise`.
+    """
+
+    __slots__ = ("lo", "hi", "err")
+    __array_ufunc__ = None      # numpy defers mixed operators to IArray's
+
+    def __init__(self, lo, hi=None):
+        lo = np.array(lo, dtype=float, ndmin=1)
+        hi = lo if hi is None else np.array(hi, dtype=float, ndmin=1)
+        if (lo.shape != hi.shape or np.isnan(lo).any() or np.isnan(hi).any()
+                or (lo > hi).any()):
+            raise DomainError("invalid interval array endpoints")
+        self.lo, self.hi, self.err = lo, hi, None
+
+    @classmethod
+    def _of(cls, lo, hi, err) -> "IArray":
+        out = object.__new__(cls)
+        out.lo, out.hi, out.err = lo, hi, err
+        return out
+
+    def errors(self) -> list:
+        """Per element None, or the exception its scalar evaluation raises."""
+        if self.err is None:
+            return [None] * len(self.lo)
+        return [_LAZY[c - 1](f"interval array element {i}: {_MESSAGES[c - 1]}")
+                if c else None for i, c in enumerate(self.err.tolist())]
+
+    def elements(self) -> list:
+        """Each element as an Interval, or as the exception its scalar
+        evaluation raises."""
+        return [e or Interval(lo, hi) for e, lo, hi
+                in zip(self.errors(), self.lo.tolist(), self.hi.tolist())]
+
+    def upper(self) -> "IArray":
+        """The point intervals [hi, hi]."""
+        return IArray._of(self.hi, self.hi, self.err)
+
+    def mag(self) -> np.ndarray:
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    def mig(self) -> np.ndarray:
+        return np.where((self.lo <= 0.0) & (0.0 <= self.hi), 0.0,
+                        np.minimum(np.abs(self.lo), np.abs(self.hi)))
+
+    def __neg__(self) -> "IArray":
+        return IArray._of(-self.hi, -self.lo, self.err)
+
+    def abs(self) -> "IArray":
+        return IArray._of(self.mig(), self.mag(), self.err)
+
+    def sq(self) -> "IArray":
+        (lo, hi), err = _bounded(self.err, self.lo, self.hi)
+        x = IArray._of(lo, hi, err)
+        g, m = x.mig(), x.mag()
+        lo, hi = g * g, m * m
+        lo = np.where((g == 0.0) | (g == 1.0), lo, np.nextafter(lo, -_INF))
+        hi = np.where((m == 0.0) | (m == 1.0), hi, np.nextafter(hi, _INF))
+        return IArray._of(np.where(0.0 > lo, 0.0, lo), hi, err)
+
+    # The scalar operators put their own operand first, except that a
+    # number on the left of + or * becomes the right operand; the reflected
+    # operators keep that order.
+
+    def __add__(self, other):
+        return _add(self, other) if _is_operand(other) else NotImplemented
+
+    def __radd__(self, other):
+        if not _is_operand(other):
+            return NotImplemented
+        return _add(other, self) if isinstance(other, Interval) else _add(self, other)
+
+    def __sub__(self, other):
+        return _add(self, -other) if _is_operand(other) else NotImplemented
+
+    def __rsub__(self, other):
+        return _add(other, -self) if _is_operand(other) else NotImplemented
+
+    def __mul__(self, other):
+        return _mul(self, other) if _is_operand(other) else NotImplemented
+
+    def __rmul__(self, other):
+        if not _is_operand(other):
+            return NotImplemented
+        return _mul(other, self) if isinstance(other, Interval) else _mul(self, other)
+
+    def __truediv__(self, other):
+        return _div(self, other) if _is_operand(other) else NotImplemented
+
+    def __rtruediv__(self, other):
+        return _div(other, self) if _is_operand(other) else NotImplemented
+
+
+def _is_operand(x) -> bool:
+    return isinstance(x, (IArray, Interval, int, float))
+
+
+def _array(x, like: IArray) -> IArray:
+    """x as an IArray of like's length."""
+    if isinstance(x, IArray):
+        return x
+    x = _as_interval(x)
+    n = len(like.lo)
+    return IArray._of(np.full(n, x.lo), np.full(n, x.hi), None)
+
+
+def _record(err, mask, code: int):
+    """err with code recorded where mask holds and no earlier error is."""
+    if err is None:
+        return np.where(mask, np.int8(code), np.int8(0))
+    return np.where((err == 0) & mask, np.int8(code), err)
+
+
+def _bounded(err, *ends):
+    """UnboundedOperand recorded where an endpoint is infinite; those
+    elements continue as [0, 0]."""
+    bad = np.isinf(ends[0])
+    for e in ends[1:]:
+        bad |= np.isinf(e)
+    if not bad.any():
+        return ends, err
+    return (tuple(np.where(bad, 0.0, e) for e in ends),
+            _record(err, bad, _UNBOUNDED))
+
+
+def _binary(x, y):
+    """The bounded endpoints of x and y and the errors they carry."""
+    like = x if isinstance(x, IArray) else y
+    x, y = _array(x, like), _array(y, like)
+    if x.err is None or y.err is None:
+        err = y.err if x.err is None else x.err
+    else:
+        err = np.where(x.err != 0, x.err, y.err)
+    (al, ah, bl, bh), err = _bounded(err, x.lo, x.hi, y.lo, y.hi)
+    return al, ah, bl, bh, err
+
+
+def _sum_lo_array(a, b):
+    """_sum_lo elementwise."""
+    s = a + b
+    bv = s - a
+    err = (a - (s - bv)) + (b - bv)
+    lo = np.where(err < 0.0, np.nextafter(s, -_INF), s)
+    over = np.isinf(s)
+    if over.any():
+        lo = np.where(over, np.where(s < 0.0, -_INF, _MAX), lo)
+    return lo
+
+
+def _sum_hi_array(a, b):
+    """_sum_hi elementwise."""
+    s = a + b
+    bv = s - a
+    err = (a - (s - bv)) + (b - bv)
+    hi = np.where(err > 0.0, np.nextafter(s, _INF), s)
+    over = np.isinf(s)
+    if over.any():
+        hi = np.where(over, np.where(s > 0.0, _INF, -_MAX), hi)
+    return hi
+
+
+def _first_min(cands):
+    """min(cands) elementwise: the first candidate no later one is below."""
+    out = cands[0]
+    for c in cands[1:]:
+        out = np.where(c < out, c, out)
+    return out
+
+
+def _first_max(cands):
+    out = cands[0]
+    for c in cands[1:]:
+        out = np.where(c > out, c, out)
+    return out
+
+
+def _add(x, y) -> IArray:
+    al, ah, bl, bh, err = _binary(x, y)
+    return IArray._of(_sum_lo_array(al, bl), _sum_hi_array(ah, bh), err)
+
+
+def _unit(v):
+    """The endpoint test of _prod_exact: v is 0 or +-1."""
+    a = np.abs(v)
+    return (a == 0.0) | (a == 1.0)
+
+
+def _mul(x, y) -> IArray:
+    al, ah, bl, bh, err = _binary(x, y)
+    cands = (al * bl, al * bh, ah * bl, ah * bh)
+    lo, hi = _first_min(cands), _first_max(cands)
+    # every product exact iff both endpoints of one factor are 0 or +-1
+    exact = (_unit(al) & _unit(ah)) | (_unit(bl) & _unit(bh))
+    return IArray._of(np.where(exact, lo, np.nextafter(lo, -_INF)),
+                      np.where(exact, hi, np.nextafter(hi, _INF)), err)
+
+
+def _div(x, y) -> IArray:
+    al, ah, bl, bh, err = _binary(x, y)
+    zero = (bl <= 0.0) & (0.0 <= bh)
+    if zero.any():
+        err = _record(err, zero, _DIV0)
+        bl, bh = np.where(zero, 1.0, bl), np.where(zero, 1.0, bh)
+    cands = (al / bl, al / bh, ah / bl, ah / bh)
+    return IArray._of(np.nextafter(_first_min(cands), -_INF),
+                      np.nextafter(_first_max(cands), _INF), err)
+
+
+def _sqrt_array(x: IArray) -> IArray:
+    (lo, hi), err = _bounded(x.err, x.lo, x.hi)
+    neg = hi < 0.0
+    if neg.any():
+        err = _record(err, neg, _DOMAIN)
+        lo, hi = np.where(neg, 0.0, lo), np.where(neg, 0.0, hi)
+    lo = np.where(0.0 > lo, 0.0, lo)
+    rl, rh = np.sqrt(lo), np.sqrt(hi)
+    rl = np.where(rl * rl != lo, np.nextafter(rl, -_INF), rl)
+    rh = np.where(rh * rh != hi, np.nextafter(rh, _INF), rh)
+    return IArray._of(np.where(0.0 > rl, 0.0, rl), rh, err)
+
+
+def elementwise(fn):
+    """fn, written for one Interval, lifted to an IArray first argument.
+
+    fn runs once per element, so this is slow; it serves functions that
+    branch on endpoint values or evaluate mpmath.  An element whose call
+    raises DivisionByZeroInterval, UnboundedOperand or DomainError records
+    it; other exceptions propagate at once.
+    """
+
+    @functools.wraps(fn)
+    def lifted(x, *args):
+        if not isinstance(x, IArray):
+            return fn(x, *args)
+        lo, hi, codes = [], [], []
+        for e in x.elements():
+            if not isinstance(e, Exception):
+                try:
+                    e = fn(e, *args)
+                except _LAZY as exc:
+                    e = exc
+            if isinstance(e, Exception):
+                code = next(k for k, cls in enumerate(_LAZY, 1)
+                            if isinstance(e, cls))
+                lo.append(0.0)
+                hi.append(0.0)
+            else:
+                code = 0
+                lo.append(e.lo)
+                hi.append(e.hi)
+            codes.append(code)
+        err = np.array(codes, np.int8) if any(codes) else None
+        return IArray._of(np.array(lo), np.array(hi), err)
+
+    return lifted
+
+
 def iv_sqrt(x: Interval) -> Interval:
-    """Enclosure of sqrt over x intersected with [0, inf)."""
+    """Enclosure of sqrt over x intersected with [0, inf); elementwise for
+    an IArray."""
+    if isinstance(x, IArray):
+        return _sqrt_array(x)
     x._require_bounded()
     if x.hi < 0.0:
         raise DomainError(f"sqrt of negative interval {x}")
@@ -278,14 +584,17 @@ def _monotone_inc(fn, x: Interval) -> Interval:
     return Interval(_mp_down(fn, x.lo), _mp_up(fn, x.hi))
 
 
+@elementwise
 def iv_exp(x: Interval) -> Interval:
     return _monotone_inc(mpmath.exp, x)
 
 
+@elementwise
 def iv_tanh(x: Interval) -> Interval:
     return _monotone_inc(mpmath.tanh, x)
 
 
+@elementwise
 def iv_log(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise DomainError(f"log of non-positive interval {x}")
@@ -299,7 +608,7 @@ def iv_pow_int(x: Interval, k: int) -> Interval:
     if k == 0:
         return ONE
     if k == 1:
-        return Interval(x.lo, x.hi)
+        return x
     if k % 2 == 0:
         half = iv_pow_int(x, k // 2)
         return half.sq()
@@ -392,9 +701,6 @@ class ComplexBox:
 
     def mid(self) -> complex:
         return complex(self.re.mid(), self.im.mid())
-
-    def widened(self, eps: float) -> "ComplexBox":
-        return ComplexBox(self.re.widened(eps), self.im.widened(eps))
 
     def __repr__(self) -> str:
         return f"ComplexBox({self.re!r}, {self.im!r})"

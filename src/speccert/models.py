@@ -22,12 +22,20 @@ from .errors import (
     InvalidParameter,
     NonRadialUnsupported,
 )
-from .interval import ComplexBox, Interval, iv_sqrt, iv_tanh, iv_pow_int, _mp_down, _mp_up
+from .interval import (
+    ComplexBox,
+    Interval,
+    _mp_down,
+    _mp_up,
+    elementwise,
+    iv_pow_int,
+    iv_sqrt,
+    iv_tanh,
+)
 from .radial import (
     GrowthMinorant,
     bb_sup,
     integrate_radial,
-    iv_pow_real,
     radial_inf,
     tail_integral_monomial,
 )
@@ -83,6 +91,7 @@ class Model:
     decay_provider = None              # Interval window -> DecayBound
 
     def symbol_at(self, s: Interval) -> Interval:
+        """l(s) for an Interval s, or for each element of an IArray s."""
         if self.symbol is None:
             raise NonRadialUnsupported(f"{self.name} has no scalar symbol")
         return self.symbol(s)
@@ -182,7 +191,7 @@ def rigorous_L2_of_reciprocal(model: Model, rel_tol: float = 0.01) -> Interval:
     m = model.m
 
     def integrand(s: Interval) -> Interval:
-        return iv_pow_real(s, m - 1) / model.symbol_at(s).sq()
+        return iv_pow_int(s, m - 1) / model.symbol_at(s).sq()
 
     r = max(8.0, 2.0 * mino.s0 + 1.0)
     head = integrate_radial(integrand, 0.0, r, rel_tol * 0.5)
@@ -321,6 +330,7 @@ def whitham_model(T, c, decay_table=(), m: int = 1) -> Model:
     if m != 1:
         raise InvalidParameter("the Whitham model is one-dimensional")
 
+    @elementwise
     def symbol(s: Interval) -> Interval:
         if s.lo < 0:
             s = Interval(max(s.lo, 0.0), max(s.hi, 0.0))
@@ -424,6 +434,7 @@ def gray_scott_model(lam1, lam2) -> Model:
     def kappa_hook() -> Interval:
         zero = ComplexBox.point(0.0)
 
+        @elementwise
         def fn(s: Interval) -> Interval:
             return iv_sqrt(inv_fnorm_sq(s, zero))
 

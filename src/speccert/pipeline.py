@@ -12,7 +12,7 @@ products).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import (
     ClusterExitsDomain,
@@ -241,11 +241,10 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
             f"inflated tail family reaches {tail_edge}, inside the window "
             f"[{jlo}, {jhi}]")
 
-    groups = _recluster(disks.centers, radii)
-
     counted = []
     statements = []
-    for members, lo, hi in groups:
+    for cluster in cluster_disks(replace(disks, radii=radii)):
+        members, lo, hi = cluster.members, cluster.lo, cluster.hi
         inside = jlo < lo and hi < jhi
         overlaps = not (hi < jlo or lo > jhi)
         if overlaps and not inside:
@@ -332,38 +331,6 @@ def _tail_center_edge(model: Model, disks) -> float:
     if hull[0] is None or not math.isfinite(hull[0]):
         raise ConditionViolated("tail symbol range unbounded toward window")
     return (Interval(hull[0]) + w0).lo
-
-
-def _recluster(centers, radii):
-    """Union-find over the inflated disks; returns (members, lo, hi) sorted."""
-    n = len(centers)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (centers[i] - centers[j]).mig() <= radii[i] + radii[j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        members.sort()
-        lo = min(math.nextafter(centers[i].re.lo - radii[i], -math.inf)
-                 for i in members)
-        hi = max(math.nextafter(centers[i].re.hi + radii[i], math.inf)
-                 for i in members)
-        out.append((members, lo, hi))
-    out.sort(key=lambda g: (g[1], g[2]))
-    return out
 
 
 def _reconcile_kernel(counted, k_inv):

@@ -4,6 +4,16 @@ Symbols of interest are radial: they depend on xi only through s = |2 pi xi|_2.
 Suprema, infima and tail integrals over [s0, inf) reduce to dyadic bisection
 of a bounded window plus an explicit bound that closes the unbounded tail.
 Bisection stops at width 2**-40, well below every tolerance used here.
+
+The integrand or objective f is called on an IArray: `bb_inf` evaluates the
+next bisection level of every live box in one call, and `integrate_radial`
+every segment a round splits.  The control flow is that of the one-box-at-a-
+time loop, and each element equals the scalar evaluation, so the results
+are bit-identical to it.  An element where f fails (a box whose enclosure
+divides by zero, say) records the error; it is raised only when the loop
+takes that element, which is where the one-box loop would have raised it.
+f returns an IArray for an IArray argument (or one Interval if it is
+constant); a scalar-only f runs through `interval.elementwise`.
 """
 
 from __future__ import annotations
@@ -12,8 +22,10 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DivisionByZeroInterval, DomainError, TailNotIntegrable
-from .interval import Interval, iv_exp, iv_log, iv_sqrt
+from .interval import IArray, Interval, iv_exp, iv_log
 
 _MIN_WIDTH = 2.0 ** -40
 
@@ -59,26 +71,57 @@ def iv_pow_real(x: Interval, k: float) -> Interval:
     return iv_exp(Interval(k) * iv_log(x))
 
 
+def _evaluate(f, los, his) -> IArray:
+    """f on the intervals [los[i], his[i]], in one call."""
+    # overflow to an infinite endpoint is part of the scalar semantics
+    with np.errstate(all="ignore"):
+        out = f(IArray(los, his))
+    if isinstance(out, Interval):       # a constant f
+        return IArray([out.lo] * len(los), [out.hi] * len(los))
+    return out
+
+
+def _take(v):
+    """An evaluated value, or raise it if it is an error."""
+    if isinstance(v, Exception):
+        raise v
+    return v
+
+
 def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
-    """Enclosure of inf f over [lo, hi]; f maps Interval to Interval.
+    """Enclosure of inf f over [lo, hi]; f maps IArray to IArray.
 
     The box holding a minimizer always survives pruning (its lower bound
     cannot exceed the sampled upper bound), so the heap minimum stays a
-    certified lower bound on the infimum throughout.
+    certified lower bound on the infimum throughout.  When the popped box
+    has no evaluated halves, one call of f evaluates the halves of every
+    live box and their right end points, which the best-first loop will
+    mostly take next.
     """
     if not (hi >= lo):
         raise DomainError("empty radial window")
 
-    samples = {}
+    boxes = {}      # (a, b) -> lower end of f over [a, b], or its error
+    samples = {}    # x -> upper end of f at x, or its error
+
+    def evaluate(new_boxes, points):
+        points = [x for x in dict.fromkeys(points) if x not in samples]
+        out = _evaluate(f, [a for a, _ in new_boxes] + points,
+                        [b for _, b in new_boxes] + points)
+        errs = out.errors()
+        n = len(new_boxes)
+        boxes.update((box, e or v) for box, e, v
+                     in zip(new_boxes, errs, out.lo[:n].tolist()))
+        samples.update((x, e or v) for x, e, v
+                       in zip(points, errs[n:], out.hi[n:].tolist()))
 
     def pt(x: float) -> float:
-        # a box's right end was sampled when its parent was split
-        if x not in samples:
-            samples[x] = f(Interval(x, x)).hi
-        return samples[x]
+        return _take(samples[x])
 
-    best_ub = min(pt(lo), pt(hi), pt(lo + 0.5 * (hi - lo)))
-    heap = [(f(Interval(lo, hi)).lo, lo, hi)]
+    mid = lo + 0.5 * (hi - lo)
+    evaluate([(lo, hi)], [lo, hi, mid])
+    best_ub = min(pt(lo), pt(hi), pt(mid))
+    heap = [(_take(boxes.pop((lo, hi))), lo, hi)]
     while heap:
         glb = min(heap[0][0], best_ub)
         if best_ub - glb <= tol:
@@ -87,11 +130,20 @@ def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
         if b - a <= _MIN_WIDTH:
             return Interval(glb, best_ub)
         mid = a + 0.5 * (b - a)
+        if (a, mid) not in boxes:
+            halves = []
+            points = []
+            for _, aa, bb in [(None, a, b)] + heap:
+                m = aa + 0.5 * (bb - aa)
+                if bb - aa > _MIN_WIDTH and (aa, m) not in boxes:
+                    halves += [(aa, m), (m, bb)]
+                    points += [m, bb]
+            evaluate(halves, points)
         for aa, bb in ((a, mid), (mid, b)):
-            enc = f(Interval(aa, bb))
+            enc_lo = _take(boxes.pop((aa, bb)))
             best_ub = min(best_ub, pt(bb))
-            if enc.lo <= best_ub:
-                heapq.heappush(heap, (enc.lo, aa, bb))
+            if enc_lo <= best_ub:
+                heapq.heappush(heap, (enc_lo, aa, bb))
     return Interval(best_ub, best_ub)
 
 
@@ -124,22 +176,31 @@ def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01,
     Boxes where f is not evaluable (division by an interval through zero)
     are bisected; refinement continues until the enclosure width is below
     rel_tol times the midpoint estimate.  Each segment's contribution is
-    kept, so a round evaluates f only on the segments it has just split.
+    kept, so a round evaluates f, in one call, only on the segments it has
+    just split.
     """
+    contribs = {}   # (a, b) -> enclosure of the integral over [a, b], or None
 
-    def piece(a: float, b: float):
-        try:
-            enc = f(Interval(a, b))
-        except DivisionByZeroInterval:
-            return None
-        return enc * (Interval(b) - Interval(a))
+    def evaluate(segments):
+        if not segments:
+            return
+        a = IArray([a for a, _ in segments])
+        b = IArray([b for _, b in segments])
+        with np.errstate(all="ignore"):
+            out = (_evaluate(f, a.lo, b.lo) * (b - a)).elements()
+        for seg, c in zip(segments, out):
+            if isinstance(c, DivisionByZeroInterval):
+                c = None
+            contribs[seg] = _take(c)
 
-    segments = [(lo, hi, piece(lo, hi))]
+    segments = [(lo, hi)]
+    evaluate(segments)
     for _ in range(200):
         total = Interval(0.0)
         widths = []
         ok = True
-        for a, b, contrib in segments:
+        for a, b in segments:
+            contrib = contribs[(a, b)]
             if contrib is None:
                 ok = False
                 widths.append((math.inf, a, b))
@@ -153,14 +214,14 @@ def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01,
         widths.sort(reverse=True)
         refine = {(a, b) for _, a, b in widths[: max(1, len(widths) // 4)]}
         new_segments = []
-        for a, b, contrib in segments:
+        for a, b in segments:
             if (a, b) in refine and (b - a) > 1e-15 * max(1.0, abs(b)):
                 mid = a + 0.5 * (b - a)
-                new_segments.append((a, mid, piece(a, mid)))
-                new_segments.append((mid, b, piece(mid, b)))
+                new_segments += [(a, mid), (mid, b)]
             else:
-                new_segments.append((a, b, contrib))
+                new_segments.append((a, b))
         segments = new_segments
+        evaluate([seg for seg in segments if seg not in contribs])
     raise DomainError("quadrature did not converge")
 
 

@@ -116,9 +116,6 @@ def test_diag_and_submatrix():
     d = IMatrix.diag(boxes)
     assert d.get(2, 2).contains(2.0)
     assert d.get(0, 1).contains(0.0)
-    sub = d.submatrix([1, 2], [1, 2])
-    assert sub.shape == (2, 2)
-    assert sub.get(0, 0).contains(1.0)
 
 
 def test_hermitian_conjugate_transpose():

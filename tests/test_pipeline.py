@@ -5,9 +5,14 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from speccert import homotopy, models, pipeline, serialize
+from speccert import finite, homotopy, models, pipeline, serialize
 from speccert.cli import build_model, main
-from speccert.errors import ConditionViolated, KernelMismatch, ReductionUnavailable
+from speccert.errors import (
+    ConditionViolated,
+    KernelMismatch,
+    ReductionUnavailable,
+    SingularityUnverified,
+)
 from speccert.finite import (
     assemble_jacobian,
     build_pseudo_diag,
@@ -280,6 +285,17 @@ def test_cli_shift_on_a_disk_is_rejected_exits_3(tmp_path, sh_toy, capsys):
     path, _ = _toy_config(tmp_path, sh_toy, t=t)
     assert main(["--config", str(path)]) == 3
     assert f"shift t = {t!r}" in capsys.readouterr().err
+
+
+def test_cli_verified_inverse_abort_exits_4(tmp_path, sh_toy, monkeypatch,
+                                            capsys):
+    def refuse(a):
+        raise SingularityUnverified("residual bound not below one")
+
+    monkeypatch.setattr(finite, "verified_inverse", refuse)
+    path, _ = _toy_config(tmp_path, sh_toy)
+    assert main(["--config", str(path)]) == 4
+    assert "verification abort" in capsys.readouterr().err
 
 
 def test_cli_malformed_value_exits_2(tmp_path, sh_toy, capsys):

@@ -10,7 +10,7 @@ from speccert.errors import (
     DomainError,
     TailNotIntegrable,
 )
-from speccert.interval import Interval, iv_exp
+from speccert.interval import Interval, elementwise, iv_exp
 from speccert.radial import (
     _MIN_WIDTH,
     GrowthMinorant,
@@ -260,3 +260,22 @@ def test_integrate_radial_matches_reference(f, lo, width, rel_tol):
     ref_out, ref_calls = _run(_integrate_reference, f, lo, lo + width, rel_tol)
     assert out == ref_out
     assert calls <= ref_calls
+
+
+def test_bb_inf_error_in_a_box_the_reference_never_evaluates():
+    # f divides by zero on boxes of width at most 1 right of 2.5 (it is not
+    # inclusion-monotone).  The reference never splits [2, 4]; the batched
+    # loop evaluates [3, 4] with the level below [2, 4] and must not raise.
+    raised = []
+
+    def scalar_f(s):
+        if s.lo >= 2.5 and 0.0 < s.hi - s.lo <= 1.0:
+            raised.append((s.lo, s.hi))
+            raise DivisionByZeroInterval("narrow box right of 2.5")
+        return (s - Interval(1.0)).sq()
+
+    ref, _ = _run(_bb_inf_reference, scalar_f, 0.0, 4.0, 1e-6)
+    assert raised == []
+    out, _ = _run(bb_inf, elementwise(scalar_f), 0.0, 4.0, 1e-6)
+    assert raised == [(3.0, 4.0)]
+    assert out == ref
