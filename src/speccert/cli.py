@@ -1,7 +1,8 @@
 """Command line driver.
 
 One run is described by a JSON configuration file; the mode selects how far
-down the pipeline to go.  Exit codes: 0 success, 2 configuration or I/O
+down the pipeline to go.  `read_config` checks the whole configuration
+before any work starts.  Exit codes: 0 success, 2 configuration or I/O
 problem, 3 a certification inequality failed (the message names it), 4 a
 verified-inverse or eigenbasis abort, 5 any other certification error.
 """
@@ -9,10 +10,10 @@ verified-inverse or eigenbasis abort, 5 any other certification error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
+from dataclasses import dataclass
 
 from . import serialize
 from .errors import (
@@ -24,9 +25,10 @@ from .errors import (
 )
 from .finite import gershgorin_disks, assemble_jacobian, build_pseudo_diag, \
     kernel_from_state, newton_solve
-from .fourier import Grid, FourierSeq, index_list
+from .fourier import _SECTORS, Grid, FourierSeq, index_list
 from .models import (
     DecayBound,
+    Model,
     essential_spectrum,
     gray_scott_model,
     sh_model,
@@ -35,31 +37,156 @@ from .models import (
 from .pipeline import CertifyOptions, certify
 
 
-def build_model(doc: dict):
-    name = doc["name"]
-    params = doc.get("params", {})
-    m = int(doc.get("m", 1))
-    if name == "swift-hohenberg":
-        return sh_model(params["mu"], params["nu1"], params["nu2"], m=m)
-    if name == "whitham":
-        table = tuple(DecayBound(*(float(x) for x in row))
-                      for row in params.get("decay_table", ()))
-        return whitham_model(params["T"], params["c"], decay_table=table, m=m)
-    if name == "gray-scott":
+class ConfigError(Exception):
+    """A configuration entry is missing, unknown or malformed."""
+
+
+def _expect(ok: bool, key: str, value, want: str) -> None:
+    if not ok:
+        raise ConfigError(f"{key} = {value!r}: expected {want}")
+
+
+def _real(v) -> bool:
+    """A JSON number that converts to a finite float."""
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _count(v, least: int = 0) -> bool:
+    return type(v) is int and v >= least
+
+
+def _keys(v, *names) -> bool:
+    return isinstance(v, dict) and set(v) <= set(names)
+
+
+# the keys each mode needs
+_STATE = ("model", "grid", "sector", "N", "solution")
+_NEEDS = {"essential-spectrum": ("model",), "newton": _STATE,
+          "gershgorin-only": _STATE, "certify": _STATE + ("r0",)}
+_REAL = (_real, "a finite number")
+# every configuration key: (test of its value, what the test asks for)
+_KEYS = {
+    "mode": (lambda v: v in tuple(_NEEDS), "one of " + ", ".join(_NEEDS)),
+    "model": (lambda v: _keys(v, "name", "m", "params"),
+              'an object with keys "name", "m" and "params"'),
+    "output": (lambda v: isinstance(v, str), "a file name"),
+    "grid": (lambda v: _keys(v, "m", "d") and _count(v.get("m"), 1)
+             and v["m"] <= 2 and _real(v.get("d")) and v["d"] > 0,
+             '{"m": 1 or 2, "d": a finite number > 0}'),
+    "sector": (lambda v: v in _SECTORS[1] + _SECTORS[2], "a sector name"),
+    "N": (_count, "an integer >= 0"),
+    "solution": (lambda v: _keys(v, "path") and isinstance(v.get("path"), str)
+                 or _keys(v, "csv", "S") and isinstance(v.get("csv"), str)
+                 and _count(v.get("S")),
+                 '{"path": file} or {"csv": file, "S": integer >= 0}'),
+    "newton": (lambda v: _keys(v, "tol", "max_iter") and _real(v.get("tol", 1))
+               and v.get("tol", 1) > 0 and _count(v.get("max_iter", 1), 1),
+               '{"tol": number > 0, "max_iter": integer >= 1}, each optional'),
+    "r0": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
+    "delta0": _REAL, "q_mult": _REAL, "margin": _REAL, "t": _REAL,
+    "window": (lambda v: isinstance(v, list) and len(v) == 2
+               and all(map(_real, v)) and v[0] < v[1],
+               "[lo, hi], two finite numbers with lo < hi"),
+    "k_inv": (_count, "an integer >= 0"),
+}
+# the parameters of each model: finite numbers, but for "decay_table"
+_MODEL_PARAMS = {"swift-hohenberg": ("mu", "nu1", "nu2"),
+                 "whitham": ("T", "c", "decay_table"),
+                 "gray-scott": ("lambda1", "lambda2")}
+_DECAY_ROWS = (lambda v: isinstance(v, list) and all(
+    isinstance(r, list) and len(r) == 4 and all(map(_real, r)) for r in v),
+    "a list of [window_lo, window_hi, C, a] rows of finite numbers")
+
+
+def build_model(doc: dict) -> Model:
+    """The model a configuration's "model" entry describes."""
+    name, m, params = doc.get("name"), doc.get("m", 1), doc.get("params", {})
+    _expect(name in tuple(_MODEL_PARAMS), "model.name", name,
+            "one of " + ", ".join(_MODEL_PARAMS))
+    _expect(_count(m, 1) and m <= 2, "model.m", m, "1 or 2")
+    names = _MODEL_PARAMS[name]
+    _expect(_keys(params, *names), "model.params", params,
+            "an object with keys " + ", ".join(names))
+    params = {"decay_table": [], **params}
+    for key in names:
+        test, want = _DECAY_ROWS if key == "decay_table" else _REAL
+        _expect(test(params.get(key)), f"model.params.{key}", params.get(key), want)
+    try:
+        if name == "swift-hohenberg":
+            return sh_model(params["mu"], params["nu1"], params["nu2"], m=m)
+        if name == "whitham":
+            table = tuple(DecayBound(*map(float, r)) for r in params["decay_table"])
+            return whitham_model(params["T"], params["c"], decay_table=table, m=m)
         return gray_scott_model(params["lambda1"], params["lambda2"])
-    raise InvalidParameter(f"unknown model {name!r}")
+    except InvalidParameter as exc:
+        raise ConfigError(f"model = {doc!r}: {exc}") from exc
 
 
-def load_solution(cfg: dict, grid: Grid, sector: str) -> FourierSeq:
-    sol = cfg.get("solution")
-    if sol is None:
-        raise InvalidParameter("configuration lacks a solution entry")
-    if "path" in sol:
+@dataclass(frozen=True)
+class RunConfig:
+    """A checked run configuration; essential-spectrum sets the first three."""
+
+    mode: str
+    model: Model
+    output: str
+    grid: Grid | None = None
+    sector: str | None = None
+    n_inner: int | None = None
+    solution: dict | None = None
+    newton: dict | None = None           # newton_solve keywords
+    r0: float | None = None
+    options: CertifyOptions | None = None
+
+
+def read_config(doc) -> RunConfig:
+    """Check a whole run configuration before any work starts: a missing,
+    unknown or malformed entry raises ConfigError naming its key."""
+    _expect(isinstance(doc, dict), "configuration", doc, "a JSON object")
+    for key, value in doc.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown configuration key {key!r}")
+        _expect(_KEYS[key][0](value), key, value, _KEYS[key][1])
+    mode = doc.get("mode", "certify")
+    for key in _NEEDS[mode]:
+        if key not in doc:
+            raise ConfigError(f"{key}: missing; mode {mode!r} needs it")
+    model = build_model(doc["model"])
+    output = doc.get("output", "out.json")
+    if mode == "essential-spectrum":
+        return RunConfig(mode, model, output)
+
+    grid = Grid(doc["grid"]["m"], float(doc["grid"]["d"]))
+    sector = doc["sector"]
+    _expect(grid.m == model.m, "grid", doc["grid"],
+            f"m = {model.m}, the dimension of the {model.name} model")
+    _expect(sector in _SECTORS[grid.m], "sector", sector,
+            f"one of {', '.join(_SECTORS[grid.m])} for grid.m = {grid.m}")
+    opts = {k: float(doc[k]) for k in ("delta0", "q_mult", "margin", "t")
+            if k in doc}
+    if "window" in doc:
+        opts["window"] = tuple(map(float, doc["window"]))
+    if "k_inv" in doc:
+        opts["k_inv"] = doc["k_inv"]
+    return RunConfig(mode, model, output, grid, sector, doc["N"],
+                     doc["solution"], doc.get("newton", {}),
+                     float(doc["r0"]) if "r0" in doc else None,
+                     CertifyOptions(**opts))
+
+
+def load_solution(sol: dict, grid: Grid, sector: str) -> FourierSeq:
+    """The state a checked "solution" entry names, which must live on the
+    configured grid and sector."""
+    try:
+        if "csv" in sol:
+            return serialize.load_seq_csv(sol["csv"], grid, sector, sol["S"])
         with open(sol["path"]) as fh:
-            return serialize.seq_from_doc(json.load(fh))
-    if "csv" in sol:
-        return serialize.load_seq_csv(sol["csv"], grid, sector, int(sol["S"]))
-    raise InvalidParameter("solution entry needs 'path' or 'csv'")
+            u0 = serialize.seq_from_doc(json.load(fh))
+    except (ValueError, KeyError, TypeError, CertifyError) as exc:
+        raise ConfigError(f"solution = {sol!r}: unreadable state: {exc}") from exc
+    _expect((u0.grid, u0.sector) == (grid, sector), "grid, sector",
+            (grid, sector), f"the grid and sector of {sol['path']!r}: "
+            f"{u0.grid!r}, {u0.sector!r}")
+    return u0
 
 
 def _write(path: str, doc: dict) -> None:
@@ -68,32 +195,17 @@ def _write(path: str, doc: dict) -> None:
         fh.write("\n")
 
 
-class ConfigError(Exception):
-    """A configuration entry has the wrong type or form."""
-
-
-@contextlib.contextmanager
-def _reading_config():
-    """Report a value of the wrong type or form as a ConfigError."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad configuration value: {exc}") from exc
-
-
-def run(cfg: dict, plot_path: str | None = None) -> int:
+def run(cfg: RunConfig, plot_path: str | None = None) -> int:
+    """Carry out a checked configuration."""
     t_start = time.monotonic()
-    mode = cfg.get("mode", "certify")
-    with _reading_config():
-        model = build_model(cfg["model"])
-    out = cfg.get("output", "out.json")
+    model, out = cfg.model, cfg.output
 
-    if mode == "essential-spectrum":
+    if cfg.mode == "essential-spectrum":
         rays = essential_spectrum(model)
         doc = {
             "schema": serialize.SCHEMA_VERSION,
             "kind": "essential-spectrum",
-            "model": cfg["model"]["name"],
+            "model": model.name,
             "rays": [
                 {"lo": None if r.lo is None else serialize.enc_interval(r.lo),
                  "hi": None if r.hi is None else serialize.enc_interval(r.hi)}
@@ -104,24 +216,16 @@ def run(cfg: dict, plot_path: str | None = None) -> int:
         _log(f"essential spectrum written to {out}", t_start)
         return 0
 
-    with _reading_config():
-        grid = Grid(int(cfg["grid"]["m"]), float(cfg["grid"]["d"]))
-        sector = cfg["sector"]
-        n_inner = int(cfg["N"])
-        u0 = load_solution(cfg, grid, sector)
+    grid, sector, n_inner = cfg.grid, cfg.sector, cfg.n_inner
+    u0 = load_solution(cfg.solution, grid, sector)
 
-    if mode == "newton":
-        with _reading_config():
-            nt = cfg.get("newton", {})
-            tol = float(nt.get("tol", 1e-11))
-            max_iter = int(nt.get("max_iter", 80))
-        u0 = newton_solve(model, grid, sector, u0, n_inner,
-                          tol=tol, max_iter=max_iter)
+    if cfg.mode == "newton":
+        u0 = newton_solve(model, grid, sector, u0, n_inner, **cfg.newton)
         _write(out, serialize.seq_to_doc(u0))
         _log(f"newton state written to {out}", t_start)
         return 0
 
-    if mode == "gershgorin-only":
+    if cfg.mode == "gershgorin-only":
         w = kernel_from_state(model, u0)
         a = assemble_jacobian(model, w, sector, n_inner)
         idx = index_list(grid, sector, n_inner)
@@ -133,26 +237,7 @@ def run(cfg: dict, plot_path: str | None = None) -> int:
         _log(f"disk set written to {out}", t_start)
         return 0
 
-    if mode != "certify":
-        raise InvalidParameter(f"unknown mode {mode!r}")
-
-    if "r0" not in cfg:
-        raise InvalidParameter(
-            "mode certify needs r0: the certified distance to the true "
-            "state is an external proof input")
-    with _reading_config():
-        r0 = float(cfg["r0"])
-        opts = CertifyOptions(
-            delta0=float(cfg.get("delta0", 1e-2)),
-            q_mult=float(cfg.get("q_mult", 2.0)),
-            margin=float(cfg.get("margin", 1.0)),
-            two_pass=bool(cfg.get("two_pass", True)),
-            selfadjoint_path=cfg.get("selfadjoint_path"),
-            window=tuple(cfg["window"]) if "window" in cfg else None,
-            t=cfg.get("t"),
-            k_inv=int(cfg.get("k_inv", 0)),
-        )
-    cert = certify(model, u0, r0, n_inner, opts)
+    cert = certify(model, u0, cfg.r0, n_inner, cfg.options)
     _write(out, serialize.certificate_to_doc(cert))
     if plot_path:
         _emit_plot(plot_path, sector, cert.disk_centers, cert.disk_radii_final)
@@ -181,32 +266,20 @@ def main(argv=None) -> int:
                     "solutions")
     ap.add_argument("--config", required=True, help="run configuration JSON")
     ap.add_argument("--emit-plot-data", metavar="CSV", default=None)
-    ap.add_argument("--sector", default=None,
-                    help="override the configured symmetry sector")
-    ap.add_argument("--two-pass", action="store_true",
-                    help="force the two-pass shift refinement")
     args = ap.parse_args(argv)
 
     try:
         with open(args.config) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.sector:
-        cfg["sector"] = args.sector
-    if args.two_pass:
-        cfg["two_pass"] = True
-
-    try:
-        return run(cfg, plot_path=args.emit_plot_data)
+            doc = json.load(fh)
+        return run(read_config(doc), plot_path=args.emit_plot_data)
     except ConditionViolated as exc:
         print(f"condition violated: {exc}", file=sys.stderr)
         return 3
     except (SingularityUnverified, DegenerateEigenbasis) as exc:
         print(f"verification abort: {exc}", file=sys.stderr)
         return 4
-    except (OSError, KeyError, ConfigError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError,
+            ConfigError) as exc:
         print(f"I/O or configuration error: {exc}", file=sys.stderr)
         return 2
     except CertifyError as exc:

@@ -24,11 +24,11 @@ import numpy as np
 from scipy.signal import convolve as _sp_convolve
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
+from .imatrix import _add, _mm_real, _scale
 from .interval import Interval
 
 _U = 2.0 ** -53
 _TINY = 5e-308
-_INF = math.inf
 
 _SECTORS = {1: ("full", "c", "s"), 2: ("full", "cc", "cs", "sc", "ss")}
 
@@ -77,21 +77,9 @@ def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _conv_real(al, ah, bl, bh):
     """Enclosure of the convolution of real interval arrays."""
-    am = al + 0.5 * (ah - al)
-    bm = bl + 0.5 * (bh - bl)
-    ar = np.nextafter(np.nextafter(np.maximum(ah - am, am - al), _INF), _INF)
-    br = np.nextafter(np.nextafter(np.maximum(bh - bm, bm - bl), _INF), _INF)
-    aa = np.abs(am)
-    ba = np.abs(bm)
-    k = min(am.size, bm.size)
-    gamma = (k + 4) * _U
-    cm = _convolve_direct(am, bm)
-    m1 = _convolve_direct(aa, ba)
-    m2 = _convolve_direct(ar, ba + br) + _convolve_direct(aa, br)
-    rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
-    lo = np.nextafter(np.nextafter(cm - rad, -_INF), -_INF)
-    hi = np.nextafter(np.nextafter(cm + rad, _INF), _INF)
-    return lo, hi
+    shape = tuple(np.add(al.shape, bl.shape) - 1)
+    return _mm_real(al, ah, bl, bh, _convolve_direct, shape,
+                    min(al.size, bl.size))
 
 
 class FourierSeq:
@@ -163,9 +151,6 @@ class FourierSeq:
     def mag_arr(self) -> np.ndarray:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
-    def copy(self) -> "FourierSeq":
-        return FourierSeq(self.grid, self.sector, self.lo.copy(), self.hi.copy())
-
     def _check_mate(self, other: "FourierSeq") -> None:
         if self.grid != other.grid:
             raise GridMismatch("sequences live on different grids")
@@ -191,23 +176,14 @@ class FourierSeq:
         S = max(self.S, other.S)
         a = self.padded(S)
         b = other.padded(S)
-        lo = np.nextafter(a.lo + b.lo, -_INF)
-        hi = np.nextafter(a.hi + b.hi, _INF)
+        lo, hi = _add(a.lo, a.hi, b.lo, b.hi)
         return FourierSeq(self.grid, self.sector, lo, hi)
 
     def __sub__(self, other: "FourierSeq") -> "FourierSeq":
         return self + other.scaled(Interval(-1.0))
 
     def scaled(self, s: Interval) -> "FourierSeq":
-        if isinstance(s, (int, float)):
-            s = Interval(float(s))
-        cands = np.stack([self.lo * s.lo, self.lo * s.hi,
-                          self.hi * s.lo, self.hi * s.hi])
-        lo = np.nextafter(cands.min(axis=0), -_INF)
-        hi = np.nextafter(cands.max(axis=0), _INF)
-        if s.lo == s.hi and s.lo in (0.0, 1.0, -1.0):
-            lo = np.nextafter(lo, _INF)
-            hi = np.nextafter(hi, -_INF)
+        lo, hi = _scale(self.lo, self.hi, s)
         return FourierSeq(self.grid, self.sector, lo, hi)
 
     # -- signed expansion and folding -------------------------------------

@@ -362,8 +362,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     )
 
 
-def compute_bounds(wb: WindowBounds, t: float,
-                   want_selfadjoint: bool = True) -> HomotopyBounds:
+def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     """The bounds at shift t: Z13, Z14, Zu3, C2 r0, the inflation factors
     and, for a self-adjoint model, the self-adjoint factor."""
     model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
@@ -395,7 +394,7 @@ def compute_bounds(wb: WindowBounds, t: float,
 
     sa_factor = None
     gap = None
-    if want_selfadjoint and model.self_adjoint:
+    if model.self_adjoint:
         tail_inf = _shifted_tail_inf(model, disks, t)
         gap = _disk_gap(disks, t, tail_inf)
         if gap.lo <= 0:

@@ -58,29 +58,31 @@ def _mid_rad(lo, hi):
     return mid, rad
 
 
-def _mm_real(al, ah, bl, bh):
-    """Enclosure of the product of real interval matrices."""
-    shape = (al.shape[0], bl.shape[1])
+def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
+    """Enclosure of the product of real interval matrices, or of another
+    bilinear product `prod` (a convolution, say) given the shape of its
+    result and k, the most terms an entry of it sums."""
+    if shape is None:
+        shape, k = (al.shape[0], bl.shape[1]), al.shape[1]
     if not (al.any() or ah.any()) or not (bl.any() or bh.any()):
         return np.zeros(shape), np.zeros(shape)
     am, ar = _mid_rad(al, ah)
     bm, br = _mid_rad(bl, bh)
     aa = np.abs(am)
     ba = np.abs(bm)
-    k = al.shape[1]
     gamma = (k + 4) * _U
     if am.any() and bm.any():
-        cm = am @ bm
-        m1 = aa @ ba
+        cm = prod(am, bm)
+        m1 = prod(aa, ba)
     else:
         cm = np.zeros(shape)
         m1 = np.zeros(shape)
     a_point = not ar.any()
     b_point = not br.any()
     if a_point:
-        m2 = np.zeros(shape) if b_point else aa @ br
+        m2 = np.zeros(shape) if b_point else prod(aa, br)
     else:
-        m2 = ar @ ba if b_point else ar @ (ba + br) + aa @ br
+        m2 = prod(ar, ba) if b_point else prod(ar, ba + br) + prod(aa, br)
     rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
     return _bump_down(cm - rad), _bump_up(cm + rad)
 
@@ -101,7 +103,10 @@ def _sub(lo1, hi1, lo2, hi2):
 
 
 def _scale(lo, hi, s: Interval):
+    """Enclosure of s [lo, hi]; a point s of 0 or +-1 scales exactly."""
     cands = np.stack([lo * s.lo, lo * s.hi, hi * s.lo, hi * s.hi])
+    if s.lo == s.hi and s.lo in (0.0, 1.0, -1.0):
+        return cands.min(axis=0), cands.max(axis=0)
     return (np.nextafter(cands.min(axis=0), -_INF),
             np.nextafter(cands.max(axis=0), _INF))
 
@@ -144,8 +149,6 @@ class IMatrix:
         n = len(boxes)
         out = cls.zeros(n, n)
         for i, b in enumerate(boxes):
-            if isinstance(b, Interval):
-                b = ComplexBox(b)
             out.rl[i, i] = b.re.lo
             out.rh[i, i] = b.re.hi
             out.il[i, i] = b.im.lo
@@ -208,23 +211,6 @@ class IMatrix:
         rl, rh = _sub(self.rl, self.rh, other.rl, other.rh)
         il, ih = _sub(self.il, self.ih, other.il, other.ih)
         return IMatrix(rl, rh, il, ih)
-
-    def scaled(self, s) -> "IMatrix":
-        """Product with a scalar Interval or ComplexBox."""
-        if isinstance(s, (int, float)):
-            s = Interval(float(s))
-        if isinstance(s, Interval):
-            rl, rh = _scale(self.rl, self.rh, s)
-            il, ih = _scale(self.il, self.ih, s)
-            return IMatrix(rl, rh, il, ih)
-        if isinstance(s, ComplexBox):
-            a = self.scaled(s.re)
-            b = self.scaled(s.im)
-            # (x + iy)(c + id) = (xc - yd) + i(xd + yc)
-            rl, rh = _sub(a.rl, a.rh, b.il, b.ih)
-            il, ih = _add(b.rl, b.rh, a.il, a.ih)
-            return IMatrix(rl, rh, il, ih)
-        raise TypeError(f"cannot scale by {s!r}")
 
     def __matmul__(self, other: "IMatrix") -> "IMatrix":
         if self.shape[1] != other.shape[0]:

@@ -87,19 +87,6 @@ class Interval:
     def point(cls, x: float) -> "Interval":
         return cls(x, x)
 
-    @classmethod
-    def hull(cls, *items: "Interval | float") -> "Interval":
-        los = []
-        his = []
-        for it in items:
-            if isinstance(it, Interval):
-                los.append(it.lo)
-                his.append(it.hi)
-            else:
-                los.append(float(it))
-                his.append(float(it))
-        return cls(min(los), max(his))
-
     # -- predicates -------------------------------------------------------
 
     @property

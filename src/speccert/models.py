@@ -21,8 +21,10 @@ from .errors import (
     DomainError,
     InvalidParameter,
     NonRadialUnsupported,
+    TailNotIntegrable,
 )
 from .interval import (
+    PI,
     ComplexBox,
     Interval,
     _mp_down,
@@ -74,7 +76,7 @@ class Model:
     m: int
     components: int
     self_adjoint: bool
-    ess_side: str                      # window side: "below" or "above" spectrum? see certify
+    ess_side: str                      # essential spectrum "below" or "above" the window
     nonlin: tuple                      # ((degree, Interval coeff), ...)
     minorant: GrowthMinorant
     params: dict = field(default_factory=dict)
@@ -187,7 +189,8 @@ def rigorous_L2_of_reciprocal(model: Model, rel_tol: float = 0.01) -> Interval:
         raise NonRadialUnsupported("reciprocal norm needs a scalar symbol")
     mino = model.minorant
     if 2.0 * mino.k <= model.m:
-        raise tail_err(mino, model.m)
+        raise TailNotIntegrable(f"minorant degree {mino.k} cannot close an "
+                                f"L2 tail in dimension {model.m}")
     m = model.m
 
     def integrand(s: Interval) -> Interval:
@@ -205,16 +208,7 @@ def rigorous_L2_of_reciprocal(model: Model, rel_tol: float = 0.01) -> Interval:
     return iv_sqrt(angular * (head + tail))
 
 
-def tail_err(mino, m):
-    from .errors import TailNotIntegrable
-
-    return TailNotIntegrable(
-        f"minorant degree {mino.k} cannot close an L2 tail in dimension {m}")
-
-
 def _angular_factor(m: int) -> Interval:
-    from .interval import PI
-
     if m == 1:
         return Interval(1.0) / PI
     return Interval(1.0) / (Interval(2.0) * PI)

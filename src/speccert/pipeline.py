@@ -98,17 +98,14 @@ def _spectral_edge(model, clusters) -> float:
     return min(c.lo for c in clusters)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CertifyOptions:
     delta0: float = 1e-2
     q_mult: float = 2.0
     margin: float = 1.0
-    two_pass: bool = True
-    selfadjoint_path: bool | None = None   # None: use it when available
     window: tuple | None = None            # (lo, hi) override
     t: float | None = None
     k_inv: int = 0
-    lam_max: float | None = None           # spectral upper bound override
 
 
 def certify(model: Model, u0: FourierSeq, r0: float, N: int,
@@ -137,35 +134,24 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     raw_clusters = cluster_disks(disks)
 
     l1u = seq_l1(u0)
-    lam_max = opts.lam_max
-    if lam_max is None:
-        lam_max = _lambda_bound(model, u0, w, r0)
+    lam_max = _lambda_bound(model, u0, w, r0)
 
     if opts.window is not None:
         window = ComplexBox(Interval(*opts.window))
     else:
         window = default_window(model, lam_max, opts.delta0)
 
-    use_sa = opts.selfadjoint_path
-    if use_sa is None:
-        use_sa = model.self_adjoint
-    if use_sa and not model.self_adjoint:
-        raise ReductionUnavailable(
-            f"{model.name} is not self-adjoint; the simplified path does "
-            "not apply")
-
     if opts.t is not None:
         shifts = [opts.t]
     else:
         edge = _spectral_edge(model, raw_clusters)
         shifts = [select_shift(model, lam_max, opts.margin)]
-        if opts.two_pass:
-            # the certified edge from pass 1 permits tighter shifts; the
-            # best margin balances |lambda + t| against the 1/|lambda + t|
-            # weights, so try a short ladder and keep the tightest family
-            for mg in (0.25 * opts.margin, 0.5 * opts.margin,
-                       opts.margin, 2.0 * opts.margin):
-                shifts.append(select_shift(model, edge, mg))
+        # the certified edge from pass 1 permits tighter shifts; the best
+        # margin balances |lambda + t| against the 1/|lambda + t| weights,
+        # so try a short ladder and keep the tightest family
+        for mg in (0.25 * opts.margin, 0.5 * opts.margin,
+                   opts.margin, 2.0 * opts.margin):
+            shifts.append(select_shift(model, edge, mg))
 
     wb = window_bounds(model, w, l1u, r0, pseudo, disks, window, opts.q_mult)
 
@@ -175,15 +161,13 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     first_error = None
     for t in shifts:
         try:
-            cand = compute_bounds(wb, t, want_selfadjoint=use_sa)
+            cand = compute_bounds(wb, t)
         except ConditionViolated as exc:
             if first_error is None:
                 first_error = exc
             continue
-        fams = [(inflate_disks(disks, cand, selfadjoint_path=False), False)]
-        if use_sa and cand.sa_factor is not None:
-            fams.append((inflate_disks(disks, cand, selfadjoint_path=True), True))
-        for fam, sa_used in fams:
+        for sa_used in (False, True) if cand.sa_factor is not None else (False,):
+            fam = inflate_disks(disks, cand, selfadjoint_path=sa_used)
             # how far the inflated disks encroach toward the window
             if model.ess_side == "below":
                 score = max(c.re.hi + r for c, r in zip(disks.centers, fam))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivisionByZeroInterval, DomainError, TailNotIntegrable
-from .interval import IArray, Interval, iv_exp, iv_log
+from .interval import IArray, Interval, iv_exp, iv_log, iv_pow_int
 
 _MIN_WIDTH = 2.0 ** -40
 
@@ -62,8 +62,6 @@ def iv_pow_real(x: Interval, k: float) -> Interval:
     if x.lo < 0:
         raise DomainError("real power of partially negative interval")
     if k == int(k) and k <= 64:
-        from .interval import iv_pow_int
-
         return iv_pow_int(x, int(k))
     if x.lo == 0.0:
         hi = iv_exp(Interval(k) * iv_log(Interval(x.hi))).hi if x.hi > 0 else 0.0

@@ -100,13 +100,10 @@ def load_seq_csv(path: str, grid: Grid, sector: str, S: int) -> FourierSeq:
             if len(parts) != grid.m + 1:
                 raise InvalidParameter(f"bad csv row: {raw!r}")
             idx = tuple(int(p) for p in parts[:-1])
-            if sector == "full":
-                pos = tuple(c + S for c in idx)
-            else:
-                if any(c < 0 for c in idx):
-                    raise InvalidParameter(
-                        f"negative index {idx} in sector storage")
-                pos = idx
+            pos = tuple(c + S for c in idx) if sector == "full" else idx
+            if not all(0 <= p < side for p in pos):
+                raise InvalidParameter(
+                    f"index {idx} outside the {sector!r} storage of S={S}")
             vals[pos] = float(parts[-1])
     return FourierSeq.from_point(grid, sector, vals)
 

@@ -1,9 +1,10 @@
 """Exact zeros and point operands in the interval layer.
 
-The products in `imatrix` and the blocks of `finite.conv_block` keep exact
-zeros exact instead of rounding them out to subnormals.  These tests check
-the fast paths against the plain formulas they replace, which are kept here
-as references, and against exact rational arithmetic.
+The products in `imatrix`, the convolutions in `fourier` and the blocks of
+`finite.conv_block` keep exact zeros exact instead of rounding them out to
+subnormals.  These tests check the fast paths against the plain formulas
+they replace, which are kept here as references, and against exact
+rational arithmetic.
 """
 
 import itertools
@@ -14,7 +15,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from speccert.finite import conv_block, orbit_mult, shell_indices
-from speccert.fourier import FourierSeq, Grid, _axis_types, index_list
+from speccert.fourier import (
+    FourierSeq,
+    Grid,
+    _axis_types,
+    _conv_real,
+    _convolve_direct,
+    index_list,
+)
 from speccert.imatrix import IMatrix
 
 _U = 2.0 ** -53
@@ -41,6 +49,22 @@ def _ref_mm_real(al, ah, bl, bh):
     cm = am @ bm
     m1 = aa @ ba
     m2 = ar @ (ba + br) + aa @ br
+    rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
+    return _ref_bump(cm - rad, 2, -_INF), _ref_bump(cm + rad, 2, _INF)
+
+
+def ref_conv_real(al, ah, bl, bh):
+    """The convolution enclosure before it shared the matmul fast paths."""
+    am = al + 0.5 * (ah - al)
+    bm = bl + 0.5 * (bh - bl)
+    ar = _ref_bump(np.maximum(ah - am, am - al), 2, _INF)
+    br = _ref_bump(np.maximum(bh - bm, bm - bl), 2, _INF)
+    aa = np.abs(am)
+    ba = np.abs(bm)
+    gamma = (min(am.size, bm.size) + 4) * _U
+    cm = _convolve_direct(am, bm)
+    m1 = _convolve_direct(aa, ba)
+    m2 = _convolve_direct(ar, ba + br) + _convolve_direct(aa, br)
     rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
     return _ref_bump(cm - rad, 2, -_INF), _ref_bump(cm + rad, 2, _INF)
 
@@ -145,6 +169,23 @@ def draw_imatrix(rng, shape, kind, scale):
     return IMatrix(rl, rh, il, ih)
 
 
+def pick_exact_array(rng, lo, hi):
+    """A rational point array of any shape inside [lo, hi]."""
+    t = rng.random(lo.shape)
+    out = np.empty(lo.shape, dtype=object)
+    for i in np.ndindex(lo.shape):
+        out[i] = Fraction(lo[i]) + Fraction(t[i]) * (Fraction(hi[i]) - Fraction(lo[i]))
+    return out
+
+
+def exact_conv(x, y):
+    out = np.zeros(tuple(np.add(x.shape, y.shape) - 1), dtype=object)
+    for i in np.ndindex(x.shape):
+        for j in np.ndindex(y.shape):
+            out[tuple(np.add(i, j))] += x[i] * y[j]
+    return out
+
+
 def pick_exact(rng, lo, hi):
     """A rational point matrix inside [lo, hi], as nested lists."""
     t = rng.random(lo.shape)
@@ -179,6 +220,18 @@ def test_matmul_fast_path_encloses_and_is_no_wider(seed, m, k, n, kind_a, kind_b
                 im = sum(ar[i][q] * bi[q][j] + ai[i][q] * br[q][j] for q in range(k))
                 assert float(prod.rl[i, j]) <= re <= float(prod.rh[i, j])
                 assert float(prod.il[i, j]) <= im <= float(prod.ih[i, j])
+
+    # the same enclosure over a convolution: 2D of the real parts, and 1D of
+    # a row of a against a column of b
+    for al, ah, bl, bh in ((a.rl, a.rh, b.rl, b.rh),
+                           (a.rl[0], a.rh[0], b.rl[:, 0], b.rh[:, 0])):
+        lo, hi = _conv_real(al, ah, bl, bh)
+        want_lo, want_hi = ref_conv_real(al, ah, bl, bh)
+        assert np.all(lo >= want_lo) and np.all(hi <= want_hi)
+        exact = exact_conv(pick_exact_array(rng, al, ah),
+                           pick_exact_array(rng, bl, bh))
+        for i in np.ndindex(exact.shape):
+            assert float(lo[i]) <= exact[i] <= float(hi[i])
 
 
 CONV_CASES = [(1, "c", "c"), (1, "c", "s"), (1, "full", "full"), (1, "c", "full"),

@@ -52,7 +52,7 @@ def test_op_norm2_bound_identity_and_scaling():
     eye = IMatrix.identity(5)
     assert op_norm2_bound(eye).hi >= 1.0
     assert op_norm2_bound(eye).hi < 1.0 + 1e-10
-    two = eye.scaled(Interval(2.0))
+    two = IMatrix.from_point(2.0 * np.eye(5))
     assert op_norm2_bound(two).hi >= 2.0
 
 

@@ -121,11 +121,6 @@ def test_log_nonpositive_rejected():
         iv_log(Interval(0.0, 1.0))
 
 
-def test_hull_and_intersect():
-    h = Interval.hull(Interval(0.0, 1.0), Interval(3.0, 4.0), 2.5)
-    assert h == Interval(0.0, 4.0)
-
-
 cplx = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 
 

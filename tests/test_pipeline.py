@@ -1,14 +1,18 @@
+import importlib.util
 import json
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from speccert import finite, homotopy, models, pipeline, serialize
+from speccert import cli, finite, homotopy, models, pipeline, serialize
 from speccert.cli import build_model, main
 from speccert.errors import (
     ConditionViolated,
+    InvalidParameter,
     KernelMismatch,
     ReductionUnavailable,
     SingularityUnverified,
@@ -178,6 +182,11 @@ def test_seq_csv_loader(tmp_path):
     p.write_text("0,1.5\n1,-0.25\n2,0.125\n")
     u = serialize.load_seq_csv(str(p), grid, "c", 2)
     assert u.lo[0] == 1.5 and u.hi[1] == -0.25 and u.lo[2] == 0.125
+    # an index outside the support is refused, not wrapped around
+    for sector, row in (("c", "3,1.0"), ("c", "-1,1.0"), ("full", "-3,1.0")):
+        p.write_text(f"0,1.5\n{row}\n")
+        with pytest.raises(InvalidParameter, match="outside"):
+            serialize.load_seq_csv(str(p), grid, sector, 2)
 
 
 def test_dumps_sorted_and_stable():
@@ -262,7 +271,7 @@ def test_cli_gershgorin_with_plot(tmp_path, sh_toy):
     assert len(lines) == len(doc["disks"]) + 1
 
 
-def test_cli_exit_codes(tmp_path, sh_toy):
+def test_cli_exit_codes(tmp_path, sh_toy, capsys):
     # missing config file
     assert main(["--config", str(tmp_path / "absent.json")]) == 2
     # malformed config: missing keys
@@ -272,10 +281,11 @@ def test_cli_exit_codes(tmp_path, sh_toy):
     # failed inequality
     path, _ = _toy_config(tmp_path, sh_toy, r0=1e3)
     assert main(["--config", str(path)]) == 3
-    # unknown model falls through as a general certification error
+    # an unknown model is a configuration error
     path2, _ = _toy_config(tmp_path, sh_toy,
                            model={"name": "unknown", "params": {}})
-    assert main(["--config", str(path2)]) == 5
+    assert main(["--config", str(path2)]) == 2
+    assert "'unknown'" in capsys.readouterr().err
 
 
 def test_cli_shift_on_a_disk_is_rejected_exits_3(tmp_path, sh_toy, capsys):
@@ -298,10 +308,51 @@ def test_cli_verified_inverse_abort_exits_4(tmp_path, sh_toy, monkeypatch,
     assert "verification abort" in capsys.readouterr().err
 
 
-def test_cli_malformed_value_exits_2(tmp_path, sh_toy, capsys):
-    path, _ = _toy_config(tmp_path, sh_toy, N="abc")
+SH_PARAMS_NO_MU = {"name": "swift-hohenberg", "m": 1,
+                   "params": {"nu1": -3.2, "nu2": 1.0}}
+
+
+@pytest.mark.parametrize("key, extra", [
+    pytest.param("N", {"N": "abc"}, id="N-abc"),
+    pytest.param("window", {"window": [-0.01, 1, 2]}, id="window-three"),
+    pytest.param("window", {"window": [2.0, -0.01]}, id="window-reversed"),
+    pytest.param("t", {"t": "abc"}, id="t-abc"),
+    pytest.param("q_mul", {"q_mul": 3.0}, id="typo-key"),
+    pytest.param("grid", {"grid": {"m": 1, "d": 10.0}}, id="grid-not-solution"),
+    pytest.param("sector", {"sector": "cc"}, id="sector-for-2d"),
+    pytest.param("two_pass", {"two_pass": "false"}, id="removed-two-pass"),
+    pytest.param("k_inv", {"k_inv": 1.7}, id="k_inv-fraction"),
+    pytest.param("N", {"N": -1}, id="N-negative"),
+    pytest.param("mode", {"mode": "verify"}, id="unknown-mode"),
+    pytest.param("r0", {"r0": -1e-8}, id="r0-negative"),
+    pytest.param("model.params.mu", {"model": SH_PARAMS_NO_MU}, id="model-param-missing"),
+])
+def test_cli_malformed_config_exits_2(tmp_path, sh_toy, monkeypatch, capsys,
+                                      key, extra):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the finite stage ran")
+
+    monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
+    path, _ = _toy_config(tmp_path, sh_toy, **extra)
     assert main(["--config", str(path)]) == 2
-    assert "'abc'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    if key == "grid":
+        # both grids are named: the configured one and the solution's
+        assert "d=10.0" in err and "d=20.0" in err
+
+
+def test_bench_traced_names_exist(monkeypatch):
+    # bench/tracing.py wraps each name of its WRAPS list; a refactor that
+    # drops one must fail here, not at the next traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    with tracing.Tracer():
+        pass
+    assert main is cli.main
 
 
 def test_cli_whitham_decay_table_rows(tmp_path, capsys):
