@@ -32,6 +32,7 @@ from .interval import PI, ComplexBox, Interval, iv_sqrt
 from .models import Model
 
 _INF = math.inf
+_NEWTON_STEP_CAP = 0.5        # max-norm cap of a Newton step
 
 
 # ---------------------------------------------------------------------------
@@ -195,14 +196,12 @@ class PseudoDiag:
     enclosure of its inverse, D = Pinv A P, and lams the diagonal of D.
     """
 
-    indices: list
     P: IMatrix
     Pinv: IMatrix
     D: IMatrix
     lams: list
     inv_defect: Interval
     p_norm: Interval
-    pinv_norm: Interval
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
@@ -244,14 +243,12 @@ def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
             box = ComplexBox(box.re, im)
         lams.append(box)
     return PseudoDiag(
-        indices=list(indices),
         P=p,
         Pinv=pinv,
         D=d,
         lams=lams,
         inv_defect=defect,
         p_norm=op_norm2_bound(p),
-        pinv_norm=op_norm2_bound(pinv),
     )
 
 
@@ -435,8 +432,7 @@ def cluster_disks(diskset: DiskSet) -> list:
 
 
 def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
-                 tol: float = 1e-11, max_iter: int = 80,
-                 step_cap: float = 0.5) -> FourierSeq:
+                 tol: float = 1e-11, max_iter: int = 80) -> FourierSeq:
     """Newton iteration on the truncated sector coefficients.
 
     seed is a FourierSeq or a raw coefficient array in sector storage.  The
@@ -482,7 +478,8 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         if not math.isfinite(ns):
             raise NoConvergence("Newton step is not finite")
         # cap the max-norm of early steps; full steps once in the basin
-        vec = vec - (step if ns < step_cap else step * (step_cap / ns))
+        vec = vec - (step if ns < _NEWTON_STEP_CAP
+                     else step * (_NEWTON_STEP_CAP / ns))
     raise NoConvergence(f"no convergence after {max_iter} Newton steps")
 
 

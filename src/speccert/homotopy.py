@@ -20,6 +20,9 @@ distances of the symbol, and the operator blocks DG(shell <- inner) P and
 Pinv DG(inner <- shell).  `compute_bounds` adds what each shift of the
 ladder needs: (S + t)^{-1}, Z13, Z14, the matrix factor behind Zu3 and
 C2 r0, the inflation factors, and the self-adjoint factor with its disk gap.
+Each quantity is held once: a certificate's `bounds` is the HomotopyBounds
+of its shift, and `bounds.window_bounds` the WindowBounds it shares with
+every other shift.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditionViolated, DivisionByZeroInterval, ReductionUnavailable
+from .errors import ConditionViolated, DivisionByZeroInterval
 from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
 from .fourier import FourierSeq, conv, seq_l1
 from .imatrix import IMatrix, op_norm2_bound
@@ -187,34 +190,6 @@ def zu_base_bounds(w: FourierSeq, decay: DecayBound) -> tuple:
 # bound assembly
 
 
-@dataclass
-class HomotopyBounds:
-    window: ComplexBox
-    t: float
-    q_mult: float
-    z11: Interval
-    z12: Interval
-    z13: Interval
-    z14: Interval
-    zu1: Interval
-    zu2: Interval
-    zu3: Interval
-    zu2q: Interval                # q-refined variants
-    zu3q: Interval
-    c1r0: Interval
-    c2r0: Interval
-    kappa1: Interval
-    kappa2: Interval
-    kappa2q: Interval
-    p_norm: Interval
-    eps_factor: Interval          # shared multiplier of |center + t|
-    eps_factor_inf: Interval
-    eps_factor_q: Interval
-    sa_factor: Interval | None    # multiplier of (r + |center + t|)
-    gap: Interval | None          # dist(-t, certified disks), self-adjoint
-    conditions: dict = None       # name -> (value hi, threshold), all checked
-
-
 def kappa2_formula(z11: Interval, z12: Interval, zu2_eff: Interval,
                    drift: Interval, p_norm: Interval) -> Interval:
     """kappa2 = (Z11 + (Zu2_eff + drift) |P|) / (1 - Z12 - Zu2_eff - drift).
@@ -268,7 +243,6 @@ class WindowBounds:
     z12: Interval
     zu1: Interval
     zu2: Interval
-    zu2q: Interval
     c1r0: Interval
     kappa1: Interval
     sq: Interval                  # sqrt(1 + kappa1^2)
@@ -279,7 +253,7 @@ class WindowBounds:
 
 def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
                   pseudo: PseudoDiag, disks: DiskSet, window: ComplexBox,
-                  q_mult: float = 2.0) -> WindowBounds:
+                  q_mult: float) -> WindowBounds:
     """Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q for a window,
     with the operator blocks the shift-dependent bounds reuse.  Raises
     ConditionViolated when an inequality fails for every shift."""
@@ -356,10 +330,28 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
         model=model, pseudo=pseudo, disks=disks, window=window,
         q_mult=q_mult, l1w=l1w, lam_mid=lam_mid,
         d_off=IMatrix.from_point(off), pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
-        z11=z11, z12=z12, zu1=zu1, zu2=zu2, zu2q=zu2q, c1r0=c1r0,
+        z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
         kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
         conditions=conditions,
     )
+
+
+@dataclass
+class HomotopyBounds:
+    """The bounds at one shift t; the shift-independent ones are read
+    through `window_bounds`."""
+
+    window_bounds: WindowBounds
+    t: float
+    z13: Interval
+    z14: Interval
+    zu3: Interval
+    c2r0: Interval
+    eps_factor: Interval          # shared multiplier of |center + t|
+    eps_factor_inf: Interval
+    eps_factor_q: Interval
+    sa_factor: Interval | None    # multiplier of (r + |center + t|)
+    gap: Interval | None          # dist(-t, certified disks), self-adjoint
 
 
 def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
@@ -412,25 +404,15 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
         sa_factor = Interval(0.0, max(fac_gen.hi, fac_q.hi))
 
     return HomotopyBounds(
-        window=window,
+        window_bounds=wb,
         t=t,
-        q_mult=q_mult,
-        z11=wb.z11, z12=wb.z12,
         z13=Interval(0.0, z13.hi), z14=Interval(0.0, z14.hi),
-        zu1=wb.zu1, zu2=zu2, zu3=zu3,
-        zu2q=Interval(0.0, wb.zu2q.hi),
-        zu3q=Interval(0.0, zu3q.hi),
-        c1r0=c1r0, c2r0=c2r0,
-        kappa1=Interval(0.0, wb.kappa1.hi),
-        kappa2=Interval(0.0, kappa2.hi),
-        kappa2q=Interval(0.0, kappa2q.hi),
-        p_norm=p_norm,
+        zu3=zu3, c2r0=c2r0,
         eps_factor=eps_factor,
         eps_factor_inf=Interval(0.0, factor_inf.hi),
         eps_factor_q=Interval(0.0, factor_q.hi),
         sa_factor=sa_factor,
         gap=gap,
-        conditions=wb.conditions,
     )
 
 
@@ -526,18 +508,18 @@ def _disk_gap(disks: DiskSet, t: float, tail_inf: Interval) -> Interval:
     return Interval(best)
 
 
-def inflate_disks(disks: DiskSet, bounds: HomotopyBounds,
-                  selfadjoint_path: bool = False) -> list:
-    """Final radii per explicit disk: Gershgorin radius plus inflation."""
-    out = []
-    fac = bounds.sa_factor if selfadjoint_path else bounds.eps_factor
-    if selfadjoint_path and bounds.sa_factor is None:
-        raise ReductionUnavailable("self-adjoint path was not assembled")
-    for center, radius in zip(disks.centers, disks.radii):
-        shifted = (center + ComplexBox(Interval(bounds.t))).abs().hi
-        if selfadjoint_path:
-            eps = (fac * (Interval(radius) + Interval(shifted))).hi
-        else:
-            eps = (fac * Interval(shifted)).hi
-        out.append((Interval(radius) + Interval(eps)).hi)
-    return out
+def inflate_disks(disks: DiskSet, bounds: HomotopyBounds) -> list:
+    """Final radii per explicit disk, Gershgorin radius plus inflation, for
+    every family the bounds allow, as (selfadjoint_path, radii) pairs: the
+    general family, then the self-adjoint one when it was assembled."""
+    t = ComplexBox(Interval(bounds.t))
+    radii = [Interval(r) for r in disks.radii]
+    shifted = [Interval((c + t).abs().hi) for c in disks.centers]
+
+    def family(eps):
+        return [(r + Interval(eps(r, s).hi)).hi for r, s in zip(radii, shifted)]
+
+    families = [(False, family(lambda r, s: bounds.eps_factor * s))]
+    if bounds.sa_factor is not None:
+        families.append((True, family(lambda r, s: bounds.sa_factor * (r + s))))
+    return families

@@ -44,6 +44,9 @@ from .radial import (
 
 import mpmath
 
+_ESS_TOL = 1e-13              # branch-and-bound tolerance of the edges
+_KAPPA_REL_TOL = 0.01         # relative accuracy of the norm of 1/l
+
 
 @dataclass(frozen=True)
 class DecayBound:
@@ -124,7 +127,7 @@ class Model:
 # certified symbol facts
 
 
-def essential_spectrum(model: Model, tol: float = 1e-13):
+def essential_spectrum(model: Model):
     """Rays of the essential spectrum with certified edge enclosures.
 
     The symbol is continuous and radial, so each scalar channel contributes
@@ -136,7 +139,7 @@ def essential_spectrum(model: Model, tol: float = 1e-13):
         channels = [(model.symbol, model.range_tail_hull)]
     rays = []
     for sym, tail_hull in channels:
-        rays.append(_scalar_range(sym, tail_hull, model.minorant, tol))
+        rays.append(_scalar_range(sym, tail_hull, model.minorant, _ESS_TOL))
     return _merge_rays(rays)
 
 
@@ -183,7 +186,7 @@ def _merge_rays(rays):
     return merged
 
 
-def rigorous_L2_of_reciprocal(model: Model, rel_tol: float = 0.01) -> Interval:
+def rigorous_L2_of_reciprocal(model: Model) -> Interval:
     """Enclosure of the L2(R^m) norm of 1/l for a scalar radial symbol."""
     if model.components != 1:
         raise NonRadialUnsupported("reciprocal norm needs a scalar symbol")
@@ -197,11 +200,11 @@ def rigorous_L2_of_reciprocal(model: Model, rel_tol: float = 0.01) -> Interval:
         return iv_pow_int(s, m - 1) / model.symbol_at(s).sq()
 
     r = max(8.0, 2.0 * mino.s0 + 1.0)
-    head = integrate_radial(integrand, 0.0, r, rel_tol * 0.5)
+    head = integrate_radial(integrand, 0.0, r, _KAPPA_REL_TOL * 0.5)
     tail = tail_integral_monomial(mino, m, r)
-    while tail.hi > rel_tol * 0.25 * max(head.mid(), 1e-300):
+    while tail.hi > _KAPPA_REL_TOL * 0.25 * max(head.mid(), 1e-300):
         new_r = 2.0 * r
-        head = head + integrate_radial(integrand, r, new_r, rel_tol * 0.5)
+        head = head + integrate_radial(integrand, r, new_r, _KAPPA_REL_TOL * 0.5)
         r = new_r
         tail = tail_integral_monomial(mino, m, r)
     angular = _angular_factor(m)

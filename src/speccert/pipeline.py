@@ -54,10 +54,8 @@ class Certificate:
     sector: str
     n_inner: int
     r0: float
-    t: float
     window: tuple            # (lo, hi) real part
     delta0: float
-    q_mult: float
     essential: list          # list of (lo_or_None, hi_or_None) rays
     bounds: HomotopyBounds
     disk_centers: list       # ComplexBox per explicit disk
@@ -166,8 +164,7 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
             if first_error is None:
                 first_error = exc
             continue
-        for sa_used in (False, True) if cand.sa_factor is not None else (False,):
-            fam = inflate_disks(disks, cand, selfadjoint_path=sa_used)
+        for sa_used, fam in inflate_disks(disks, cand):
             # how far the inflated disks encroach toward the window
             if model.ess_side == "below":
                 score = max(c.re.hi + r for c, r in zip(disks.centers, fam))
@@ -283,10 +280,8 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
         sector=sector,
         n_inner=N,
         r0=r0,
-        t=t,
         window=(jlo, jhi),
         delta0=opts.delta0,
-        q_mult=opts.q_mult,
         essential=rays,
         bounds=bounds,
         disk_centers=list(disks.centers),

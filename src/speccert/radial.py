@@ -28,6 +28,7 @@ from .errors import DivisionByZeroInterval, DomainError, TailNotIntegrable
 from .interval import IArray, Interval, iv_exp, iv_log, iv_pow_int
 
 _MIN_WIDTH = 2.0 ** -40
+_MAX_SEGMENTS = 200000        # integrate_radial gives up beyond this
 
 
 @dataclass(frozen=True)
@@ -167,8 +168,7 @@ def radial_inf(f, lo: float, tail_lo, tol: float = 1e-10,
     raise DomainError("tail bound never dominated the head minimum")
 
 
-def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01,
-                     max_boxes: int = 200000) -> Interval:
+def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01) -> Interval:
     """Enclosure of the integral of f over [lo, hi] by adaptive boxes.
 
     Boxes where f is not evaluable (division by an interval through zero)
@@ -207,7 +207,7 @@ def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01,
                 widths.append((contrib.width(), a, b))
         if ok and total.width() <= rel_tol * max(abs(total.mid()), 1e-300):
             return total
-        if len(segments) > max_boxes:
+        if len(segments) > _MAX_SEGMENTS:
             raise DomainError("quadrature refinement exploded")
         widths.sort(reverse=True)
         refine = {(a, b) for _, a, b in widths[: max(1, len(widths) // 4)]}

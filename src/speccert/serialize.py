@@ -135,19 +135,20 @@ def diskset_to_doc(ds) -> dict:
 
 def certificate_to_doc(cert) -> dict:
     b = cert.bounds
+    wb = b.window_bounds
     bounds_doc = {
-        "Z11": enc_interval(b.z11), "Z12": enc_interval(b.z12),
+        "Z11": enc_interval(wb.z11), "Z12": enc_interval(wb.z12),
         "Z13": enc_interval(b.z13), "Z14": enc_interval(b.z14),
-        "Zu1": enc_interval(b.zu1), "Zu2": enc_interval(b.zu2),
+        "Zu1": enc_interval(wb.zu1), "Zu2": enc_interval(wb.zu2),
         "Zu3": enc_interval(b.zu3),
-        "C1r0": enc_interval(b.c1r0), "C2r0": enc_interval(b.c2r0),
-        "kappa1": enc_interval(b.kappa1), "kappa2": enc_interval(b.kappa2),
-        "kappa2_q": enc_interval(b.kappa2q),
-        "PN_norm": enc_interval(b.p_norm),
+        "C1r0": enc_interval(wb.c1r0), "C2r0": enc_interval(b.c2r0),
+        "kappa1": _enc_kappa(wb.kappa1), "kappa2": _enc_kappa(wb.kappa2),
+        "kappa2_q": _enc_kappa(wb.kappa2q),
+        "PN_norm": enc_interval(wb.pseudo.p_norm),
         "eps_factor": enc_interval(b.eps_factor),
         "eps_factor_general": enc_interval(b.eps_factor_inf),
         "eps_factor_q": enc_interval(b.eps_factor_q),
-        "q_mult": enc_float(b.q_mult),
+        "q_mult": enc_float(wb.q_mult),
     }
     if b.sa_factor is not None:
         bounds_doc["selfadjoint_factor"] = enc_interval(b.sa_factor)
@@ -166,7 +167,7 @@ def certificate_to_doc(cert) -> dict:
         "sector": cert.sector,
         "n_inner": cert.n_inner,
         "r0": enc_float(cert.r0),
-        "t": enc_float(cert.t),
+        "t": enc_float(b.t),
         "window": {"lo": enc_float(cert.window[0]),
                    "hi": enc_float(cert.window[1])},
         "delta0": enc_float(cert.delta0),
@@ -202,6 +203,12 @@ def certificate_to_doc(cert) -> dict:
             "selfadjoint_path": cert.selfadjoint_path,
         },
     }
+
+
+def _enc_kappa(v: Interval) -> dict:
+    """A kappa bound, written as [0, hi]: its computed lower end is a
+    quotient of 0 rounded outward, -5e-324 or -1.5e-323."""
+    return enc_interval(Interval(0.0, v.hi))
 
 
 def _tool_version() -> str:

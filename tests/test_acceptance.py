@@ -265,9 +265,9 @@ def test_selfadjoint_dominance_20_runs():
         window = default_window(model, lam_max, 0.01)
         t = select_shift(model, edge, 4.0)
         b = compute_bounds(window_bounds(model, w, seq_l1(u0), 1e-8, pseudo,
-                                         disks, window), t)
+                                         disks, window,
+                                         CertifyOptions().q_mult), t)
         assert b.sa_factor is not None
-        gen = inflate_disks(disks, b, selfadjoint_path=False)
-        sa = inflate_disks(disks, b, selfadjoint_path=True)
+        (_, gen), (_, sa) = inflate_disks(disks, b)
         for r_sa, r_gen in zip(sa, gen):
             assert r_sa <= r_gen, (mu, r_sa, r_gen)

@@ -20,7 +20,12 @@ from speccert.homotopy import (
 )
 from speccert.interval import ComplexBox, Interval
 from speccert.models import DecayBound, sh_model
-from speccert.pipeline import default_window, select_shift, _spectral_edge
+from speccert.pipeline import (
+    CertifyOptions,
+    default_window,
+    select_shift,
+    _spectral_edge,
+)
 
 
 # -- weighted kernel integrals against quadrature -------------------------
@@ -159,7 +164,7 @@ def toy_bounds(sh_toy):
     window = default_window(model, 3.56, 0.01)
     u0_l1 = seq_l1(sh_toy["u0"])
     wb = window_bounds(model, sh_toy["w"], u0_l1, 1e-8, sh_toy["pseudo"],
-                       disks, window)
+                       disks, window, CertifyOptions().q_mult)
     bounds = compute_bounds(wb, t)
     return {"bounds": bounds, "t": t, "window": window, "wb": wb}
 
@@ -191,25 +196,26 @@ def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
         dists.append(max(window.re.lo - l, l - window.re.hi, 0.0))
     dinv = np.diag(1.0 / np.array(dists))
     z11_sample = np.linalg.norm(dinv @ np.abs(dg_mn @ pseudo.P.mid()), 2)
-    assert z11_sample <= bounds.z11.hi * (1 + 1e-9)
+    assert z11_sample <= bounds.window_bounds.z11.hi * (1 + 1e-9)
 
 
 def test_bounds_finite_and_contracting(toy_bounds):
     b = toy_bounds["bounds"]
-    for name in ("z11", "z12", "z13", "z14", "zu1", "zu2", "zu3",
-                 "kappa1", "kappa2", "eps_factor"):
-        v = getattr(b, name)
+    wb = b.window_bounds
+    for src, name in ((wb, "z11"), (wb, "z12"), (b, "z13"), (b, "z14"),
+                      (wb, "zu1"), (wb, "zu2"), (b, "zu3"), (wb, "kappa1"),
+                      (wb, "kappa2"), (b, "eps_factor")):
+        v = getattr(src, name)
         assert math.isfinite(v.hi) and v.hi >= 0.0, name
     assert b.eps_factor.hi < 1.0
-    assert b.kappa1.hi < 0.1
+    assert wb.kappa1.hi < 0.1
     assert b.sa_factor is not None
 
 
 def test_inflated_radii_exceed_gershgorin(sh_toy, toy_bounds):
     disks = sh_toy["disks"]
     b = toy_bounds["bounds"]
-    gen = inflate_disks(disks, b, selfadjoint_path=False)
-    sa = inflate_disks(disks, b, selfadjoint_path=True)
+    (_, gen), (_, sa) = inflate_disks(disks, b)
     for r_gen, r_sa, r0 in zip(gen, sa, disks.radii):
         assert r_gen >= r0 and r_sa >= r0
         # at the default shift the two paths are comparable
@@ -225,8 +231,7 @@ def test_selfadjoint_path_dominates_at_generous_shift(sh_toy, toy_bounds):
     edge = _spectral_edge(model, clusters)
     t = select_shift(model, edge, 4.0)
     b = compute_bounds(toy_bounds["wb"], t)
-    gen = inflate_disks(disks, b, selfadjoint_path=False)
-    sa = inflate_disks(disks, b, selfadjoint_path=True)
+    (_, gen), (_, sa) = inflate_disks(disks, b)
     for r_gen, r_sa in zip(gen, sa):
         assert r_sa <= r_gen
 
@@ -235,5 +240,5 @@ def test_huge_r0_rejected(sh_toy, toy_bounds):
     with pytest.raises(ConditionViolated) as exc:
         window_bounds(sh_toy["model"], sh_toy["w"], seq_l1(sh_toy["u0"]),
                       1e3, sh_toy["pseudo"], sh_toy["disks"],
-                      toy_bounds["window"])
+                      toy_bounds["window"], CertifyOptions().q_mult)
     assert "r0" in str(exc.value)

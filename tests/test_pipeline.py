@@ -308,6 +308,14 @@ def test_cli_verified_inverse_abort_exits_4(tmp_path, sh_toy, monkeypatch,
     assert "verification abort" in capsys.readouterr().err
 
 
+def test_cli_cluster_crossing_the_window_exits_5(tmp_path, sh_toy, capsys):
+    # the window's lower end cuts through the inflated cluster that reaches
+    # from the stable spectrum up past 0, so it can be counted on neither side
+    path, _ = _toy_config(tmp_path, sh_toy, window=[-0.5, 3.6])
+    assert main(["--config", str(path)]) == 5
+    assert "crosses the window boundary" in capsys.readouterr().err
+
+
 SH_PARAMS_NO_MU = {"name": "swift-hohenberg", "m": 1,
                    "params": {"nu1": -3.2, "nu2": 1.0}}
 
