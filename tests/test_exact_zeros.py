@@ -234,6 +234,15 @@ def test_matmul_fast_path_encloses_and_is_no_wider(seed, m, k, n, kind_a, kind_b
             assert float(lo[i]) <= exact[i] <= float(hi[i])
 
 
+def draw_kernel(rng, grid, w_sector, S, scale):
+    """A kernel with mixed zero and nonzero radii and some exact-zero entries."""
+    side = 2 * S + 1 if w_sector == "full" else S + 1
+    mid = rng.standard_normal((side,) * grid.m) * scale
+    rad = rng.uniform(0.0, 1e-6, mid.shape) * scale * (rng.random(mid.shape) < 0.5)
+    mid[rng.random(mid.shape) < 0.3] = 0.0
+    return FourierSeq(grid, w_sector, mid - rad, mid + rad)
+
+
 CONV_CASES = [(1, "c", "c"), (1, "c", "s"), (1, "full", "full"), (1, "c", "full"),
               (2, "cc", "cc"), (2, "cc", "cs"), (2, "cc", "ss"), (2, "cc", "full")]
 
@@ -245,11 +254,7 @@ def test_conv_block_matches_reference(seed, case, S, inner, scale):
     m, w_sector, sector = case
     rng = np.random.default_rng(seed)
     grid = Grid(m, 7.0)
-    side = 2 * S + 1 if w_sector == "full" else S + 1
-    mid = rng.standard_normal((side,) * m) * scale
-    rad = rng.uniform(0.0, 1e-6, mid.shape) * scale * (rng.random(mid.shape) < 0.5)
-    mid[rng.random(mid.shape) < 0.3] = 0.0
-    w = FourierSeq(grid, w_sector, mid - rad, mid + rad)
+    w = draw_kernel(rng, grid, w_sector, S, scale)
     rows = index_list(grid, sector, inner)
     cols = rows + shell_indices(grid, sector, inner, inner + 2 * S + 2)
 
@@ -261,6 +266,29 @@ def test_conv_block_matches_reference(seed, case, S, inner, scale):
     assert np.array_equal(got.rh[hit], want_hi[hit])
     assert np.all(got.rl[~hit] == 0.0) and np.all(got.rh[~hit] == 0.0)
     assert not got.il.any() and not got.ih.any()
+
+
+@given(st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([c for c in CONV_CASES if c[2] in ("c", "full", "cc")]),
+       st.integers(0, 3), st.integers(0, 4), st.sampled_from(SCALES),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_conv_block_row_slices_are_bit_identical(seed, case, S, outer, scale, data):
+    # gershgorin_disks streams the mid rows in blocks on this invariant: a
+    # block of rows is bit for bit the same rows of the whole block
+    m, w_sector, sector = case
+    rng = np.random.default_rng(seed)
+    grid = Grid(m, 7.0)
+    w = draw_kernel(rng, grid, w_sector, S, scale)
+    rows = index_list(grid, sector, outer)
+    cols = index_list(grid, sector, outer + S + 1)
+    a = data.draw(st.integers(0, len(rows) - 1))
+    b = data.draw(st.integers(a + 1, len(rows)))
+    whole = conv_block(w, sector, rows, cols)
+    part = conv_block(w, sector, rows[a:b], cols)
+    for got, want in ((part.rl, whole.rl), (part.rh, whole.rh),
+                      (part.il, whole.il), (part.ih, whole.ih)):
+        assert got.tobytes() == want[a:b].tobytes()
 
 
 # -- no subnormal bounds on the 1D pulse -------------------------------------

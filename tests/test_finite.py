@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from speccert import finite
 from speccert.fourier import FourierSeq, Grid, conv, index_list
 from speccert.interval import ComplexBox, Interval
 from speccert.finite import (
@@ -208,6 +210,107 @@ def test_tail_radius_formula(sh_toy):
     expected = math.sqrt(2.0) * (l1.hi - abs(w.mid()[0]))
     assert disks.tail_radius <= expected * (1 + 1e-9) + 1e-12
     assert disks.tail_radius >= (l1.lo - abs(w.mid()[0])) * (1 - 1e-9)
+
+
+# -- mid rows streamed in blocks, and 2D disks -----------------------------
+
+def _even_kernel_2d(seed, S):
+    """A random even planar kernel in cc storage, coefficients of size ~0.1."""
+    rng = np.random.default_rng(seed)
+    return FourierSeq.from_point(Grid(2, 7.0), "cc",
+                                 rng.standard_normal((S + 1, S + 1)) * 0.1)
+
+
+def _finite_stage_2d(w, N):
+    model = sh_model(0.5, -1.6, 1.0, m=2)
+    a = assemble_jacobian(model, w, "cc", N)
+    pseudo = build_pseudo_diag(a, index_list(w.grid, "cc", N), True)
+    return model, pseudo, a
+
+
+def _dense_mid_disks(model, w, sector, N, pseudo):
+    """Mid-row centers and radii from one dense mid x ext block."""
+    grid = w.grid
+    inner = index_list(grid, sector, N)
+    mid = shell_indices(grid, sector, N, N + w.S)
+    ext = shell_indices(grid, sector, N, N + 2 * w.S)
+    dense = conv_block(w, sector, mid, ext)
+    mag_ext = dense.mag()
+    lam_mid = symbol_diag(model, grid, mid)
+    centers = []
+    for i, n in enumerate(mid):
+        j = ext.index(n)
+        centers.append(ComplexBox(lam_mid[i] + dense.get(i, j).re))
+        mag_ext[i, j] = 0.0
+    term1 = (conv_block(w, sector, mid, inner) @ pseudo.P).mag().sum(axis=1)
+    radii = np.nextafter((term1 + mag_ext.sum(axis=1))
+                         * (1.0 + (len(ext) + len(inner) + 4) * 2.0 ** -53), np.inf)
+    return centers, radii
+
+
+def _center_bounds(boxes):
+    return np.array([[c.re.lo, c.re.hi, c.im.lo, c.im.hi] for c in boxes])
+
+
+def _assert_streamed_equals_dense(model, w, sector, N, pseudo, a):
+    disks = gershgorin_disks(model, w, sector, N, pseudo, a)
+    centers, radii = _dense_mid_disks(model, w, sector, N, pseudo)
+    p = len(disks.inner_indices)
+    got_c = _center_bounds(disks.centers[p:])
+    want_c = _center_bounds(centers)
+    got_r = np.array(disks.radii[p:])
+    assert got_c.shape == want_c.shape and got_r.shape == radii.shape
+    assert np.all(got_c == want_c) and got_c.tobytes() == want_c.tobytes()
+    assert np.all(got_r == radii) and got_r.tobytes() == radii.tobytes()
+    return disks
+
+
+def test_streamed_mid_rows_equal_dense_2d():
+    # 144 mid rows: two full blocks and a short last one
+    w = _even_kernel_2d(43, 8)
+    model, pseudo, a = _finite_stage_2d(w, 4)
+    disks = _assert_streamed_equals_dense(model, w, "cc", 4, pseudo, a)
+    assert len(disks.mid_indices) == 144
+    assert 2 * finite._MID_ROW_BLOCK < 144 < 3 * finite._MID_ROW_BLOCK
+
+
+def test_streamed_mid_rows_equal_dense_sh_toy(sh_toy):
+    # the 1D pulse's mid shell fits in one block
+    disks = _assert_streamed_equals_dense(sh_toy["model"], sh_toy["w"], "c",
+                                          sh_toy["N"], sh_toy["pseudo"],
+                                          sh_toy["jac"])
+    assert len(disks.mid_indices) <= finite._MID_ROW_BLOCK
+
+
+def test_gershgorin_disks_memory_2d():
+    # 544 mid rows against 1600 ext columns: the dense block and its
+    # temporaries take about 94 MB, streamed rows about 20 MB
+    w = _even_kernel_2d(47, 16)
+    model, pseudo, a = _finite_stage_2d(w, 8)
+    tracemalloc.start()
+    try:
+        disks = gershgorin_disks(model, w, "cc", 8, pseudo, a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(disks.mid_indices), disks.n_mid) == (544, 24)
+    assert peak < 40e6, peak
+
+
+def test_disks_contain_truncation_spectrum_2d():
+    w = _even_kernel_2d(43, 8)
+    model, pseudo, a = _finite_stage_2d(w, 4)
+    disks = gershgorin_disks(model, w, "cc", 4, pseudo, a)
+    big = assemble_jacobian(model, w, "cc", disks.n_mid).mid().real
+    eig = np.linalg.eigvalsh(0.5 * (big + big.T))
+    assert len(eig) == len(disks.centers)
+    for ev in eig:
+        assert any(c.re.lo - r <= ev <= c.re.hi + r
+                   for c, r in zip(disks.centers, disks.radii)), ev
+    clusters = cluster_disks(disks)
+    assert len(clusters) > 1
+    for cl in clusters:
+        assert int(np.sum((eig >= cl.lo) & (eig <= cl.hi))) == cl.count
 
 
 # -- clustering -----------------------------------------------------------
