@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DegenerateEigenbasis,
@@ -25,15 +27,17 @@ from .errors import (
     GridMismatch,
     InvalidParameter,
     NoConvergence,
+    UnboundedOperand,
 )
 from .fourier import FourierSeq, Grid, _axis_types, conv, index_list, seq_l1
 from .imatrix import IMatrix, op_norm2_bound, verified_inverse
-from .interval import PI, ComplexBox, Interval, iv_sqrt
+from .interval import PI, ComplexBox, IArray, Interval, iv_sqrt
 from .models import Model
 
 _INF = math.inf
 _NEWTON_STEP_CAP = 0.5        # max-norm cap of a Newton step
 _MID_ROW_BLOCK = 64           # mid-shell rows per streamed conv_block
+_PAIR_BLOCK = 1 << 16         # disk pairs per batched clustering gap test
 
 
 # ---------------------------------------------------------------------------
@@ -48,11 +52,7 @@ def freq_norm_iv(grid: Grid, n) -> Interval:
 
 
 def orbit_mult(sector_axes, n) -> int:
-    m = 1
-    for kind, c in zip(sector_axes, n):
-        if kind != "signed" and c != 0:
-            m *= 2
-    return m
+    return 2 ** sum(kind != "signed" and c != 0 for kind, c in zip(sector_axes, n))
 
 
 def shell_indices(grid: Grid, sector: str, inner: int, outer: int):
@@ -177,11 +177,8 @@ def assemble_jacobian(model: Model, w: FourierSeq, sector: str, R: int) -> IMatr
     idx = index_list(grid, sector, R)
     a = conv_block(w, sector, idx, idx)
     for i, lam in enumerate(symbol_diag(model, grid, idx)):
-        lo = a.rl[i, i]
-        hi = a.rh[i, i]
-        s = Interval(lo, hi) + lam
-        a.rl[i, i] = s.lo
-        a.rh[i, i] = s.hi
+        s = Interval(a.rl[i, i], a.rh[i, i]) + lam
+        a.rl[i, i], a.rh[i, i] = s.lo, s.hi
     return a
 
 
@@ -385,43 +382,45 @@ class Cluster:
 
 
 def cluster_disks(diskset: DiskSet) -> list:
-    """Group overlapping finite disks; counts carry multiplicity."""
+    """Group overlapping finite disks; counts carry multiplicity.
+
+    Disks i and j join when mig(c_i - c_j) <= r_i + r_j; clusters are the
+    connected components.  The pairs i < j go row by row in blocks of at
+    most _PAIR_BLOCK pairs (or one row), each tested by one ComplexBox.mig
+    call on IArray boxes and folded into the labels at once, so no array
+    holds all n^2/2 pairs.  IArray gives the Interval bits element by
+    element, so partition, member order and lo/hi bits are the scalar pair
+    loop's.  No sort-and-sweep prefilter yet: 1089 planar disks take
+    0.15 s, and on separated 1D spectra no pair would pass one.
+    """
     n = len(diskset.centers)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-
-    cs = diskset.centers
-    rs = diskset.radii
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = (cs[i] - cs[j]).mig()
-            if dist <= rs[i] + rs[j]:
-                union(i, j)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = []
-    for members in groups.values():
-        members.sort()
-        lo = min((cs[i].re.lo - rs[i]) for i in members)
-        hi = max((cs[i].re.hi + rs[i]) for i in members)
-        clusters.append(Cluster(
-            members=members,
-            lo=math.nextafter(lo, -_INF),
-            hi=math.nextafter(hi, _INF),
-            count=len(members),
-        ))
-    clusters.sort(key=lambda c: (c.lo, c.hi))
+    ends = [(c.re.lo, c.re.hi, c.im.lo, c.im.hi) for c in diskset.centers]
+    box = np.array(ends, dtype=float).reshape(n, 4)
+    if n > 1 and not np.isfinite(box).all():
+        raise UnboundedOperand("disk center with an infinite endpoint")
+    re_lo, re_hi, im_lo, im_hi = box.T
+    r = np.array(diskset.radii, dtype=float)
+    label, a = np.arange(n), 0
+    while a < n - 1:
+        # rows a..b-1 against columns a+1..n-1: at most _PAIR_BLOCK pairs
+        b = min(n - 1, a + max(1, _PAIR_BLOCK // (n - 1 - a)))
+        i, j = np.nonzero(np.arange(a + 1, n) > np.arange(a, b)[:, None])
+        i, j, a = i + a, j + a + 1, b
+        z = ComplexBox(IArray(re_lo[i], re_hi[i]), IArray(im_lo[i], im_hi[i]))
+        w = ComplexBox(IArray(re_lo[j], re_hi[j]), IArray(im_lo[j], im_hi[j]))
+        touch = (z - w).mig() <= r[i] + r[j]
+        if touch.any():
+            edges = coo_matrix((np.ones(touch.sum()), (label[i[touch]], label[j[touch]])),
+                               shape=(n, n))
+            label = connected_components(edges, directed=False)[1][label]
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    lo = np.nextafter(np.minimum.reduceat(re_lo[order] - r[order], starts), -_INF)
+    hi = np.nextafter(np.maximum.reduceat(re_hi[order] + r[order], starts), _INF)
+    clusters = [Cluster(members=m.tolist(), lo=float(x), hi=float(y), count=len(m))
+                for m, x, y in zip(np.split(order, starts[1:]), lo, hi)]
+    # ties in (lo, hi) keep the order of the lowest members
+    clusters.sort(key=lambda c: (c.lo, c.hi, c.members[0]))
     return clusters
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 
-import mpmath
 import numpy as np
 
 from .errors import (
@@ -540,13 +539,15 @@ def iv_sqrt(x: Interval) -> Interval:
 
 
 # -- transcendental endpoints via high-precision evaluation ---------------
+# (mpmath is imported on use: the finite stage needs none of its 3.5 MB)
 
 _MP_DPS = 40
-_GUARD = mpmath.mpf("1e-32")
+_GUARD = 1e-32                # relative guard; a double, exact as an mpf
 
 
 def _mp_down(fn, x: float) -> float:
     """Float lower bound on fn(x); guards against the tiny mpmath error."""
+    import mpmath
     with mpmath.workdps(_MP_DPS):
         y = fn(mpmath.mpf(x))
         y = y - abs(y) * _GUARD - mpmath.mpf("1e-305")
@@ -557,6 +558,7 @@ def _mp_down(fn, x: float) -> float:
 
 
 def _mp_up(fn, x: float) -> float:
+    import mpmath
     with mpmath.workdps(_MP_DPS):
         y = fn(mpmath.mpf(x))
         y = y + abs(y) * _GUARD + mpmath.mpf("1e-305")
@@ -573,11 +575,13 @@ def _monotone_inc(fn, x: Interval) -> Interval:
 
 @elementwise
 def iv_exp(x: Interval) -> Interval:
+    import mpmath
     return _monotone_inc(mpmath.exp, x)
 
 
 @elementwise
 def iv_tanh(x: Interval) -> Interval:
+    import mpmath
     return _monotone_inc(mpmath.tanh, x)
 
 
@@ -585,6 +589,7 @@ def iv_tanh(x: Interval) -> Interval:
 def iv_log(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise DomainError(f"log of non-positive interval {x}")
+    import mpmath
     return _monotone_inc(mpmath.log, x)
 
 
@@ -602,12 +607,7 @@ def iv_pow_int(x: Interval, k: int) -> Interval:
     return x * iv_pow_int(x, k - 1)
 
 
-def pi_interval() -> Interval:
-    return Interval(_mp_down(lambda _: mpmath.pi, 0.0),
-                    _mp_up(lambda _: mpmath.pi, 0.0))
-
-
-PI = pi_interval()
+PI = Interval(3.141592653589793, 3.1415926535897936)    # the doubles around pi
 
 
 class ComplexBox:
@@ -615,14 +615,15 @@ class ComplexBox:
 
     Multiplication uses the four-product rectangle formula on each real
     component, never the three-multiplication shortcut, so enclosures stay
-    valid entrywise.
+    valid entrywise.  With IArray components a ComplexBox holds a batch of
+    boxes; negation, +, -, *, abs2, abs, mag and mig then work elementwise.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re, im=None):
-        self.re = _as_interval(re)
-        self.im = _as_interval(im) if im is not None else ZERO
+        self.re = re if isinstance(re, IArray) else _as_interval(re)
+        self.im = ZERO if im is None else im if isinstance(im, IArray) else _as_interval(im)
 
     @classmethod
     def point(cls, z: complex) -> "ComplexBox":
@@ -679,11 +680,11 @@ class ComplexBox:
         return iv_sqrt(self.abs2())
 
     def mag(self) -> float:
-        """Upper bound on |z| over the box."""
+        """Upper bound on |z| over the box (an array for a batch)."""
         return iv_sqrt(self.abs2()).hi
 
     def mig(self) -> float:
-        """Lower bound on |z| over the box."""
+        """Lower bound on |z| over the box (an array for a batch)."""
         return iv_sqrt(self.abs2()).lo
 
     def mid(self) -> complex:

@@ -42,8 +42,6 @@ from .radial import (
     tail_integral_monomial,
 )
 
-import mpmath
-
 _ESS_TOL = 1e-13              # branch-and-bound tolerance of the edges
 _KAPPA_REL_TOL = 0.01         # relative accuracy of the norm of 1/l
 
@@ -304,12 +302,14 @@ def sh_lambda_max(model: Model, l1_u0: Interval, l1_v0: Interval,
 def _tanhc_lo(x: float) -> float:
     if x == 0.0:
         return 1.0
+    import mpmath
     return _mp_down(lambda s: mpmath.tanh(s) / s, x)
 
 
 def _tanhc_hi(x: float) -> float:
     if x == 0.0:
         return 1.0
+    import mpmath
     return _mp_up(lambda s: mpmath.tanh(s) / s, x)
 
 

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from speccert import finite
 from speccert.fourier import FourierSeq, Grid, conv, index_list
@@ -320,7 +321,8 @@ def _synthetic_disks(centers, radii):
         grid=GRID1, sector="c", n_inner=2, n_mid=4,
         inner_indices=[(i,) for i in range(len(centers))],
         mid_indices=[],
-        centers=[ComplexBox.point(c) for c in centers],
+        centers=[c if isinstance(c, ComplexBox) else ComplexBox.point(c)
+                 for c in centers],
         radii=list(radii),
         w0=ComplexBox.point(0.0),
         tail_radius=0.0, min_tail_s=1.0, sym_factor=1.0)
@@ -353,6 +355,105 @@ def test_cluster_disks_closure_random():
         for mem in c.members:
             assert c.lo <= centers[mem] - radii[mem]
             assert c.hi >= centers[mem] + radii[mem]
+
+
+def _scalar_clusters(diskset):
+    """The scalar pair loop and union-find that cluster_disks replaced."""
+    n = len(diskset.centers)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    cs, rs = diskset.centers, diskset.radii
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (cs[i] - cs[j]).mig() <= rs[i] + rs[j]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    clusters = []
+    for members in groups.values():
+        lo = min(cs[i].re.lo - rs[i] for i in members)
+        hi = max(cs[i].re.hi + rs[i] for i in members)
+        clusters.append(Cluster(members, math.nextafter(lo, -math.inf),
+                                math.nextafter(hi, math.inf), len(members)))
+    clusters.sort(key=lambda c: (c.lo, c.hi))
+    return clusters
+
+
+def _cluster_bits(clusters):
+    return [(c.members, c.lo.hex(), c.hi.hex(), c.count) for c in clusters]
+
+
+# dyadic endpoints and radii make exactly tangent disks common
+_dyadic = st.integers(-32, 32).map(lambda k: k / 8.0)
+_part = st.one_of(
+    _dyadic.map(Interval),
+    st.tuples(_dyadic, _dyadic).map(lambda p: Interval(min(p), max(p))),
+    st.floats(-4.0, 4.0).map(Interval))
+_wide_im = st.tuples(st.floats(-40.0, 0.0), st.floats(0.0, 40.0)).map(
+    lambda p: Interval(*p))
+_center = st.one_of(_part.map(ComplexBox), st.builds(ComplexBox, _part, _part),
+                    st.builds(ComplexBox, _part, _wide_im))
+_radius = st.one_of(st.just(0.0), st.integers(0, 24).map(lambda k: k / 8.0),
+                    st.floats(0.0, 3.0))
+
+
+@st.composite
+def _disk_sets(draw):
+    disks = draw(st.lists(st.tuples(_center, _radius), max_size=40))
+    # duplicated and nested disks: copies of drawn centers, radii any
+    for k in draw(st.lists(st.integers(0, 39), max_size=8)):
+        if disks:
+            disks.append((disks[k % len(disks)][0], draw(_radius)))
+    disks = draw(st.permutations(disks))
+    return _synthetic_disks([c for c, _ in disks], [r for _, r in disks])
+
+
+@given(_disk_sets(), st.sampled_from([1, 5, 64, finite._PAIR_BLOCK]))
+@example(_synthetic_disks([0.0, 1.0, 2.0, 2.0, 7.0], [0.5, 0.5, 0.0, 0.5, 4.5]), 1)
+@settings(max_examples=300, deadline=None)
+def test_cluster_disks_matches_scalar_union_find(ds, block):
+    # a small block splits the pairs over many blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_PAIR_BLOCK", block)
+        got = cluster_disks(ds)
+    assert _cluster_bits(got) == _cluster_bits(_scalar_clusters(ds))
+
+
+def test_cluster_disks_memory():
+    # 4000 disks, 8M pairs, many of them overlapping: all pairs at once
+    # peak above 1 GB, blocks of 64k pairs at 13 MB
+    rng = np.random.default_rng(5)
+    ds = _synthetic_disks(np.sort(rng.uniform(0.0, 400.0, 4000)),
+                          rng.uniform(0.0, 0.5, 4000))
+    tracemalloc.start()
+    try:
+        clusters = cluster_disks(ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c.count for c in clusters) == 4000
+    assert 1 < len(clusters) < 4000
+    assert peak < 32e6, peak
+
+
+def test_cluster_disks_separated_disks_still_call_mig(monkeypatch):
+    # no two disks meet, as on well separated 1D spectra, and the gap test
+    # still runs through ComplexBox.mig
+    calls = []
+    mig = ComplexBox.mig
+    monkeypatch.setattr(ComplexBox, "mig", lambda z: calls.append(1) or mig(z))
+    clusters = cluster_disks(_synthetic_disks(np.arange(50.0), [0.25] * 50))
+    assert [c.count for c in clusters] == [1] * 50
+    assert calls
 
 
 # -- Newton states --------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from speccert.errors import CertifyError, DivisionByZeroInterval, DomainError
 from speccert.interval import (
+    ComplexBox,
     IArray,
     Interval,
     elementwise,
@@ -113,6 +114,36 @@ def test_iarray_matches_interval(pairs, c):
             assert batched(op(xa)) == [scalar(op, x) for x in xs]
         for x, g, m in zip(xs, xa.mig(), xa.mag()):
             assert (g.hex(), m.hex()) == (x.mig().hex(), x.mag().hex())
+
+
+# finite boxes whose differences cannot overflow: dyadic endpoints (exact
+# sums and squares), signed zeros, subnormals and general floats
+box_end = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e-310]),
+                    st.integers(-64, 64).map(lambda k: k / 8.0),
+                    st.floats(-1e6, 1e6))
+box_part = st.one_of(
+    st.tuples(box_end, box_end).map(lambda p: Interval(min(p), max(p))),
+    box_end.map(Interval),                                       # point
+    st.tuples(st.floats(-8.0, 0.0), st.floats(0.0, 8.0)).map(   # contains 0
+        lambda p: Interval(*p)))
+box = st.builds(ComplexBox, box_part, box_part)
+
+
+def box_array(boxes):
+    return ComplexBox(iarray([z.re for z in boxes]), iarray([z.im for z in boxes]))
+
+
+@given(st.lists(st.tuples(box, box), min_size=1, max_size=8))
+@example([(ComplexBox(Interval(-1.0, 1.0), Interval(0.0)),
+           ComplexBox(Interval(0.5), Interval(-0.0, 0.0))),
+          (ComplexBox(Interval(1.0), Interval(-2.0)),
+           ComplexBox(Interval(-2.0), Interval(2.0)))])
+@settings(max_examples=300, deadline=None)
+def test_complexbox_of_iarrays_mig_matches_scalar(pairs):
+    zs = box_array([z for z, _ in pairs])
+    ws = box_array([w for _, w in pairs])
+    got = [g.hex() for g in (zs - ws).mig()]
+    assert got == [(z - w).mig().hex() for z, w in pairs]
 
 
 @given(st.lists(interval(), min_size=1, max_size=6))

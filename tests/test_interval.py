@@ -1,10 +1,14 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import speccert
 from speccert.errors import DivisionByZeroInterval, DomainError
 from speccert.interval import (
     PI,
@@ -87,6 +91,15 @@ def test_transcendental_containment(a, b, t):
             assert mpmath.mpf(enc.lo) <= true <= mpmath.mpf(enc.hi)
 
 
+def test_finite_stage_does_not_import_mpmath():
+    # mpmath is imported only where a transcendental endpoint is evaluated
+    src = str(Path(speccert.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import speccert.cli, speccert.pipeline; "
+            "sys.exit('mpmath' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
 @given(st.floats(-20, 20), st.floats(-20, 20), st.integers(0, 6),
        st.floats(0, 1))
 @settings(max_examples=200)
@@ -107,8 +120,10 @@ def test_small_integer_arithmetic_tight():
 
 
 def test_pi_enclosure():
-    assert PI.contains(math.pi)
-    assert PI.width() <= 2 * math.ulp(math.pi)
+    # the two doubles on either side of pi
+    with mpmath.workdps(60):
+        assert mpmath.mpf(PI.lo) < mpmath.pi < mpmath.mpf(PI.hi)
+    assert math.nextafter(PI.lo, math.inf) == PI.hi
 
 
 def test_sqrt_negative_rejected():
