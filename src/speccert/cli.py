@@ -154,6 +154,9 @@ def read_config(doc) -> RunConfig:
     output = doc.get("output", "out.json")
     if mode == "essential-spectrum":
         return RunConfig(mode, model, output)
+    _expect(model.components == 1, "model.name", model.name,
+            f"a scalar model: mode {mode!r} runs the matrix pipeline, "
+            f"which takes one-component models only")
 
     grid = Grid(doc["grid"]["m"], float(doc["grid"]["d"]))
     sector = doc["sector"]

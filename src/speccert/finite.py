@@ -160,8 +160,7 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     # entries no kernel coefficient reaches are exact zeros, not subnormals
     out_lo[~reached] = 0.0
     out_hi[~reached] = 0.0
-    z = np.zeros_like(out_lo)
-    return IMatrix(out_lo, out_hi, z, z.copy())
+    return IMatrix(out_lo, out_hi)
 
 
 def symbol_diag(model: Model, grid: Grid, indices):
@@ -177,8 +176,8 @@ def assemble_jacobian(model: Model, w: FourierSeq, sector: str, R: int) -> IMatr
     idx = index_list(grid, sector, R)
     a = conv_block(w, sector, idx, idx)
     for i, lam in enumerate(symbol_diag(model, grid, idx)):
-        s = Interval(a.rl[i, i], a.rh[i, i]) + lam
-        a.rl[i, i], a.rh[i, i] = s.lo, s.hi
+        s = a.get(i, i) + lam
+        a.lo[i, i], a.hi[i, i] = s.lo, s.hi
     return a
 
 
@@ -188,10 +187,11 @@ def assemble_jacobian(model: Model, w: FourierSeq, sector: str, R: int) -> IMatr
 
 @dataclass
 class PseudoDiag:
-    """Certified change of basis for the inner block.
+    """Certified change of basis for the real symmetric inner block.
 
-    P holds the numerical eigenvectors (point matrix), Pinv a verified
-    enclosure of its inverse, D = Pinv A P, and lams the diagonal of D.
+    P holds the numerical eigenvectors of the symmetrized midpoint (a real
+    point matrix), Pinv a verified real enclosure of its inverse,
+    D = Pinv A P, and lams the Intervals on the diagonal of D.
     """
 
     P: IMatrix
@@ -203,13 +203,12 @@ class PseudoDiag:
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
+    """Unit columns whose entry of largest magnitude is positive."""
     out = vecs.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        k = int(np.argmax(np.abs(col)))
-        piv = col[k]
-        if piv != 0:
-            col = col * (abs(piv) / piv)
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            col = -col
         nrm = np.linalg.norm(col)
         if nrm == 0:
             raise DegenerateEigenbasis("zero eigenvector column")
@@ -218,28 +217,20 @@ def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
 
 
 def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
-    """Diagonalize the midpoint of `a` and carry the exact matrix along."""
+    """Diagonalize the symmetrized midpoint of `a` and carry the exact
+    matrix along.  Only self-adjoint linearizations are supported."""
+    if not self_adjoint:
+        raise InvalidParameter(
+            "pseudo-diagonalization supports self-adjoint models only")
     mid = a.mid()
-    if self_adjoint:
-        mid = 0.5 * (mid + mid.conj().T)
-        _, vecs = np.linalg.eigh(mid.real if np.allclose(mid.imag, 0.0) else mid)
-        vecs = vecs.astype(np.complex128)
-    else:
-        _, vecs = np.linalg.eig(mid)
-    vecs = _normalize_columns(vecs)
-    p = IMatrix.from_point(vecs)
+    _, vecs = np.linalg.eigh(0.5 * (mid + mid.T))
+    p = IMatrix.from_point(_normalize_columns(vecs))
     try:
         pinv, defect = verified_inverse(p)
     except Exception as exc:
         raise DegenerateEigenbasis(f"eigenbasis not verifiably invertible: {exc}")
     d = (pinv @ a) @ p
-    lams = []
-    for i in range(len(indices)):
-        box = d.get(i, i)
-        if self_adjoint:
-            im = Interval(min(box.im.lo, 0.0), max(box.im.hi, 0.0))
-            box = ComplexBox(box.re, im)
-        lams.append(box)
+    lams = [d.get(i, i) for i in range(len(indices))]
     return PseudoDiag(
         P=p,
         Pinv=pinv,
@@ -257,6 +248,9 @@ def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
 @dataclass
 class DiskSet:
     """Certified Gershgorin enclosure of the truncation-free linearization.
+
+    Centers are ComplexBoxes whose imaginary part is exactly [0, 0]: the
+    linearization is self-adjoint, so only the real parts carry bounds.
 
     * inner disks: centers lams from the pseudo-diagonal block I^N;
     * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N;
@@ -327,7 +321,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         r_inner = r_inner + coupling.mag().sum(axis=1)
     r_inner = np.nextafter(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
 
-    centers = list(pseudo.lams)
+    centers = [ComplexBox(lam) for lam in pseudo.lams]
     radii = [float(x) for x in r_inner]
 
     # region (ii): explicit rows in the shell
@@ -346,7 +340,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
             mag_ext = dg_rows_ext.mag()
             for i, n in enumerate(rows):
                 j = ext_col[n]
-                centers.append(ComplexBox(lam_mid[b + i] + dg_rows_ext.get(i, j).re))
+                centers.append(ComplexBox(lam_mid[b + i] + dg_rows_ext.get(i, j)))
                 mag_ext[i, j] = 0.0
             term2[b:b + len(rows)] = mag_ext.sum(axis=1)
         r_mid = np.nextafter((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
@@ -466,7 +460,7 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         if np.max(np.abs(r)) < tol:
             return to_seq(vec)
         wk = kernel_from_state(model, to_seq(vec))
-        jac = assemble_jacobian(model, wk, sector, N).mid().real
+        jac = assemble_jacobian(model, wk, sector, N).mid()
         try:
             step = np.linalg.solve(jac, r)
         except np.linalg.LinAlgError as exc:

@@ -209,15 +209,15 @@ def kappa2_formula(z11: Interval, z12: Interval, zu2_eff: Interval,
 def _diag_shift_inv(pseudo: PseudoDiag, t: float):
     """diag((lam_n + t)^{-1}) as an interval matrix; a shift whose -t lies in
     the enclosure of some lam_n is rejected."""
-    boxes = []
+    ivs = []
     for lam in pseudo.lams:
         try:
-            boxes.append(ComplexBox(Interval(1.0)) / (lam + ComplexBox(Interval(t))))
+            ivs.append(Interval(1.0) / (lam + Interval(t)))
         except DivisionByZeroInterval:
             raise ConditionViolated(
                 f"shift t = {t!r} puts -t inside the eigenvalue enclosure "
                 f"{lam} of the finite block") from None
-    return IMatrix.diag(boxes)
+    return IMatrix.diag(ivs)
 
 
 @dataclass
@@ -279,7 +279,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
                 raise ConditionViolated(
                     "window touches a symbol value in the shell")
             wts.append(Interval(1.0) / dist)
-        wdiag = IMatrix.diag([ComplexBox(Interval(0.0, x.hi)) for x in wts])
+        wdiag = IMatrix.diag([Interval(0.0, x.hi) for x in wts])
         dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
         z11 = op_norm2_bound(wdiag @ dg_p)
         pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
@@ -449,7 +449,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     # block-norm bound on the weighted defect E
     e = z13 + z14
     if shell:
-        wdiag = IMatrix.diag([ComplexBox(Interval(0.0, x.hi)) for x in shell_w])
+        wdiag = IMatrix.diag([Interval(0.0, x.hi) for x in shell_w])
         e = e + op_norm2_bound(wdiag @ wb.dg_p)
     e = e + Interval(c_m) * (wb.l1w - disks.w0.abs()) / Interval(den_min)
     if e.hi >= 1.0:

@@ -1,11 +1,13 @@
-"""Dense complex interval matrices backed by numpy.
+"""Dense real interval matrices backed by numpy.
 
-Storage is four float64 arrays (lower/upper bounds of the real and imaginary
-parts).  Products use the classical midpoint-radius scheme (Rump, "Fast and
-parallel interval arithmetic", BIT 39, 1999): the midpoint product is one
-floating-point matmul and the radius collects operand radii plus a (k+4)u
-accumulation term that dominates the rounding error of any summation order,
-so the result encloses the exact product entrywise without touching the FPU
+Storage is two float64 arrays, the lower and upper bounds of each entry.
+Every matrix of the finite stage is real: the Jacobian of a self-adjoint
+linearization, its eigenvectors and their verified inverse.  Products use
+the classical midpoint-radius scheme (Rump, "Fast and parallel interval
+arithmetic", BIT 39, 1999): the midpoint product is one floating-point
+matmul and the radius collects operand radii plus a (k+4)u accumulation
+term that dominates the rounding error of any summation order, so the
+result encloses the exact product entrywise without touching the FPU
 rounding mode.
 
 Exact zeros stay exact.  Outward rounding steps a bound by nextafter, which
@@ -30,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, SingularityUnverified
-from .interval import ComplexBox, Interval, iv_sqrt
+from .interval import Interval, iv_sqrt
 
 _U = 2.0 ** -53
 _TINY = 5e-308
@@ -38,23 +40,25 @@ _INF = math.inf
 
 
 def _bump_up(x: np.ndarray, steps: int = 2) -> np.ndarray:
+    """Step a freshly computed array `steps` ulps up, in place."""
     for _ in range(steps):
-        x = np.nextafter(x, _INF)
+        np.nextafter(x, _INF, out=x)
     return x
 
 
 def _bump_down(x: np.ndarray, steps: int = 2) -> np.ndarray:
+    """Step a freshly computed array `steps` ulps down, in place."""
     for _ in range(steps):
-        x = np.nextafter(x, -_INF)
+        np.nextafter(x, -_INF, out=x)
     return x
 
 
 def _mid_rad(lo, hi):
     """Midpoint and outward radius; a radius of exactly 0 stays 0."""
     mid = lo + 0.5 * (hi - lo)
-    r = np.maximum(hi - mid, mid - lo)
-    rad = _bump_up(r)
-    rad[r == 0] = 0.0
+    rad = np.maximum(hi - mid, mid - lo)
+    point = rad == 0
+    _bump_up(rad)[point] = 0.0
     return mid, rad
 
 
@@ -88,10 +92,11 @@ def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
 
 
 def _step(x, to):
-    """One step of x toward `to`; an exact zero stays 0."""
-    out = np.nextafter(x, to)
-    out[x == 0] = 0.0
-    return out
+    """Step a freshly computed array one ulp toward `to`, in place; an
+    exact zero stays 0."""
+    zero = x == 0
+    np.nextafter(x, to, out=x)[zero] = 0.0
+    return x
 
 
 def _add(lo1, hi1, lo2, hi2):
@@ -112,116 +117,86 @@ def _scale(lo, hi, s: Interval):
 
 
 class IMatrix:
-    """Complex interval matrix; shape (m, n)."""
+    """Real interval matrix [lo, hi]; shape (m, n)."""
 
-    __slots__ = ("rl", "rh", "il", "ih")
+    __slots__ = ("lo", "hi")
 
-    def __init__(self, rl, rh, il, ih):
-        self.rl = np.ascontiguousarray(rl, dtype=np.float64)
-        self.rh = np.ascontiguousarray(rh, dtype=np.float64)
-        self.il = np.ascontiguousarray(il, dtype=np.float64)
-        self.ih = np.ascontiguousarray(ih, dtype=np.float64)
-        if not (self.rl.shape == self.rh.shape == self.il.shape == self.ih.shape):
-            raise DimensionMismatch("component arrays differ in shape")
-        if np.any(self.rl > self.rh) or np.any(self.il > self.ih):
+    def __init__(self, lo, hi):
+        self.lo = np.ascontiguousarray(lo, dtype=np.float64)
+        self.hi = np.ascontiguousarray(hi, dtype=np.float64)
+        if self.lo.shape != self.hi.shape:
+            raise DimensionMismatch("bound arrays differ in shape")
+        if np.any(self.lo > self.hi):
             raise DimensionMismatch("lower bound above upper bound")
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def from_point(cls, a) -> "IMatrix":
-        a = np.atleast_2d(np.asarray(a))
-        re = np.real(a).astype(np.float64)
-        im = np.imag(a).astype(np.float64)
-        return cls(re, re.copy(), im, im.copy())
+        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        return cls(a, a.copy())
 
     @classmethod
     def identity(cls, n: int) -> "IMatrix":
         return cls.from_point(np.eye(n))
 
     @classmethod
-    def zeros(cls, m: int, n: int) -> "IMatrix":
-        z = np.zeros((m, n))
-        return cls(z, z.copy(), z.copy(), z.copy())
-
-    @classmethod
-    def diag(cls, boxes) -> "IMatrix":
-        n = len(boxes)
-        out = cls.zeros(n, n)
-        for i, b in enumerate(boxes):
-            out.rl[i, i] = b.re.lo
-            out.rh[i, i] = b.re.hi
-            out.il[i, i] = b.im.lo
-            out.ih[i, i] = b.im.hi
-        return out
+    def diag(cls, ivs) -> "IMatrix":
+        """Diagonal matrix of Intervals."""
+        n = len(ivs)
+        lo, hi = np.zeros((n, n)), np.zeros((n, n))
+        np.fill_diagonal(lo, [x.lo for x in ivs])
+        np.fill_diagonal(hi, [x.hi for x in ivs])
+        return cls(lo, hi)
 
     # -- views ------------------------------------------------------------
 
     @property
     def shape(self):
-        return self.rl.shape
+        return self.lo.shape
 
-    def get(self, i: int, j: int) -> ComplexBox:
-        return ComplexBox(Interval(self.rl[i, j], self.rh[i, j]),
-                          Interval(self.il[i, j], self.ih[i, j]))
+    @property
+    def T(self) -> "IMatrix":
+        return IMatrix(self.lo.T, self.hi.T)
+
+    def get(self, i: int, j: int) -> Interval:
+        return Interval(self.lo[i, j], self.hi[i, j])
 
     def mid(self) -> np.ndarray:
-        return ((self.rl + 0.5 * (self.rh - self.rl))
-                + 1j * (self.il + 0.5 * (self.ih - self.il)))
+        return self.lo + 0.5 * (self.hi - self.lo)
 
     def mag(self) -> np.ndarray:
-        """Entrywise upper bound on |z|."""
-        rm = np.maximum(np.abs(self.rl), np.abs(self.rh))
-        im = np.maximum(np.abs(self.il), np.abs(self.ih))
-        return _bump_up(np.hypot(rm, im), 3)
+        """Entrywise max |x| over the matrix, exact."""
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
     def contains(self, a) -> bool:
         a = np.atleast_2d(np.asarray(a))
-        if a.shape != self.shape:
-            return False
-        re = np.real(a)
-        im = np.imag(a)
-        return bool(np.all((self.rl <= re) & (re <= self.rh)
-                           & (self.il <= im) & (im <= self.ih)))
+        return a.shape == self.shape and bool(np.all((self.lo <= a) & (a <= self.hi)))
 
     def widened(self, eps: float) -> "IMatrix":
         if eps < 0:
             raise DimensionMismatch("negative widening")
-        return IMatrix(_bump_down(self.rl - eps), _bump_up(self.rh + eps),
-                       _bump_down(self.il - eps), _bump_up(self.ih + eps))
-
-    def hermitian(self) -> "IMatrix":
-        return IMatrix(self.rl.T, self.rh.T, -self.ih.T, -self.il.T)
+        return IMatrix(_bump_down(self.lo - eps), _bump_up(self.hi + eps))
 
     # -- arithmetic -------------------------------------------------------
 
     def __neg__(self) -> "IMatrix":
-        return IMatrix(-self.rh, -self.rl, -self.ih, -self.il)
+        return IMatrix(-self.hi, -self.lo)
 
     def __add__(self, other: "IMatrix") -> "IMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"add {self.shape} and {other.shape}")
-        rl, rh = _add(self.rl, self.rh, other.rl, other.rh)
-        il, ih = _add(self.il, self.ih, other.il, other.ih)
-        return IMatrix(rl, rh, il, ih)
+        return IMatrix(*_add(self.lo, self.hi, other.lo, other.hi))
 
     def __sub__(self, other: "IMatrix") -> "IMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"sub {self.shape} and {other.shape}")
-        rl, rh = _sub(self.rl, self.rh, other.rl, other.rh)
-        il, ih = _sub(self.il, self.ih, other.il, other.ih)
-        return IMatrix(rl, rh, il, ih)
+        return IMatrix(*_sub(self.lo, self.hi, other.lo, other.hi))
 
     def __matmul__(self, other: "IMatrix") -> "IMatrix":
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"matmul {self.shape} and {other.shape}")
-        rr_lo, rr_hi = _mm_real(self.rl, self.rh, other.rl, other.rh)
-        ii_lo, ii_hi = _mm_real(self.il, self.ih, other.il, other.ih)
-        ri_lo, ri_hi = _mm_real(self.rl, self.rh, other.il, other.ih)
-        ir_lo, ir_hi = _mm_real(self.il, self.ih, other.rl, other.rh)
-        rl, rh = _sub(rr_lo, rr_hi, ii_lo, ii_hi)
-        il, ih = _add(ri_lo, ri_hi, ir_lo, ir_hi)
-        return IMatrix(rl, rh, il, ih)
+        return IMatrix(*_mm_real(self.lo, self.hi, other.lo, other.hi))
 
     # -- norms ------------------------------------------------------------
 
@@ -251,13 +226,13 @@ def op_norm2_bound(a: IMatrix) -> Interval:
     """Enclosure [0, b] with the spectral norm certified to be at most b.
 
     Takes the smaller of sqrt(norm1 * norminf) and the square root of a
-    Gershgorin bound on A*A; the second route usually wins for the
+    Gershgorin bound on A^T A; the second route usually wins for the
     nearly-diagonal matrices produced by pseudo-diagonalization.
     """
     if a.shape[0] == 0 or a.shape[1] == 0:
         return Interval(0.0, 0.0)
     b1 = iv_sqrt(Interval(0.0, a.norm1_hi()) * Interval(0.0, a.norminf_hi())).hi
-    ata = a.hermitian() @ a
+    ata = a.T @ a
     b2 = iv_sqrt(Interval(0.0, float(ata.row_sums_hi().max()))).hi
     return Interval(0.0, min(b1, b2))
 
@@ -273,9 +248,8 @@ def verified_inverse(a: IMatrix):
     m, n = a.shape
     if m != n:
         raise DimensionMismatch("inverse of non-square matrix")
-    mid = a.mid()
     try:
-        r0 = np.linalg.inv(mid)
+        r0 = np.linalg.inv(a.mid())
     except np.linalg.LinAlgError as exc:
         raise SingularityUnverified(f"midpoint inversion failed: {exc}") from exc
     if not np.all(np.isfinite(r0)):

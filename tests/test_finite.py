@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from speccert import finite
+from speccert.errors import InvalidParameter
 from speccert.fourier import FourierSeq, Grid, conv, index_list
 from speccert.interval import ComplexBox, Interval
 from speccert.finite import (
@@ -117,7 +118,7 @@ def test_assemble_jacobian_diagonal_is_symbol_when_kernel_vanishes():
     a = assemble_jacobian(model, w, "c", 4)
     idx = index_list(GRID1, "c", 4)
     for i, lam in enumerate(symbol_diag(model, GRID1, idx)):
-        assert a.get(i, i).re.lo <= lam.hi and a.get(i, i).re.hi >= lam.lo
+        assert a.get(i, i).lo <= lam.hi and a.get(i, i).hi >= lam.lo
         row = a.mag()[i]
         assert row.sum() - row[i] == 0.0
 
@@ -138,7 +139,7 @@ def test_kernel_from_state_sh():
 def test_pseudo_diag_two_by_two():
     a = IMatrix.from_point(np.array([[0.0, 1.0], [1.0, 0.0]]))
     pd = build_pseudo_diag(a, [(0,), (1,)], self_adjoint=True)
-    vals = sorted(l.re.mid() for l in pd.lams)
+    vals = sorted(l.mid() for l in pd.lams)
     assert abs(vals[0] + 1.0) < 1e-12 and abs(vals[1] - 1.0) < 1e-12
     assert pd.inv_defect.hi < 1e-12
     off = pd.D.mag().copy()
@@ -153,22 +154,16 @@ def test_pseudo_diag_random_symmetric():
     a = IMatrix.from_point(s)
     pd = build_pseudo_diag(a, [(i,) for i in range(50)], self_adjoint=True)
     true = np.linalg.eigvalsh(s)
-    got = sorted(l.re.mid() for l in pd.lams)
+    got = sorted(l.mid() for l in pd.lams)
     assert np.max(np.abs(np.array(got) - true)) < 1e-8
     assert pd.inv_defect.hi < 1e-10
-    for l in pd.lams:
-        assert l.im.lo <= 0.0 <= l.im.hi  # self-adjoint centers straddle 0
+    assert all(isinstance(l, Interval) and l.width() < 1e-10 for l in pd.lams)
 
 
-def test_pseudo_diag_nonsymmetric():
-    rng = np.random.default_rng(37)
-    s = rng.standard_normal((20, 20)) + np.diag(np.arange(20) * 3.0)
-    a = IMatrix.from_point(s)
-    pd = build_pseudo_diag(a, [(i,) for i in range(20)], self_adjoint=False)
-    true = np.linalg.eigvals(s)
-    got = np.array([complex(l.re.mid(), l.im.mid()) for l in pd.lams])
-    for ev in true:
-        assert np.min(np.abs(got - ev)) < 1e-7
+def test_pseudo_diag_refuses_non_self_adjoint():
+    a = IMatrix.from_point(np.array([[1.0, 2.0], [0.0, 3.0]]))
+    with pytest.raises(InvalidParameter, match="self-adjoint"):
+        build_pseudo_diag(a, [(0,), (1,)], self_adjoint=False)
 
 
 # -- disks on the real toy ------------------------------------------------
@@ -177,11 +172,18 @@ def test_disks_contain_truncation_spectrum(sh_toy):
     model = sh_toy["model"]
     w = sh_toy["w"]
     disks = sh_toy["disks"]
-    big = assemble_jacobian(model, w, "c", disks.n_mid).mid().real
+    big = assemble_jacobian(model, w, "c", disks.n_mid).mid()
     eig = np.linalg.eigvalsh(0.5 * (big + big.T))
     for ev in eig:
         assert any(c.re.lo - r <= ev <= c.re.hi + r
                    for c, r in zip(disks.centers, disks.radii)), ev
+
+
+def test_disk_centers_are_real(sh_toy):
+    # a self-adjoint problem has no imaginary extents to carry
+    centers = sh_toy["disks"].centers
+    assert len(centers) == len(sh_toy["disks"].radii) > 0
+    assert all(c.im.lo == c.im.hi == 0.0 for c in centers)
 
 
 def test_mid_rows_dominate_truncated_row_sums(sh_toy):
@@ -197,8 +199,8 @@ def test_mid_rows_dominate_truncated_row_sums(sh_toy):
         row = mag[i].sum() - mag[i, i]
         k = n_inner_count + pos
         assert disks.radii[k] >= row * (1 - 1e-12)
-        assert disks.centers[k].re.lo - 1e-12 <= big.get(i, i).re.hi
-        assert disks.centers[k].re.hi + 1e-12 >= big.get(i, i).re.lo
+        assert disks.centers[k].re.lo - 1e-12 <= big.get(i, i).hi
+        assert disks.centers[k].re.hi + 1e-12 >= big.get(i, i).lo
 
 
 def test_tail_radius_formula(sh_toy):
@@ -241,7 +243,7 @@ def _dense_mid_disks(model, w, sector, N, pseudo):
     centers = []
     for i, n in enumerate(mid):
         j = ext.index(n)
-        centers.append(ComplexBox(lam_mid[i] + dense.get(i, j).re))
+        centers.append(ComplexBox(lam_mid[i] + dense.get(i, j)))
         mag_ext[i, j] = 0.0
     term1 = (conv_block(w, sector, mid, inner) @ pseudo.P).mag().sum(axis=1)
     radii = np.nextafter((term1 + mag_ext.sum(axis=1))
@@ -302,7 +304,7 @@ def test_disks_contain_truncation_spectrum_2d():
     w = _even_kernel_2d(43, 8)
     model, pseudo, a = _finite_stage_2d(w, 4)
     disks = gershgorin_disks(model, w, "cc", 4, pseudo, a)
-    big = assemble_jacobian(model, w, "cc", disks.n_mid).mid().real
+    big = assemble_jacobian(model, w, "cc", disks.n_mid).mid()
     eig = np.linalg.eigvalsh(0.5 * (big + big.T))
     assert len(eig) == len(disks.centers)
     for ev in eig:

@@ -176,7 +176,7 @@ def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
     disks = sh_toy["disks"]
     w = sh_toy["w"]
 
-    lam = np.array([complex(l.re.mid(), l.im.mid()) for l in pseudo.lams])
+    lam = np.array([l.mid() for l in pseudo.lams])
     sinv = np.diag(1.0 / (lam + t))
     od = pseudo.D.mid().copy()
     np.fill_diagonal(od, 0.0)

@@ -291,7 +291,7 @@ def test_cli_exit_codes(tmp_path, sh_toy, capsys):
 def test_cli_shift_on_a_disk_is_rejected_exits_3(tmp_path, sh_toy, capsys):
     # -t at the midpoint of a pseudo-diagonal entry: (lam + t)^{-1} cannot
     # be enclosed, so the only shift of the ladder is rejected
-    t = -sh_toy["pseudo"].lams[0].re.mid()
+    t = -sh_toy["pseudo"].lams[0].mid()
     path, _ = _toy_config(tmp_path, sh_toy, t=t)
     assert main(["--config", str(path)]) == 3
     assert f"shift t = {t!r}" in capsys.readouterr().err
@@ -350,17 +350,41 @@ def test_cli_malformed_config_exits_2(tmp_path, sh_toy, monkeypatch, capsys,
         assert "d=10.0" in err and "d=20.0" in err
 
 
-def test_bench_traced_names_exist(monkeypatch):
-    # bench/tracing.py wraps each name of its WRAPS list; a refactor that
-    # drops one must fail here, not at the next traced benchmark run
+@pytest.mark.parametrize("mode", ["newton", "gershgorin-only", "certify"])
+def test_cli_two_component_model_refused_before_the_state(tmp_path, monkeypatch,
+                                                          capsys, mode):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the state was read")
+
+    monkeypatch.setattr(cli, "load_solution", unreachable)
+    cfg = {"mode": mode,
+           "model": {"name": "gray-scott", "m": 2,
+                     "params": {"lambda1": 1.0, "lambda2": 2.0}},
+           "grid": {"m": 2, "d": 10.0}, "sector": "cc", "N": 4, "r0": 1e-8,
+           "solution": {"path": str(tmp_path / "u0.json")},
+           "output": str(tmp_path / "out.json")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'gray-scott'" in err and repr(mode) in err
+
+
+def test_bench_traced_names_exist(tmp_path, sh_toy, monkeypatch, capsys):
+    # bench/tracing.py wraps each name of its WRAPS list, and a traced
+    # certify must reach every layer it reports; a refactor that drops a
+    # name or a traced call must fail here, not at the next traced
+    # benchmark run
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
-    with tracing.Tracer():
-        pass
+    path, _ = _toy_config(tmp_path, sh_toy)
+    with tracing.Tracer() as tracer:
+        assert cli.main(["--config", str(path)]) == 0
     assert main is cli.main
+    assert tracing.missing_coverage("sh1d-certify", tracer.metrics(1)) == []
 
 
 def test_cli_whitham_decay_table_rows(tmp_path, capsys):
