@@ -51,10 +51,6 @@ def freq_norm_iv(grid: Grid, n) -> Interval:
     return (Interval(2.0) * PI * root) / Interval(2.0 * grid.d)
 
 
-def orbit_mult(sector_axes, n) -> int:
-    return 2 ** sum(kind != "signed" and c != 0 for kind, c in zip(sector_axes, n))
-
-
 def shell_indices(grid: Grid, sector: str, inner: int, outer: int):
     """Sector indices n with inner < |n|_inf <= outer, deterministic order."""
     return [n for n in index_list(grid, sector, outer)
@@ -95,71 +91,78 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     """Interval matrix of convolution by w between sector basis vectors.
 
     The kernel must be reflection-invariant (no odd axes) unless the basis
-    sector is "full", in which case no symmetrization happens at all.
+    sector is "full", in which case no symmetrization happens at all.  Work
+    follows the reach: per flip sigma a row n meets only the columns
+    k = sigma (n - delta), |delta|_inf <= S, found in a position table over
+    the columns' box (so columns must be distinct).  The bits are the dense
+    formula's; entries no kernel coefficient reaches are exact zeros.
     """
-    grid = w.grid
-    axes = _axis_types(grid.m, sector)
-    if sector != "full" and "s" in w.sector:
-        raise GridMismatch("symmetrized basis needs an even kernel")
-    if sector == "full" and w.sector != "full" and "s" in w.sector:
-        raise GridMismatch("signed basis with odd kernel is not supported")
-    wlo, whi = w.expand_signed()
-    sw = w.S
-    rows_a = np.asarray(rows, dtype=np.int64).reshape(len(rows), grid.m)
-    cols_a = np.asarray(cols, dtype=np.int64).reshape(len(cols), grid.m)
+    m, sw = w.grid.m, w.S
+    axes = _axis_types(m, sector)
+    if "s" in w.sector:
+        raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
+    rows_a = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
+    cols_a = np.asarray(cols, dtype=np.int64).reshape(len(cols), m)
+    n_r, n_c = len(rows_a), len(cols_a)
+    # the box holds the origin, which also covers an empty column list
+    base, top = cols_a.min(axis=0, initial=0), cols_a.max(axis=0, initial=0)
+    table = np.full(tuple(top - base + 1), -1, dtype=np.int64)
+    table[tuple((cols_a - base).T)] = np.arange(n_c)
+    if np.count_nonzero(table >= 0) != n_c:
+        raise DimensionMismatch("conv_block columns must be distinct")
+    stride = np.array(table.strides) // table.itemsize
+    # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
+    width = np.minimum(2 * sw + 1, top - base + 1)
+    lpos = np.indices(tuple(width)).reshape(m, -1).T
+    wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
+    wlo, whi = (x.ravel() for x in w.expand_signed())
 
-    sym_axes = [ax for ax, kind in enumerate(axes) if kind != "signed"]
-    acc_lo = np.zeros((len(rows), len(cols)))
-    acc_hi = np.zeros((len(rows), len(cols)))
-    reached = np.zeros((len(rows), len(cols)), dtype=bool)
-    for flips in itertools.product(*([(1, -1)] * len(sym_axes))):
-        sig = np.ones(grid.m, dtype=np.int64)
-        chi = 1
-        for ax, fl in zip(sym_axes, flips):
-            sig[ax] = fl
-            if fl == -1 and axes[ax] == "s":
-                chi = -chi
-        # each distinct orbit element of a column must appear exactly once:
-        # canonically, a flip may not reflect an axis where the index is 0
-        diff = rows_a[:, None, :] - (cols_a * sig)[None, :, :]
-        redundant = np.zeros(len(cols), dtype=bool)
-        for ax in range(grid.m):
-            if sig[ax] == -1:
-                redundant |= cols_a[:, ax] == 0
-        skip = np.any(np.abs(diff) > sw, axis=2)
-        skip |= redundant[None, :]
-        reached |= ~skip
-        diff += sw
-        np.clip(diff, 0, 2 * sw, out=diff)
-        if grid.m == 1:
-            glo = wlo[diff[:, :, 0]]
-            ghi = whi[diff[:, :, 0]]
-        else:
-            glo = wlo[diff[:, :, 0], diff[:, :, 1]]
-            ghi = whi[diff[:, :, 0], diff[:, :, 1]]
-        glo[skip] = 0.0
-        ghi[skip] = 0.0
-        if chi == -1:
-            acc_lo -= ghi
-            acc_hi -= glo
-        else:
-            acc_lo += glo
-            acc_hi += ghi
+    hit, terms = np.zeros(n_r * n_c, dtype=bool), []
+    for flips in itertools.product(*[(1,) if kind == "signed" else (1, -1) for kind in axes]):
+        sig = np.array(flips)
+        # k = sigma (n - delta) with |delta|_inf <= S is |k - sigma n|_inf <= S;
+        # no reflection of k_a = 0: each orbit element appears exactly once
+        ctr = sig * rows_a
+        start = np.clip(ctr - sw, base, top - width + 1)
+        ok = np.ones((n_r, 1), dtype=bool)
+        for ax in range(m):
+            k = start[:, ax, None] + np.arange(width[ax])
+            ok_ax = (np.abs(k - ctr[:, ax, None]) <= sw) & ((k != 0) | (sig[ax] == 1))
+            ok = (ok[:, :, None] & ok_ax[:, None, :]).reshape(n_r, ok.shape[1] * width[ax])
+        i, t = np.nonzero(ok)
+        j = table.ravel()[((start - base) @ stride)[i] + (lpos @ stride)[t]]
+        keep = j >= 0
+        i, t, flat = i[keep], t[keep], i[keep] * n_c + j[keep]
+        # kernel position delta + S = n - sigma k + S
+        t = ((rows_a - sig * start + sw) @ wstride)[i] - ((lpos * sig) @ wstride)[t]
+        hit[flat] = True
+        # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
+        odd = sum(fl == -1 and kind == "s" for fl, kind in zip(flips, axes)) % 2
+        terms.append((flat, -whi[t], -wlo[t]) if odd else (flat, wlo[t], whi[t]))
+
+    # accumulate on the reached entries only, stepping all of them outward
+    # after each flip as the dense formula does
+    pos = np.flatnonzero(hit)
+    rank = np.cumsum(hit) - 1
+    acc_lo, acc_hi = np.zeros(len(pos)), np.zeros(len(pos))
+    for flat, glo, ghi in terms:
+        q = rank[flat]
+        acc_lo[q] += glo
+        acc_hi[q] += ghi
         np.nextafter(acc_lo, -_INF, out=acc_lo)
         np.nextafter(acc_hi, _INF, out=acc_hi)
 
-    # normalization sqrt(m_n / m_k) as a tiny outward-rounded interval; as
-    # f > 0 the product bounds are acc_lo * f and acc_hi * f at one end of f
-    mr = np.array([orbit_mult(axes, n) for n in rows], dtype=np.float64)
-    mc = np.array([orbit_mult(axes, k) for k in cols], dtype=np.float64)
-    ratio = np.sqrt(mr[:, None] / mc[None, :])
-    f_lo = np.nextafter(np.nextafter(ratio, -_INF), -_INF)
-    f_hi = np.nextafter(np.nextafter(ratio, _INF), _INF)
-    out_lo = np.nextafter(np.minimum(acc_lo * f_lo, acc_lo * f_hi), -_INF)
-    out_hi = np.nextafter(np.maximum(acc_hi * f_lo, acc_hi * f_hi), _INF)
-    # entries no kernel coefficient reaches are exact zeros, not subnormals
-    out_lo[~reached] = 0.0
-    out_hi[~reached] = 0.0
+    # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
+    # values, each a tiny outward-rounded interval; as f > 0 the product
+    # bounds are acc_lo * f and acc_hi * f at one end of f
+    ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
+    f_lo, f_hi = (np.nextafter(np.nextafter(ratio, to), to) for to in (-_INF, _INF))
+    sym_axes = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+    cnt_r, cnt_c = (np.count_nonzero(x[:, sym_axes], axis=1) for x in (rows_a, cols_a))
+    e = cnt_r[pos // n_c] + m - cnt_c[pos % n_c]
+    out_lo, out_hi = np.zeros((n_r, n_c)), np.zeros((n_r, n_c))
+    out_lo.ravel()[pos] = np.nextafter(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
+    out_hi.ravel()[pos] = np.nextafter(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
     return IMatrix(out_lo, out_hi)
 
 
@@ -274,11 +277,7 @@ class DiskSet:
 
 
 def _kernel_w0(w: FourierSeq) -> Interval:
-    zero = (0,) * w.grid.m
-    if w.axes[0] == "signed":
-        pos = tuple(c + w.S for c in zero)
-    else:
-        pos = zero
+    pos = (w.S if w.axes[0] == "signed" else 0,) * w.grid.m
     return Interval(float(w.lo[pos]), float(w.hi[pos]))
 
 
@@ -299,7 +298,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
 
     Mid rows meet the ext shell in blocks of _MID_ROW_BLOCK rows, never as
     one dense mid x ext block: at the N = 16 planar spot 64 rows peak at
-    168 MB RSS against 343 MB dense (16 rows: 168 MB, 256 rows: 224 MB).
+    145 MB RSS against 218 MB dense (16 rows: 145 MB, 256 rows: 168 MB).
     The disks are bit for bit those of the dense block, since a conv_block
     entry depends only on its own (row, column) and every block keeps all
     ext columns, so each row sum adds the same terms in the same order.

@@ -12,9 +12,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from speccert.finite import conv_block, orbit_mult, shell_indices
+from speccert.finite import conv_block, shell_indices
 from speccert.fourier import (
     FourierSeq,
     Grid,
@@ -67,6 +68,10 @@ def ref_conv_real(al, ah, bl, bh):
     m2 = _convolve_direct(ar, ba + br) + _convolve_direct(aa, br)
     rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
     return _ref_bump(cm - rad, 2, -_INF), _ref_bump(cm + rad, 2, _INF)
+
+
+def orbit_mult(sector_axes, n) -> int:
+    return 2 ** sum(kind != "signed" and c != 0 for kind, c in zip(sector_axes, n))
 
 
 def ref_conv_block(w, sector, rows, cols):
@@ -251,6 +256,46 @@ def test_conv_block_matches_reference(seed, case, S, inner, scale):
     assert np.array_equal(got.lo[hit], want_lo[hit])
     assert np.array_equal(got.hi[hit], want_hi[hit])
     assert np.all(got.lo[~hit] == 0.0) and np.all(got.hi[~hit] == 0.0)
+
+
+def _assert_matches_reference(w, sector, rows, cols):
+    got = conv_block(w, sector, rows, cols)
+    assert got.lo.shape == got.hi.shape == (len(rows), len(cols))
+    want_lo, want_hi = ref_conv_block(w, sector, rows, cols)
+    hit = reached(sector, w.grid.m, w.S, rows, cols)
+    assert np.array_equal(got.lo[hit], want_lo[hit])
+    assert np.array_equal(got.hi[hit], want_hi[hit])
+    assert np.all(got.lo[~hit] == 0.0) and np.all(got.hi[~hit] == 0.0)
+
+
+LAYOUTS = ("gershgorin", "disjoint", "no rows", "no columns")
+
+
+@pytest.mark.parametrize("case", CONV_CASES)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 3), st.integers(0, 2),
+       st.sampled_from(LAYOUTS), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_conv_block_layouts_match_reference(case, seed, S, inner, layout, shuffle):
+    # layouts a column position table can get wrong: shell rows against a
+    # wider shell of columns, rows that are not columns, empty lists, and
+    # shuffled, thinned column lists whose box has holes
+    m, w_sector, sector = case
+    rng = np.random.default_rng(seed)
+    grid = Grid(m, 7.0)
+    w = draw_kernel(rng, grid, w_sector, S, 1.0)
+    rows = shell_indices(grid, sector, inner, inner + S + 1)
+    cols = shell_indices(grid, sector, inner, inner + 2 * S + 2)
+    if layout == "disjoint":
+        rows = index_list(grid, sector, inner)
+    elif layout == "no rows":
+        rows = []
+    elif layout == "no columns":
+        cols = []
+    if shuffle:
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        keep = rng.permutation(len(cols))[:max(1, int(0.7 * len(cols)))]
+        cols = [cols[i] for i in keep]
+    _assert_matches_reference(w, sector, rows, cols)
 
 
 @given(st.integers(0, 2 ** 32 - 1),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from speccert import finite
-from speccert.errors import InvalidParameter
+from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter
 from speccert.fourier import FourierSeq, Grid, conv, index_list
 from speccert.interval import ComplexBox, Interval
 from speccert.finite import (
@@ -97,6 +97,28 @@ def test_conv_block_zero_kernel():
     block = conv_block(w, "c", rows, rows)
     # outward rounding leaves at most a few subnormals of slack
     assert np.max(block.mag()) < 1e-300
+
+
+def test_conv_block_refuses_duplicate_columns():
+    # a position table holds one column per index: a second copy would be
+    # left at zero, which shrinks a Gershgorin radius
+    w = FourierSeq.from_point(GRID1, "c", np.array([1.0, 0.5, 0.25]))
+    rows = [(0,), (1,), (2,)]
+    with pytest.raises(DimensionMismatch):
+        conv_block(w, "c", rows, [(1,), (2,), (1,)])
+    with pytest.raises(DimensionMismatch):
+        conv_block(FourierSeq.from_point(Grid(2, 5.0), "cc", np.ones((2, 2))),
+                   "cc", [(0, 0)], [(0, 1), (1, 1), (0, 1)])
+    dup_rows = conv_block(w, "c", [(1,), (1,)], [(1,), (2,)])
+    assert np.array_equal(dup_rows.lo[0], dup_rows.lo[1])
+    assert dup_rows.lo[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("sector", ["c", "s", "full"])
+def test_conv_block_refuses_odd_kernel(sector):
+    w = FourierSeq.from_point(GRID1, "s", np.array([0.0, 0.5, 0.25]))
+    with pytest.raises(GridMismatch):
+        conv_block(w, sector, [(1,)], [(1,)])
 
 
 def test_conv_block_2d_symmetric_oracle():
