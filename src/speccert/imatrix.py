@@ -10,9 +10,9 @@ term that dominates the rounding error of any summation order, so the
 result encloses the exact product entrywise without touching the FPU
 rounding mode.
 
-Exact zeros stay exact.  Outward rounding steps a bound by nextafter, which
-would turn a zero into a subnormal, and BLAS runs many times slower on
-subnormal operands.  So:
+Exact zeros stay exact.  Outward rounding steps a bound through
+interval.ulp_step, which would turn a zero into a subnormal, and BLAS runs
+many times slower on subnormal operands.  So:
 
 * a radius of exactly 0 is not stepped: max(hi - mid, mid - lo) is 0 only
   when lo == mid == hi, so the entry is a point and its radius is exact;
@@ -32,34 +32,17 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, SingularityUnverified
-from .interval import Interval, iv_sqrt
+from .interval import Interval, iv_sqrt, ulp_step
 
 _U = 2.0 ** -53
 _TINY = 5e-308
 _INF = math.inf
 
 
-def _bump_up(x: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Step a freshly computed array `steps` ulps up, in place."""
-    for _ in range(steps):
-        np.nextafter(x, _INF, out=x)
-    return x
-
-
-def _bump_down(x: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Step a freshly computed array `steps` ulps down, in place."""
-    for _ in range(steps):
-        np.nextafter(x, -_INF, out=x)
-    return x
-
-
 def _mid_rad(lo, hi):
     """Midpoint and outward radius; a radius of exactly 0 stays 0."""
     mid = lo + 0.5 * (hi - lo)
-    rad = np.maximum(hi - mid, mid - lo)
-    point = rad == 0
-    _bump_up(rad)[point] = 0.0
-    return mid, rad
+    return mid, ulp_step(np.maximum(hi - mid, mid - lo), _INF, 2, keep_zero=True)
 
 
 def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
@@ -88,23 +71,12 @@ def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
     else:
         m2 = prod(ar, ba) if b_point else prod(ar, ba + br) + prod(aa, br)
     rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
-    return _bump_down(cm - rad), _bump_up(cm + rad)
-
-
-def _step(x, to):
-    """Step a freshly computed array one ulp toward `to`, in place; an
-    exact zero stays 0."""
-    zero = x == 0
-    np.nextafter(x, to, out=x)[zero] = 0.0
-    return x
+    return ulp_step(cm - rad, -_INF, 2), ulp_step(cm + rad, _INF, 2)
 
 
 def _add(lo1, hi1, lo2, hi2):
-    return _step(lo1 + lo2, -_INF), _step(hi1 + hi2, _INF)
-
-
-def _sub(lo1, hi1, lo2, hi2):
-    return _step(lo1 - hi2, -_INF), _step(hi1 - lo2, _INF)
+    return (ulp_step(lo1 + lo2, -_INF, keep_zero=True),
+            ulp_step(hi1 + hi2, _INF, keep_zero=True))
 
 
 def _scale(lo, hi, s: Interval):
@@ -112,8 +84,7 @@ def _scale(lo, hi, s: Interval):
     cands = np.stack([lo * s.lo, lo * s.hi, hi * s.lo, hi * s.hi])
     if s.lo == s.hi and s.lo in (0.0, 1.0, -1.0):
         return cands.min(axis=0), cands.max(axis=0)
-    return (np.nextafter(cands.min(axis=0), -_INF),
-            np.nextafter(cands.max(axis=0), _INF))
+    return ulp_step(cands.min(axis=0), -_INF), ulp_step(cands.max(axis=0), _INF)
 
 
 class IMatrix:
@@ -126,8 +97,8 @@ class IMatrix:
         self.hi = np.ascontiguousarray(hi, dtype=np.float64)
         if self.lo.shape != self.hi.shape:
             raise DimensionMismatch("bound arrays differ in shape")
-        if np.any(self.lo > self.hi):
-            raise DimensionMismatch("lower bound above upper bound")
+        if not (self.lo <= self.hi).all():
+            raise DimensionMismatch("lower bound above upper bound, or a NaN bound")
 
     # -- constructors -----------------------------------------------------
 
@@ -176,7 +147,7 @@ class IMatrix:
     def widened(self, eps: float) -> "IMatrix":
         if eps < 0:
             raise DimensionMismatch("negative widening")
-        return IMatrix(_bump_down(self.lo - eps), _bump_up(self.hi + eps))
+        return IMatrix(ulp_step(self.lo - eps, -_INF, 2), ulp_step(self.hi + eps, _INF, 2))
 
     # -- arithmetic -------------------------------------------------------
 
@@ -191,7 +162,7 @@ class IMatrix:
     def __sub__(self, other: "IMatrix") -> "IMatrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"sub {self.shape} and {other.shape}")
-        return IMatrix(*_sub(self.lo, self.hi, other.lo, other.hi))
+        return self + (-other)          # x - y is x + (-y) in IEEE arithmetic
 
     def __matmul__(self, other: "IMatrix") -> "IMatrix":
         if self.shape[1] != other.shape[0]:
@@ -203,7 +174,7 @@ class IMatrix:
     def _sum_hi(self, axis: int) -> np.ndarray:
         s = self.mag().sum(axis=axis)
         n = self.shape[axis]
-        return _bump_up(s * (1.0 + (n + 2) * _U) + _TINY)
+        return ulp_step(s * (1.0 + (n + 2) * _U) + _TINY, _INF, 2)
 
     def norm1_hi(self) -> float:
         """Upper bound on the maximum column sum of magnitudes."""

@@ -17,6 +17,12 @@ operations give, element by element, the bits of the Interval operations.
 An element whose scalar operation would raise does not stop the batch: the
 element records the exception's class, and the exception is raised only
 when a caller takes that element (`IArray.elements`).
+
+Interval arrays step outward through one kernel, ulp_step, which gives the
+bits of np.nextafter without its libm call per element: finite doubles of
+one sign are ordered as their int64 bit patterns, so with -0.0 folded into
++0.0 a step up adds the sign (+-1) to the bits, and a step down is -up(-x).
+Arrays under 1000 elements (the measured crossover) take np.nextafter.
 """
 
 from __future__ import annotations
@@ -41,6 +47,41 @@ def _down(x: float) -> float:
 
 def _up(x: float) -> float:
     return math.nextafter(x, _INF)
+
+
+_STEP_MIN = 1000          # below this size np.nextafter is faster
+_STEP_BLOCK = 1 << 15     # elements per integer step, for a 256 KB temporary
+
+
+def ulp_step(x, to: float, steps: int = 1, out=None, keep_zero: bool = False):
+    """x stepped `steps` ulps toward `to` (+-inf) into out (default x), bit for
+    bit as np.nextafter; with keep_zero an exact zero comes out 0.0."""
+    out = x if out is None else out
+    zero = x == 0 if keep_zero else None
+    if out.size < _STEP_MIN or not (out.flags.c_contiguous or out.flags.f_contiguous):
+        for _ in range(steps):
+            x = np.nextafter(x, to, out=out)
+    else:
+        np.copyto(out, x)
+        flat = out.reshape(-1, order="A")     # a view, as out is contiguous
+        for b in range(0, flat.size, _STEP_BLOCK):
+            blk = flat[b:b + _STEP_BLOCK]
+            bits = blk.view(np.int64)
+            # a NaN, an inf, or a bound the steps would carry past inf
+            if (bits & 0x7FFFFFFFFFFFFFFF).max() > 0x7FF0000000000000 - steps:
+                for _ in range(steps):
+                    np.nextafter(blk, to, out=blk)
+                continue
+            if to < 0:
+                np.negative(blk, out=blk)
+            for _ in range(steps):    # one ulp at a time: one +-2 add breaks at -0.0
+                blk += 0.0
+                bits += (bits >> 63) | 1
+            if to < 0:
+                np.negative(blk, out=blk)
+    if keep_zero:
+        out[zero] = 0.0
+    return out
 
 
 def _sum_lo(a: float, b: float) -> float:
@@ -318,8 +359,8 @@ class IArray:
         x = IArray._of(lo, hi, err)
         g, m = x.mig(), x.mag()
         lo, hi = g * g, m * m
-        lo = np.where((g == 0.0) | (g == 1.0), lo, np.nextafter(lo, -_INF))
-        hi = np.where((m == 0.0) | (m == 1.0), hi, np.nextafter(hi, _INF))
+        lo = np.where((g == 0.0) | (g == 1.0), lo, ulp_step(lo, -_INF, out=np.empty_like(lo)))
+        hi = np.where((m == 0.0) | (m == 1.0), hi, ulp_step(hi, _INF, out=np.empty_like(hi)))
         return IArray._of(np.where(0.0 > lo, 0.0, lo), hi, err)
 
     # The scalar operators put their own operand first, except that a
@@ -404,7 +445,7 @@ def _sum_lo_array(a, b):
     s = a + b
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
-    lo = np.where(err < 0.0, np.nextafter(s, -_INF), s)
+    lo = np.where(err < 0.0, ulp_step(s, -_INF, out=np.empty_like(s)), s)
     over = np.isinf(s)
     if over.any():
         lo = np.where(over, np.where(s < 0.0, -_INF, _MAX), lo)
@@ -416,7 +457,7 @@ def _sum_hi_array(a, b):
     s = a + b
     bv = s - a
     err = (a - (s - bv)) + (b - bv)
-    hi = np.where(err > 0.0, np.nextafter(s, _INF), s)
+    hi = np.where(err > 0.0, ulp_step(s, _INF, out=np.empty_like(s)), s)
     over = np.isinf(s)
     if over.any():
         hi = np.where(over, np.where(s > 0.0, _INF, -_MAX), hi)
@@ -455,8 +496,8 @@ def _mul(x, y) -> IArray:
     lo, hi = _first_min(cands), _first_max(cands)
     # every product exact iff both endpoints of one factor are 0 or +-1
     exact = (_unit(al) & _unit(ah)) | (_unit(bl) & _unit(bh))
-    return IArray._of(np.where(exact, lo, np.nextafter(lo, -_INF)),
-                      np.where(exact, hi, np.nextafter(hi, _INF)), err)
+    return IArray._of(np.where(exact, lo, ulp_step(lo, -_INF, out=np.empty_like(lo))),
+                      np.where(exact, hi, ulp_step(hi, _INF, out=np.empty_like(hi))), err)
 
 
 def _div(x, y) -> IArray:
@@ -466,8 +507,8 @@ def _div(x, y) -> IArray:
         err = _record(err, zero, _DIV0)
         bl, bh = np.where(zero, 1.0, bl), np.where(zero, 1.0, bh)
     cands = (al / bl, al / bh, ah / bl, ah / bh)
-    return IArray._of(np.nextafter(_first_min(cands), -_INF),
-                      np.nextafter(_first_max(cands), _INF), err)
+    return IArray._of(ulp_step(_first_min(cands), -_INF),
+                      ulp_step(_first_max(cands), _INF), err)
 
 
 def _sqrt_array(x: IArray) -> IArray:
@@ -478,8 +519,8 @@ def _sqrt_array(x: IArray) -> IArray:
         lo, hi = np.where(neg, 0.0, lo), np.where(neg, 0.0, hi)
     lo = np.where(0.0 > lo, 0.0, lo)
     rl, rh = np.sqrt(lo), np.sqrt(hi)
-    rl = np.where(rl * rl != lo, np.nextafter(rl, -_INF), rl)
-    rh = np.where(rh * rh != hi, np.nextafter(rh, _INF), rh)
+    rl = np.where(rl * rl != lo, ulp_step(rl, -_INF, out=np.empty_like(rl)), rl)
+    rh = np.where(rh * rh != hi, ulp_step(rh, _INF, out=np.empty_like(rh)), rh)
     return IArray._of(np.where(0.0 > rl, 0.0, rl), rh, err)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from speccert import finite
-from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter
+from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter, UnboundedOperand
 from speccert.fourier import FourierSeq, Grid, conv, index_list
 from speccert.interval import ComplexBox, Interval
 from speccert.finite import (
@@ -450,6 +450,16 @@ def test_cluster_disks_matches_scalar_union_find(ds, block):
         mp.setattr(finite, "_PAIR_BLOCK", block)
         got = cluster_disks(ds)
     assert _cluster_bits(got) == _cluster_bits(_scalar_clusters(ds))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_cluster_disks_refuses_unbounded_radius(bad):
+    # the second disk covers the first one's center; a NaN radius would
+    # leave them apart (too little merging), an infinite one is unbounded
+    with pytest.raises(UnboundedOperand, match="radius"):
+        cluster_disks(_synthetic_disks([0.0, 0.5], [bad, 1.0]))
+    with pytest.raises(UnboundedOperand, match="radius"):
+        cluster_disks(_synthetic_disks([0.0], [bad]))
 
 
 def test_cluster_disks_memory():

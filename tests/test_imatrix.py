@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speccert.errors import SingularityUnverified
+from speccert.errors import DimensionMismatch, SingularityUnverified
 from speccert.imatrix import IMatrix, op_norm2_bound, verified_inverse
 from speccert.interval import Interval
 
@@ -118,3 +119,15 @@ def test_diag_and_submatrix():
     assert d.get(0, 1).contains(0.0)
     a = d + IMatrix.from_point(np.triu(np.ones((4, 4)), 1))
     assert a.T.get(3, 0).contains(1.0) and a.T.get(0, 3).contains(0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    ([[math.nan, 0.0]], [[1.0, 0.0]]),
+    ([[0.0, 0.0]], [[1.0, math.nan]]),
+    ([[math.nan, 0.0]], [[1.0, math.nan]]),
+    ([[2.0, 0.0]], [[1.0, 0.0]]),
+])
+def test_invalid_bounds_rejected(lo, hi):
+    # NaN bounds are refused, as Interval and IArray refuse them
+    with pytest.raises(DimensionMismatch):
+        IMatrix(lo, hi)

@@ -316,6 +316,21 @@ def test_cli_cluster_crossing_the_window_exits_5(tmp_path, sh_toy, capsys):
     assert "crosses the window boundary" in capsys.readouterr().err
 
 
+def test_cli_nan_disk_radius_exits_5(tmp_path, sh_toy, monkeypatch, capsys):
+    # a NaN radius must not leave its disk out of the clusters it meets
+    real = pipeline.gershgorin_disks
+
+    def nan_radius(*args):
+        disks = real(*args)
+        disks.radii[0] = math.nan
+        return disks
+
+    monkeypatch.setattr(pipeline, "gershgorin_disks", nan_radius)
+    path, _ = _toy_config(tmp_path, sh_toy)
+    assert main(["--config", str(path)]) == 5
+    assert "NaN or infinite radius" in capsys.readouterr().err
+
+
 SH_PARAMS_NO_MU = {"name": "swift-hohenberg", "m": 1,
                    "params": {"nu1": -3.2, "nu2": 1.0}}
 
