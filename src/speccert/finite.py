@@ -253,7 +253,12 @@ class DiskSet:
     """Certified Gershgorin enclosure of the truncation-free linearization.
 
     Centers are ComplexBoxes whose imaginary part is exactly [0, 0]: the
-    linearization is self-adjoint, so only the real parts carry bounds.
+    linearization is self-adjoint, so only the real parts carry bounds, and
+    the homotopy stage reads nothing else.  They stay boxes for the readers
+    of boxes: the disk-set and certificate JSON write each center as a
+    re/im pair, the benchmark harness reads `im`, and cluster_disks tests
+    each pair gap with ComplexBox.mig.  The kernel diagonal w0 is an
+    Interval.
 
     * inner disks: centers lams from the pseudo-diagonal block I^N;
     * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N;
@@ -270,7 +275,7 @@ class DiskSet:
     mid_indices: list = field(default_factory=list)
     centers: list = field(default_factory=list)
     radii: list = field(default_factory=list)
-    w0: ComplexBox = None
+    w0: Interval = None
     tail_radius: float = 0.0
     min_tail_s: float = 0.0
     sym_factor: float = 1.0
@@ -355,7 +360,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         mid_indices=mid,
         centers=centers,
         radii=radii,
-        w0=ComplexBox(w0),
+        w0=w0,
         tail_radius=tail_radius,
         min_tail_s=min_tail_freq(grid, m_cut),
         sym_factor=c_m,

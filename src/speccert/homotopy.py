@@ -23,11 +23,16 @@ C2 r0, the inflation factors, and the self-adjoint factor with its disk gap.
 Each quantity is held once: a certificate's `bounds` is the HomotopyBounds
 of its shift, and `bounds.window_bounds` the WindowBounds it shares with
 every other shift.
+
+The stage runs on the real line.  Every model that reaches it is scalar and
+self-adjoint, so the window, the shift t and the kernel diagonal w0 are
+Intervals, a disk center is read through its real part (its imaginary part
+is exactly [0, 0]), and a diagonal weight such as (S + t)^{-1} multiplies a
+block as a row scaling, O(n^2) instead of a dense O(n^3) product.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +41,7 @@ from .errors import ConditionViolated, DivisionByZeroInterval
 from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
 from .fourier import FourierSeq, conv, seq_l1
 from .imatrix import IMatrix, op_norm2_bound
-from .interval import PI, ComplexBox, Interval, elementwise, iv_exp, iv_sqrt
+from .interval import PI, Interval, elementwise, iv_exp, iv_sqrt
 from .models import DecayBound, Model
 from .radial import bb_sup, radial_inf
 
@@ -46,26 +51,21 @@ from .radial import bb_sup, radial_inf
 
 
 @elementwise
-def dist_to_window(v: Interval, window: ComplexBox) -> Interval:
-    """Enclosure of inf over mu in the window of |v - mu| for real v."""
-    re = window.re
-    if v.hi < re.lo:
-        dx = Interval(re.lo) - v
-    elif v.lo > re.hi:
-        dx = v - Interval(re.hi)
-    else:
-        gap_lo = max(re.lo - v.hi, v.lo - re.hi)
-        dx = Interval(max(gap_lo, 0.0), max(v.hi - re.lo, re.hi - v.lo, 0.0))
-    dx = Interval(max(dx.lo, 0.0), max(dx.hi, 0.0))
-    return iv_sqrt(dx.sq() + Interval(window.im.mig()).sq())
+def dist_to_window(v: Interval, window: Interval) -> Interval:
+    """Enclosure of inf over mu in the window of |v - mu| for real v; both
+    ends are rounded outward."""
+    if v.hi < window.lo:
+        return Interval(window.lo) - v
+    if v.lo > window.hi:
+        return v - Interval(window.hi)
+    return Interval(0.0, max((v - Interval(window.lo)).hi,
+                             (Interval(window.hi) - v).hi))
 
 
-def sup_to_window(v: Interval, window: ComplexBox) -> Interval:
-    """Enclosure of sup over mu in the window of |v - mu| for real v (or,
-    elementwise, an IArray)."""
-    dx = (v - window.re).abs()
-    dy = window.im.abs()
-    return iv_sqrt(dx.upper().sq() + dy.upper().sq())
+def sup_to_window(v: Interval, window: Interval) -> Interval:
+    """Upper bound, as a point interval, on sup over mu in the window of
+    |v - mu| for real v (or, elementwise, an IArray)."""
+    return (v - window).abs().upper()
 
 
 def _minorant_tail_lo(model: Model, mag: float):
@@ -82,14 +82,13 @@ def _minorant_tail_lo(model: Model, mag: float):
     return tail_lo
 
 
-def window_dist_inf(model: Model, window: ComplexBox, s_min: float) -> Interval:
+def window_dist_inf(model: Model, window: Interval, s_min: float) -> Interval:
     """Certified inf over s >= s_min of dist(l(s), window)."""
 
     def f(s: Interval) -> Interval:
         return dist_to_window(model.symbol_at(s), window)
 
-    return radial_inf(f, s_min, _minorant_tail_lo(model, window.abs().hi),
-                      tol=1e-9)
+    return radial_inf(f, s_min, _minorant_tail_lo(model, window.mag()), tol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +205,9 @@ def kappa2_formula(z11: Interval, z12: Interval, zu2_eff: Interval,
     return (z11 + (zu2_eff + drift) * p_norm) / denom
 
 
-def _diag_shift_inv(pseudo: PseudoDiag, t: float):
-    """diag((lam_n + t)^{-1}) as an interval matrix; a shift whose -t lies in
-    the enclosure of some lam_n is rejected."""
+def _diag_shift_inv(pseudo: PseudoDiag, t: float) -> list:
+    """The diagonal (lam_n + t)^{-1} of (S + t)^{-1} as Intervals; a shift
+    whose -t lies in the enclosure of some lam_n is rejected."""
     ivs = []
     for lam in pseudo.lams:
         try:
@@ -217,7 +216,7 @@ def _diag_shift_inv(pseudo: PseudoDiag, t: float):
             raise ConditionViolated(
                 f"shift t = {t!r} puts -t inside the eigenvalue enclosure "
                 f"{lam} of the finite block") from None
-    return IMatrix.diag(ivs)
+    return ivs
 
 
 @dataclass
@@ -231,7 +230,7 @@ class WindowBounds:
     model: Model
     pseudo: PseudoDiag
     disks: DiskSet
-    window: ComplexBox
+    window: Interval
     q_mult: float
     l1w: Interval
     lam_mid: list                 # l(n~) over the shell indices
@@ -252,7 +251,7 @@ class WindowBounds:
 
 
 def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
-                  pseudo: PseudoDiag, disks: DiskSet, window: ComplexBox,
+                  pseudo: PseudoDiag, disks: DiskSet, window: Interval,
                   q_mult: float) -> WindowBounds:
     """Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q for a window,
     with the operator blocks the shift-dependent bounds reuse.  Raises
@@ -279,9 +278,8 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
                 raise ConditionViolated(
                     "window touches a symbol value in the shell")
             wts.append(Interval(1.0) / dist)
-        wdiag = IMatrix.diag([Interval(0.0, x.hi) for x in wts])
         dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
-        z11 = op_norm2_bound(wdiag @ dg_p)
+        z11 = op_norm2_bound(dg_p.scale_rows(wts))
         pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
     else:
         z11 = Interval(0.0)
@@ -299,7 +297,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
                      for lam in symbol_diag(model, grid, inner)])
 
     # decay-based periodization defects
-    decay = model.decay_provider(window.re)
+    decay = model.decay_provider(window)
     zu1, zu2 = zu_base_bounds(w, decay)
 
     # Lipschitz drift
@@ -362,16 +360,16 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     sinv = _diag_shift_inv(pseudo, t)
 
     # Z13: off-diagonal of the diagonalized block, weighted by (S + t)^{-1}
-    z13 = op_norm2_bound(sinv @ wb.d_off)
+    z13 = op_norm2_bound(wb.d_off.scale_rows(sinv))
 
     # Z14: coupling into the shell through Pinv DG
     if wb.pinv_dg is not None:
-        z14 = op_norm2_bound(sinv @ wb.pinv_dg)
+        z14 = op_norm2_bound(wb.pinv_dg.scale_rows(sinv))
     else:
         z14 = Interval(0.0)
 
     # finite matrix factor shared by Zu3 and C2
-    g = sinv @ pseudo.Pinv
+    g = pseudo.Pinv.scale_rows(sinv)
     fmat = op_norm2_bound(IMatrix.from_point(g.mag() * wb.colw[None, :]))
     zu2, c1r0, sq = wb.zu2, wb.c1r0, wb.sq
     zu3 = Interval(0.0, (zu2 * fmat).hi)
@@ -429,29 +427,19 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     """
     model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
     c_m = disks.sym_factor
-    w0 = disks.w0.re
+    w0 = disks.w0
     t_iv = Interval(t)
-    n_fin = len(pseudo.lams)
-    shell = disks.centers[n_fin:]
-    shell_w = []
-    for center in shell:
-        d = (center + ComplexBox(t_iv)).abs()
-        if d.lo <= 0:
-            return None
-        shell_w.append(Interval(1.0) / d)
-
-    if den_tail.lo <= 0:
+    shell_d = [(center.re + t_iv).abs() for center in disks.centers[len(pseudo.lams):]]
+    den_min = min([den_tail.lo] + [d.lo for d in shell_d])
+    if den_min <= 0:
         return None
-    den_min = den_tail.lo
-    for wi in shell_w:
-        den_min = min(den_min, 1.0 / wi.hi if wi.hi > 0 else math.inf)
+    shell_w = [Interval(1.0) / d for d in shell_d]
 
     # block-norm bound on the weighted defect E
     e = z13 + z14
-    if shell:
-        wdiag = IMatrix.diag([Interval(0.0, x.hi) for x in shell_w])
-        e = e + op_norm2_bound(wdiag @ wb.dg_p)
-    e = e + Interval(c_m) * (wb.l1w - disks.w0.abs()) / Interval(den_min)
+    if shell_w:
+        e = e + op_norm2_bound(wb.dg_p.scale_rows(shell_w))
+    e = e + Interval(c_m) * (wb.l1w - w0.abs()) / Interval(den_min)
     if e.hi >= 1.0:
         return None
 
@@ -467,7 +455,6 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
         return sup_to_window(lam, window) / (lam + w0 + t_iv).abs()
 
     mag = (w0.abs() + Interval(abs(t))).hi
-    wmag = window.abs().hi
     tail_lo = _minorant_tail_lo(model, mag)
     r_cut = max(4.0 * model.minorant.s0, 2.0 * disks.min_tail_s, 16.0)
     for _ in range(40):
@@ -478,7 +465,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     if far_den <= 0:
         return None
     head = bb_sup(fratio, disks.min_tail_s, r_cut, tol=1e-2)
-    far = Interval(1.0) + Interval(mag + wmag) / Interval(far_den)
+    far = Interval(1.0) + (Interval(mag) + Interval(window.mag())) / Interval(far_den)
     ratio_out = max(head.hi, far.hi, ratio.hi)
 
     return (pseudo.p_norm * Interval(0.0, ratio_out)
@@ -487,7 +474,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
 
 def _shifted_tail_inf(model: Model, disks: DiskSet, t: float) -> Interval:
     """Certified inf of |l(s) + w0 + t| over the tail region s >= min_tail_s."""
-    w0 = disks.w0.re
+    w0 = disks.w0
 
     def f(s: Interval) -> Interval:
         return (model.symbol_at(s) + w0 + Interval(t)).abs()
@@ -500,21 +487,20 @@ def _shifted_tail_inf(model: Model, disks: DiskSet, t: float) -> Interval:
 def _disk_gap(disks: DiskSet, t: float, tail_inf: Interval) -> Interval:
     """Lower bound on dist(-t, union of certified disks), given the tail
     minimum from `_shifted_tail_inf`."""
-    best = math.inf
-    for center, radius in zip(disks.centers, disks.radii):
-        v = (center + ComplexBox(Interval(t))).mig() - radius
-        best = min(best, v)
-    best = min(best, tail_inf.lo - disks.tail_radius)
-    return Interval(best)
+    t_iv = Interval(t)
+    gaps = [Interval((center.re + t_iv).mig()) - Interval(radius)
+            for center, radius in zip(disks.centers, disks.radii)]
+    gaps.append(tail_inf - Interval(disks.tail_radius))
+    return Interval(min(g.lo for g in gaps))
 
 
 def inflate_disks(disks: DiskSet, bounds: HomotopyBounds) -> list:
     """Final radii per explicit disk, Gershgorin radius plus inflation, for
     every family the bounds allow, as (selfadjoint_path, radii) pairs: the
     general family, then the self-adjoint one when it was assembled."""
-    t = ComplexBox(Interval(bounds.t))
+    t = Interval(bounds.t)
     radii = [Interval(r) for r in disks.radii]
-    shifted = [Interval((c + t).abs().hi) for c in disks.centers]
+    shifted = [Interval((c.re + t).mag()) for c in disks.centers]
 
     def family(eps):
         return [(r + Interval(eps(r, s).hi)).hi for r, s in zip(radii, shifted)]

@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, SingularityUnverified
-from .interval import Interval, iv_sqrt, ulp_step
+from .interval import IArray, Interval, iv_sqrt, ulp_step
 
 _U = 2.0 ** -53
 _TINY = 5e-308
@@ -111,15 +111,6 @@ class IMatrix:
     def identity(cls, n: int) -> "IMatrix":
         return cls.from_point(np.eye(n))
 
-    @classmethod
-    def diag(cls, ivs) -> "IMatrix":
-        """Diagonal matrix of Intervals."""
-        n = len(ivs)
-        lo, hi = np.zeros((n, n)), np.zeros((n, n))
-        np.fill_diagonal(lo, [x.lo for x in ivs])
-        np.fill_diagonal(hi, [x.hi for x in ivs])
-        return cls(lo, hi)
-
     # -- views ------------------------------------------------------------
 
     @property
@@ -168,6 +159,17 @@ class IMatrix:
         if self.shape[1] != other.shape[0]:
             raise DimensionMismatch(f"matmul {self.shape} and {other.shape}")
         return IMatrix(*_mm_real(self.lo, self.hi, other.lo, other.hi))
+
+    def scale_rows(self, s) -> "IMatrix":
+        """diag(s) @ self for a list of Intervals s, one per row, in O(mn):
+        entry (i, j) is the IArray product s[i] * self[i, j], its exact
+        hull rounded outward, so an exact zero entry stays exactly zero."""
+        if len(s) != self.shape[0]:
+            raise DimensionMismatch(f"scale {self.shape[0]} rows by {len(s)}")
+        ends = [np.broadcast_to(np.array(v, dtype=np.float64)[:, None], self.shape)
+                for v in ([x.lo for x in s], [x.hi for x in s])]
+        p = IArray(*ends) * IArray(self.lo, self.hi)
+        return IMatrix(p.lo, p.hi)
 
     # -- norms ------------------------------------------------------------
 

@@ -654,10 +654,11 @@ PI = Interval(3.141592653589793, 3.1415926535897936)    # the doubles around pi
 class ComplexBox:
     """Axis-aligned rectangle in the complex plane (re and im intervals).
 
-    Multiplication uses the four-product rectangle formula on each real
-    component, never the three-multiplication shortcut, so enclosures stay
-    valid entrywise.  With IArray components a ComplexBox holds a batch of
-    boxes; negation, +, -, *, abs2, abs, mag and mig then work elementwise.
+    Only what its users need: the disk centers of the finite stage, the
+    pair gap test of the clustering and the Gray-Scott resolvent norm take
+    a difference and the squared modulus, so there is no rectangle
+    multiplication or division.  With IArray components a ComplexBox holds
+    a batch of boxes; -, abs2 and mig then work elementwise.
     """
 
     __slots__ = ("re", "im")
@@ -671,84 +672,15 @@ class ComplexBox:
         z = complex(z)
         return cls(Interval.point(z.real), Interval.point(z.imag))
 
-    def contains(self, z) -> bool:
-        if isinstance(z, ComplexBox):
-            return self.re.contains(z.re) and self.im.contains(z.im)
-        z = complex(z)
-        return self.re.contains(z.real) and self.im.contains(z.imag)
-
-    def __contains__(self, z) -> bool:
-        return self.contains(z)
-
-    def conj(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
-
-    def __neg__(self) -> "ComplexBox":
-        return ComplexBox(-self.re, -self.im)
-
-    def __add__(self, other) -> "ComplexBox":
-        other = _as_box(other)
-        return ComplexBox(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ComplexBox":
-        other = _as_box(other)
+    def __sub__(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other) -> "ComplexBox":
-        return _as_box(other) + (-self)
-
-    def __mul__(self, other) -> "ComplexBox":
-        other = _as_box(other)
-        return ComplexBox(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "ComplexBox":
-        other = _as_box(other)
-        den = other.re.sq() + other.im.sq()
-        if den.contains_zero():
-            raise DivisionByZeroInterval(f"division by box {other}")
-        num = self * other.conj()
-        return ComplexBox(num.re / den, num.im / den)
 
     def abs2(self) -> Interval:
         return self.re.sq() + self.im.sq()
-
-    def abs(self) -> Interval:
-        return iv_sqrt(self.abs2())
-
-    def mag(self) -> float:
-        """Upper bound on |z| over the box (an array for a batch)."""
-        return iv_sqrt(self.abs2()).hi
 
     def mig(self) -> float:
         """Lower bound on |z| over the box (an array for a batch)."""
         return iv_sqrt(self.abs2()).lo
 
-    def mid(self) -> complex:
-        return complex(self.re.mid(), self.im.mid())
-
     def __repr__(self) -> str:
         return f"ComplexBox({self.re!r}, {self.im!r})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ComplexBox)
-                and self.re == other.re and self.im == other.im)
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-
-def _as_box(x) -> ComplexBox:
-    if isinstance(x, ComplexBox):
-        return x
-    if isinstance(x, Interval):
-        return ComplexBox(x)
-    if isinstance(x, complex):
-        return ComplexBox.point(x)
-    if isinstance(x, (int, float)):
-        return ComplexBox(Interval(float(x)))
-    raise TypeError(f"cannot interpret {x!r} as a complex box")

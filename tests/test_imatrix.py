@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from speccert.errors import DimensionMismatch, SingularityUnverified
 from speccert.imatrix import IMatrix, op_norm2_bound, verified_inverse
-from speccert.interval import Interval
+from speccert.interval import IArray, Interval
 
 
 def exact_product(a, b):
@@ -114,9 +114,9 @@ def test_defect_bounds_point_probes():
 
 
 def test_diag_and_submatrix():
-    d = IMatrix.diag([Interval(float(k), k + 0.5) for k in range(4)])
-    assert d.get(2, 2).contains(2.0) and d.get(2, 2).contains(2.5)
-    assert d.get(0, 1).contains(0.0)
+    d = IMatrix.identity(4).scale_rows([Interval(float(k), k + 0.5) for k in range(4)])
+    assert d.get(2, 2) == Interval(2.0, 2.5)
+    assert d.get(0, 1) == Interval(0.0)
     a = d + IMatrix.from_point(np.triu(np.ones((4, 4)), 1))
     assert a.T.get(3, 0).contains(1.0) and a.T.get(0, 3).contains(0.0)
 
@@ -131,3 +131,47 @@ def test_invalid_bounds_rejected(lo, hi):
     # NaN bounds are refused, as Interval and IArray refuse them
     with pytest.raises(DimensionMismatch):
         IMatrix(lo, hi)
+
+
+# -- row scaling ----------------------------------------------------------
+
+_end = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0, 5e-324]),
+                 st.floats(-1e3, 1e3))
+_entry = st.one_of(st.just(Interval(0.0)), _end.map(Interval),
+                   st.tuples(_end, _end).map(lambda p: Interval(min(p), max(p))))
+_multiplier = st.one_of(
+    st.tuples(st.floats(-1e3, -1e-3), st.floats(-1e3, -1e-3)).map(   # negative
+        lambda p: Interval(min(p), max(p))),
+    st.tuples(st.floats(-1e3, 0.0), st.floats(0.0, 1e3)).map(        # contains 0
+        lambda p: Interval(*p)),
+    _end.map(Interval))                                             # point
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_scale_rows_encloses_exact_products_and_keeps_zeros(m, n, data):
+    s = data.draw(st.lists(_multiplier, min_size=m, max_size=m))
+    x = data.draw(st.lists(_entry, min_size=m * n, max_size=m * n))
+    a = IMatrix(np.array([e.lo for e in x]).reshape(m, n),
+                np.array([e.hi for e in x]).reshape(m, n))
+    got = a.scale_rows(s)
+    assert got.shape == (m, n)
+    # the bits of the IArray product of each row with its multiplier
+    ends = [np.array(ends, dtype=float).reshape(m, 1).repeat(n, axis=1)
+            for ends in ([v.lo for v in s], [v.hi for v in s])]
+    ref = IArray(*ends) * IArray(a.lo, a.hi)
+    assert got.lo.tobytes() == ref.lo.tobytes() and got.hi.tobytes() == ref.hi.tobytes()
+    for i in range(m):
+        for j in range(n):
+            lo, hi = got.lo[i, j], got.hi[i, j]
+            cands = [Fraction(p) * Fraction(q) for p in (s[i].lo, s[i].hi)
+                     for q in (a.lo[i, j], a.hi[i, j])]
+            assert Fraction(lo) <= min(cands) and max(cands) <= Fraction(hi)
+            if a.lo[i, j] == a.hi[i, j] == 0.0:
+                # an exact zero stays 0.0, not a subnormal stepped off it
+                assert lo == hi == 0.0
+
+
+def test_scale_rows_refuses_a_wrong_length():
+    with pytest.raises(DimensionMismatch):
+        IMatrix.identity(3).scale_rows([Interval(1.0)] * 2)

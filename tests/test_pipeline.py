@@ -3,7 +3,10 @@ import json
 import math
 import sys
 from collections import Counter
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +76,32 @@ def test_certificate_deterministic(sh_toy, toy_cert):
     assert "wall" not in doc1
 
 
+def _exact_tail_edge(cert, center_edge):
+    """The inflated tail family's edge toward the window, in exact rationals:
+    center edge * (1 - factor) + tail radius - factor * t."""
+    factor = Fraction(cert.bounds.eps_factor.hi)
+    return (Fraction(center_edge) * (1 - factor)
+            + Fraction(cert.tail_radius_gershgorin) - factor * Fraction(cert.bounds.t))
+
+
+def test_certificate_tail_edge_bounds_the_exact_edge(sh_toy, toy_cert):
+    center_edge = pipeline._tail_center_edge(sh_toy["model"], sh_toy["disks"])
+    assert _exact_tail_edge(toy_cert, center_edge) <= Fraction(toy_cert.tail_edge)
+
+
+def test_tail_edge_rounds_one_minus_factor_outward(sh_toy, monkeypatch):
+    # 1 - 2^-60 rounds to 1.0: taken as a point, the edge -1 * (1 - factor)
+    # would come out -1.0, below the exact -1 + 2^-60
+    monkeypatch.setattr(pipeline, "_tail_center_edge", lambda model, disks: -1.0)
+    disks = replace(sh_toy["disks"], tail_radius=0.0)
+    bounds = SimpleNamespace(t=0.0, eps_factor=Interval(0.0, 2.0 ** -60))
+    cert = pipeline._assemble_certificate(
+        sh_toy["model"], sh_toy["grid"], "c", sh_toy["N"], 1e-8,
+        Interval(-0.01, 3.56), bounds, disks, disks.radii, CertifyOptions(),
+        False, 3.56)
+    assert _exact_tail_edge(cert, -1.0) <= Fraction(cert.tail_edge)
+
+
 def test_certify_huge_r0_rejected(sh_toy):
     with pytest.raises(ConditionViolated) as exc:
         certify(sh_toy["model"], sh_toy["u0"], 1e3, sh_toy["N"])
@@ -122,7 +151,7 @@ def test_missing_hooks_fail_before_the_finite_stage(sh_toy, monkeypatch):
 def test_default_window_and_shift_orientation():
     below = sh_model(0.5, -1.0, 1.0, m=1)
     w = default_window(below, 2.0, 0.01)
-    assert w.re.lo == -0.01 and w.re.hi == 2.0
+    assert w == Interval(-0.01, 2.0)
     assert select_shift(below, -1.0, 1.0) == 0.0
     assert select_shift(below, 2.0, 1.0) == -3.0
 
