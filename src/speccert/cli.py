@@ -83,7 +83,7 @@ _KEYS = {
                and v.get("tol", 1) > 0 and _count(v.get("max_iter", 1), 1),
                '{"tol": number > 0, "max_iter": integer >= 1}, each optional'),
     "r0": (lambda v: _real(v) and v >= 0, "a finite number >= 0"),
-    "delta0": _REAL, "q_mult": _REAL, "margin": _REAL, "t": _REAL,
+    "delta0": _REAL, "margin": _REAL, "t": _REAL,
     "window": (lambda v: isinstance(v, list) and len(v) == 2
                and all(map(_real, v)) and v[0] < v[1],
                "[lo, hi], two finite numbers with lo < hi"),
@@ -164,7 +164,7 @@ def read_config(doc) -> RunConfig:
             f"m = {model.m}, the dimension of the {model.name} model")
     _expect(sector in _SECTORS[grid.m], "sector", sector,
             f"one of {', '.join(_SECTORS[grid.m])} for grid.m = {grid.m}")
-    opts = {k: float(doc[k]) for k in ("delta0", "q_mult", "margin", "t")
+    opts = {k: float(doc[k]) for k in ("delta0", "margin", "t")
             if k in doc}
     if "window" in doc:
         opts["window"] = tuple(map(float, doc["window"]))
@@ -243,7 +243,8 @@ def run(cfg: RunConfig, plot_path: str | None = None) -> int:
     cert = certify(model, u0, cfg.r0, n_inner, cfg.options)
     _write(out, serialize.certificate_to_doc(cert))
     if plot_path:
-        _emit_plot(plot_path, sector, cert.disk_centers, cert.disk_radii_final)
+        _emit_plot(plot_path, sector, cert.bounds.window_bounds.disks.centers,
+                   cert.disk_radii_final)
     _log(f"certificate written to {out}", t_start)
     for line in cert.statements:
         print(line)

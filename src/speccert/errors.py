@@ -58,9 +58,9 @@ class ConditionViolated(CertifyError):
 
 
 class ReductionUnavailable(CertifyError):
-    """The model lacks what a requested stage needs: the self-adjoint
-    shortcut for a non-self-adjoint model, the matrix pipeline for a system,
-    or the kappa and Lipschitz hooks for certify."""
+    """The model lacks what a requested stage needs: certify takes scalar,
+    self-adjoint models with the essential spectrum below the window and
+    the kappa, Lipschitz and eigenvalue-bound hooks."""
 
 
 class DecayDomainMismatch(CertifyError):

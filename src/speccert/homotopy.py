@@ -11,7 +11,7 @@ approximation; this stage charges three families of defects against them:
 
 Every disk is inflated by eps = |center + t| * factor with a factor shared
 by all disks, and a self-adjoint shortcut yields the alternative inflation
-(r + |center + t|) * factor_sa when the model is self-adjoint.
+(r + |center + t|) * factor_sa.
 
 Most bounds depend on the spectral window but not on the shift t, so
 `window_bounds` computes them once per certificate: kappa and the Lipschitz
@@ -20,6 +20,7 @@ distances of the symbol, and the operator blocks DG(shell <- inner) P and
 Pinv DG(inner <- shell).  `compute_bounds` adds what each shift of the
 ladder needs: (S + t)^{-1}, Z13, Z14, the matrix factor behind Zu3 and
 C2 r0, the inflation factors, and the self-adjoint factor with its disk gap.
+The q-refined path charges Zu2 and Zu3 with the fixed multiplier Q_MULT.
 Each quantity is held once: a certificate's `bounds` is the HomotopyBounds
 of its shift, and `bounds.window_bounds` the WindowBounds it shares with
 every other shift.
@@ -33,6 +34,7 @@ block as a row scaling, O(n^2) instead of a dense O(n^3) product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +43,11 @@ from .errors import ConditionViolated, DivisionByZeroInterval
 from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
 from .fourier import FourierSeq, conv, seq_l1
 from .imatrix import IMatrix, op_norm2_bound
-from .interval import PI, Interval, elementwise, iv_exp, iv_sqrt
+from .interval import PI, IArray, Interval, elementwise, iv_exp, iv_sqrt
 from .models import DecayBound, Model
 from .radial import bb_sup, radial_inf
+
+Q_MULT = 2.0                  # multiplier of Zu2 and Zu3 on the q-refined path
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,6 @@ class WindowBounds:
     pseudo: PseudoDiag
     disks: DiskSet
     window: Interval
-    q_mult: float
     l1w: Interval
     lam_mid: list                 # l(n~) over the shell indices
     d_off: IMatrix                # |D| with its diagonal zeroed
@@ -251,8 +254,8 @@ class WindowBounds:
 
 
 def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
-                  pseudo: PseudoDiag, disks: DiskSet, window: Interval,
-                  q_mult: float) -> WindowBounds:
+                  pseudo: PseudoDiag, disks: DiskSet,
+                  window: Interval) -> WindowBounds:
     """Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q for a window,
     with the operator blocks the shift-dependent bounds reuse.  Raises
     ConditionViolated when an inequality fails for every shift."""
@@ -316,7 +319,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
 
     p_norm = pseudo.p_norm
     kappa2 = kappa2_formula(z11, z12, zu2, sq * c1r0, p_norm)
-    zu2q = Interval(q_mult) * zu2
+    zu2q = Interval(Q_MULT) * zu2
     kappa2q = kappa2_formula(z11, z12, zu2q, Interval(0.0), p_norm)
     conditions = {
         "C1 r0 < 1": (c1r0.hi, 1.0),
@@ -326,7 +329,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     }
     return WindowBounds(
         model=model, pseudo=pseudo, disks=disks, window=window,
-        q_mult=q_mult, l1w=l1w, lam_mid=lam_mid,
+        l1w=l1w, lam_mid=lam_mid,
         d_off=IMatrix.from_point(off), pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
         z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
         kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
@@ -348,15 +351,14 @@ class HomotopyBounds:
     eps_factor: Interval          # shared multiplier of |center + t|
     eps_factor_inf: Interval
     eps_factor_q: Interval
-    sa_factor: Interval | None    # multiplier of (r + |center + t|)
-    gap: Interval | None          # dist(-t, certified disks), self-adjoint
+    sa_factor: Interval           # multiplier of (r + |center + t|)
+    gap: Interval                 # [lower bound on dist(-t, certified disks), inf]
 
 
 def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     """The bounds at shift t: Z13, Z14, Zu3, C2 r0, the inflation factors
-    and, for a self-adjoint model, the self-adjoint factor."""
+    and the self-adjoint factor."""
     model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
-    q_mult = wb.q_mult
     sinv = _diag_shift_inv(pseudo, t)
 
     # Z13: off-diagonal of the diagonalized block, weighted by (S + t)^{-1}
@@ -368,9 +370,10 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     else:
         z14 = Interval(0.0)
 
-    # finite matrix factor shared by Zu3 and C2
+    # finite matrix factor shared by Zu3 and C2: the norm of |G| diag(colw),
+    # each product rounded up as the IArray product rounds it
     g = pseudo.Pinv.scale_rows(sinv)
-    fmat = op_norm2_bound(IMatrix.from_point(g.mag() * wb.colw[None, :]))
+    fmat = op_norm2_bound(IMatrix.from_point((IArray(g.mag()) * IArray(wb.colw)).hi))
     zu2, c1r0, sq = wb.zu2, wb.c1r0, wb.sq
     zu3 = Interval(0.0, (zu2 * fmat).hi)
     c2r0 = Interval(0.0, (c1r0 * fmat).hi)
@@ -378,28 +381,25 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     p_norm = pseudo.p_norm
     kappa2, kappa2q = wb.kappa2, wb.kappa2q
     factor_inf = z13 + z14 * kappa2 + (zu3 + c2r0 * sq) * (p_norm + kappa2)
-    zu3q = Interval(q_mult) * zu3
+    zu3q = Interval(Q_MULT) * zu3
     factor_q = z13 + z14 * kappa2q + zu3q * (p_norm + kappa2q)
     eps_factor = Interval(0.0, max(factor_inf.hi, factor_q.hi))
 
-    sa_factor = None
-    gap = None
-    if model.self_adjoint:
-        tail_inf = _shifted_tail_inf(model, disks, t)
-        gap = _disk_gap(disks, t, tail_inf)
-        if gap.lo <= 0:
-            raise ConditionViolated("shift -t is not separated from the disks")
-        sup_tmu = sup_to_window(Interval(-t), window)
-        dgn = Interval(disks.sym_factor) * wb.l1w
-        fsa = Interval(1.0) + (dgn + Interval(sup_tmu.hi)) / Interval(gap.lo)
-        fne = _selfadjoint_factor_neumann(wb, t, z13, z14, fmat, tail_inf)
-        if fne is not None and fne.hi < fsa.hi:
-            fsa = fne
-        zu3_sa = zu2 * fsa
-        c2r0_sa = c1r0 * fsa
-        fac_gen = zu3_sa + c2r0_sa * sq
-        fac_q = Interval(q_mult) * zu3_sa
-        sa_factor = Interval(0.0, max(fac_gen.hi, fac_q.hi))
+    tail_inf = _shifted_tail_inf(model, disks, t)
+    gap = _disk_gap(disks, t, tail_inf)
+    if gap.lo <= 0:
+        raise ConditionViolated("shift -t is not separated from the disks")
+    sup_tmu = sup_to_window(Interval(-t), window)
+    dgn = Interval(disks.sym_factor) * wb.l1w
+    fsa = Interval(1.0) + (dgn + Interval(sup_tmu.hi)) / Interval(gap.lo)
+    fne = _selfadjoint_factor_neumann(wb, t, z13, z14, fmat, tail_inf)
+    if fne is not None and fne.hi < fsa.hi:
+        fsa = fne
+    zu3_sa = zu2 * fsa
+    c2r0_sa = c1r0 * fsa
+    fac_gen = zu3_sa + c2r0_sa * sq
+    fac_q = Interval(Q_MULT) * zu3_sa
+    sa_factor = Interval(0.0, max(fac_gen.hi, fac_q.hi))
 
     return HomotopyBounds(
         window_bounds=wb,
@@ -485,19 +485,19 @@ def _shifted_tail_inf(model: Model, disks: DiskSet, t: float) -> Interval:
 
 
 def _disk_gap(disks: DiskSet, t: float, tail_inf: Interval) -> Interval:
-    """Lower bound on dist(-t, union of certified disks), given the tail
-    minimum from `_shifted_tail_inf`."""
+    """[g, inf] with g a lower bound on dist(-t, union of certified disks),
+    given the tail minimum from `_shifted_tail_inf`."""
     t_iv = Interval(t)
     gaps = [Interval((center.re + t_iv).mig()) - Interval(radius)
             for center, radius in zip(disks.centers, disks.radii)]
     gaps.append(tail_inf - Interval(disks.tail_radius))
-    return Interval(min(g.lo for g in gaps))
+    return Interval(min(g.lo for g in gaps), math.inf)
 
 
 def inflate_disks(disks: DiskSet, bounds: HomotopyBounds) -> list:
-    """Final radii per explicit disk, Gershgorin radius plus inflation, for
-    every family the bounds allow, as (selfadjoint_path, radii) pairs: the
-    general family, then the self-adjoint one when it was assembled."""
+    """Final radii per explicit disk, Gershgorin radius plus inflation, as
+    (selfadjoint_path, radii) pairs: the general family, then the
+    self-adjoint one."""
     t = Interval(bounds.t)
     radii = [Interval(r) for r in disks.radii]
     shifted = [Interval((c.re + t).mag()) for c in disks.centers]
@@ -505,7 +505,5 @@ def inflate_disks(disks: DiskSet, bounds: HomotopyBounds) -> list:
     def family(eps):
         return [(r + Interval(eps(r, s).hi)).hi for r, s in zip(radii, shifted)]
 
-    families = [(False, family(lambda r, s: bounds.eps_factor * s))]
-    if bounds.sa_factor is not None:
-        families.append((True, family(lambda r, s: bounds.sa_factor * (r + s))))
-    return families
+    return [(False, family(lambda r, s: bounds.eps_factor * s)),
+            (True, family(lambda r, s: bounds.sa_factor * (r + s)))]

@@ -91,6 +91,7 @@ class Model:
     range_tail_hull = None             # R -> (float lo, float hi), +-inf allowed
     lip_dg = None                      # (l1_U0, r0, kappa) -> Interval
     kappa_hook = None                  # () -> Interval
+    lambda_max = None                  # (l1_U0, l1_V0, r0) -> Interval
     decay_provider = None              # Interval window -> DecayBound
 
     def symbol_at(self, s: Interval) -> Interval:
@@ -264,6 +265,17 @@ def sh_model(mu, nu1, nu2, m: int = 2) -> Model:
 
     model.kappa_hook = kappa_hook
 
+    def lambda_max(l1_u0: Interval, l1_v0: Interval, r0: Interval) -> Interval:
+        """Upper bound for the eigenvalues of the linearization at every
+        state within r0 of U0, with V0 = DG(U0)."""
+        k_r0 = model.kappa() * r0
+        bound = (l1_v0 + Interval(2.0) * nu1.abs() * k_r0
+                 + Interval(3.0) * nu2.abs() * k_r0 * (Interval(2.0) * l1_u0 + k_r0)
+                 - mu)
+        return Interval(bound.hi, bound.hi)
+
+    model.lambda_max = lambda_max
+
     def decay_provider(window: Interval) -> DecayBound:
         # closed-form constants, worst case at the left end of the window
         lam_lo = Interval(window.lo)
@@ -279,20 +291,6 @@ def sh_model(mu, nu1, nu2, m: int = 2) -> Model:
 
     model.decay_provider = decay_provider
     return model
-
-
-def sh_lambda_max(model: Model, l1_u0: Interval, l1_v0: Interval,
-                  r0: Interval) -> Interval:
-    """Upper bound for eigenvalues of the Swift-Hohenberg linearization."""
-    mu = model.params["mu"]
-    nu1 = model.params["nu1"]
-    nu2 = model.params["nu2"]
-    kap = model.kappa()
-    k_r0 = kap * r0
-    bound = (l1_v0 + Interval(2.0) * nu1.abs() * k_r0
-             + Interval(3.0) * nu2.abs() * k_r0 * (Interval(2.0) * l1_u0 + k_r0)
-             - mu)
-    return Interval(bound.hi, bound.hi)
 
 
 # ---------------------------------------------------------------------------

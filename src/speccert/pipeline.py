@@ -32,7 +32,7 @@ from .finite import (
 from .fourier import FourierSeq, index_list, seq_l1
 from .homotopy import HomotopyBounds, compute_bounds, inflate_disks, window_bounds
 from .interval import Interval
-from .models import Model, essential_spectrum, sh_lambda_max
+from .models import Model, essential_spectrum
 
 
 @dataclass
@@ -47,21 +47,13 @@ class CountedCluster:
 
 @dataclass
 class Certificate:
-    model_name: str
-    model_params: dict
-    grid_m: int
-    grid_d: float
-    sector: str
-    n_inner: int
+    """The model, disks and window are read through bounds.window_bounds."""
+
     r0: float
-    window: tuple            # (lo, hi) real part
     delta0: float
     essential: list          # list of (lo_or_None, hi_or_None) rays
     bounds: HomotopyBounds
-    disk_centers: list       # box per explicit disk, imaginary part [0, 0]
-    disk_radii_gershgorin: list
     disk_radii_final: list
-    tail_radius_gershgorin: float
     tail_edge: float         # certified bound of the inflated tail family
     clusters: list           # CountedCluster, only those counted inside window
     statements: list
@@ -71,35 +63,26 @@ class Certificate:
     selfadjoint_path: bool
 
 
-def default_window(model: Model, lam_max: float, delta0: float) -> Interval:
-    """Spectral window on the point-spectrum side of the essential edge."""
-    if model.ess_side == "below":
-        if lam_max <= -delta0:
-            lam_max = -delta0 + 1.0
-        return Interval(-delta0, lam_max)
-    if lam_max >= delta0:
-        lam_max = delta0 - 1.0
-    return Interval(lam_max, delta0)
+def default_window(lam_max: float, delta0: float) -> Interval:
+    """Spectral window above the essential edge, up to the eigenvalue bound."""
+    if lam_max <= -delta0:
+        lam_max = -delta0 + 1.0
+    return Interval(-delta0, lam_max)
 
 
-def select_shift(model: Model, edge: float, margin: float) -> float:
-    """Place -t beyond the certified spectral edge by the given margin."""
-    if model.ess_side == "below":
-        return -(edge + margin)
-    return -(edge - margin)
+def select_shift(edge: float, margin: float) -> float:
+    """Place -t above the certified spectral edge by the given margin."""
+    return -(edge + margin)
 
 
-def _spectral_edge(model, clusters) -> float:
-    """Certified extremal real edge of the explicit disks, toward the window."""
-    if model.ess_side == "below":
-        return max(c.hi for c in clusters)
-    return min(c.lo for c in clusters)
+def _spectral_edge(clusters) -> float:
+    """Certified upper real edge of the explicit disks."""
+    return max(c.hi for c in clusters)
 
 
 @dataclass(frozen=True)
 class CertifyOptions:
     delta0: float = 1e-2
-    q_mult: float = 2.0
     margin: float = 1.0
     window: tuple | None = None            # (lo, hi) override
     t: float | None = None
@@ -108,50 +91,54 @@ class CertifyOptions:
 
 def certify(model: Model, u0: FourierSeq, r0: float, N: int,
             options: CertifyOptions | None = None) -> Certificate:
+    """Certify the spectrum in a window of the linearization at the true
+    state within r0 of u0.  The model must be scalar and self-adjoint, with
+    its essential spectrum below the window, and provide kappa_hook, lip_dg
+    and lambda_max; any other raises ReductionUnavailable before any work."""
     opts = options or CertifyOptions()
     if not (r0 >= 0 and math.isfinite(r0)):
         raise InvalidParameter(f"r0={r0} must be a finite nonnegative float")
+    unmet = [f"no {hook}" for hook in ("kappa_hook", "lip_dg", "lambda_max")
+             if getattr(model, hook) is None]
     if model.components != 1:
+        unmet.append(f"{model.components} components, not 1")
+    if not model.self_adjoint:
+        unmet.append("not self-adjoint")
+    if model.ess_side != "below":
+        unmet.append(f"essential spectrum {model.ess_side} the window, not below")
+    if unmet:
         raise ReductionUnavailable(
-            "the matrix pipeline handles scalar models; system models are "
-            "limited to essential-spectrum and constant computations")
-    missing = [hook for hook in ("kappa_hook", "lip_dg")
-               if getattr(model, hook) is None]
-    if missing:
-        raise ReductionUnavailable(
-            f"{model.name} has no {' or '.join(missing)}: certify needs kappa "
-            "and the Lipschitz bound of DG to reach the true state")
+            f"certify cannot take the {model.name} model: {'; '.join(unmet)}")
     sector = u0.sector
-    grid = u0.grid
 
     w = kernel_from_state(model, u0)
     a = assemble_jacobian(model, w, sector, N)
-    idx = index_list(grid, sector, N)
+    idx = index_list(u0.grid, sector, N)
     pseudo = build_pseudo_diag(a, idx, model.self_adjoint)
     disks = gershgorin_disks(model, w, sector, N, pseudo, a)
     raw_clusters = cluster_disks(disks)
 
     l1u = seq_l1(u0)
-    lam_max = _lambda_bound(model, u0, w, r0)
+    lam_max = model.lambda_max(l1u, seq_l1(w), Interval(r0)).hi
 
     if opts.window is not None:
         window = Interval(*opts.window)
     else:
-        window = default_window(model, lam_max, opts.delta0)
+        window = default_window(lam_max, opts.delta0)
 
     if opts.t is not None:
         shifts = [opts.t]
     else:
-        edge = _spectral_edge(model, raw_clusters)
-        shifts = [select_shift(model, lam_max, opts.margin)]
+        edge = _spectral_edge(raw_clusters)
+        shifts = [select_shift(lam_max, opts.margin)]
         # the certified edge from pass 1 permits tighter shifts; the best
         # margin balances |lambda + t| against the 1/|lambda + t| weights,
         # so try a short ladder and keep the tightest family
         for mg in (0.25 * opts.margin, 0.5 * opts.margin,
                    opts.margin, 2.0 * opts.margin):
-            shifts.append(select_shift(model, edge, mg))
+            shifts.append(select_shift(edge, mg))
 
-    wb = window_bounds(model, w, l1u, r0, pseudo, disks, window, opts.q_mult)
+    wb = window_bounds(model, w, l1u, r0, pseudo, disks, window)
 
     # each (shift, path) pair yields a complete valid disk family; keep the
     # tightest family, never mix radii across families
@@ -166,35 +153,20 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
             continue
         for sa_used, fam in inflate_disks(disks, cand):
             # how far the inflated disks encroach toward the window
-            if model.ess_side == "below":
-                score = max(c.re.hi + r for c, r in zip(disks.centers, fam))
-            else:
-                score = -min(c.re.lo - r for c, r in zip(disks.centers, fam))
+            score = max(c.re.hi + r for c, r in zip(disks.centers, fam))
             if best is None or score < best[0]:
                 best = (score, cand, fam, sa_used)
     if best is None:
         raise first_error
     _, bounds, radii, sa_used = best
 
-    return _assemble_certificate(model, grid, sector, N, r0, window, bounds,
-                                 disks, radii, opts, sa_used, lam_max)
+    return _assemble_certificate(r0, bounds, radii, opts, sa_used, lam_max)
 
 
-def _lambda_bound(model: Model, u0: FourierSeq, w: FourierSeq, r0: float) -> float:
-    if model.name == "swift-hohenberg":
-        return sh_lambda_max(model, seq_l1(u0), seq_l1(w), Interval(r0)).hi
-    # generic bound: essential edge plus the l1 mass of the kernel
-    l1w = (Interval(2.0 ** (model.m / 2.0)) * seq_l1(w)).hi
-    rays = essential_spectrum(model)
-    if model.ess_side == "below":
-        tops = [r.hi.hi for r in rays if r.hi is not None]
-        return (Interval(max(tops)) + Interval(l1w)).hi
-    bots = [r.lo.lo for r in rays if r.lo is not None]
-    return (Interval(min(bots)) - Interval(l1w)).lo
-
-
-def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
-                          radii, opts, use_sa, lam_max) -> Certificate:
+def _assemble_certificate(r0, bounds, radii, opts, use_sa,
+                          lam_max) -> Certificate:
+    wb = bounds.window_bounds
+    model, disks, window = wb.model, wb.disks, wb.window
     t = bounds.t
     jlo, jhi = window.lo, window.hi
     factor = bounds.eps_factor.hi
@@ -203,22 +175,15 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
             f"inflation factor {factor} >= 1: the tail family cannot be "
             "closed; increase the domain half-period or tighten the window")
 
-    # inflated tail family: center lam on the essential side, radius
-    # r_tail + factor * |lam + t|; its extremal edge toward the window is
-    # attained at the tail center closest to the window.
+    # inflated tail family: center lam below the window, radius
+    # r_tail + factor * |lam + t|; its upper edge is attained at the
+    # highest tail center.
     tail_center_edge = _tail_center_edge(model, disks)
     shrink = Interval(1.0) - Interval(factor)
-    if model.ess_side == "below":
-        tail_edge = (Interval(tail_center_edge) * shrink
-                     + Interval(disks.tail_radius)
-                     - Interval(factor) * Interval(t)).hi
-        tail_clear = tail_edge < jlo
-    else:
-        tail_edge = (Interval(tail_center_edge) * shrink
-                     - Interval(disks.tail_radius)
-                     - Interval(factor) * Interval(t)).lo
-        tail_clear = tail_edge > jhi
-    if not tail_clear:
+    tail_edge = (Interval(tail_center_edge) * shrink
+                 + Interval(disks.tail_radius)
+                 - Interval(factor) * Interval(t)).hi
+    if not tail_edge < jlo:
         raise ClusterTouchesTail(
             f"inflated tail family reaches {tail_edge}, inside the window "
             f"[{jlo}, {jhi}]")
@@ -259,7 +224,7 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
     has_candidate = any(c.label == "contains 0 candidate" for c in counted)
     # a stability verdict needs the window to reach from the stable side
     # across 0 up to the a-priori bound of the point spectrum
-    covers = _window_covers_unstable_side(model, window, lam_max)
+    covers = jlo <= 0.0 and jhi >= lam_max
     if unstable > 0:
         stable = "unstable"
     elif has_candidate:
@@ -274,21 +239,11 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
             for r in essential_spectrum(model)]
 
     return Certificate(
-        model_name=model.name,
-        model_params={k: (v.lo, v.hi) for k, v in model.params.items()},
-        grid_m=grid.m,
-        grid_d=grid.d,
-        sector=sector,
-        n_inner=N,
         r0=r0,
-        window=(jlo, jhi),
         delta0=opts.delta0,
         essential=rays,
         bounds=bounds,
-        disk_centers=list(disks.centers),
-        disk_radii_gershgorin=list(disks.radii),
         disk_radii_final=list(radii),
-        tail_radius_gershgorin=disks.tail_radius,
         tail_edge=tail_edge,
         clusters=counted,
         statements=statements,
@@ -300,17 +255,12 @@ def _assemble_certificate(model, grid, sector, N, r0, window, bounds, disks,
 
 
 def _tail_center_edge(model: Model, disks) -> float:
-    """Extremal tail-disk center toward the window: sup (or inf) over the
-    continuum region of l plus the kernel diagonal term."""
-    hull = model.range_tail_hull(disks.min_tail_s)
-    w0 = disks.w0
-    if model.ess_side == "below":
-        if hull[1] is None or not math.isfinite(hull[1]):
-            raise ConditionViolated("tail symbol range unbounded toward window")
-        return (Interval(hull[1]) + w0).hi
-    if hull[0] is None or not math.isfinite(hull[0]):
+    """Highest tail-disk center: sup over the continuum region of l plus
+    the kernel diagonal term."""
+    top = model.range_tail_hull(disks.min_tail_s)[1]
+    if not math.isfinite(top):
         raise ConditionViolated("tail symbol range unbounded toward window")
-    return (Interval(hull[0]) + w0).lo
+    return (Interval(top) + disks.w0).hi
 
 
 def _reconcile_kernel(counted, k_inv):
@@ -332,9 +282,3 @@ def _reconcile_kernel(counted, k_inv):
     return (f"declared invariance dimension {k_inv} accounted for by "
             f"zero-straddling cluster(s)"), counted
 
-
-def _window_covers_unstable_side(model: Model, window: Interval,
-                                 lam_max: float) -> bool:
-    if model.ess_side == "below":
-        return window.lo <= 0.0 and window.hi >= lam_max
-    return window.hi >= 0.0 and window.lo <= lam_max

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .fourier import FourierSeq, Grid
+from .homotopy import Q_MULT
 from .interval import ComplexBox, Interval
 
 SCHEMA_VERSION = 1
@@ -136,6 +137,7 @@ def diskset_to_doc(ds) -> dict:
 def certificate_to_doc(cert) -> dict:
     b = cert.bounds
     wb = b.window_bounds
+    model, disks, window = wb.model, wb.disks, wb.window
     bounds_doc = {
         "Z11": enc_interval(wb.z11), "Z12": enc_interval(wb.z12),
         "Z13": enc_interval(b.z13), "Z14": enc_interval(b.z14),
@@ -148,28 +150,24 @@ def certificate_to_doc(cert) -> dict:
         "eps_factor": enc_interval(b.eps_factor),
         "eps_factor_general": enc_interval(b.eps_factor_inf),
         "eps_factor_q": enc_interval(b.eps_factor_q),
-        "q_mult": enc_float(wb.q_mult),
+        "q_mult": enc_float(Q_MULT),
+        "selfadjoint_factor": enc_interval(b.sa_factor),
+        "shift_gap": enc_interval(b.gap),
     }
-    if b.sa_factor is not None:
-        bounds_doc["selfadjoint_factor"] = enc_interval(b.sa_factor)
-    if b.gap is not None:
-        bounds_doc["shift_gap"] = enc_interval(b.gap)
     return {
         "schema": SCHEMA_VERSION,
         "kind": "certificate",
         "tool_version": _tool_version(),
         "model": {
-            "name": cert.model_name,
-            "params": {k: {"lo": enc_float(v[0]), "hi": enc_float(v[1])}
-                       for k, v in cert.model_params.items()},
+            "name": model.name,
+            "params": {k: enc_interval(v) for k, v in model.params.items()},
         },
-        "grid": {"m": cert.grid_m, "d": enc_float(cert.grid_d)},
-        "sector": cert.sector,
-        "n_inner": cert.n_inner,
+        "grid": {"m": disks.grid.m, "d": enc_float(disks.grid.d)},
+        "sector": disks.sector,
+        "n_inner": disks.n_inner,
         "r0": enc_float(cert.r0),
         "t": enc_float(b.t),
-        "window": {"lo": enc_float(cert.window[0]),
-                   "hi": enc_float(cert.window[1])},
+        "window": enc_interval(window),
         "delta0": enc_float(cert.delta0),
         "essential": [
             {"lo": None if lo is None else enc_float(lo),
@@ -181,12 +179,11 @@ def certificate_to_doc(cert) -> dict:
             {"center": enc_box(c),
              "radius_gershgorin": enc_float(rg),
              "radius_final": enc_float(rf)}
-            for c, rg, rf in zip(cert.disk_centers,
-                                 cert.disk_radii_gershgorin,
+            for c, rg, rf in zip(disks.centers, disks.radii,
                                  cert.disk_radii_final)
         ],
         "tail": {
-            "radius_gershgorin": enc_float(cert.tail_radius_gershgorin),
+            "radius_gershgorin": enc_float(disks.tail_radius),
             "inflated_edge": enc_float(cert.tail_edge),
         },
         "clusters": [

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,6 @@ from speccert.imatrix import IMatrix
 from speccert.interval import ComplexBox, IArray, Interval
 from speccert.models import DecayBound, sh_model
 from speccert.pipeline import (
-    CertifyOptions,
     default_window,
     select_shift,
     _spectral_edge,
@@ -226,14 +226,41 @@ def toy_bounds(sh_toy):
     model = sh_toy["model"]
     disks = sh_toy["disks"]
     clusters = cluster_disks(disks)
-    edge = _spectral_edge(model, clusters)
-    t = select_shift(model, edge, 1.0)
-    window = default_window(model, 3.56, 0.01)
+    edge = _spectral_edge(clusters)
+    t = select_shift(edge, 1.0)
+    window = default_window(3.56, 0.01)
     u0_l1 = seq_l1(sh_toy["u0"])
     wb = window_bounds(model, sh_toy["w"], u0_l1, 1e-8, sh_toy["pseudo"],
-                       disks, window, CertifyOptions().q_mult)
+                       disks, window)
     bounds = compute_bounds(wb, t)
     return {"bounds": bounds, "t": t, "window": window, "wb": wb}
+
+
+@pytest.mark.parametrize("underflow", [False, True])
+def test_fmat_operand_bounds_the_exact_products(toy_bounds, monkeypatch,
+                                                underflow):
+    # the matrix factor behind Zu3 and C2 r0 is the norm of |G| diag(colw);
+    # each operand entry must be at least its exact product, also where the
+    # product underflows (column weights of 2^-1074)
+    wb = toy_bounds["wb"]
+    if underflow:
+        wb = replace(wb, colw=np.full_like(wb.colw, 2.0 ** -1074))
+    operands = []
+
+    def spy(a, _real=homotopy.op_norm2_bound):
+        operands.append(a)
+        return _real(a)
+
+    monkeypatch.setattr(homotopy, "op_norm2_bound", spy)
+    t = toy_bounds["t"]
+    compute_bounds(wb, t)
+    sinv = homotopy._diag_shift_inv(wb.pseudo, t)
+    gmag = wb.pseudo.Pinv.scale_rows(sinv).mag()
+    # the one point operand of the shift's norms
+    [fmat] = [a for a in operands if a.shape == gmag.shape and (a.lo == a.hi).all()]
+    for i, j in np.ndindex(gmag.shape):
+        exact = Fraction(gmag[i, j]) * Fraction(wb.colw[j])
+        assert Fraction(fmat.hi[i, j]) >= exact, (i, j)
 
 
 def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
@@ -271,12 +298,11 @@ def test_bounds_finite_and_contracting(toy_bounds):
     wb = b.window_bounds
     for src, name in ((wb, "z11"), (wb, "z12"), (b, "z13"), (b, "z14"),
                       (wb, "zu1"), (wb, "zu2"), (b, "zu3"), (wb, "kappa1"),
-                      (wb, "kappa2"), (b, "eps_factor")):
+                      (wb, "kappa2"), (b, "eps_factor"), (b, "sa_factor")):
         v = getattr(src, name)
         assert math.isfinite(v.hi) and v.hi >= 0.0, name
     assert b.eps_factor.hi < 1.0
     assert wb.kappa1.hi < 0.1
-    assert b.sa_factor is not None
 
 
 def test_inflated_radii_exceed_gershgorin(sh_toy, toy_bounds):
@@ -292,11 +318,9 @@ def test_inflated_radii_exceed_gershgorin(sh_toy, toy_bounds):
 def test_selfadjoint_path_dominates_at_generous_shift(sh_toy, toy_bounds):
     # with a shift well clear of the spectrum the symmetric resolvent
     # estimate beats the Neumann-series route on every disk
-    model = sh_toy["model"]
     disks = sh_toy["disks"]
-    clusters = cluster_disks(disks)
-    edge = _spectral_edge(model, clusters)
-    t = select_shift(model, edge, 4.0)
+    edge = _spectral_edge(cluster_disks(disks))
+    t = select_shift(edge, 4.0)
     b = compute_bounds(toy_bounds["wb"], t)
     (_, gen), (_, sa) = inflate_disks(disks, b)
     for r_gen, r_sa in zip(gen, sa):
@@ -307,5 +331,5 @@ def test_huge_r0_rejected(sh_toy, toy_bounds):
     with pytest.raises(ConditionViolated) as exc:
         window_bounds(sh_toy["model"], sh_toy["w"], seq_l1(sh_toy["u0"]),
                       1e3, sh_toy["pseudo"], sh_toy["disks"],
-                      toy_bounds["window"], CertifyOptions().q_mult)
+                      toy_bounds["window"])
     assert "r0" in str(exc.value)

@@ -16,7 +16,6 @@ from speccert.models import (
     essential_spectrum,
     gray_scott_model,
     rigorous_L2_of_reciprocal,
-    sh_lambda_max,
     sh_model,
     whitham_model,
 )
@@ -142,7 +141,7 @@ def test_reciprocal_l2_tail_rejected_for_slow_growth():
 
 def test_sh_lambda_max_trivial():
     model = sh_model(0.28, -1.6, 1.0, m=2)
-    lm = sh_lambda_max(model, Interval(0.0), Interval(0.0), Interval(0.0))
+    lm = model.lambda_max(Interval(0.0), Interval(0.0), Interval(0.0))
     assert lm.contains(-0.28)
 
 
@@ -151,7 +150,7 @@ def test_sh_lambda_max_hand_arithmetic():
     # the l1 bound 2|nu1| 0.1 + 3 |nu2| 0.01 treated through the formula
     # with l1_u0 = 0.1 and l1_v0 = |2 nu1 u0 + 3 nu2 u0*u0|_1 = 0.29
     model = sh_model(0.28, -1.6, 1.0, m=2)
-    lm = sh_lambda_max(model, Interval(0.1), Interval(0.29), Interval(0.0))
+    lm = model.lambda_max(Interval(0.1), Interval(0.29), Interval(0.0))
     assert abs(lm.hi - 0.01) < 1e-12
 
 
@@ -161,7 +160,7 @@ def test_sh_lambda_max_monotone_in_r0():
     v0 = Interval(0.29)
     prev = -math.inf
     for r0 in (0.0, 1e-6, 1e-3, 1e-1):
-        lm = sh_lambda_max(model, u0, v0, Interval(r0))
+        lm = model.lambda_max(u0, v0, Interval(r0))
         assert lm.hi >= prev
         prev = lm.hi
 

@@ -1,4 +1,6 @@
+import copy
 import importlib.util
+import inspect
 import json
 import math
 import sys
@@ -48,23 +50,24 @@ def toy_cert(sh_toy):
 
 def test_certificate_structure(toy_cert):
     cert = toy_cert
-    assert cert.model_name == "swift-hohenberg"
+    wb = cert.bounds.window_bounds
+    assert wb.model.name == "swift-hohenberg"
     assert cert.stable == "stable"
     assert cert.unstable_count == 0
     assert cert.clusters == []
     assert any("no eigenvalues" in s for s in cert.statements)
-    jlo, jhi = cert.window
+    jlo, jhi = wb.window.lo, wb.window.hi
     assert jlo == -0.01 and jhi > 3.0
     assert cert.tail_edge < jlo
     assert cert.bounds.eps_factor.hi < 1.0
-    for rg, rf in zip(cert.disk_radii_gershgorin, cert.disk_radii_final):
+    for rg, rf in zip(wb.disks.radii, cert.disk_radii_final):
         assert rf >= rg
 
 
 def test_certificate_window_clears_all_disks(toy_cert):
-    jlo = toy_cert.window[0]
-    for c, r in zip(toy_cert.disk_centers, toy_cert.disk_radii_final):
-        assert c.re.hi + r < jlo
+    wb = toy_cert.bounds.window_bounds
+    for c, r in zip(wb.disks.centers, toy_cert.disk_radii_final):
+        assert c.re.hi + r < wb.window.lo
 
 
 def test_certificate_deterministic(sh_toy, toy_cert):
@@ -81,7 +84,8 @@ def _exact_tail_edge(cert, center_edge):
     center edge * (1 - factor) + tail radius - factor * t."""
     factor = Fraction(cert.bounds.eps_factor.hi)
     return (Fraction(center_edge) * (1 - factor)
-            + Fraction(cert.tail_radius_gershgorin) - factor * Fraction(cert.bounds.t))
+            + Fraction(cert.bounds.window_bounds.disks.tail_radius)
+            - factor * Fraction(cert.bounds.t))
 
 
 def test_certificate_tail_edge_bounds_the_exact_edge(sh_toy, toy_cert):
@@ -94,12 +98,21 @@ def test_tail_edge_rounds_one_minus_factor_outward(sh_toy, monkeypatch):
     # would come out -1.0, below the exact -1 + 2^-60
     monkeypatch.setattr(pipeline, "_tail_center_edge", lambda model, disks: -1.0)
     disks = replace(sh_toy["disks"], tail_radius=0.0)
-    bounds = SimpleNamespace(t=0.0, eps_factor=Interval(0.0, 2.0 ** -60))
-    cert = pipeline._assemble_certificate(
-        sh_toy["model"], sh_toy["grid"], "c", sh_toy["N"], 1e-8,
-        Interval(-0.01, 3.56), bounds, disks, disks.radii, CertifyOptions(),
-        False, 3.56)
+    wb = SimpleNamespace(model=sh_toy["model"], disks=disks,
+                         window=Interval(-0.01, 3.56))
+    bounds = SimpleNamespace(t=0.0, eps_factor=Interval(0.0, 2.0 ** -60),
+                             window_bounds=wb)
+    cert = pipeline._assemble_certificate(1e-8, bounds, disks.radii,
+                                          CertifyOptions(), False, 3.56)
     assert _exact_tail_edge(cert, -1.0) <= Fraction(cert.tail_edge)
+
+
+def test_certificate_shift_gap_claims_only_a_lower_bound(toy_cert):
+    # only the lower end of dist(-t, disks) is certified
+    gap = toy_cert.bounds.gap
+    assert gap.lo > 0.0 and gap.hi == math.inf
+    doc = serialize.certificate_to_doc(toy_cert)
+    assert doc["bounds"]["shift_gap"]["hi"]["hex"] == "inf"
 
 
 def test_certify_huge_r0_rejected(sh_toy):
@@ -138,7 +151,8 @@ def test_kappa_cache_leaves_certificate_bytes_unchanged(sh_toy, toy_cert,
             == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
 
 
-def test_missing_hooks_fail_before_the_finite_stage(sh_toy, monkeypatch):
+def test_missing_hooks_fail_before_the_finite_stage(sh_toy, tmp_path,
+                                                    monkeypatch, capsys):
     def unreachable(*args, **kwargs):
         raise AssertionError("the finite stage ran")
 
@@ -146,14 +160,25 @@ def test_missing_hooks_fail_before_the_finite_stage(sh_toy, monkeypatch):
     with pytest.raises(ReductionUnavailable) as exc:
         certify(whitham_model(0.5, 0.8), sh_toy["u0"], 1e-8, 8)
     assert "kappa_hook" in str(exc.value) and "lip_dg" in str(exc.value)
+    # a model with every hook but another unmet requirement is refused as
+    # early, and the command line exits 5 naming it
+    path, _ = _toy_config(tmp_path, sh_toy)
+    for field, value, unmet in (("ess_side", "above", "essential spectrum above"),
+                                ("self_adjoint", False, "not self-adjoint")):
+        model = copy.copy(_toy_model())
+        setattr(model, field, value)
+        with pytest.raises(ReductionUnavailable, match=unmet):
+            certify(model, sh_toy["u0"], 1e-8, sh_toy["N"])
+        monkeypatch.setattr(cli, "sh_model", lambda *args, _m=model, **kw: _m)
+        assert main(["--config", str(path)]) == 5
+        assert unmet in capsys.readouterr().err
 
 
 def test_default_window_and_shift_orientation():
-    below = sh_model(0.5, -1.0, 1.0, m=1)
-    w = default_window(below, 2.0, 0.01)
+    w = default_window(2.0, 0.01)
     assert w == Interval(-0.01, 2.0)
-    assert select_shift(below, -1.0, 1.0) == 0.0
-    assert select_shift(below, 2.0, 1.0) == -3.0
+    assert select_shift(-1.0, 1.0) == 0.0
+    assert select_shift(2.0, 1.0) == -3.0
 
 
 # -- kernel reconciliation ------------------------------------------------
@@ -370,6 +395,7 @@ SH_PARAMS_NO_MU = {"name": "swift-hohenberg", "m": 1,
     pytest.param("window", {"window": [2.0, -0.01]}, id="window-reversed"),
     pytest.param("t", {"t": "abc"}, id="t-abc"),
     pytest.param("q_mul", {"q_mul": 3.0}, id="typo-key"),
+    pytest.param("q_mult", {"q_mult": 2.0}, id="removed-q-mult"),
     pytest.param("grid", {"grid": {"m": 1, "d": 10.0}}, id="grid-not-solution"),
     pytest.param("sector", {"sector": "cc"}, id="sector-for-2d"),
     pytest.param("two_pass", {"two_pass": "false"}, id="removed-two-pass"),
@@ -414,16 +440,37 @@ def test_cli_two_component_model_refused_before_the_state(tmp_path, monkeypatch,
     assert "'gray-scott'" in err and repr(mode) in err
 
 
-def test_bench_traced_names_exist(tmp_path, sh_toy, monkeypatch, capsys):
-    # bench/tracing.py wraps each name of its WRAPS list, and a traced
-    # certify must reach every layer it reports; a refactor that drops a
-    # name or a traced call must fail here, not at the next traced
-    # benchmark run
+def _bench_tracing(monkeypatch):
+    """bench/tracing.py, loaded by file path."""
     spec = importlib.util.spec_from_file_location(
         "bench_tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_wrapped_names_resolve_and_calls_bind(monkeypatch):
+    # every name bench/tracing.py wraps is a callable of speccert, and the
+    # benchmark's positional calls into the finite stage still bind
+    tracing = _bench_tracing(monkeypatch)
+    for path, attr, _, _ in tracing.WRAPS:
+        assert path.split(".")[0] == "speccert", path
+        owner = tracing._resolve(path)
+        fn = owner.__dict__.get(attr) if isinstance(owner, type) \
+            else getattr(owner, attr, None)
+        assert callable(fn), f"{path}.{attr}"
+    x = object()
+    inspect.signature(finite.build_pseudo_diag).bind(x, x, x)
+    inspect.signature(finite.gershgorin_disks).bind(x, x, x, x, x, x)
+
+
+def test_bench_traced_names_exist(tmp_path, sh_toy, monkeypatch, capsys):
+    # bench/tracing.py wraps each name of its WRAPS list, and a traced
+    # certify must reach every layer it reports; a refactor that drops a
+    # name or a traced call must fail here, not at the next traced
+    # benchmark run
+    tracing = _bench_tracing(monkeypatch)
     path, _ = _toy_config(tmp_path, sh_toy)
     with tracing.Tracer() as tracer:
         assert cli.main(["--config", str(path)]) == 0
