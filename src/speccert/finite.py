@@ -13,6 +13,7 @@ except newton_solve, which only manufactures candidate states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,10 +45,10 @@ _PAIR_BLOCK = 1 << 16         # disk pairs per batched clustering gap test
 # index bookkeeping
 
 
-def freq_norm_iv(grid: Grid, n) -> Interval:
-    """Enclosure of |2 pi n / (2d)|_2 for a lattice multi-index."""
-    ssq = sum(int(c) * int(c) for c in n)
-    root = iv_sqrt(Interval(float(ssq)))
+def freq_norm_iv(grid: Grid, indices) -> IArray:
+    """Enclosures of |2 pi n / (2d)|_2 for a list of lattice multi-indices."""
+    n = np.asarray(indices, dtype=np.int64).reshape(len(indices), grid.m)
+    root = iv_sqrt(IArray((n * n).sum(axis=1).astype(np.float64)))
     return (Interval(2.0) * PI * root) / Interval(2.0 * grid.d)
 
 
@@ -166,9 +167,9 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     return IMatrix(out_lo, out_hi)
 
 
-def symbol_diag(model: Model, grid: Grid, indices):
-    """Enclosures l(n~) for a list of multi-indices."""
-    return [model.symbol_at(freq_norm_iv(grid, n)) for n in indices]
+def symbol_diag(model: Model, grid: Grid, indices) -> IArray:
+    """Enclosures l(n~) for a list of multi-indices, from one symbol call."""
+    return model.symbol_at(freq_norm_iv(grid, indices)).checked()
 
 
 def assemble_jacobian(model: Model, w: FourierSeq, sector: str, R: int) -> IMatrix:
@@ -178,9 +179,9 @@ def assemble_jacobian(model: Model, w: FourierSeq, sector: str, R: int) -> IMatr
     grid = w.grid
     idx = index_list(grid, sector, R)
     a = conv_block(w, sector, idx, idx)
-    for i, lam in enumerate(symbol_diag(model, grid, idx)):
-        s = a.get(i, i) + lam
-        a.lo[i, i], a.hi[i, i] = s.lo, s.hi
+    i = np.arange(len(idx))
+    s = (IArray(a.lo[i, i], a.hi[i, i]) + symbol_diag(model, grid, idx)).checked()
+    a.lo[i, i], a.hi[i, i] = s.lo, s.hi
     return a
 
 
@@ -279,6 +280,11 @@ class DiskSet:
     tail_radius: float = 0.0
     min_tail_s: float = 0.0
     sym_factor: float = 1.0
+    l1w: Interval = None               # |W|_1, behind tail_radius and later bounds
+
+    @functools.cached_property
+    def center_re(self) -> IArray:
+        return IArray([c.re.lo for c in self.centers], [c.re.hi for c in self.centers])
 
 
 def _kernel_w0(w: FourierSeq) -> Interval:
@@ -341,11 +347,11 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         for b in range(0, len(mid), _MID_ROW_BLOCK):
             rows = mid[b:b + _MID_ROW_BLOCK]
             dg_rows_ext = conv_block(w, sector, rows, ext)
+            i, j = np.arange(len(rows)), np.array([ext_col[n] for n in rows])
+            diag = lam_mid[b:b + len(rows)] + IArray(dg_rows_ext.lo[i, j], dg_rows_ext.hi[i, j])
+            centers += [ComplexBox(c) for c in diag.checked().elements()]
             mag_ext = dg_rows_ext.mag()
-            for i, n in enumerate(rows):
-                j = ext_col[n]
-                centers.append(ComplexBox(lam_mid[b + i] + dg_rows_ext.get(i, j)))
-                mag_ext[i, j] = 0.0
+            mag_ext[i, j] = 0.0
             term2[b:b + len(rows)] = mag_ext.sum(axis=1)
         r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
         radii.extend(float(x) for x in r_mid)
@@ -364,6 +370,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         tail_radius=tail_radius,
         min_tail_s=min_tail_freq(grid, m_cut),
         sym_factor=c_m,
+        l1w=l1w,
     )
 
 
@@ -440,7 +447,7 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
     if model.components != 1:
         raise InvalidParameter("newton_solve supports scalar models only")
     idx = index_list(grid, sector, N)
-    lam_mid = np.array([l.mid() for l in symbol_diag(model, grid, idx)])
+    lam_mid = np.array([l.mid() for l in symbol_diag(model, grid, idx).elements()])
     side = 2 * N + 1 if sector == "full" else N + 1
     shape = (side,) * grid.m
     if not isinstance(seed, FourierSeq):

@@ -30,6 +30,9 @@ self-adjoint, so the window, the shift t and the kernel diagonal w0 are
 Intervals, a disk center is read through its real part (its imaginary part
 is exactly [0, 0]), and a diagonal weight such as (S + t)^{-1} multiplies a
 block as a row scaling, O(n^2) instead of a dense O(n^3) product.
+Per-index loops (kernel modes, window distances, weights, disk gaps,
+inflated radii) run on IArrays with the scalar bits, summing in index
+order; the Neumann head search stops once it cannot change its maximum.
 """
 
 from __future__ import annotations
@@ -41,9 +44,9 @@ import numpy as np
 
 from .errors import ConditionViolated, DivisionByZeroInterval
 from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
-from .fourier import FourierSeq, conv, seq_l1
+from .fourier import FourierSeq, conv
 from .imatrix import IMatrix, op_norm2_bound
-from .interval import PI, IArray, Interval, elementwise, iv_exp, iv_sqrt
+from .interval import PI, IArray, Interval, iv_exp, iv_sqrt
 from .models import DecayBound, Model
 from .radial import bb_sup, radial_inf
 
@@ -54,16 +57,17 @@ Q_MULT = 2.0                  # multiplier of Zu2 and Zu3 on the q-refined path
 # distances between symbol values and the spectral window
 
 
-@elementwise
-def dist_to_window(v: Interval, window: Interval) -> Interval:
-    """Enclosure of inf over mu in the window of |v - mu| for real v; both
-    ends are rounded outward."""
-    if v.hi < window.lo:
-        return Interval(window.lo) - v
-    if v.lo > window.hi:
-        return v - Interval(window.hi)
-    return Interval(0.0, max((v - Interval(window.lo)).hi,
-                             (Interval(window.hi) - v).hi))
+def dist_to_window(v: IArray, window: Interval) -> IArray:
+    """Enclosures of inf over mu in the window of |v - mu| for the real
+    elements of v, rounded outward: window.lo - v below the window,
+    v - window.hi above it, and [0, max of both upper ends] where v meets it."""
+    lo_v, v_lo = Interval(window.lo) - v, v - Interval(window.lo)
+    hi_v, v_hi = Interval(window.hi) - v, v - Interval(window.hi)
+    below, above = v.hi < window.lo, v.lo > window.hi
+    meet = np.where(hi_v.hi > v_lo.hi, hi_v.hi, v_lo.hi)
+    return IArray._of(np.where(below, lo_v.lo, np.where(above, v_hi.lo, 0.0)),
+                      np.where(below, lo_v.hi, np.where(above, v_hi.hi, meet)),
+                      lo_v.err)
 
 
 def sup_to_window(v: Interval, window: Interval) -> Interval:
@@ -99,12 +103,14 @@ def window_dist_inf(model: Model, window: Interval, s_min: float) -> Interval:
 # weighted kernel integrals
 
 
-def _mode1(j: int, a: Interval, d: float, e2ad: Interval) -> Interval:
-    """Integral of e^{i pi j y / d} (e^{2ay} + e^{-2ay}) over (-d, d)."""
-    theta2 = (PI * Interval(float(j)) / Interval(d)).sq()
+def _modes(st: int, a: Interval, d: float, e2ad: Interval) -> IArray:
+    """Integrals of e^{i pi j y / d} (e^{2ay} + e^{-2ay}) over (-d, d) for
+    j = -st, ..., st."""
+    j = np.arange(-st, st + 1)
+    theta2 = (PI * IArray(j.astype(np.float64)) / Interval(d)).sq()
     four_a = Interval(4.0) * a
-    val = (e2ad - Interval(1.0) / e2ad) * four_a / (four_a * a + theta2)
-    return val if j % 2 == 0 else -val
+    val = ((e2ad - Interval(1.0) / e2ad) * four_a / (four_a * a + theta2)).checked()
+    return IArray(np.where(j % 2, -val.hi, val.lo), np.where(j % 2, -val.lo, val.hi))
 
 
 def kernel_weight_integrals(w: FourierSeq, a: Interval) -> dict:
@@ -113,47 +119,26 @@ def kernel_weight_integrals(w: FourierSeq, a: Interval) -> dict:
     Returns enclosures of
       cosh[i] = integral of w^2 (e^{2 a y_i} + e^{-2 a y_i}) dy,
       coshcosh = integral of w^2 prod_i (e^{2 a y_i} + e^{-2 a y_i}) dy
-    (the latter only for m = 2).  All are nonnegative by inspection.
+    (the latter only for m = 2).  All are nonnegative by inspection.  Each
+    is an IArray of terms summed in mode order, row-major for coshcosh.
     """
     grid = w.grid
     d = grid.d
     t = conv(w, w)
     tlo, thi = t.expand_signed()
     st = t.S
-    e2ad = iv_exp(Interval(2.0) * a * Interval(d))
-    modes = {}
-
-    def mode1(j: int) -> Interval:
-        if j not in modes:
-            modes[j] = _mode1(j, a, d, e2ad)
-        return modes[j]
-
-    two_d = Interval(2.0 * d)
+    modes = _modes(st, a, d, iv_exp(Interval(2.0) * a * Interval(d)))
     out = {"cosh": [], "coshcosh": None}
     if grid.m == 1:
-        total = Interval(0.0)
-        for j in range(-st, st + 1):
-            c = Interval(float(tlo[j + st]), float(thi[j + st]))
-            total = total + c * mode1(j)
-        out["cosh"].append(_clamp_nonneg(total))
+        out["cosh"].append(_clamp_nonneg((IArray(tlo, thi) * modes).sum()))
     else:
-        for axis in (0, 1):
-            total = Interval(0.0)
-            for j in range(-st, st + 1):
-                if axis == 0:
-                    c = Interval(float(tlo[j + st, st]), float(thi[j + st, st]))
-                else:
-                    c = Interval(float(tlo[st, j + st]), float(thi[st, j + st]))
-                total = total + c * mode1(j) * two_d
-            out["cosh"].append(_clamp_nonneg(total))
-        total = Interval(0.0)
-        for j1 in range(-st, st + 1):
-            m1 = mode1(j1)
-            for j2 in range(-st, st + 1):
-                c = Interval(float(tlo[j1 + st, j2 + st]),
-                             float(thi[j1 + st, j2 + st]))
-                total = total + c * m1 * mode1(j2)
-        out["coshcosh"] = _clamp_nonneg(total)
+        two_d = Interval(2.0 * d)
+        for c in (IArray(tlo[:, st], thi[:, st]), IArray(tlo[st], thi[st])):
+            out["cosh"].append(_clamp_nonneg((c * modes * two_d).sum()))
+        j = np.arange(2 * st + 1)
+        c = IArray(tlo.ravel(), thi.ravel())
+        out["coshcosh"] = _clamp_nonneg((c * modes[np.repeat(j, len(j))]
+                                         * modes[np.tile(j, len(j))]).sum())
     return out
 
 
@@ -209,18 +194,16 @@ def kappa2_formula(z11: Interval, z12: Interval, zu2_eff: Interval,
     return (z11 + (zu2_eff + drift) * p_norm) / denom
 
 
-def _diag_shift_inv(pseudo: PseudoDiag, t: float) -> list:
-    """The diagonal (lam_n + t)^{-1} of (S + t)^{-1} as Intervals; a shift
-    whose -t lies in the enclosure of some lam_n is rejected."""
-    ivs = []
-    for lam in pseudo.lams:
-        try:
-            ivs.append(Interval(1.0) / (lam + Interval(t)))
-        except DivisionByZeroInterval:
-            raise ConditionViolated(
-                f"shift t = {t!r} puts -t inside the eigenvalue enclosure "
-                f"{lam} of the finite block") from None
-    return ivs
+def _diag_shift_inv(pseudo: PseudoDiag, t: float) -> IArray:
+    """The diagonal (lam_n + t)^{-1} of (S + t)^{-1}; a shift whose -t lies
+    in the enclosure of some lam_n is rejected."""
+    lams = IArray([x.lo for x in pseudo.lams], [x.hi for x in pseudo.lams])
+    sinv = Interval(1.0) / (lams + Interval(t))
+    for lam, e in zip(pseudo.lams, sinv.errors()):
+        if isinstance(e, DivisionByZeroInterval):
+            raise ConditionViolated(f"shift t = {t!r} puts -t inside the eigenvalue "
+                                    f"enclosure {lam} of the finite block")
+    return sinv.checked()
 
 
 @dataclass
@@ -228,15 +211,14 @@ class WindowBounds:
     """The bounds of one certificate that do not depend on the shift t.
 
     Built once by `window_bounds` and shared by every `compute_bounds` call
-    of the shift ladder.
+    of the shift ladder.  The l1 norm of the kernel is `disks.l1w`.
     """
 
     model: Model
     pseudo: PseudoDiag
     disks: DiskSet
     window: Interval
-    l1w: Interval
-    lam_mid: list                 # l(n~) over the shell indices
+    sup_mid: IArray               # sup distance of each shell l(n~) to the window
     d_off: IMatrix                # |D| with its diagonal zeroed
     pinv_dg: IMatrix | None       # Pinv DG(inner <- shell); None without a shell
     dg_p: IMatrix | None          # DG(shell <- inner) P, for Z11 and the Neumann defect
@@ -264,25 +246,20 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     inner = disks.inner_indices
     mid = disks.mid_indices
     c_m = disks.sym_factor
-    l1w = seq_l1(w)
     w0_abs = disks.w0.abs()
 
     off = pseudo.D.mag()
     np.fill_diagonal(off, 0.0)
 
     # Z11: shell rows against the window-weighted resolvent
-    lam_mid = symbol_diag(model, grid, mid) if mid else []
+    lam_mid = symbol_diag(model, grid, mid)
     pinv_dg = dg_p = None
     if mid:
-        wts = []
-        for lam in lam_mid:
-            dist = dist_to_window(lam, window)
-            if dist.lo <= 0:
-                raise ConditionViolated(
-                    "window touches a symbol value in the shell")
-            wts.append(Interval(1.0) / dist)
+        dist = dist_to_window(lam_mid, window)
+        if (dist.lo <= 0).any():
+            raise ConditionViolated("window touches a symbol value in the shell")
         dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
-        z11 = op_norm2_bound(dg_p.scale_rows(wts))
+        z11 = op_norm2_bound(dg_p.scale_rows(Interval(1.0) / dist))
         pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
     else:
         z11 = Interval(0.0)
@@ -292,12 +269,11 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     dist_outer = window_dist_inf(model, window, s_min_n)
     if dist_outer.lo <= 0:
         raise ConditionViolated("window touches the outer symbol range")
-    z12 = Interval(c_m) * (l1w - w0_abs) / Interval(dist_outer.lo)
+    z12 = Interval(c_m) * (disks.l1w - w0_abs) / Interval(dist_outer.lo)
     z12 = Interval(0.0, z12.hi)
 
     # column weights of the finite matrix factor shared by Zu3 and C2
-    colw = np.array([sup_to_window(lam, window).hi
-                     for lam in symbol_diag(model, grid, inner)])
+    colw = sup_to_window(symbol_diag(model, grid, inner), window).hi
 
     # decay-based periodization defects
     decay = model.decay_provider(window)
@@ -329,7 +305,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     }
     return WindowBounds(
         model=model, pseudo=pseudo, disks=disks, window=window,
-        l1w=l1w, lam_mid=lam_mid,
+        sup_mid=sup_to_window(lam_mid, window),
         d_off=IMatrix.from_point(off), pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
         z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
         kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
@@ -390,7 +366,7 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     if gap.lo <= 0:
         raise ConditionViolated("shift -t is not separated from the disks")
     sup_tmu = sup_to_window(Interval(-t), window)
-    dgn = Interval(disks.sym_factor) * wb.l1w
+    dgn = Interval(disks.sym_factor) * disks.l1w
     fsa = Interval(1.0) + (dgn + Interval(sup_tmu.hi)) / Interval(gap.lo)
     fne = _selfadjoint_factor_neumann(wb, t, z13, z14, fmat, tail_inf)
     if fne is not None and fne.hi < fsa.hi:
@@ -429,26 +405,22 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     c_m = disks.sym_factor
     w0 = disks.w0
     t_iv = Interval(t)
-    shell_d = [(center.re + t_iv).abs() for center in disks.centers[len(pseudo.lams):]]
-    den_min = min([den_tail.lo] + [d.lo for d in shell_d])
+    shell_d = (disks.center_re[len(pseudo.lams):] + t_iv).abs().checked()
+    den_min = min([den_tail.lo] + shell_d.lo.tolist())
     if den_min <= 0:
         return None
-    shell_w = [Interval(1.0) / d for d in shell_d]
+    shell_w = Interval(1.0) / shell_d
 
     # block-norm bound on the weighted defect E
     e = z13 + z14
-    if shell_w:
+    if len(shell_w.lo):
         e = e + op_norm2_bound(wb.dg_p.scale_rows(shell_w))
-    e = e + Interval(c_m) * (wb.l1w - w0.abs()) / Interval(den_min)
+    e = e + Interval(c_m) * (disks.l1w - w0.abs()) / Interval(den_min)
     if e.hi >= 1.0:
         return None
 
     # weighted symbol comparison: finite block via fmat, outer rows by ratio
-    ratio = fmat
-    for lam, wi in zip(wb.lam_mid, shell_w):
-        r = sup_to_window(lam, window) * wi
-        if r.hi > ratio.hi:
-            ratio = Interval(0.0, r.hi)
+    ratio = max([fmat.hi] + (wb.sup_mid * shell_w).hi.tolist())
 
     def fratio(s: Interval) -> Interval:
         lam = model.symbol_at(s)
@@ -464,9 +436,12 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     far_den = tail_lo(r_cut)
     if far_den <= 0:
         return None
-    head = bb_sup(fratio, disks.min_tail_s, r_cut, tol=1e-2)
     far = Interval(1.0) + (Interval(mag) + Interval(window.mag())) / Interval(far_den)
-    ratio_out = max(head.hi, far.hi, ratio.hi)
+    # the head only counts where it beats far and ratio, so its search
+    # stops once its certified upper end is below both
+    head = bb_sup(fratio, disks.min_tail_s, r_cut, tol=1e-2,
+                  stop=max(far.hi, ratio))
+    ratio_out = max(head.hi, far.hi, ratio)
 
     return (pseudo.p_norm * Interval(0.0, ratio_out)
             / (Interval(1.0) - e))
@@ -487,23 +462,21 @@ def _shifted_tail_inf(model: Model, disks: DiskSet, t: float) -> Interval:
 def _disk_gap(disks: DiskSet, t: float, tail_inf: Interval) -> Interval:
     """[g, inf] with g a lower bound on dist(-t, union of certified disks),
     given the tail minimum from `_shifted_tail_inf`."""
-    t_iv = Interval(t)
-    gaps = [Interval((center.re + t_iv).mig()) - Interval(radius)
-            for center, radius in zip(disks.centers, disks.radii)]
-    gaps.append(tail_inf - Interval(disks.tail_radius))
-    return Interval(min(g.lo for g in gaps), math.inf)
+    mig = (disks.center_re + Interval(t)).checked().mig()
+    gaps = (IArray(mig) - IArray(disks.radii)).checked()
+    tail = tail_inf - Interval(disks.tail_radius)
+    return Interval(min(gaps.lo.tolist() + [tail.lo]), math.inf)
 
 
 def inflate_disks(disks: DiskSet, bounds: HomotopyBounds) -> list:
     """Final radii per explicit disk, Gershgorin radius plus inflation, as
     (selfadjoint_path, radii) pairs: the general family, then the
     self-adjoint one."""
-    t = Interval(bounds.t)
-    radii = [Interval(r) for r in disks.radii]
-    shifted = [Interval((c.re + t).mag()) for c in disks.centers]
+    radii = IArray(disks.radii)
+    shifted = IArray((disks.center_re + Interval(bounds.t)).checked().mag())
 
-    def family(eps):
-        return [(r + Interval(eps(r, s).hi)).hi for r, s in zip(radii, shifted)]
+    def family(eps: IArray) -> list:
+        return (radii + eps.upper()).checked().hi.tolist()
 
-    return [(False, family(lambda r, s: bounds.eps_factor * s)),
-            (True, family(lambda r, s: bounds.sa_factor * (r + s)))]
+    return [(False, family(bounds.eps_factor * shifted)),
+            (True, family(bounds.sa_factor * (radii + shifted)))]

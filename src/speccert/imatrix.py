@@ -160,14 +160,13 @@ class IMatrix:
             raise DimensionMismatch(f"matmul {self.shape} and {other.shape}")
         return IMatrix(*_mm_real(self.lo, self.hi, other.lo, other.hi))
 
-    def scale_rows(self, s) -> "IMatrix":
-        """diag(s) @ self for a list of Intervals s, one per row, in O(mn):
+    def scale_rows(self, s: IArray) -> "IMatrix":
+        """diag(s) @ self for an IArray s, one element per row, in O(mn):
         entry (i, j) is the IArray product s[i] * self[i, j], its exact
         hull rounded outward, so an exact zero entry stays exactly zero."""
-        if len(s) != self.shape[0]:
-            raise DimensionMismatch(f"scale {self.shape[0]} rows by {len(s)}")
-        ends = [np.broadcast_to(np.array(v, dtype=np.float64)[:, None], self.shape)
-                for v in ([x.lo for x in s], [x.hi for x in s])]
+        if len(s.lo) != self.shape[0]:
+            raise DimensionMismatch(f"scale {self.shape[0]} rows by {len(s.lo)}")
+        ends = [np.broadcast_to(v[:, None], self.shape) for v in (s.lo, s.hi)]
         p = IArray(*ends) * IArray(self.lo, self.hi)
         return IMatrix(p.lo, p.hi)
 

@@ -337,6 +337,26 @@ class IArray:
         return [e or Interval(lo, hi) for e, lo, hi
                 in zip(self.errors(), self.lo.tolist(), self.hi.tolist())]
 
+    def checked(self) -> "IArray":
+        """self, or the error of its first element that has one raised."""
+        if self.err is not None and self.err.any():
+            raise next(e for e in self.errors() if e)
+        return self
+
+    def sum(self) -> Interval:
+        """Interval(0.0) + x[0] + x[1] + ... in order, bit for bit: a float
+        loop, as each rounding depends on the partial sum before it."""
+        lo = functools.reduce(_sum_lo, self.checked().lo.tolist(), 0.0)
+        hi = functools.reduce(_sum_hi, self.hi.tolist(), 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise UnboundedOperand("unbounded interval array sum")
+        return Interval(lo, hi)
+
+    def __getitem__(self, key) -> "IArray":
+        """The elements a slice, mask or index array picks."""
+        return IArray._of(self.lo[key], self.hi[key],
+                          None if self.err is None else self.err[key])
+
     def upper(self) -> "IArray":
         """The point intervals [hi, hi]."""
         return IArray._of(self.hi, self.hi, self.err)

@@ -119,7 +119,7 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     raw_clusters = cluster_disks(disks)
 
     l1u = seq_l1(u0)
-    lam_max = model.lambda_max(l1u, seq_l1(w), Interval(r0)).hi
+    lam_max = model.lambda_max(l1u, disks.l1w, Interval(r0)).hi
 
     if opts.window is not None:
         window = Interval(*opts.window)
@@ -153,7 +153,7 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
             continue
         for sa_used, fam in inflate_disks(disks, cand):
             # how far the inflated disks encroach toward the window
-            score = max(c.re.hi + r for c, r in zip(disks.centers, fam))
+            score = max((disks.center_re.hi + fam).tolist())
             if best is None or score < best[0]:
                 best = (score, cand, fam, sa_used)
     if best is None:

@@ -14,6 +14,11 @@ divides by zero, say) records the error; it is raised only when the loop
 takes that element, which is where the one-box loop would have raised it.
 f returns an IArray for an IArray argument (or one Interval if it is
 constant); a scalar-only f runs through `interval.elementwise`.
+
+`bb_inf` and `bb_sup` stop early once their certified end reaches an
+optional `stop` bound.  The enclosure stays certified, only wider; and the
+maximum of a supremum and a bound >= `stop` is the same float, since the
+full search of an inclusion-isotone f ends no higher.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionByZeroInterval, DomainError, TailNotIntegrable
-from .interval import IArray, Interval, iv_exp, iv_log, iv_pow_int
+from .errors import DomainError, TailNotIntegrable
+from .interval import _DIV0, IArray, Interval, _sum_hi_array, iv_exp, iv_log, iv_pow_int
 
 _MIN_WIDTH = 2.0 ** -40
 _MAX_SEGMENTS = 200000        # integrate_radial gives up beyond this
@@ -87,7 +92,8 @@ def _take(v):
     return v
 
 
-def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
+def bb_inf(f, lo: float, hi: float, tol: float = 1e-10,
+           stop: float | None = None) -> Interval:
     """Enclosure of inf f over [lo, hi]; f maps IArray to IArray.
 
     The box holding a minimizer always survives pruning (its lower bound
@@ -95,7 +101,8 @@ def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
     certified lower bound on the infimum throughout.  When the popped box
     has no evaluated halves, one call of f evaluates the halves of every
     live box and their right end points, which the best-first loop will
-    mostly take next.
+    mostly take next.  With a `stop` bound it also returns once the
+    certified lower end reaches `stop`.
     """
     if not (hi >= lo):
         raise DomainError("empty radial window")
@@ -123,7 +130,7 @@ def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
     heap = [(_take(boxes.pop((lo, hi))), lo, hi)]
     while heap:
         glb = min(heap[0][0], best_ub)
-        if best_ub - glb <= tol:
+        if best_ub - glb <= tol or (stop is not None and glb >= stop):
             return Interval(glb, best_ub)
         _, a, b = heapq.heappop(heap)
         if b - a <= _MIN_WIDTH:
@@ -146,8 +153,11 @@ def bb_inf(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
     return Interval(best_ub, best_ub)
 
 
-def bb_sup(f, lo: float, hi: float, tol: float = 1e-10) -> Interval:
-    neg = bb_inf(lambda s: -f(s), lo, hi, tol)
+def bb_sup(f, lo: float, hi: float, tol: float = 1e-10,
+           stop: float | None = None) -> Interval:
+    """Enclosure of sup f over [lo, hi], returned early once its upper end
+    is at or below `stop`."""
+    neg = bb_inf(lambda s: -f(s), lo, hi, tol, None if stop is None else -stop)
     return Interval(-neg.hi, -neg.lo)
 
 
@@ -168,58 +178,49 @@ def radial_inf(f, lo: float, tail_lo, tol: float = 1e-10,
     raise DomainError("tail bound never dominated the head minimum")
 
 
+def _contributions(f, a: np.ndarray, b: np.ndarray):
+    """The ends of f([a, b]) (b - a) from one call of f, and the mask of
+    the segments where f divides by zero; other errors are raised."""
+    with np.errstate(all="ignore"):
+        out = _evaluate(f, a, b) * (IArray(b) - IArray(a))
+    bad = np.zeros(len(a), dtype=bool) if out.err is None else out.err == _DIV0
+    out[~bad].checked()
+    return out.lo, out.hi, bad
+
+
 def integrate_radial(f, lo: float, hi: float, rel_tol: float = 0.01) -> Interval:
     """Enclosure of the integral of f over [lo, hi] by adaptive boxes.
 
     Boxes where f is not evaluable (division by an interval through zero)
     are bisected; refinement continues until the enclosure width is below
-    rel_tol times the midpoint estimate.  Each segment's contribution is
-    kept, so a round evaluates f, in one call, only on the segments it has
-    just split.
+    rel_tol times the midpoint estimate.  Segments, contributions and
+    widths are arrays in segment order; a round splits the widest quarter
+    (as a descending sort of (width, a, b) ranks it) and evaluates f, in one
+    call, only on the new halves.  Only the in-order sum is a float loop.
     """
-    contribs = {}   # (a, b) -> enclosure of the integral over [a, b], or None
-
-    def evaluate(segments):
-        if not segments:
-            return
-        a = IArray([a for a, _ in segments])
-        b = IArray([b for _, b in segments])
-        with np.errstate(all="ignore"):
-            out = (_evaluate(f, a.lo, b.lo) * (b - a)).elements()
-        for seg, c in zip(segments, out):
-            if isinstance(c, DivisionByZeroInterval):
-                c = None
-            contribs[seg] = _take(c)
-
-    segments = [(lo, hi)]
-    evaluate(segments)
+    a, b = np.array([float(lo)]), np.array([float(hi)])
+    clo, chi, bad = _contributions(f, a, b)
     for _ in range(200):
-        total = Interval(0.0)
-        widths = []
-        ok = True
-        for a, b in segments:
-            contrib = contribs[(a, b)]
-            if contrib is None:
-                ok = False
-                widths.append((math.inf, a, b))
-            else:
-                total = total + contrib
-                widths.append((contrib.width(), a, b))
-        if ok and total.width() <= rel_tol * max(abs(total.mid()), 1e-300):
+        total = IArray(clo[~bad], chi[~bad]).sum()
+        if not bad.any() and total.width() <= rel_tol * max(abs(total.mid()), 1e-300):
             return total
-        if len(segments) > _MAX_SEGMENTS:
+        n = len(a)
+        if n > _MAX_SEGMENTS:
             raise DomainError("quadrature refinement exploded")
-        widths.sort(reverse=True)
-        refine = {(a, b) for _, a, b in widths[: max(1, len(widths) // 4)]}
-        new_segments = []
-        for a, b in segments:
-            if (a, b) in refine and (b - a) > 1e-15 * max(1.0, abs(b)):
-                mid = a + 0.5 * (b - a)
-                new_segments += [(a, mid), (mid, b)]
-            else:
-                new_segments.append((a, b))
-        segments = new_segments
-        evaluate([seg for seg in segments if seg not in contribs])
+        width = np.where(bad, math.inf, _sum_hi_array(chi, -clo))
+        # segments are disjoint, so no two share (width, a)
+        order = np.lexsort((a, width))[::-1]
+        split = np.zeros(n, dtype=bool)
+        split[order[:max(1, n // 4)]] = True
+        split &= (b - a) > 1e-15 * np.maximum(1.0, np.abs(b))
+        mid = a + 0.5 * (b - a)
+        count = 1 + split
+        left = (np.cumsum(count) - count)[split]      # where the left halves go
+        a, b, clo, chi, bad = (np.repeat(x, count) for x in (a, b, clo, chi, bad))
+        b[left], a[left + 1] = mid[split], mid[split]
+        fresh = np.sort(np.concatenate([left, left + 1]))
+        if len(fresh):
+            clo[fresh], chi[fresh], bad[fresh] = _contributions(f, a[fresh], b[fresh])
     raise DomainError("quadrature did not converge")
 
 

@@ -32,10 +32,10 @@ GRID1 = Grid(1, 10.0)
 # -- index helpers --------------------------------------------------------
 
 def test_freq_norm_values():
-    enc = freq_norm_iv(GRID1, (5,))
+    [enc] = freq_norm_iv(GRID1, [(5,)]).elements()
     assert enc.contains(2 * math.pi * 5 / 20.0)
     g2 = Grid(2, 5.0)
-    enc2 = freq_norm_iv(g2, (3, 4))
+    [enc2] = freq_norm_iv(g2, [(3, 4)]).elements()
     assert enc2.contains(2 * math.pi * 5 / 10.0)
 
 
@@ -139,7 +139,7 @@ def test_assemble_jacobian_diagonal_is_symbol_when_kernel_vanishes():
     w = FourierSeq.zeros(GRID1, "c", 2)
     a = assemble_jacobian(model, w, "c", 4)
     idx = index_list(GRID1, "c", 4)
-    for i, lam in enumerate(symbol_diag(model, GRID1, idx)):
+    for i, lam in enumerate(symbol_diag(model, GRID1, idx).elements()):
         assert a.get(i, i).lo <= lam.hi and a.get(i, i).hi >= lam.lo
         row = a.mag()[i]
         assert row.sum() - row[i] == 0.0
@@ -261,7 +261,7 @@ def _dense_mid_disks(model, w, sector, N, pseudo):
     ext = shell_indices(grid, sector, N, N + 2 * w.S)
     dense = conv_block(w, sector, mid, ext)
     mag_ext = dense.mag()
-    lam_mid = symbol_diag(model, grid, mid)
+    lam_mid = symbol_diag(model, grid, mid).elements()
     centers = []
     for i, n in enumerate(mid):
         j = ext.index(n)

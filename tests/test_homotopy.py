@@ -3,6 +3,7 @@ import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from speccert.pipeline import (
     select_shift,
     _spectral_edge,
 )
+import scalar_paths
 
 
 # -- weighted kernel integrals against quadrature -------------------------
@@ -145,18 +147,27 @@ _coord = st.one_of(st.floats(-10, 10), st.integers(-8, 8).map(float))
 _width = st.one_of(st.floats(0, 3), st.integers(0, 3).map(float))
 
 
+def _bits(x):
+    """The exact ends of an Interval, an IArray or a list of floats."""
+    if isinstance(x, list):
+        return [v.hex() for v in x]
+    return [(lo.hex(), hi.hex()) for lo, hi
+            in zip(np.atleast_1d(x.lo).tolist(), np.atleast_1d(x.hi).tolist())]
+
+
 @given(st.lists(st.tuples(_coord, _width), min_size=1, max_size=4), _coord, _width)
 @settings(max_examples=300, deadline=None)
 def test_window_distance_brackets_samples(vs, w_lo, w_width):
     window = Interval(w_lo, w_lo + w_width)
     wl, wh = Fraction(window.lo), Fraction(window.hi)
     ivs = [Interval(v0, v0 + vw) for v0, vw in vs]
-    for v in ivs:
+    batch = IArray([v.lo for v in ivs], [v.hi for v in ivs])
+    dists = dist_to_window(batch, window).elements()
+    for v, d in zip(ivs, dists):
         vl, vh = Fraction(v.lo), Fraction(v.hi)
         # exact range over p in v of the distance from p to the window
         near = max(wl - vh, vl - wh, Fraction(0))
         far = max(wl - vl, vh - wh, Fraction(0))
-        d = dist_to_window(v, window)
         assert Fraction(d.lo) <= near and far <= Fraction(d.hi)
         assert near - Fraction(d.lo) <= Fraction(math.ulp(d.lo))
         # exact sup over p in v and mu in the window of |p - mu|
@@ -165,11 +176,35 @@ def test_window_distance_brackets_samples(vs, w_lo, w_width):
         assert s.lo == s.hi and top <= Fraction(s.lo)
         assert Fraction(s.hi) - top <= Fraction(math.ulp(s.hi))
     # a batch gives the scalar bits
+    assert _bits(sup_to_window(batch, window)) == [
+        b for v in ivs for b in _bits(sup_to_window(v, window))]
+
+
+_side = st.sampled_from(["below", "inside", "above", "straddles"])
+
+
+@given(st.lists(st.tuples(_side, st.floats(0, 20), _width), min_size=1, max_size=6),
+       _coord, _width)
+@settings(max_examples=300, deadline=None)
+def test_window_distance_batch_equals_scalar_reference(points, w_lo, w_width):
+    # each element below, inside, above or across the window
+    window = Interval(w_lo, w_lo + w_width)
+    ivs = []
+    for side, off, vw in points:
+        if side == "below":
+            lo = window.lo - off - vw - 1e-9
+        elif side == "above":
+            lo = window.hi + off + 1e-9
+        elif side == "inside":
+            lo, vw = window.lo + window.width() * min(off, 20.0) / 40.0, 0.0
+        else:
+            lo = window.lo - off
+            vw = max(vw, off + window.width())
+        ivs.append(Interval(lo, lo + vw))
     batch = IArray([v.lo for v in ivs], [v.hi for v in ivs])
-    for fn in (dist_to_window, sup_to_window):
-        arr = fn(batch, window)
-        assert ([(lo.hex(), hi.hex()) for lo, hi in zip(arr.lo, arr.hi)]
-                == [(x.lo.hex(), x.hi.hex()) for x in (fn(v, window) for v in ivs)])
+    got = dist_to_window(batch, window)
+    assert _bits(got) == [b for v in ivs for b in _bits(scalar_paths.dist_to_window(v, window))]
+    assert got.err is None
 
 
 def _gap_disks(centers, radii, tail_radius):
@@ -200,6 +235,47 @@ def test_disk_gap_is_below_the_exact_gap(disks, t, tail_lo, tail_radius):
         mig = Fraction(0) if lo <= 0 <= hi else min(abs(lo), abs(hi))
         exact.append(mig - Fraction(r))
     assert Fraction(gap.lo) <= min(exact)
+    ref = scalar_paths.disk_gap(_gap_disks(centers, radii, tail_radius), t,
+                                Interval(tail_lo, tail_lo + 1.0))
+    assert _bits(gap) == _bits(ref)
+
+
+@given(st.lists(st.tuples(_gap_end, _gap_end, _gap_radius), min_size=1, max_size=6),
+       _gap_end, st.floats(0, 2), st.floats(0, 2), st.floats(0, 1))
+@settings(max_examples=300, deadline=None)
+def test_inflate_disks_equals_scalar_reference(disks, t, f_lo, f_w, sa_w):
+    centers = [Interval(min(a, b), max(a, b)) for a, b, _ in disks]
+    ds = _gap_disks(centers, [r for _, _, r in disks], 0.0)
+    bounds = SimpleNamespace(t=t, eps_factor=Interval(f_lo, f_lo + f_w),
+                             sa_factor=Interval(0.0, sa_w))
+    got = inflate_disks(ds, bounds)
+    ref = scalar_paths.inflate_disks(ds, bounds)
+    assert [(sa, _bits(r)) for sa, r in got] == [(sa, _bits(r)) for sa, r in ref]
+
+
+@st.composite
+def _kernels(draw):
+    m = draw(st.sampled_from([1, 2]))
+    s = draw(st.integers(0, 4))
+    shape = (s + 1,) * m
+    mid = draw(st.lists(st.floats(-1.0, 1.0), min_size=(s + 1) ** m,
+                        max_size=(s + 1) ** m))
+    rad = draw(st.sampled_from([0.0, 1e-12, 1e-3]))
+    lo = np.array(mid).reshape(shape)
+    grid = Grid(m, draw(st.floats(2.0, 30.0)))
+    return FourierSeq(grid, "c" * m, lo - rad, lo + rad)
+
+
+@given(_kernels(), st.floats(0.01, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_kernel_weight_integrals_equal_scalar_reference(w, a):
+    got = kernel_weight_integrals(w, Interval(a))
+    ref = scalar_paths.kernel_weight_integrals(w, Interval(a))
+    assert [_bits(x) for x in got["cosh"]] == [_bits(x) for x in ref["cosh"]]
+    if w.grid.m == 1:
+        assert got["coshcosh"] is ref["coshcosh"] is None
+    else:
+        assert _bits(got["coshcosh"]) == _bits(ref["coshcosh"])
 
 
 def test_homotopy_stage_stays_on_the_real_line():
@@ -285,8 +361,9 @@ def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
     from speccert.finite import freq_norm_iv
 
     dists = []
-    for n in disks.mid_indices:
-        l = sh_toy["model"].symbol_at(freq_norm_iv(sh_toy["grid"], n)).mid()
+    lams = sh_toy["model"].symbol_at(freq_norm_iv(sh_toy["grid"], disks.mid_indices))
+    for lam in lams.elements():
+        l = lam.mid()
         dists.append(max(window.lo - l, l - window.hi, 0.0))
     dinv = np.diag(1.0 / np.array(dists))
     z11_sample = np.linalg.norm(dinv @ np.abs(dg_mn @ pseudo.P.mid()), 2)

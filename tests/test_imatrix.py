@@ -114,7 +114,7 @@ def test_defect_bounds_point_probes():
 
 
 def test_diag_and_submatrix():
-    d = IMatrix.identity(4).scale_rows([Interval(float(k), k + 0.5) for k in range(4)])
+    d = IMatrix.identity(4).scale_rows(IArray([0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5]))
     assert d.get(2, 2) == Interval(2.0, 2.5)
     assert d.get(0, 1) == Interval(0.0)
     a = d + IMatrix.from_point(np.triu(np.ones((4, 4)), 1))
@@ -154,7 +154,7 @@ def test_scale_rows_encloses_exact_products_and_keeps_zeros(m, n, data):
     x = data.draw(st.lists(_entry, min_size=m * n, max_size=m * n))
     a = IMatrix(np.array([e.lo for e in x]).reshape(m, n),
                 np.array([e.hi for e in x]).reshape(m, n))
-    got = a.scale_rows(s)
+    got = a.scale_rows(IArray([v.lo for v in s], [v.hi for v in s]))
     assert got.shape == (m, n)
     # the bits of the IArray product of each row with its multiplier
     ends = [np.array(ends, dtype=float).reshape(m, 1).repeat(n, axis=1)
@@ -174,4 +174,4 @@ def test_scale_rows_encloses_exact_products_and_keeps_zeros(m, n, data):
 
 def test_scale_rows_refuses_a_wrong_length():
     with pytest.raises(DimensionMismatch):
-        IMatrix.identity(3).scale_rows([Interval(1.0)] * 2)
+        IMatrix.identity(3).scale_rows(IArray([1.0, 1.0]))

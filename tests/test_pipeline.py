@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from speccert import cli, finite, homotopy, models, pipeline, serialize
+from speccert import cli, finite, homotopy, models, pipeline, radial, serialize
 from speccert.cli import build_model, main
 from speccert.errors import (
     ConditionViolated,
@@ -39,6 +39,7 @@ from speccert.pipeline import (
     default_window,
     select_shift,
 )
+import scalar_paths
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,31 @@ def test_kappa_cache_leaves_certificate_bytes_unchanged(sh_toy, toy_cert,
     monkeypatch.setattr(Model, "kappa", lambda self: self.kappa_hook())
     uncached = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
     assert (serialize.dumps(serialize.certificate_to_doc(uncached))
+            == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
+
+
+def test_scalar_paths_give_the_same_certificate_bytes(sh_toy, toy_cert,
+                                                     monkeypatch):
+    # the batched radial and homotopy loops against the scalar loops they
+    # replaced, with the self-adjoint head search run to its tolerance
+    def bb_inf_without_stop(f, lo, hi, tol=1e-10, stop=None):
+        assert stop is None
+        return scalar_paths.bb_inf_reference(f, lo, hi, tol)
+
+    def bb_sup_without_stop(f, lo, hi, tol=1e-10, stop=None):
+        return scalar_paths.bb_sup_reference(f, lo, hi, tol)
+
+    for module, name, ref in (
+            (radial, "bb_inf", bb_inf_without_stop),
+            (homotopy, "bb_sup", bb_sup_without_stop),
+            (models, "integrate_radial", scalar_paths.integrate_reference),
+            (homotopy, "dist_to_window", scalar_paths.dist_to_window),
+            (homotopy, "kernel_weight_integrals", scalar_paths.kernel_weight_integrals),
+            (homotopy, "_disk_gap", scalar_paths.disk_gap),
+            (pipeline, "inflate_disks", scalar_paths.inflate_disks)):
+        monkeypatch.setattr(module, name, ref)
+    scalar = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    assert (serialize.dumps(serialize.certificate_to_doc(scalar))
             == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
 
 

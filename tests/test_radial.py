@@ -1,4 +1,3 @@
-import heapq
 import math
 
 import pytest
@@ -12,7 +11,6 @@ from speccert.errors import (
 )
 from speccert.interval import Interval, elementwise, iv_exp
 from speccert.radial import (
-    _MIN_WIDTH,
     GrowthMinorant,
     bb_inf,
     bb_sup,
@@ -21,6 +19,7 @@ from speccert.radial import (
     radial_inf,
     tail_integral_monomial,
 )
+from scalar_paths import bb_inf_reference, bb_sup_reference, integrate_reference
 
 
 def test_bb_inf_quadratic():
@@ -125,73 +124,9 @@ def test_tail_integral_divergent_rejected():
 
 
 # -- sample memo and segment cache against the plain implementations ------
-# The references re-evaluate every sample and every segment; the memoized
-# versions must return bit-identical intervals from no more evaluations.
-
-
-def _bb_inf_reference(f, lo, hi, tol=1e-10):
-    if not (hi >= lo):
-        raise DomainError("empty radial window")
-
-    def pt(x):
-        return f(Interval(x, x)).hi
-
-    best_ub = min(pt(lo), pt(hi), pt(lo + 0.5 * (hi - lo)))
-    heap = [(f(Interval(lo, hi)).lo, lo, hi)]
-    while heap:
-        glb = min(heap[0][0], best_ub)
-        if best_ub - glb <= tol:
-            return Interval(glb, best_ub)
-        _, a, b = heapq.heappop(heap)
-        if b - a <= _MIN_WIDTH:
-            return Interval(glb, best_ub)
-        mid = a + 0.5 * (b - a)
-        for aa, bb in ((a, mid), (mid, b)):
-            enc = f(Interval(aa, bb))
-            best_ub = min(best_ub, pt(bb))
-            if enc.lo <= best_ub:
-                heapq.heappush(heap, (enc.lo, aa, bb))
-    return Interval(best_ub, best_ub)
-
-
-def _bb_sup_reference(f, lo, hi, tol=1e-10):
-    neg = _bb_inf_reference(lambda s: -f(s), lo, hi, tol)
-    return Interval(-neg.hi, -neg.lo)
-
-
-def _integrate_reference(f, lo, hi, rel_tol=0.01, max_boxes=200000):
-    segments = [(lo, hi)]
-    for _ in range(200):
-        total = Interval(0.0)
-        widths = []
-        ok = True
-        for a, b in segments:
-            try:
-                enc = f(Interval(a, b))
-            except DivisionByZeroInterval:
-                ok = False
-                enc = None
-            if enc is not None:
-                contrib = enc * (Interval(b) - Interval(a))
-                total = total + contrib
-                widths.append((contrib.width(), a, b))
-            else:
-                widths.append((math.inf, a, b))
-        if ok and total.width() <= rel_tol * max(abs(total.mid()), 1e-300):
-            return total
-        if len(segments) > max_boxes:
-            raise DomainError("quadrature refinement exploded")
-        widths.sort(reverse=True)
-        refine = {(a, b) for _, a, b in widths[: max(1, len(widths) // 4)]}
-        new_segments = []
-        for a, b in segments:
-            if (a, b) in refine and (b - a) > 1e-15 * max(1.0, abs(b)):
-                mid = a + 0.5 * (b - a)
-                new_segments.extend([(a, mid), (mid, b)])
-            else:
-                new_segments.append((a, b))
-        segments = new_segments
-    raise DomainError("quadrature did not converge")
+# The references (tests/scalar_paths.py) re-evaluate every sample and every
+# segment; the memoized versions must return bit-identical intervals from no
+# more evaluations.
 
 
 class _Counted:
@@ -245,11 +180,62 @@ def _run(fn, f, *args):
 @settings(max_examples=60, deadline=None)
 def test_bb_inf_sup_match_reference(f, lo, width, tol):
     hi = lo + width
-    for fn, ref in ((bb_inf, _bb_inf_reference), (bb_sup, _bb_sup_reference)):
+    for fn, ref in ((bb_inf, bb_inf_reference), (bb_sup, bb_sup_reference)):
         out, calls = _run(fn, f, lo, hi, tol)
         ref_out, ref_calls = _run(ref, f, lo, hi, tol)
         assert out == ref_out
         assert calls <= ref_calls
+
+
+@st.composite
+def wells(draw):
+    """k (s^2 - 2cs + c^2 + b) + g s written with s * s, whose enclosure
+    on a wide box lies far below its minimum there, so that the search
+    climbs through many levels."""
+    k, c, b, g = (draw(st.floats(*r)) for r in ((0.5, 4.0), (0.0, 8.0),
+                                                (-3.0, 3.0), (-1.0, 1.0)))
+
+    def well(s):
+        return (s * s - Interval(2.0 * c) * s + Interval(c * c + b)) * Interval(k) \
+            + Interval(g) * s
+
+    return well
+
+
+@given(st.one_of(radial_functions(), wells()), st.floats(0.0, 5.0),
+       st.floats(0.1, 10.0), st.sampled_from([1e-3, 1e-2]), st.floats(-0.25, 1.25))
+@settings(max_examples=80, deadline=None)
+def test_bb_inf_stop_bound_against_reference(f, lo, width, tol, frac):
+    # the stop bound sits at frac of the way from f's lower end on the whole
+    # window up to the reference's lower end: below 1 the search stops early
+    hi = lo + width
+    ref, ref_calls = _run(bb_inf_reference, f, lo, hi, tol)
+    assert _run(bb_inf, f, lo, hi, tol, None)[0] == ref     # no bound: the bits
+    if not isinstance(ref, tuple):
+        out, calls = _run(bb_inf, f, lo, hi, tol, 0.0)
+        # the error is raised where the reference raises it, or not reached
+        assert calls <= ref_calls and (out == ref or isinstance(out, tuple))
+        return
+    ref_lo, ref_hi = (float.fromhex(x) for x in ref)
+    try:
+        start = f(Interval(lo, hi)).lo
+    except DivisionByZeroInterval:
+        start = ref_lo - 1.0
+    stop = start + frac * (ref_lo - start)
+    out, calls = _run(bb_inf, f, lo, hi, tol, stop)
+    assert calls <= ref_calls
+    neg = bb_sup(lambda s: -f(s), lo, hi, tol, -stop)      # the mirror
+    assert (neg.lo, neg.hi) == tuple(-float.fromhex(x) for x in reversed(out))
+    out_lo, out_hi = (float.fromhex(x) for x in out)
+    assert out_lo <= ref_hi and ref_lo <= out_hi
+    for k in range(201):
+        x = min(hi, lo + width * k / 200)
+        try:
+            assert out_lo <= f(Interval(x)).hi
+        except DivisionByZeroInterval:
+            pass
+    if ref_lo >= stop:
+        assert out_lo >= stop
 
 
 @given(radial_functions(positive=True), st.floats(0.0, 5.0),
@@ -257,7 +243,7 @@ def test_bb_inf_sup_match_reference(f, lo, width, tol):
 @settings(max_examples=30, deadline=None)
 def test_integrate_radial_matches_reference(f, lo, width, rel_tol):
     out, calls = _run(integrate_radial, f, lo, lo + width, rel_tol)
-    ref_out, ref_calls = _run(_integrate_reference, f, lo, lo + width, rel_tol)
+    ref_out, ref_calls = _run(integrate_reference, f, lo, lo + width, rel_tol)
     assert out == ref_out
     assert calls <= ref_calls
 
@@ -274,7 +260,7 @@ def test_bb_inf_error_in_a_box_the_reference_never_evaluates():
             raise DivisionByZeroInterval("narrow box right of 2.5")
         return (s - Interval(1.0)).sq()
 
-    ref, _ = _run(_bb_inf_reference, scalar_f, 0.0, 4.0, 1e-6)
+    ref, _ = _run(bb_inf_reference, scalar_f, 0.0, 4.0, 1e-6)
     assert raised == []
     out, _ = _run(bb_inf, elementwise(scalar_f), 0.0, 4.0, 1e-6)
     assert raised == [(3.0, 4.0)]
