@@ -27,7 +27,6 @@ from .finite import gershgorin_disks, assemble_jacobian, build_pseudo_diag, \
     kernel_from_state, newton_solve
 from .fourier import _SECTORS, Grid, FourierSeq, index_list
 from .models import (
-    DecayBound,
     Model,
     essential_spectrum,
     gray_scott_model,
@@ -89,13 +88,10 @@ _KEYS = {
                "[lo, hi], two finite numbers with lo < hi"),
     "k_inv": (_count, "an integer >= 0"),
 }
-# the parameters of each model: finite numbers, but for "decay_table"
+# the parameters of each model, all finite numbers
 _MODEL_PARAMS = {"swift-hohenberg": ("mu", "nu1", "nu2"),
-                 "whitham": ("T", "c", "decay_table"),
+                 "whitham": ("T", "c"),
                  "gray-scott": ("lambda1", "lambda2")}
-_DECAY_ROWS = (lambda v: isinstance(v, list) and all(
-    isinstance(r, list) and len(r) == 4 and all(map(_real, r)) for r in v),
-    "a list of [window_lo, window_hi, C, a] rows of finite numbers")
 
 
 def build_model(doc: dict) -> Model:
@@ -107,16 +103,14 @@ def build_model(doc: dict) -> Model:
     names = _MODEL_PARAMS[name]
     _expect(_keys(params, *names), "model.params", params,
             "an object with keys " + ", ".join(names))
-    params = {"decay_table": [], **params}
     for key in names:
-        test, want = _DECAY_ROWS if key == "decay_table" else _REAL
-        _expect(test(params.get(key)), f"model.params.{key}", params.get(key), want)
+        _expect(_real(params.get(key)), f"model.params.{key}", params.get(key),
+                "a finite number")
     try:
         if name == "swift-hohenberg":
             return sh_model(params["mu"], params["nu1"], params["nu2"], m=m)
         if name == "whitham":
-            table = tuple(DecayBound(*map(float, r)) for r in params["decay_table"])
-            return whitham_model(params["T"], params["c"], decay_table=table, m=m)
+            return whitham_model(params["T"], params["c"], m=m)
         return gray_scott_model(params["lambda1"], params["lambda2"])
     except InvalidParameter as exc:
         raise ConfigError(f"model = {doc!r}: {exc}") from exc

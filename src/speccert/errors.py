@@ -64,7 +64,8 @@ class ReductionUnavailable(CertifyError):
 
 
 class DecayDomainMismatch(CertifyError):
-    """No decay-constant table entry covers the requested spectral window."""
+    """The model's decay constants do not hold on the requested spectral
+    window (it reaches the essential spectrum, say)."""
 
 
 class ClusterTouchesTail(CertifyError):

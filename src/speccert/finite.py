@@ -72,13 +72,12 @@ def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
     """W = DG(u0) as a coefficient sequence (rigorous convolutions)."""
     terms = []
     for pw, coeff in model.kernel_coeffs():
-        if pw == 0:
-            term = FourierSeq.delta0(u0.grid, "c" * u0.grid.m
-                                     if u0.sector != "full" else "full")
-        else:
-            term = u0
-            for _ in range(pw - 1):
-                term = conv(term, u0)
+        if pw < 1:
+            raise InvalidParameter(f"{model.name}: a term of degree {pw + 1}; "
+                                   "the nonlinearity takes degrees >= 2")
+        term = u0
+        for _ in range(pw - 1):
+            term = conv(term, u0)
         terms.append(term.scaled(coeff))
     if not terms:
         raise InvalidParameter(f"{model.name}: empty nonlinearity")

@@ -130,15 +130,6 @@ class FourierSeq:
         values = np.asarray(values, dtype=np.float64)
         return cls(grid, sector, values, values.copy())
 
-    @classmethod
-    def delta0(cls, grid: Grid, sector: str) -> "FourierSeq":
-        if "s" in _axis_types(grid.m, sector):
-            raise InvalidParameter("unit element does not live in an odd sector")
-        out = cls.zeros(grid, sector, 0)
-        out.lo[(0,) * grid.m] = 1.0
-        out.hi[(0,) * grid.m] = 1.0
-        return out
-
     # -- basic structure --------------------------------------------------
 
     @property
@@ -178,9 +169,6 @@ class FourierSeq:
         b = other.padded(S)
         lo, hi = _add(a.lo, a.hi, b.lo, b.hi)
         return FourierSeq(self.grid, self.sector, lo, hi)
-
-    def __sub__(self, other: "FourierSeq") -> "FourierSeq":
-        return self + other.scaled(Interval(-1.0))
 
     def scaled(self, s: Interval) -> "FourierSeq":
         lo, hi = _scale(self.lo, self.hi, s)

@@ -121,12 +121,6 @@ class Interval:
         self.lo = lo
         self.hi = hi
 
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
-
     # -- predicates -------------------------------------------------------
 
     @property
@@ -634,19 +628,16 @@ def _monotone_inc(fn, x: Interval) -> Interval:
     return Interval(_mp_down(fn, x.lo), _mp_up(fn, x.hi))
 
 
-@elementwise
 def iv_exp(x: Interval) -> Interval:
     import mpmath
     return _monotone_inc(mpmath.exp, x)
 
 
-@elementwise
 def iv_tanh(x: Interval) -> Interval:
     import mpmath
     return _monotone_inc(mpmath.tanh, x)
 
 
-@elementwise
 def iv_log(x: Interval) -> Interval:
     if x.lo <= 0.0:
         raise DomainError(f"log of non-positive interval {x}")
@@ -674,11 +665,11 @@ PI = Interval(3.141592653589793, 3.1415926535897936)    # the doubles around pi
 class ComplexBox:
     """Axis-aligned rectangle in the complex plane (re and im intervals).
 
-    Only what its users need: the disk centers of the finite stage, the
-    pair gap test of the clustering and the Gray-Scott resolvent norm take
-    a difference and the squared modulus, so there is no rectangle
-    multiplication or division.  With IArray components a ComplexBox holds
-    a batch of boxes; -, abs2 and mig then work elementwise.
+    Only what its users need: the disk centers of the finite stage and the
+    pair gap test of the clustering take a difference and the squared
+    modulus, so there is no rectangle multiplication or division.  With
+    IArray components a ComplexBox holds a batch of boxes; -, abs2 and mig
+    then work elementwise.
     """
 
     __slots__ = ("re", "im")
@@ -686,11 +677,6 @@ class ComplexBox:
     def __init__(self, re, im=None):
         self.re = re if isinstance(re, IArray) else _as_interval(re)
         self.im = ZERO if im is None else im if isinstance(im, IArray) else _as_interval(im)
-
-    @classmethod
-    def point(cls, z: complex) -> "ComplexBox":
-        z = complex(z)
-        return cls(Interval.point(z.real), Interval.point(z.imag))
 
     def __sub__(self, other: "ComplexBox") -> "ComplexBox":
         return ComplexBox(self.re - other.re, self.im - other.im)

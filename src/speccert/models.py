@@ -25,7 +25,6 @@ from .errors import (
 )
 from .interval import (
     PI,
-    ComplexBox,
     Interval,
     _mp_down,
     _mp_up,
@@ -48,10 +47,9 @@ _KAPPA_REL_TOL = 0.01         # relative accuracy of the norm of 1/l
 
 @dataclass(frozen=True)
 class DecayBound:
-    """|resolvent kernel| <= C * exp(-a * |x|_1) on the stated window."""
+    """|resolvent kernel| <= C * exp(-a * |x|_1) for every shift in the
+    window the provider was asked about."""
 
-    window_lo: float
-    window_hi: float
     C: float
     a: float
 
@@ -81,13 +79,11 @@ class Model:
     nonlin: tuple                      # ((degree, Interval coeff), ...)
     minorant: GrowthMinorant
     params: dict = field(default_factory=dict)
-    decay_table: tuple = ()            # loaded DecayBound entries
     _kappa: Interval | None = field(default=None, init=False, repr=False,
                                     compare=False)
 
     # hooks filled in by the factories
     symbol = None                      # Interval -> Interval (scalar models)
-    symbol_matrix = None               # Interval -> 2x2 tuple of Intervals
     range_tail_hull = None             # R -> (float lo, float hi), +-inf allowed
     lip_dg = None                      # (l1_U0, r0, kappa) -> Interval
     kappa_hook = None                  # () -> Interval
@@ -99,14 +95,6 @@ class Model:
         if self.symbol is None:
             raise NonRadialUnsupported(f"{self.name} has no scalar symbol")
         return self.symbol(s)
-
-    def decay_for(self, window: Interval) -> DecayBound:
-        """Decay constants valid for every shift in the window."""
-        for entry in self.decay_table:
-            if entry.window_lo <= window.lo and window.hi <= entry.window_hi:
-                return entry
-        raise DecayDomainMismatch(
-            f"{self.name}: no decay entry covers [{window.lo}, {window.hi}]")
 
     def kernel_coeffs(self):
         """(degree-1, j * c_j) pairs defining W = DG(u0)."""
@@ -143,23 +131,19 @@ def essential_spectrum(model: Model):
 
 
 def _scalar_range(sym, tail_hull, minorant: GrowthMinorant, tol: float) -> EssentialRay:
+    """The range of sym, a ray: every model's tail hull is (-inf, hi) or,
+    past the minorant's threshold, (lo, inf)."""
     r = max(8.0, 2.0 * minorant.s0 + 1.0)
     for _ in range(60):
         t_lo, t_hi = tail_hull(r)
-        if t_lo == -math.inf and t_hi < math.inf:
-            # ray unbounded below; the sup lives in the head once the tail
-            # hull drops under it
-            head_sup = bb_sup(sym, 0.0, r, tol)
-            if t_hi <= head_sup.lo:
-                return EssentialRay(None, head_sup)
-        elif t_hi == math.inf and t_lo > -math.inf:
+        if t_hi == math.inf and t_lo > -math.inf:
             head_inf = radial_inf(sym, 0.0, lambda rr: tail_hull(rr)[0], tol, r)
             return EssentialRay(head_inf, None)
-        else:
-            head_sup = bb_sup(sym, 0.0, r, tol)
-            head_inf = radial_inf(sym, 0.0, lambda rr: tail_hull(rr)[0], tol, r)
-            return EssentialRay(head_inf, Interval(head_sup.lo,
-                                                   max(head_sup.hi, t_hi)))
+        # ray unbounded below; the sup lives in the head once the tail
+        # hull drops under it
+        head_sup = bb_sup(sym, 0.0, r, tol)
+        if t_hi <= head_sup.lo:
+            return EssentialRay(None, head_sup)
         r *= 2.0
     raise DomainError("could not close the symbol range tail")
 
@@ -287,7 +271,7 @@ def sh_model(mu, nu1, nu2, m: int = 2) -> Model:
         c_val = Interval(1.335) / iv_sqrt(shifted)
         if a_val.lo <= 0:
             raise DecayDomainMismatch("degenerate decay rate")
-        return DecayBound(window.lo, window.hi, C=c_val.hi, a=a_val.lo)
+        return DecayBound(C=c_val.hi, a=a_val.lo)
 
     model.decay_provider = decay_provider
     return model
@@ -311,7 +295,7 @@ def _tanhc_hi(x: float) -> float:
     return _mp_up(lambda s: mpmath.tanh(s) / s, x)
 
 
-def whitham_model(T, c, decay_table=(), m: int = 1) -> Model:
+def whitham_model(T, c, m: int = 1) -> Model:
     """Whitham with surface tension: l(s) = sqrt(tanh(s)(1 + T s^2)/s) - c.
 
     tanh(s)/s extends to 1 at s = 0 and is strictly decreasing on [0, inf)
@@ -354,11 +338,9 @@ def whitham_model(T, c, decay_table=(), m: int = 1) -> Model:
         nonlin=((2, Interval(1.0)),),
         minorant=minorant,
         params={"T": T, "c": c},
-        decay_table=tuple(decay_table),
     )
     model.symbol = symbol
     model.range_tail_hull = range_tail_hull
-    model.decay_provider = model.decay_for
     return model
 
 
@@ -385,11 +367,6 @@ def gray_scott_model(lam1, lam2) -> Model:
     def sym22(s: Interval) -> Interval:
         return -s.sq() - lam2
 
-    coupling = lam1 * lam2 - Interval(1.0)
-
-    def symbol_matrix(s: Interval):
-        return ((sym11(s), Interval(0.0)), (coupling, sym22(s)))
-
     c_floor = min(lam1.lo, 1.0)
     minorant = GrowthMinorant(c=0.5 * c_floor, k=2.0,
                               s0=math.sqrt(2.0 * max(1.0, lam2.hi) / c_floor))
@@ -400,7 +377,7 @@ def gray_scott_model(lam1, lam2) -> Model:
     def tail_hull_22(r: float):
         return (-math.inf, sym22(Interval(r, r)).hi)
 
-    model = Model(
+    return Model(
         name="gray-scott",
         m=2,
         components=2,
@@ -414,34 +391,6 @@ def gray_scott_model(lam1, lam2) -> Model:
             "diag_channels": [(sym11, tail_hull_11), (sym22, tail_hull_22)],
         },
     )
-    model.symbol_matrix = symbol_matrix
-
-    def inv_fnorm_sq(s: Interval, lam: ComplexBox) -> Interval:
-        """|(l(s) - lam)^{-1}|_F^2 from the triangular inverse."""
-        a = ComplexBox(sym11(s)) - lam
-        d = ComplexBox(sym22(s)) - lam
-        a2 = a.abs2()
-        d2 = d.abs2()
-        c2 = coupling.sq()
-        return (Interval(1.0) / a2 + Interval(1.0) / d2
-                + c2 / (a2 * d2))
-
-    def kappa_hook() -> Interval:
-        zero = ComplexBox.point(0.0)
-
-        @elementwise
-        def fn(s: Interval) -> Interval:
-            return iv_sqrt(inv_fnorm_sq(s, zero))
-
-        r = 2.0 * minorant.s0
-        head = bb_sup(fn, 0.0, r, 1e-8)
-        # both diagonal magnitudes grow in s, so every term of the squared
-        # Frobenius norm decreases and the tail sup sits at the cut
-        tail_hi = fn(Interval(r, r)).hi
-        return Interval(0.0, max(head.hi, tail_hi))
-
-    model.kappa_hook = kappa_hook
-    return model
 
 
 def _as_iv(x) -> Interval:

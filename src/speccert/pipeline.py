@@ -93,12 +93,14 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
             options: CertifyOptions | None = None) -> Certificate:
     """Certify the spectrum in a window of the linearization at the true
     state within r0 of u0.  The model must be scalar and self-adjoint, with
-    its essential spectrum below the window, and provide kappa_hook, lip_dg
-    and lambda_max; any other raises ReductionUnavailable before any work."""
+    its essential spectrum below the window, and provide kappa_hook, lip_dg,
+    lambda_max and decay_provider; any other raises ReductionUnavailable
+    before any work."""
     opts = options or CertifyOptions()
     if not (r0 >= 0 and math.isfinite(r0)):
         raise InvalidParameter(f"r0={r0} must be a finite nonnegative float")
-    unmet = [f"no {hook}" for hook in ("kappa_hook", "lip_dg", "lambda_max")
+    unmet = [f"no {hook}" for hook in ("kappa_hook", "lip_dg", "lambda_max",
+                                       "decay_provider")
              if getattr(model, hook) is None]
     if model.components != 1:
         unmet.append(f"{model.components} components, not 1")

@@ -156,6 +156,16 @@ def test_kernel_from_state_sh():
     assert np.max(np.abs(w.mid() - dpad.mid())) < 1e-12
 
 
+def test_kernel_from_state_refuses_a_linear_term():
+    # a degree-1 term of G belongs in the symbol; its kernel would be the
+    # unit sequence, which no factory builds, so it must not pass silently
+    model = sh_model(0.5, -1.6, 1.0, m=1)
+    model.nonlin = ((1, Interval(0.5)),) + model.nonlin
+    u0 = FourierSeq.from_point(GRID1, "c", [0.1, 0.2, 0.05])
+    with pytest.raises(InvalidParameter, match="degree 1"):
+        kernel_from_state(model, u0)
+
+
 # -- pseudo-diagonalization -----------------------------------------------
 
 def test_pseudo_diag_two_by_two():
@@ -345,7 +355,7 @@ def _synthetic_disks(centers, radii):
         grid=GRID1, sector="c", n_inner=2, n_mid=4,
         inner_indices=[(i,) for i in range(len(centers))],
         mid_indices=[],
-        centers=[c if isinstance(c, ComplexBox) else ComplexBox.point(c)
+        centers=[c if isinstance(c, ComplexBox) else ComplexBox(c)
                  for c in centers],
         radii=list(radii),
         w0=Interval(0.0),

@@ -75,7 +75,7 @@ def test_conv_full_with_odd_sector_rejected():
 def test_delta0_is_convolution_identity():
     rng = np.random.default_rng(5)
     u = _rand_seq(rng, GRID1, "c", 4)
-    w = conv(FourierSeq.delta0(GRID1, "c"), u)
+    w = conv(FourierSeq.from_point(GRID1, "c", [1.0]), u)
     assert w.S == u.S
     assert np.max(np.abs(w.mid() - u.mid())) < 1e-14
     assert np.all(w.lo <= u.lo + 1e-14) and np.all(w.hi >= u.hi - 1e-14)
@@ -133,7 +133,7 @@ def test_scaled_and_add_containment():
     assert s.lo[2] <= -6.0 <= s.hi[2]
     v = u + u
     assert v.lo[1] <= 4.0 <= v.hi[1]
-    d = u - u
+    d = u + u.scaled(Interval(-1.0))
     assert d.lo[0] <= 0.0 <= d.hi[0]
 
 

@@ -156,7 +156,7 @@ def test_elementwise_matches_scalar(xs):
 
     xa = iarray(xs)
     assert batched(elementwise(branchy)(xa)) == [scalar(branchy, x) for x in xs]
-    assert batched(iv_log(xa)) == [scalar(iv_log, x) for x in xs]
+    assert batched(elementwise(iv_log)(xa)) == [scalar(iv_log, x) for x in xs]
 
 
 def test_elements_raise_the_scalar_errors():

@@ -169,7 +169,7 @@ def test_complex_mag_mig():
     assert z.abs2().contains(25.0) and z.abs2().width() < 1e-12
     assert z.mig() <= 5.0
     assert abs(z.mig() - 5.0) < 1e-12
-    assert (z - ComplexBox.point(3 + 4j)).mig() == 0.0
+    assert (z - ComplexBox(3.0, 4.0)).mig() == 0.0
     zero = ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
     assert zero.mig() == 0.0
     # the gap from [4, 5] x [0, 1] to the box around the origin is 3

