@@ -295,7 +295,7 @@ def sym_factor(grid: Grid, sector: str) -> float:
     """Upper bound on sqrt(m_n / m_k) over sector index pairs."""
     axes = _axis_types(grid.m, sector)
     a = sum(1 for k in axes if k != "signed")
-    return float(Interval(2.0 ** a) .hi) ** 0.5 if a else 1.0
+    return iv_sqrt(Interval(2.0 ** a)).hi if a else 1.0
 
 
 def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,

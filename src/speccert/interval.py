@@ -525,6 +525,50 @@ def _div(x, y) -> IArray:
                       ulp_step(_first_max(cands), _INF), err)
 
 
+_SPLIT = 134217729.0                      # 2**27 + 1, Veltkamp's split
+_SPLIT_LO, _SPLIT_HI = 2.0 ** -480, 2.0 ** 500   # |r| where _sq_err is exact
+
+
+def _sq_err(r):
+    """r*r - fl(r*r) by Dekker's TwoProduct on a Veltkamp split (a float or
+    an array): exact where r = 0 or _SPLIT_LO <= |r| <= _SPLIT_HI."""
+    p = r * r
+    c = _SPLIT * r
+    h = c - (c - r)
+    t = r - h
+    return ((h * h - p) + 2.0 * h * t) + t * t
+
+
+def _sqrt_out(x: float, up: bool) -> float:
+    """sqrt(x) for x >= 0, rounded up or down.  Rounding to nearest is
+    monotone, so r*r lies on p's side of x where p = fl(r*r) != x; a tie
+    takes the exact error of r*r, and r steps where the split cannot."""
+    r = math.sqrt(x)
+    p = r * r
+    if p != x:
+        wrong = p < x if up else p > x
+    elif r == 0.0 or _SPLIT_LO <= r <= _SPLIT_HI:
+        e = _sq_err(r)
+        wrong = e < 0.0 if up else e > 0.0
+    else:
+        wrong = True
+    return (_up if up else _down)(r) if wrong else r
+
+
+def _sqrt_out_array(x, up: bool):
+    """_sqrt_out elementwise; the exact error is computed on ties only."""
+    r = np.sqrt(x)
+    p = r * r
+    wrong = p < x if up else p > x
+    tie = np.nonzero(p == x)
+    if tie[0].size:
+        t = r[tie]
+        e = _sq_err(t)
+        split = (t == 0.0) | ((_SPLIT_LO <= t) & (t <= _SPLIT_HI))
+        wrong[tie] = ~split | (e < 0.0 if up else e > 0.0)
+    return np.where(wrong, ulp_step(r, _INF if up else -_INF, out=p), r)
+
+
 def _sqrt_array(x: IArray) -> IArray:
     (lo, hi), err = _bounded(x.err, x.lo, x.hi)
     neg = hi < 0.0
@@ -532,9 +576,8 @@ def _sqrt_array(x: IArray) -> IArray:
         err = _record(err, neg, _DOMAIN)
         lo, hi = np.where(neg, 0.0, lo), np.where(neg, 0.0, hi)
     lo = np.where(0.0 > lo, 0.0, lo)
-    rl, rh = np.sqrt(lo), np.sqrt(hi)
-    rl = np.where(rl * rl != lo, ulp_step(rl, -_INF, out=np.empty_like(rl)), rl)
-    rh = np.where(rh * rh != hi, ulp_step(rh, _INF, out=np.empty_like(rh)), rh)
+    with np.errstate(over="ignore", under="ignore"):
+        rl, rh = _sqrt_out_array(lo, False), _sqrt_out_array(hi, True)
     return IArray._of(np.where(0.0 > rl, 0.0, rl), rh, err)
 
 
@@ -582,15 +625,8 @@ def iv_sqrt(x: Interval) -> Interval:
     x._require_bounded()
     if x.hi < 0.0:
         raise DomainError(f"sqrt of negative interval {x}")
-    lo = max(x.lo, 0.0)
-    rl = math.sqrt(lo)
-    rh = math.sqrt(x.hi)
-    # math.sqrt is correctly rounded; step out unless trivially exact
-    if rl * rl != lo:
-        rl = _down(rl)
-    if rh * rh != x.hi:
-        rh = _up(rh)
-    return Interval(max(rl, 0.0), rh)
+    rl = _sqrt_out(max(x.lo, 0.0), False)
+    return Interval(max(rl, 0.0), _sqrt_out(x.hi, True))
 
 
 # -- transcendental endpoints via high-precision evaluation ---------------

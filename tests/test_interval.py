@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from speccert.errors import DivisionByZeroInterval, DomainError
 from speccert.interval import (
     PI,
     ComplexBox,
+    IArray,
     Interval,
     iv_exp,
     iv_log,
@@ -66,11 +68,16 @@ def test_div_containment(a, b, c, d, t, u):
 def test_unary_containment(a, b, t):
     x = make_interval(a, b)
     p = pick(x, t)
-    assert x.sq().contains(p * p)
+    sq = x.sq()
+    assert sq.contains(p * p)
+    assert Fraction(sq.lo) <= Fraction(p) ** 2 <= Fraction(sq.hi)
     assert x.abs().contains(abs(p))
     assert (-x).contains(-p)
     if x.lo >= 0:
-        assert iv_sqrt(x).contains(math.sqrt(p))
+        root = iv_sqrt(x)
+        assert root.contains(math.sqrt(p))
+        # sqrt(p) lies in [lo, hi] iff lo^2 <= p <= hi^2, both ends >= 0
+        assert Fraction(root.lo) ** 2 <= Fraction(p) <= Fraction(root.hi) ** 2
 
 
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0, 1))
@@ -129,6 +136,28 @@ def test_pi_enclosure():
 def test_sqrt_negative_rejected():
     with pytest.raises(DomainError):
         iv_sqrt(Interval(-2.0, -1.0))
+
+
+# exact squares, a value whose rounded square hides a low upper end,
+# subnormals, the smallest normal and values near overflow
+SQRT_CASES = [0.0, 1.0, 2.0, 4.0, 0.25, 2.2590971886958096e-10, 5e-324,
+              3 * 5e-324, 2.0 ** -1060, 2.0 ** -1022,
+              math.nextafter(2.0 ** -1022, 0.0), 2.0 ** -960, 2.0 ** 1000,
+              math.nextafter(math.inf, 0.0), 1e308, 1.3407807929942596e154]
+
+
+def test_sqrt_ends_bound_the_exact_root():
+    # the oracle is the exact rational square of each end: lo^2 <= x <= hi^2,
+    # with the ends at most two ulps apart; the scalar and array ends agree
+    rng = np.random.default_rng(17)
+    xs = SQRT_CASES + list(10.0 ** rng.uniform(-12.0, 13.0, 2000))
+    arr = iv_sqrt(IArray(xs))
+    for x, alo, ahi in zip(xs, arr.lo.tolist(), arr.hi.tolist()):
+        enc = iv_sqrt(Interval(x))
+        assert (enc.lo.hex(), enc.hi.hex()) == (alo.hex(), ahi.hex()), x
+        assert Fraction(enc.lo) ** 2 <= Fraction(x) <= Fraction(enc.hi) ** 2, x
+        assert enc.hi <= math.nextafter(math.nextafter(enc.lo, math.inf),
+                                        math.inf), x
 
 
 def test_log_nonpositive_rejected():
