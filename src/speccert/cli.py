@@ -250,7 +250,7 @@ def _emit_plot(path: str, sector: str, centers, radii) -> None:
     with open(path, "w") as fh:
         fh.write("sector,center_re,center_im,radius\n")
         for c, r in zip(centers, radii):
-            fh.write(f"{sector},{c.re.mid()!r},{c.im.mid()!r},{r!r}\n")
+            fh.write(f"{sector},{c.re.mid()!r},{c.im.mid()!r},{float(r)!r}\n")
 
 
 def _log(msg: str, t_start: float) -> None:

@@ -13,7 +13,6 @@ except newton_solve, which only manufactures candidate states.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -193,14 +192,16 @@ class PseudoDiag:
     """Certified change of basis for the real symmetric inner block.
 
     P holds the numerical eigenvectors of the symmetrized midpoint (a real
-    point matrix), Pinv a verified real enclosure of its inverse,
-    D = Pinv A P, and lams the Intervals on the diagonal of D.
+    point matrix) and Pinv a verified real enclosure of its inverse.  Of
+    D = Pinv A P two views are kept: lams, its diagonal as one IArray (the
+    inner eigenvalue enclosures), and off, the point matrix |D| with a zero
+    diagonal, which the inner disk radii and Z13 read.
     """
 
     P: IMatrix
     Pinv: IMatrix
-    D: IMatrix
-    lams: list
+    lams: IArray
+    off: IMatrix
     inv_defect: Interval
     p_norm: Interval
 
@@ -221,7 +222,10 @@ def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
 
 def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
     """Diagonalize the symmetrized midpoint of `a` and carry the exact
-    matrix along.  Only self-adjoint linearizations are supported."""
+    matrix along.  Only self-adjoint linearizations are supported.
+
+    `indices` is not read; it stays because bench/workloads.py calls this
+    function with three positional arguments."""
     if not self_adjoint:
         raise InvalidParameter(
             "pseudo-diagonalization supports self-adjoint models only")
@@ -233,15 +237,11 @@ def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
     except Exception as exc:
         raise DegenerateEigenbasis(f"eigenbasis not verifiably invertible: {exc}")
     d = (pinv @ a) @ p
-    lams = [d.get(i, i) for i in range(len(indices))]
-    return PseudoDiag(
-        P=p,
-        Pinv=pinv,
-        D=d,
-        lams=lams,
-        inv_defect=defect,
-        p_norm=op_norm2_bound(p),
-    )
+    off = d.mag()
+    np.fill_diagonal(off, 0.0)
+    return PseudoDiag(P=p, Pinv=pinv, lams=IArray(np.diag(d.lo), np.diag(d.hi)),
+                      off=IMatrix.from_point(off), inv_defect=defect,
+                      p_norm=op_norm2_bound(p))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +252,19 @@ def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
 class DiskSet:
     """Certified Gershgorin enclosure of the truncation-free linearization.
 
-    Centers are ComplexBoxes whose imaginary part is exactly [0, 0]: the
-    linearization is self-adjoint, so only the real parts carry bounds, and
-    the homotopy stage reads nothing else.  They stay boxes for the readers
-    of boxes: the disk-set and certificate JSON write each center as a
-    re/im pair, the benchmark harness reads `im`, and cluster_disks tests
-    each pair gap with ComplexBox.mig.  The kernel diagonal w0 is an
-    Interval.
+    The linearization is self-adjoint, so a disk center is real: center_re
+    holds the centers as one IArray and radii the radii as a float array,
+    inner disks first.  `centers` derives ComplexBoxes with imaginary part
+    exactly [0, 0] for the readers of boxes: the disk-set and certificate
+    JSON write each center as a re/im pair, and the CLI plot and the
+    benchmark harness read `re` and `im`.
 
     * inner disks: centers lams from the pseudo-diagonal block I^N;
-    * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N;
+    * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N,
+      with the symbol values l(n~) kept as lam_mid;
     * tail: every remaining index carries the disk
-      B(l(n~) + w0, tail_radius); the symbol range over the tail region is
+      B(l(n~) + w0, tail_radius) with tail_radius the upper end of
+      c_m (|W|_1 - |w0|); the symbol range over the tail region is
       reported through min_tail_s (lower bound on the radial variable).
     """
 
@@ -271,19 +272,21 @@ class DiskSet:
     sector: str
     n_inner: int
     n_mid: int
+    center_re: IArray
+    radii: np.ndarray
     inner_indices: list = field(default_factory=list)
     mid_indices: list = field(default_factory=list)
-    centers: list = field(default_factory=list)
-    radii: list = field(default_factory=list)
-    w0: Interval = None
+    lam_mid: IArray = None
+    w0: Interval = None                # the kernel diagonal
     tail_radius: float = 0.0
     min_tail_s: float = 0.0
-    sym_factor: float = 1.0
-    l1w: Interval = None               # |W|_1, behind tail_radius and later bounds
+    sym_factor: float = 1.0            # c_m
+    l1w: Interval = None               # |W|_1
 
-    @functools.cached_property
-    def center_re(self) -> IArray:
-        return IArray([c.re.lo for c in self.centers], [c.re.hi for c in self.centers])
+    @property
+    def centers(self) -> list:
+        return [ComplexBox(Interval(lo, hi))
+                for lo, hi in zip(self.center_re.lo.tolist(), self.center_re.hi.tolist())]
 
 
 def _kernel_w0(w: FourierSeq) -> Interval:
@@ -322,25 +325,22 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
 
     # region (i): rows of D off the diagonal, plus the coupling into the mid
     # shell through Pinv DG
-    off = pseudo.D.mag()
-    np.fill_diagonal(off, 0.0)
-    r_inner = off.sum(axis=1)
+    r_inner = pseudo.off.hi.sum(axis=1)
     if mid:
         coupling = pseudo.Pinv @ conv_block(w, sector, inner, mid)
         r_inner = r_inner + coupling.mag().sum(axis=1)
     r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
 
-    centers = [ComplexBox(lam) for lam in pseudo.lams]
-    radii = [float(x) for x in r_inner]
-
     # region (ii): explicit rows in the shell
     w0 = _kernel_w0(w)
     c_m = sym_factor(grid, sector)
     l1w = seq_l1(w)
+    lam_mid = symbol_diag(model, grid, mid)
+    c_lo, c_hi = np.empty(len(mid)), np.empty(len(mid))
+    r_mid = np.empty(0)
     if mid:
         ext = shell_indices(grid, sector, N, m_cut + sw)
         term1 = (conv_block(w, sector, mid, inner) @ pseudo.P).mag().sum(axis=1)
-        lam_mid = symbol_diag(model, grid, mid)
         ext_col = {n: j for j, n in enumerate(ext)}
         term2 = np.empty(len(mid))
         for b in range(0, len(mid), _MID_ROW_BLOCK):
@@ -348,25 +348,25 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
             dg_rows_ext = conv_block(w, sector, rows, ext)
             i, j = np.arange(len(rows)), np.array([ext_col[n] for n in rows])
             diag = lam_mid[b:b + len(rows)] + IArray(dg_rows_ext.lo[i, j], dg_rows_ext.hi[i, j])
-            centers += [ComplexBox(c) for c in diag.checked().elements()]
+            c_lo[b:b + len(rows)], c_hi[b:b + len(rows)] = diag.checked().lo, diag.hi
             mag_ext = dg_rows_ext.mag()
             mag_ext[i, j] = 0.0
             term2[b:b + len(rows)] = mag_ext.sum(axis=1)
         r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
-        radii.extend(float(x) for x in r_mid)
 
-    tail_radius = (Interval(c_m) * (l1w - w0.abs())).hi
     return DiskSet(
         grid=grid,
         sector=sector,
         n_inner=N,
         n_mid=m_cut,
+        center_re=IArray(np.concatenate([pseudo.lams.lo, c_lo]),
+                         np.concatenate([pseudo.lams.hi, c_hi])),
+        radii=np.concatenate([r_inner, r_mid]),
         inner_indices=inner,
         mid_indices=mid,
-        centers=centers,
-        radii=radii,
+        lam_mid=lam_mid,
         w0=w0,
-        tail_radius=tail_radius,
+        tail_radius=(Interval(c_m) * (l1w - w0.abs())).hi,
         min_tail_s=min_tail_freq(grid, m_cut),
         sym_factor=c_m,
         l1w=l1w,
@@ -379,7 +379,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
 
 @dataclass
 class Cluster:
-    members: list            # positions into DiskSet.centers
+    members: list            # disk positions in the DiskSet
     lo: float                # real-part extent of the union of disks
     hi: float
     count: int
@@ -391,31 +391,27 @@ def cluster_disks(diskset: DiskSet) -> list:
     Disks i and j join when mig(c_i - c_j) <= r_i + r_j; clusters are the
     connected components.  The pairs i < j go row by row in blocks of at
     most _PAIR_BLOCK pairs (or one row), each tested by one ComplexBox.mig
-    call on IArray boxes and folded into the labels at once, so no array
-    holds all n^2/2 pairs.  IArray gives the Interval bits element by
+    call on real IArray boxes and folded into the labels at once, so no
+    array holds all n^2/2 pairs.  IArray gives the Interval bits element by
     element, so partition, member order and lo/hi bits are the scalar pair
     loop's.  No sort-and-sweep prefilter yet: 1089 planar disks take
     0.11 s (one core of a 2-core Xeon), and on separated 1D spectra no
     pair would pass one.
     """
-    n = len(diskset.centers)
-    ends = [(c.re.lo, c.re.hi, c.im.lo, c.im.hi) for c in diskset.centers]
-    box = np.array(ends, dtype=float).reshape(n, 4)
-    if n > 1 and not np.isfinite(box).all():
+    c = diskset.center_re
+    re_lo, re_hi, n = c.lo, c.hi, len(c.lo)
+    if n > 1 and not (np.isfinite(re_lo).all() and np.isfinite(re_hi).all()):
         raise UnboundedOperand("disk center with an infinite endpoint")
-    r = np.array(diskset.radii, dtype=float)
+    r = np.asarray(diskset.radii, dtype=float)
     if not np.isfinite(r).all():
         raise UnboundedOperand("disk with a NaN or infinite radius")
-    re_lo, re_hi, im_lo, im_hi = box.T
     label, a = np.arange(n), 0
     while a < n - 1:
         # rows a..b-1 against columns a+1..n-1: at most _PAIR_BLOCK pairs
         b = min(n - 1, a + max(1, _PAIR_BLOCK // (n - 1 - a)))
         i, j = np.nonzero(np.arange(a + 1, n) > np.arange(a, b)[:, None])
         i, j, a = i + a, j + a + 1, b
-        z = ComplexBox(IArray(re_lo[i], re_hi[i]), IArray(im_lo[i], im_hi[i]))
-        w = ComplexBox(IArray(re_lo[j], re_hi[j]), IArray(im_lo[j], im_hi[j]))
-        touch = (z - w).mig() <= r[i] + r[j]
+        touch = (ComplexBox(c[i]) - ComplexBox(c[j])).mig() <= r[i] + r[j]
         if touch.any():
             edges = coo_matrix((np.ones(touch.sum()), (label[i[touch]], label[j[touch]])),
                                shape=(n, n))

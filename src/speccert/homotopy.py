@@ -197,9 +197,8 @@ def kappa2_formula(z11: Interval, z12: Interval, zu2_eff: Interval,
 def _diag_shift_inv(pseudo: PseudoDiag, t: float) -> IArray:
     """The diagonal (lam_n + t)^{-1} of (S + t)^{-1}; a shift whose -t lies
     in the enclosure of some lam_n is rejected."""
-    lams = IArray([x.lo for x in pseudo.lams], [x.hi for x in pseudo.lams])
-    sinv = Interval(1.0) / (lams + Interval(t))
-    for lam, e in zip(pseudo.lams, sinv.errors()):
+    sinv = Interval(1.0) / (pseudo.lams + Interval(t))
+    for lam, e in zip(pseudo.lams.elements(), sinv.errors()):
         if isinstance(e, DivisionByZeroInterval):
             raise ConditionViolated(f"shift t = {t!r} puts -t inside the eigenvalue "
                                     f"enclosure {lam} of the finite block")
@@ -219,7 +218,6 @@ class WindowBounds:
     disks: DiskSet
     window: Interval
     sup_mid: IArray               # sup distance of each shell l(n~) to the window
-    d_off: IMatrix                # |D| with its diagonal zeroed
     pinv_dg: IMatrix | None       # Pinv DG(inner <- shell); None without a shell
     dg_p: IMatrix | None          # DG(shell <- inner) P, for Z11 and the Neumann defect
     colw: np.ndarray              # sup distance of each inner l(n~) to the window
@@ -245,14 +243,9 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     sector = disks.sector
     inner = disks.inner_indices
     mid = disks.mid_indices
-    c_m = disks.sym_factor
-    w0_abs = disks.w0.abs()
-
-    off = pseudo.D.mag()
-    np.fill_diagonal(off, 0.0)
 
     # Z11: shell rows against the window-weighted resolvent
-    lam_mid = symbol_diag(model, grid, mid)
+    lam_mid = disks.lam_mid
     pinv_dg = dg_p = None
     if mid:
         dist = dist_to_window(lam_mid, window)
@@ -269,8 +262,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     dist_outer = window_dist_inf(model, window, s_min_n)
     if dist_outer.lo <= 0:
         raise ConditionViolated("window touches the outer symbol range")
-    z12 = Interval(c_m) * (disks.l1w - w0_abs) / Interval(dist_outer.lo)
-    z12 = Interval(0.0, z12.hi)
+    z12 = Interval(0.0, (Interval(disks.tail_radius) / Interval(dist_outer.lo)).hi)
 
     # column weights of the finite matrix factor shared by Zu3 and C2
     colw = sup_to_window(symbol_diag(model, grid, inner), window).hi
@@ -306,7 +298,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     return WindowBounds(
         model=model, pseudo=pseudo, disks=disks, window=window,
         sup_mid=sup_to_window(lam_mid, window),
-        d_off=IMatrix.from_point(off), pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
+        pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
         z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
         kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
         conditions=conditions,
@@ -338,7 +330,7 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     sinv = _diag_shift_inv(pseudo, t)
 
     # Z13: off-diagonal of the diagonalized block, weighted by (S + t)^{-1}
-    z13 = op_norm2_bound(wb.d_off.scale_rows(sinv))
+    z13 = op_norm2_bound(pseudo.off.scale_rows(sinv))
 
     # Z14: coupling into the shell through Pinv DG
     if wb.pinv_dg is not None:
@@ -402,10 +394,9 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     |l + w0 + t| over the continuum tail.  Returns None when e >= 1.
     """
     model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
-    c_m = disks.sym_factor
     w0 = disks.w0
     t_iv = Interval(t)
-    shell_d = (disks.center_re[len(pseudo.lams):] + t_iv).abs().checked()
+    shell_d = (disks.center_re[len(disks.inner_indices):] + t_iv).abs().checked()
     den_min = min([den_tail.lo] + shell_d.lo.tolist())
     if den_min <= 0:
         return None
@@ -415,7 +406,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     e = z13 + z14
     if len(shell_w.lo):
         e = e + op_norm2_bound(wb.dg_p.scale_rows(shell_w))
-    e = e + Interval(c_m) * (disks.l1w - w0.abs()) / Interval(den_min)
+    e = e + Interval(disks.tail_radius) / Interval(den_min)
     if e.hi >= 1.0:
         return None
 

@@ -121,9 +121,6 @@ class IMatrix:
     def T(self) -> "IMatrix":
         return IMatrix(self.lo.T, self.hi.T)
 
-    def get(self, i: int, j: int) -> Interval:
-        return Interval(self.lo[i, j], self.hi[i, j])
-
     def mid(self) -> np.ndarray:
         return self.lo + 0.5 * (self.hi - self.lo)
 

@@ -100,7 +100,7 @@ def test_interval_soundness_million_trials():
         exact = am @ bm
         for i in range(m):
             for j in range(m):
-                assert prod.get(i, j).contains(exact[i, j]); trials += 1
+                assert prod.lo[i, j] <= exact[i, j] <= prod.hi[i, j]; trials += 1
         nb = op_norm2_bound(IMatrix.from_point(am))
         assert nb.hi >= np.linalg.norm(am, 2) * (1 - 1e-12); trials += 1
 

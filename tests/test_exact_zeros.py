@@ -341,7 +341,8 @@ def test_no_subnormal_bounds_on_sh_toy(sh_toy):
     assert not block.lo[:, -1].any() and not block.hi[:, -1].any()
     r0m = IMatrix.from_point(np.linalg.inv(pseudo.P.mid()))
     for name, mat in (("conv_block", block), ("P", pseudo.P),
-                      ("Pinv", pseudo.Pinv), ("D", pseudo.D),
+                      ("Pinv", pseudo.Pinv), ("off", pseudo.off),
+                      ("D", (pseudo.Pinv @ sh_toy["jac"]) @ pseudo.P),
                       ("r0m @ p", r0m @ pseudo.P)):
         _assert_no_subnormal(name, mat)
 

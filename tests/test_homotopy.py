@@ -209,8 +209,10 @@ def test_window_distance_batch_equals_scalar_reference(points, w_lo, w_width):
 
 def _gap_disks(centers, radii, tail_radius):
     return DiskSet(grid=Grid(1, 10.0), sector="c", n_inner=len(centers),
-                   n_mid=len(centers), centers=[ComplexBox(c) for c in centers],
-                   radii=list(radii), w0=Interval(0.0), tail_radius=tail_radius)
+                   n_mid=len(centers),
+                   center_re=IArray([c.lo for c in centers], [c.hi for c in centers]),
+                   radii=np.array(radii, dtype=float), w0=Interval(0.0),
+                   tail_radius=tail_radius)
 
 
 _gap_end = st.one_of(st.floats(-4, 4), st.integers(-4, 4).map(float))
@@ -346,9 +348,9 @@ def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
     disks = sh_toy["disks"]
     w = sh_toy["w"]
 
-    lam = np.array([l.mid() for l in pseudo.lams])
+    lam = np.array([l.mid() for l in pseudo.lams.elements()])
     sinv = np.diag(1.0 / (lam + t))
-    od = pseudo.D.mid().copy()
+    od = ((pseudo.Pinv @ sh_toy["jac"]) @ pseudo.P).mid()
     np.fill_diagonal(od, 0.0)
     assert np.linalg.norm(sinv @ od, 2) <= bounds.z13.hi * (1 + 1e-9)
 

@@ -53,7 +53,7 @@ def test_matmul_contains_interval_samples(seed, n):
 def test_matmul_exact_small_integers():
     a = IMatrix.from_point(np.array([[1.0, 2.0], [3.0, 4.0]]))
     prod = a @ a
-    got = prod.get(0, 0)
+    got = Interval(prod.lo[0, 0], prod.hi[0, 0])
     assert got.lo <= 7.0 <= got.hi
     assert got.width() < 1e-13
 
@@ -80,8 +80,8 @@ def test_verified_inverse_diagonal():
     a = IMatrix.from_point(np.diag([2.0, 4.0]))
     inv, defect = verified_inverse(a)
     assert defect.hi < 1e-14
-    assert inv.get(0, 0).contains(0.5)
-    assert inv.get(1, 1).contains(0.25)
+    assert inv.lo[0, 0] <= 0.5 <= inv.hi[0, 0]
+    assert inv.lo[1, 1] <= 0.25 <= inv.hi[1, 1]
 
 
 def test_verified_inverse_random_well_conditioned():
@@ -115,10 +115,10 @@ def test_defect_bounds_point_probes():
 
 def test_diag_and_submatrix():
     d = IMatrix.identity(4).scale_rows(IArray([0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5]))
-    assert d.get(2, 2) == Interval(2.0, 2.5)
-    assert d.get(0, 1) == Interval(0.0)
+    assert (d.lo[2, 2], d.hi[2, 2]) == (2.0, 2.5)
+    assert d.lo[0, 1] == d.hi[0, 1] == 0.0
     a = d + IMatrix.from_point(np.triu(np.ones((4, 4)), 1))
-    assert a.T.get(3, 0).contains(1.0) and a.T.get(0, 3).contains(0.0)
+    assert a.T.lo[3, 0] <= 1.0 <= a.T.hi[3, 0] and a.T.lo[0, 3] <= 0.0 <= a.T.hi[0, 3]
 
 
 @pytest.mark.parametrize("lo, hi", [

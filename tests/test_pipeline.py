@@ -372,7 +372,7 @@ def test_cli_exit_codes(tmp_path, sh_toy, capsys):
 def test_cli_shift_on_a_disk_is_rejected_exits_3(tmp_path, sh_toy, capsys):
     # -t at the midpoint of a pseudo-diagonal entry: (lam + t)^{-1} cannot
     # be enclosed, so the only shift of the ladder is rejected
-    t = -sh_toy["pseudo"].lams[0].mid()
+    t = -sh_toy["pseudo"].lams.elements()[0].mid()
     path, _ = _toy_config(tmp_path, sh_toy, t=t)
     assert main(["--config", str(path)]) == 3
     assert f"shift t = {t!r}" in capsys.readouterr().err
