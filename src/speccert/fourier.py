@@ -13,6 +13,8 @@ turns products into real convolutions with per-axis sign corrections.
 
 Convolutions are computed over the true supports (supports add, nothing
 wraps) with the same midpoint-radius enclosure used for matrix products.
+Sums and scalings are interval.IArray operations on the coefficient
+arrays.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from scipy.signal import convolve as _sp_convolve
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
-from .imatrix import _add, _mm_real, _scale
-from .interval import Interval
+from .imatrix import _mm_real
+from .interval import IArray, Interval
 
 _U = 2.0 ** -53
 _TINY = 5e-308
@@ -139,9 +141,6 @@ class FourierSeq:
     def mid(self) -> np.ndarray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
-    def mag_arr(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
     def _check_mate(self, other: "FourierSeq") -> None:
         if self.grid != other.grid:
             raise GridMismatch("sequences live on different grids")
@@ -165,14 +164,13 @@ class FourierSeq:
         if self.sector != other.sector:
             raise GridMismatch("cannot add sequences from different sectors")
         S = max(self.S, other.S)
-        a = self.padded(S)
-        b = other.padded(S)
-        lo, hi = _add(a.lo, a.hi, b.lo, b.hi)
-        return FourierSeq(self.grid, self.sector, lo, hi)
+        a, b = self.padded(S), other.padded(S)
+        c = (IArray(a.lo, a.hi) + IArray(b.lo, b.hi)).checked()
+        return FourierSeq(self.grid, self.sector, c.lo, c.hi)
 
     def scaled(self, s: Interval) -> "FourierSeq":
-        lo, hi = _scale(self.lo, self.hi, s)
-        return FourierSeq(self.grid, self.sector, lo, hi)
+        c = (IArray(self.lo, self.hi) * s).checked()
+        return FourierSeq(self.grid, self.sector, c.lo, c.hi)
 
     # -- signed expansion and folding -------------------------------------
 
@@ -267,12 +265,10 @@ def conv(u: FourierSeq, v: FourierSeq) -> FourierSeq:
 def seq_l1(u: FourierSeq) -> Interval:
     """Enclosure of the l1 norm (with orbit multiplicities)."""
     w = _mult_weights(u.lo.shape, u.axes)
-    mag = u.mag_arr()
-    mig = np.where((u.lo <= 0.0) & (u.hi >= 0.0), 0.0,
-                   np.minimum(np.abs(u.lo), np.abs(u.hi)))
+    c = IArray(u.lo, u.hi)
     n = u.lo.size
-    hi = float((w * mag).sum()) * (1.0 + (n + 4) * _U) + _TINY
-    lo = max(float((w * mig).sum()) * (1.0 - (n + 4) * _U) - _TINY, 0.0)
+    hi = float((w * c.mag()).sum()) * (1.0 + (n + 4) * _U) + _TINY
+    lo = max(float((w * c.mig()).sum()) * (1.0 - (n + 4) * _U) - _TINY, 0.0)
     return Interval(lo, hi)
 
 

@@ -1,8 +1,11 @@
 """Dense real interval matrices backed by numpy.
 
-Storage is two float64 arrays, the lower and upper bounds of each entry.
-Every matrix of the finite stage is real: the Jacobian of a self-adjoint
-linearization, its eigenvectors and their verified inverse.  Products use
+IMatrix is the 2-D interval.IArray: two float64 arrays, the lower and
+upper bounds of each entry, with IArray's elementwise sums, differences
+and bounds.  Every matrix of the finite stage is real: the Jacobian of a
+self-adjoint linearization, its eigenvectors and their verified inverse.
+What is specific to matrices lives here: the product, row scaling, the
+norms and the verified inverse.  Products use
 the classical midpoint-radius scheme (Rump, "Fast and parallel interval
 arithmetic", BIT 39, 1999): the midpoint product is one floating-point
 matmul and the radius collects operand radii plus a (k+4)u accumulation
@@ -12,13 +15,13 @@ rounding mode.
 
 Exact zeros stay exact.  Outward rounding steps a bound through
 interval.ulp_step, which would turn a zero into a subnormal, and BLAS runs
-many times slower on subnormal operands.  So:
+many times slower on subnormal operands.  A sum or difference is IArray's
+two-sum, which steps only a bound that is not exact, so an exact zero
+stays 0.  In a product:
 
 * a radius of exactly 0 is not stepped: max(hi - mid, mid - lo) is 0 only
   when lo == mid == hi, so the entry is a point and its radius is exact;
-* a sum or difference of bounds that rounds to exactly 0 is not stepped:
-  with gradual underflow a floating sum is 0 only when the exact sum is 0;
-* in a product, an operand that is identically [0, 0] gives exact zeros
+* an operand that is identically [0, 0] gives exact zeros
   without any matmul, a point operand (all radii 0) drops the radius terms
   it would multiply, and an all-zero midpoint drops the midpoint products.
   Each dropped term is a matmul of an exact zero matrix, which is exactly
@@ -74,31 +77,25 @@ def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
     return ulp_step(cm - rad, -_INF, 2), ulp_step(cm + rad, _INF, 2)
 
 
-def _add(lo1, hi1, lo2, hi2):
-    return (ulp_step(lo1 + lo2, -_INF, keep_zero=True),
-            ulp_step(hi1 + hi2, _INF, keep_zero=True))
+class IMatrix(IArray):
+    """Real interval matrix [lo, hi]; shape (m, n).  An IArray operation
+    that records an element error raises it at once: a matrix holds no
+    placeholder entries."""
 
-
-def _scale(lo, hi, s: Interval):
-    """Enclosure of s [lo, hi]; a point s of 0 or +-1 scales exactly."""
-    cands = np.stack([lo * s.lo, lo * s.hi, hi * s.lo, hi * s.hi])
-    if s.lo == s.hi and s.lo in (0.0, 1.0, -1.0):
-        return cands.min(axis=0), cands.max(axis=0)
-    return ulp_step(cands.min(axis=0), -_INF), ulp_step(cands.max(axis=0), _INF)
-
-
-class IMatrix:
-    """Real interval matrix [lo, hi]; shape (m, n)."""
-
-    __slots__ = ("lo", "hi")
+    __slots__ = ()
 
     def __init__(self, lo, hi):
         self.lo = np.ascontiguousarray(lo, dtype=np.float64)
         self.hi = np.ascontiguousarray(hi, dtype=np.float64)
+        self.err = None
         if self.lo.shape != self.hi.shape:
             raise DimensionMismatch("bound arrays differ in shape")
         if not (self.lo <= self.hi).all():
             raise DimensionMismatch("lower bound above upper bound, or a NaN bound")
+
+    @classmethod
+    def _of(cls, lo, hi, err) -> "IMatrix":
+        return super()._of(lo, hi, err).checked()
 
     # -- constructors -----------------------------------------------------
 
@@ -114,23 +111,8 @@ class IMatrix:
     # -- views ------------------------------------------------------------
 
     @property
-    def shape(self):
-        return self.lo.shape
-
-    @property
     def T(self) -> "IMatrix":
         return IMatrix(self.lo.T, self.hi.T)
-
-    def mid(self) -> np.ndarray:
-        return self.lo + 0.5 * (self.hi - self.lo)
-
-    def mag(self) -> np.ndarray:
-        """Entrywise max |x| over the matrix, exact."""
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
-
-    def contains(self, a) -> bool:
-        a = np.atleast_2d(np.asarray(a))
-        return a.shape == self.shape and bool(np.all((self.lo <= a) & (a <= self.hi)))
 
     def widened(self, eps: float) -> "IMatrix":
         if eps < 0:
@@ -138,19 +120,6 @@ class IMatrix:
         return IMatrix(ulp_step(self.lo - eps, -_INF, 2), ulp_step(self.hi + eps, _INF, 2))
 
     # -- arithmetic -------------------------------------------------------
-
-    def __neg__(self) -> "IMatrix":
-        return IMatrix(-self.hi, -self.lo)
-
-    def __add__(self, other: "IMatrix") -> "IMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"add {self.shape} and {other.shape}")
-        return IMatrix(*_add(self.lo, self.hi, other.lo, other.hi))
-
-    def __sub__(self, other: "IMatrix") -> "IMatrix":
-        if self.shape != other.shape:
-            raise DimensionMismatch(f"sub {self.shape} and {other.shape}")
-        return self + (-other)          # x - y is x + (-y) in IEEE arithmetic
 
     def __matmul__(self, other: "IMatrix") -> "IMatrix":
         if self.shape[1] != other.shape[0]:
@@ -164,8 +133,8 @@ class IMatrix:
         if len(s.lo) != self.shape[0]:
             raise DimensionMismatch(f"scale {self.shape[0]} rows by {len(s.lo)}")
         ends = [np.broadcast_to(v[:, None], self.shape) for v in (s.lo, s.hi)]
-        p = IArray(*ends) * IArray(self.lo, self.hi)
-        return IMatrix(p.lo, p.hi)
+        p = IArray(*ends) * self
+        return IMatrix._of(p.lo, p.hi, p.err)
 
     # -- norms ------------------------------------------------------------
 

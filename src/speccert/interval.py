@@ -16,7 +16,10 @@ say) costs a few numpy calls instead of one Python call per box.  Its
 operations give, element by element, the bits of the Interval operations.
 An element whose scalar operation would raise does not stop the batch: the
 element records the exception's class, and the exception is raised only
-when a caller takes that element (`IArray.elements`).
+when a caller takes that element (`IArray.elements`).  IArray is the one
+elementwise interval-array type: imatrix.IMatrix is the 2-D IArray, which
+adds the matrix product and norms and raises an element's error at once,
+and fourier's coefficient sums and scalings run through it.
 
 Interval arrays step outward through one kernel, ulp_step, which gives the
 bits of np.nextafter without its libm call per element: finite doubles of
@@ -298,7 +301,11 @@ class IArray:
     Interval's operators return NotImplemented for an IArray operand, so a
     function written for Interval arguments, such as the Swift-Hohenberg
     symbol, runs on an IArray unchanged.  A function that branches on
-    endpoint values runs on one through `elementwise`.
+    endpoint values runs on one through `elementwise`.  The arrays may have
+    any shape, and the operands of a binary operator broadcast as numpy
+    arrays do (an Interval or a number takes the IArray's shape).  The
+    result has the class of the IArray operand (the left one when both
+    are), as unary minus keeps its operand's.
     """
 
     __slots__ = ("lo", "hi", "err")
@@ -318,18 +325,23 @@ class IArray:
         out.lo, out.hi, out.err = lo, hi, err
         return out
 
+    @property
+    def shape(self):
+        return self.lo.shape
+
     def errors(self) -> list:
-        """Per element None, or the exception its scalar evaluation raises."""
+        """Per element, in row-major order, None or the exception its scalar
+        evaluation raises."""
         if self.err is None:
-            return [None] * len(self.lo)
+            return [None] * self.lo.size
         return [_LAZY[c - 1](f"interval array element {i}: {_MESSAGES[c - 1]}")
-                if c else None for i, c in enumerate(self.err.tolist())]
+                if c else None for i, c in enumerate(self.err.ravel().tolist())]
 
     def elements(self) -> list:
-        """Each element as an Interval, or as the exception its scalar
-        evaluation raises."""
+        """Each element, in row-major order, as an Interval or as the
+        exception its scalar evaluation raises."""
         return [e or Interval(lo, hi) for e, lo, hi
-                in zip(self.errors(), self.lo.tolist(), self.hi.tolist())]
+                in zip(self.errors(), self.lo.ravel().tolist(), self.hi.ravel().tolist())]
 
     def checked(self) -> "IArray":
         """self, or the error of its first element that has one raised."""
@@ -355,6 +367,9 @@ class IArray:
         """The point intervals [hi, hi]."""
         return IArray._of(self.hi, self.hi, self.err)
 
+    def mid(self) -> np.ndarray:
+        return self.lo + 0.5 * (self.hi - self.lo)
+
     def mag(self) -> np.ndarray:
         return np.maximum(np.abs(self.lo), np.abs(self.hi))
 
@@ -363,7 +378,7 @@ class IArray:
                         np.minimum(np.abs(self.lo), np.abs(self.hi)))
 
     def __neg__(self) -> "IArray":
-        return IArray._of(-self.hi, -self.lo, self.err)
+        return type(self)._of(-self.hi, -self.lo, self.err)
 
     def abs(self) -> "IArray":
         return IArray._of(self.mig(), self.mag(), self.err)
@@ -415,12 +430,11 @@ def _is_operand(x) -> bool:
 
 
 def _array(x, like: IArray) -> IArray:
-    """x as an IArray of like's length."""
+    """x as an IArray of like's shape."""
     if isinstance(x, IArray):
         return x
     x = _as_interval(x)
-    n = len(like.lo)
-    return IArray._of(np.full(n, x.lo), np.full(n, x.hi), None)
+    return IArray._of(np.full(like.lo.shape, x.lo), np.full(like.lo.shape, x.hi), None)
 
 
 def _record(err, mask, code: int):
@@ -443,7 +457,8 @@ def _bounded(err, *ends):
 
 
 def _binary(x, y):
-    """The bounded endpoints of x and y and the errors they carry."""
+    """The class of the result, the bounded endpoints of x and y and the
+    errors they carry."""
     like = x if isinstance(x, IArray) else y
     x, y = _array(x, like), _array(y, like)
     if x.err is None or y.err is None:
@@ -451,7 +466,7 @@ def _binary(x, y):
     else:
         err = np.where(x.err != 0, x.err, y.err)
     (al, ah, bl, bh), err = _bounded(err, x.lo, x.hi, y.lo, y.hi)
-    return al, ah, bl, bh, err
+    return type(like), al, ah, bl, bh, err
 
 
 def _sum_lo_array(a, b):
@@ -494,8 +509,8 @@ def _first_max(cands):
 
 
 def _add(x, y) -> IArray:
-    al, ah, bl, bh, err = _binary(x, y)
-    return IArray._of(_sum_lo_array(al, bl), _sum_hi_array(ah, bh), err)
+    cls, al, ah, bl, bh, err = _binary(x, y)
+    return cls._of(_sum_lo_array(al, bl), _sum_hi_array(ah, bh), err)
 
 
 def _unit(v):
@@ -505,24 +520,24 @@ def _unit(v):
 
 
 def _mul(x, y) -> IArray:
-    al, ah, bl, bh, err = _binary(x, y)
+    cls, al, ah, bl, bh, err = _binary(x, y)
     cands = (al * bl, al * bh, ah * bl, ah * bh)
     lo, hi = _first_min(cands), _first_max(cands)
     # every product exact iff both endpoints of one factor are 0 or +-1
     exact = (_unit(al) & _unit(ah)) | (_unit(bl) & _unit(bh))
-    return IArray._of(np.where(exact, lo, ulp_step(lo, -_INF, out=np.empty_like(lo))),
-                      np.where(exact, hi, ulp_step(hi, _INF, out=np.empty_like(hi))), err)
+    return cls._of(np.where(exact, lo, ulp_step(lo, -_INF, out=np.empty_like(lo))),
+                   np.where(exact, hi, ulp_step(hi, _INF, out=np.empty_like(hi))), err)
 
 
 def _div(x, y) -> IArray:
-    al, ah, bl, bh, err = _binary(x, y)
+    cls, al, ah, bl, bh, err = _binary(x, y)
     zero = (bl <= 0.0) & (0.0 <= bh)
     if zero.any():
         err = _record(err, zero, _DIV0)
         bl, bh = np.where(zero, 1.0, bl), np.where(zero, 1.0, bh)
     cands = (al / bl, al / bh, ah / bl, ah / bh)
-    return IArray._of(ulp_step(_first_min(cands), -_INF),
-                      ulp_step(_first_max(cands), _INF), err)
+    return cls._of(ulp_step(_first_min(cands), -_INF),
+                   ulp_step(_first_max(cands), _INF), err)
 
 
 _SPLIT = 134217729.0                      # 2**27 + 1, Veltkamp's split

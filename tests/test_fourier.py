@@ -1,8 +1,11 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter
+from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter, UnboundedOperand
 from speccert.fourier import (
     FourierSeq,
     Grid,
@@ -135,6 +138,32 @@ def test_scaled_and_add_containment():
     assert v.lo[1] <= 4.0 <= v.hi[1]
     d = u + u.scaled(Interval(-1.0))
     assert d.lo[0] <= 0.0 <= d.hi[0]
+
+
+@pytest.mark.parametrize("grid,sector", [(GRID1, "c"), (GRID1, "s"), (GRID2, "cs")])
+def test_scaled_keeps_exact_zeros(grid, sector):
+    # a zero coefficient times any interval is exactly [0, 0]: it must not
+    # become a subnormal, which an odd sector's zero row would refuse
+    vals = _rand_seq(np.random.default_rng(13), grid, sector, 3).lo
+    vals.flat[-1] = 0.0
+    u = FourierSeq.from_point(grid, sector, vals)
+    zero = vals == 0.0
+    for s in (Interval(-3.0, 0.5), Interval(1.5, 2.5)):
+        v = u.scaled(s)
+        assert v.sector == sector
+        assert not v.lo[zero].any() and not v.hi[zero].any()
+        for a, lo, hi in zip(vals.ravel(), v.lo.ravel(), v.hi.ravel()):
+            ends = (Fraction(a) * Fraction(s.lo), Fraction(a) * Fraction(s.hi))
+            assert Fraction(lo) <= min(ends) and max(ends) <= Fraction(hi)
+
+
+def test_sum_and_scaling_refuse_an_infinite_coefficient():
+    # the IArray error of an unbounded coefficient is raised, not left as 0
+    u = FourierSeq.from_point(GRID1, "c", [math.inf, 1.0])
+    with pytest.raises(UnboundedOperand):
+        u.scaled(Interval(2.0))
+    with pytest.raises(UnboundedOperand):
+        u + u
 
 
 def test_padded_preserves_values():

@@ -174,3 +174,17 @@ def test_iarray_rejects_invalid_endpoints():
         IArray([1.0], [0.0])
     with pytest.raises(DomainError):
         IArray([math.nan])
+
+
+@pytest.mark.parametrize("scalar_operand", [Interval(1.0), 1.0, Interval(-0.5, 3.0)])
+def test_two_dimensional_array_with_a_scalar(scalar_operand):
+    # a scalar operand takes the array's shape; each entry has the bits of
+    # the scalar operation on that entry
+    rng = np.random.default_rng(3)
+    lo = rng.uniform(-4.0, 4.0, (2, 3))
+    x = IArray(lo, lo + rng.uniform(0.0, 1.0, (2, 3)))
+    for op in (lambda a, b: a + b, lambda a, b: b - a, lambda a, b: a * b):
+        got = op(x, scalar_operand)
+        assert got.shape == (2, 3)
+        want = [scalar(op, e, scalar_operand) for e in x.elements()]
+        assert batched(got) == want

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speccert.errors import DimensionMismatch, SingularityUnverified
+from speccert.errors import DimensionMismatch, SingularityUnverified, UnboundedOperand
 from speccert.imatrix import IMatrix, op_norm2_bound, verified_inverse
 from speccert.interval import IArray, Interval
 
@@ -20,6 +20,11 @@ def exact_product(a, b):
 def encloses(prod, exact):
     return all(float(prod.lo[i, j]) <= v <= float(prod.hi[i, j])
                for i, row in enumerate(exact) for j, v in enumerate(row))
+
+
+def holds(m, a):
+    """Every entry of the float matrix a lies in m."""
+    return a.shape == m.shape and bool(np.all((m.lo <= a) & (a <= m.hi)))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(1, 12))
@@ -46,7 +51,7 @@ def test_matmul_contains_interval_samples(seed, n):
     for _ in range(3):
         pa = a + rng.uniform(-eps, eps, (n, n))
         pb = b + rng.uniform(-eps, eps, (n, n))
-        assert ia.contains(pa) and ib.contains(pb)
+        assert holds(ia, pa) and holds(ib, pb)
         assert encloses(prod, exact_product(pa, pb))
 
 
@@ -94,7 +99,7 @@ def test_verified_inverse_random_well_conditioned():
     a = IMatrix.from_point(a_pt)
     inv, defect = verified_inverse(a)
     assert defect.hi < 1e-10
-    assert inv.contains(np.linalg.inv(a_pt))
+    assert holds(inv, np.linalg.inv(a_pt))
 
 
 def test_verified_inverse_singular_rejected():
@@ -170,6 +175,34 @@ def test_scale_rows_encloses_exact_products_and_keeps_zeros(m, n, data):
             if a.lo[i, j] == a.hi[i, j] == 0.0:
                 # an exact zero stays 0.0, not a subnormal stepped off it
                 assert lo == hi == 0.0
+
+
+def _imatrix(entries, m, n):
+    return IMatrix(np.array([e.lo for e in entries]).reshape(m, n),
+                   np.array([e.hi for e in entries]).reshape(m, n))
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_add_and_sub_enclose_exact_sums_and_keep_exact_ones(m, n, data):
+    a, b = (_imatrix(data.draw(st.lists(_entry, min_size=m * n, max_size=m * n)), m, n)
+            for _ in range(2))
+    for got, lo2, hi2, sign in ((a + b, b.lo, b.hi, 1), (a - b, b.hi, b.lo, -1)):
+        assert isinstance(got, IMatrix) and got.shape == (m, n)
+        for i, j in np.ndindex(m, n):
+            for bound, exact, outward in (
+                    (got.lo[i, j], Fraction(a.lo[i, j]) + sign * Fraction(lo2[i, j]), 1),
+                    (got.hi[i, j], Fraction(a.hi[i, j]) + sign * Fraction(hi2[i, j]), -1)):
+                assert outward * (exact - Fraction(bound)) >= 0
+                if Fraction(float(exact)) == exact:
+                    # an exact sum, an exact zero among them, is not stepped
+                    assert bound == float(exact)
+
+
+def test_difference_with_an_infinite_entry_raises():
+    b = IMatrix([[0.0, -math.inf], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(UnboundedOperand):
+        IMatrix.identity(2) - b
 
 
 def test_scale_rows_refuses_a_wrong_length():
