@@ -301,11 +301,9 @@ class IArray:
     Interval's operators return NotImplemented for an IArray operand, so a
     function written for Interval arguments, such as the Swift-Hohenberg
     symbol, runs on an IArray unchanged.  A function that branches on
-    endpoint values runs on one through `elementwise`.  The arrays may have
-    any shape, and the operands of a binary operator broadcast as numpy
-    arrays do (an Interval or a number takes the IArray's shape).  The
-    result has the class of the IArray operand (the left one when both
-    are), as unary minus keeps its operand's.
+    endpoint values runs on one through `elementwise`.  Arrays of any shape
+    broadcast as numpy arrays do, and an operator's result has the class of
+    its IArray operand (the left one when both are).
     """
 
     __slots__ = ("lo", "hi", "err")

@@ -51,10 +51,6 @@ def enc_box(z: ComplexBox) -> dict:
     return {"re": enc_interval(z.re), "im": enc_interval(z.im)}
 
 
-def dec_box(obj) -> ComplexBox:
-    return ComplexBox(dec_interval(obj["re"]), dec_interval(obj["im"]))
-
-
 def dumps(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ": "), indent=1)
 
@@ -85,6 +81,11 @@ def seq_from_doc(doc: dict) -> FourierSeq:
     shape = (side,) * grid.m
     lo = np.array([dec_float(x) for x in doc["lo"]]).reshape(shape)
     hi = np.array([dec_float(x) for x in doc["hi"]]).reshape(shape)
+    bad = np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi)))
+    if bad.size:
+        raise InvalidParameter(f"coefficient {bad[0]} (row-major) has the endpoint "
+                               f"[{lo.flat[bad[0]]!r}, {hi.flat[bad[0]]!r}]; "
+                               "state coefficients must be finite")
     return FourierSeq(grid, sector, lo, hi)
 
 
@@ -106,6 +107,8 @@ def load_seq_csv(path: str, grid: Grid, sector: str, S: int) -> FourierSeq:
                 raise InvalidParameter(
                     f"index {idx} outside the {sector!r} storage of S={S}")
             vals[pos] = float(parts[-1])
+            if not math.isfinite(vals[pos]):
+                raise InvalidParameter(f"csv row {raw!r}: state coefficients must be finite")
     return FourierSeq.from_point(grid, sector, vals)
 
 

@@ -247,14 +247,41 @@ def test_interval_and_box_round_trip():
     iv = Interval(-1.25, 7.5e-12)
     assert serialize.dec_interval(serialize.enc_interval(iv)) == iv
     box = ComplexBox(Interval(0.5, 0.75), Interval(-2.0, -1.0))
-    back = serialize.dec_box(serialize.enc_box(box))
-    assert back.re == box.re and back.im == box.im
+    doc = serialize.enc_box(box)
+    assert serialize.dec_interval(doc["re"]) == box.re
+    assert serialize.dec_interval(doc["im"]) == box.im
 
 
 def test_seq_round_trip(sh_toy):
     doc = serialize.seq_to_doc(sh_toy["u0"])
     back = serialize.seq_from_doc(doc)
     assert back == sh_toy["u0"]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_seq_readers_refuse_non_finite_coefficients(tmp_path, bad):
+    grid = Grid(1, 10.0)
+    u = FourierSeq.from_point(grid, "c", [1.5, -0.25, 0.125])
+    for end in ("lo", "hi"):
+        doc = serialize.seq_to_doc(u)
+        doc[end][1] = serialize.enc_float(bad)
+        with pytest.raises(InvalidParameter, match="coefficient 1 .* must be finite"):
+            serialize.seq_from_doc(doc)
+    p = tmp_path / "u.csv"
+    p.write_text(f"0,1.5\n1,{bad!r}\n")
+    with pytest.raises(InvalidParameter, match="'1,.*must be finite"):
+        serialize.load_seq_csv(str(p), grid, "c", 2)
+
+
+@pytest.mark.parametrize("mode", ["gershgorin-only", "certify"])
+def test_cli_non_finite_state_exits_2(tmp_path, sh_toy, capsys, mode):
+    path, cfg = _toy_config(tmp_path, sh_toy, mode=mode)
+    doc = serialize.seq_to_doc(sh_toy["u0"])
+    doc["hi"][3] = serialize.enc_float(math.inf)
+    Path(cfg["solution"]["path"]).write_text(serialize.dumps(doc))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "solution = " in err and "must be finite" in err
 
 
 def test_seq_csv_loader(tmp_path):
@@ -350,6 +377,11 @@ def test_cli_gershgorin_with_plot(tmp_path, sh_toy):
     lines = plot.read_text().strip().splitlines()
     assert lines[0] == "sector,center_re,center_im,radius"
     assert len(lines) == len(doc["disks"]) + 1
+    # each row is sector,float,float,float, its radius the JSON radius's bits
+    for line, disk in zip(lines[1:], doc["disks"]):
+        sector, re, im, radius = line.split(",")
+        assert sector == "c" and math.isfinite(float(re)) and float(im) == 0.0
+        assert radius == repr(serialize.dec_float(disk["radius"]))
 
 
 def test_cli_exit_codes(tmp_path, sh_toy, capsys):
