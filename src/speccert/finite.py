@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -202,7 +202,6 @@ class PseudoDiag:
     Pinv: IMatrix
     lams: IArray
     off: IMatrix
-    inv_defect: Interval
     p_norm: Interval
 
 
@@ -233,15 +232,14 @@ def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
     _, vecs = np.linalg.eigh(0.5 * (mid + mid.T))
     p = IMatrix.from_point(_normalize_columns(vecs))
     try:
-        pinv, defect = verified_inverse(p)
+        pinv = verified_inverse(p)[0]
     except Exception as exc:
         raise DegenerateEigenbasis(f"eigenbasis not verifiably invertible: {exc}")
     d = (pinv @ a) @ p
     off = d.mag()
     np.fill_diagonal(off, 0.0)
     return PseudoDiag(P=p, Pinv=pinv, lams=IArray(np.diag(d.lo), np.diag(d.hi)),
-                      off=IMatrix.from_point(off), inv_defect=defect,
-                      p_norm=op_norm2_bound(p))
+                      off=IMatrix.from_point(off), p_norm=op_norm2_bound(p))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +258,8 @@ class DiskSet:
     benchmark harness read `re` and `im`.
 
     * inner disks: centers lams from the pseudo-diagonal block I^N;
-    * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N,
-      with the symbol values l(n~) kept as lam_mid;
+    * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N;
+      lam holds l(n~) over the inner and then the mid indices;
     * tail: every remaining index carries the disk
       B(l(n~) + w0, tail_radius) with tail_radius the upper end of
       c_m (|W|_1 - |w0|); the symbol range over the tail region is
@@ -274,9 +272,9 @@ class DiskSet:
     n_mid: int
     center_re: IArray
     radii: np.ndarray
-    inner_indices: list = field(default_factory=list)
-    mid_indices: list = field(default_factory=list)
-    lam_mid: IArray = None
+    lam: IArray = None
+    pinv_dg: IMatrix | None = None     # Pinv DG(inner <- mid); None without a shell
+    dg_p: IMatrix | None = None        # DG(mid <- inner) P
     w0: Interval = None                # the kernel diagonal
     tail_radius: float = 0.0
     min_tail_s: float = 0.0
@@ -326,21 +324,24 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     # region (i): rows of D off the diagonal, plus the coupling into the mid
     # shell through Pinv DG
     r_inner = pseudo.off.hi.sum(axis=1)
+    pinv_dg = dg_p = None
     if mid:
-        coupling = pseudo.Pinv @ conv_block(w, sector, inner, mid)
-        r_inner = r_inner + coupling.mag().sum(axis=1)
+        pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
+        r_inner = r_inner + pinv_dg.mag().sum(axis=1)
     r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
 
     # region (ii): explicit rows in the shell
     w0 = _kernel_w0(w)
     c_m = sym_factor(grid, sector)
     l1w = seq_l1(w)
-    lam_mid = symbol_diag(model, grid, mid)
+    lam = symbol_diag(model, grid, inner + mid)
+    lam_mid = lam[p:]
     c_lo, c_hi = np.empty(len(mid)), np.empty(len(mid))
     r_mid = np.empty(0)
     if mid:
         ext = shell_indices(grid, sector, N, m_cut + sw)
-        term1 = (conv_block(w, sector, mid, inner) @ pseudo.P).mag().sum(axis=1)
+        dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
+        term1 = dg_p.mag().sum(axis=1)
         ext_col = {n: j for j, n in enumerate(ext)}
         term2 = np.empty(len(mid))
         for b in range(0, len(mid), _MID_ROW_BLOCK):
@@ -362,9 +363,9 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         center_re=IArray(np.concatenate([pseudo.lams.lo, c_lo]),
                          np.concatenate([pseudo.lams.hi, c_hi])),
         radii=np.concatenate([r_inner, r_mid]),
-        inner_indices=inner,
-        mid_indices=mid,
-        lam_mid=lam_mid,
+        lam=lam,
+        pinv_dg=pinv_dg,
+        dg_p=dg_p,
         w0=w0,
         tail_radius=(Interval(c_m) * (l1w - w0.abs())).hi,
         min_tail_s=min_tail_freq(grid, m_cut),

@@ -96,6 +96,8 @@ class FourierSeq:
         if lo.ndim != grid.m or lo.shape != hi.shape:
             raise DimensionMismatch("coefficient arrays malformed")
         side = lo.shape[0]
+        if side == 0:
+            raise DimensionMismatch("empty coefficient tensor")
         if any(s != side for s in lo.shape):
             raise DimensionMismatch("coefficient tensor must be cubical")
         if axes[0] == "signed":

@@ -15,11 +15,12 @@ by all disks, and a self-adjoint shortcut yields the alternative inflation
 
 Most bounds depend on the spectral window but not on the shift t, so
 `window_bounds` computes them once per certificate: kappa and the Lipschitz
-drift, Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q, the window
-distances of the symbol, and the operator blocks DG(shell <- inner) P and
-Pinv DG(inner <- shell).  `compute_bounds` adds what each shift of the
-ladder needs: (S + t)^{-1}, Z13, Z14, the matrix factor behind Zu3 and
-C2 r0, the inflation factors, and the self-adjoint factor with its disk gap.
+drift, Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q, and the
+window distances of the symbol values.  The symbol values and the blocks
+DG(shell <- inner) P and Pinv DG(inner <- shell) come built on the DiskSet.
+`compute_bounds` adds what each shift of the ladder needs: (S + t)^{-1},
+Z13, Z14, the matrix factor behind Zu3 and C2 r0, the inflation factors, and
+the self-adjoint factor with its disk gap.
 The q-refined path charges Zu2 and Zu3 with the fixed multiplier Q_MULT.
 Each quantity is held once: a certificate's `bounds` is the HomotopyBounds
 of its shift, and `bounds.window_bounds` the WindowBounds it shares with
@@ -43,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionViolated, DivisionByZeroInterval
-from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag
+# conv_block and symbol_diag go unused here; bench/tracing.py wraps them by these names
+from .finite import DiskSet, PseudoDiag, conv_block, min_tail_freq, symbol_diag  # noqa: F401
 from .fourier import FourierSeq, conv
 from .imatrix import IMatrix, op_norm2_bound
 from .interval import PI, IArray, Interval, iv_exp, iv_sqrt
@@ -198,10 +200,11 @@ def _diag_shift_inv(pseudo: PseudoDiag, t: float) -> IArray:
     """The diagonal (lam_n + t)^{-1} of (S + t)^{-1}; a shift whose -t lies
     in the enclosure of some lam_n is rejected."""
     sinv = Interval(1.0) / (pseudo.lams + Interval(t))
-    for lam, e in zip(pseudo.lams.elements(), sinv.errors()):
-        if isinstance(e, DivisionByZeroInterval):
-            raise ConditionViolated(f"shift t = {t!r} puts -t inside the eigenvalue "
-                                    f"enclosure {lam} of the finite block")
+    if sinv.err is not None and sinv.err.any():
+        for lam, e in zip(pseudo.lams.elements(), sinv.errors()):
+            if isinstance(e, DivisionByZeroInterval):
+                raise ConditionViolated(f"shift t = {t!r} puts -t inside the eigenvalue "
+                                        f"enclosure {lam} of the finite block")
     return sinv.checked()
 
 
@@ -218,8 +221,6 @@ class WindowBounds:
     disks: DiskSet
     window: Interval
     sup_mid: IArray               # sup distance of each shell l(n~) to the window
-    pinv_dg: IMatrix | None       # Pinv DG(inner <- shell); None without a shell
-    dg_p: IMatrix | None          # DG(shell <- inner) P, for Z11 and the Neumann defect
     colw: np.ndarray              # sup distance of each inner l(n~) to the window
     z11: Interval
     z12: Interval
@@ -236,36 +237,25 @@ class WindowBounds:
 def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
                   pseudo: PseudoDiag, disks: DiskSet,
                   window: Interval) -> WindowBounds:
-    """Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q for a window,
-    with the operator blocks the shift-dependent bounds reuse.  Raises
-    ConditionViolated when an inequality fails for every shift."""
-    grid = w.grid
-    sector = disks.sector
-    inner = disks.inner_indices
-    mid = disks.mid_indices
+    """Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q for a window.
+    Raises ConditionViolated when an inequality fails for every shift."""
+    p = len(pseudo.lams.lo)
 
     # Z11: shell rows against the window-weighted resolvent
-    lam_mid = disks.lam_mid
-    pinv_dg = dg_p = None
-    if mid:
+    lam_mid = disks.lam[p:]
+    if disks.dg_p is not None:
         dist = dist_to_window(lam_mid, window)
         if (dist.lo <= 0).any():
             raise ConditionViolated("window touches a symbol value in the shell")
-        dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
-        z11 = op_norm2_bound(dg_p.scale_rows(Interval(1.0) / dist))
-        pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
+        z11 = op_norm2_bound(disks.dg_p.scale_rows(Interval(1.0) / dist))
     else:
         z11 = Interval(0.0)
 
     # Z12: Schur bound on the outer-outer block
-    s_min_n = min_tail_freq(grid, disks.n_inner)
-    dist_outer = window_dist_inf(model, window, s_min_n)
+    dist_outer = window_dist_inf(model, window, min_tail_freq(w.grid, disks.n_inner))
     if dist_outer.lo <= 0:
         raise ConditionViolated("window touches the outer symbol range")
     z12 = Interval(0.0, (Interval(disks.tail_radius) / Interval(dist_outer.lo)).hi)
-
-    # column weights of the finite matrix factor shared by Zu3 and C2
-    colw = sup_to_window(symbol_diag(model, grid, inner), window).hi
 
     # decay-based periodization defects
     decay = model.decay_provider(window)
@@ -298,7 +288,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
     return WindowBounds(
         model=model, pseudo=pseudo, disks=disks, window=window,
         sup_mid=sup_to_window(lam_mid, window),
-        pinv_dg=pinv_dg, dg_p=dg_p, colw=colw,
+        colw=sup_to_window(disks.lam[:p], window).hi,
         z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
         kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
         conditions=conditions,
@@ -333,10 +323,8 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     z13 = op_norm2_bound(pseudo.off.scale_rows(sinv))
 
     # Z14: coupling into the shell through Pinv DG
-    if wb.pinv_dg is not None:
-        z14 = op_norm2_bound(wb.pinv_dg.scale_rows(sinv))
-    else:
-        z14 = Interval(0.0)
+    z14 = (Interval(0.0) if disks.pinv_dg is None
+           else op_norm2_bound(disks.pinv_dg.scale_rows(sinv)))
 
     # finite matrix factor shared by Zu3 and C2: the norm of |G| diag(colw),
     # each product rounded up as the IArray product rounds it
@@ -396,7 +384,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     model, pseudo, disks, window = wb.model, wb.pseudo, wb.disks, wb.window
     w0 = disks.w0
     t_iv = Interval(t)
-    shell_d = (disks.center_re[len(disks.inner_indices):] + t_iv).abs().checked()
+    shell_d = (disks.center_re[len(pseudo.lams.lo):] + t_iv).abs().checked()
     den_min = min([den_tail.lo] + shell_d.lo.tolist())
     if den_min <= 0:
         return None
@@ -405,7 +393,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     # block-norm bound on the weighted defect E
     e = z13 + z14
     if len(shell_w.lo):
-        e = e + op_norm2_bound(wb.dg_p.scale_rows(shell_w))
+        e = e + op_norm2_bound(disks.dg_p.scale_rows(shell_w))
     e = e + Interval(disks.tail_radius) / Interval(den_min)
     if e.hi >= 1.0:
         return None

@@ -58,23 +58,29 @@ def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
         return np.zeros(shape), np.zeros(shape)
     am, ar = _mid_rad(al, ah)
     bm, br = _mid_rad(bl, bh)
-    aa = np.abs(am)
-    ba = np.abs(bm)
+    aa, ba = np.abs(am), np.abs(bm)
     gamma = (k + 4) * _U
     if am.any() and bm.any():
-        cm = prod(am, bm)
-        m1 = prod(aa, ba)
+        cm, m1 = prod(am, bm), prod(aa, ba)
     else:
-        cm = np.zeros(shape)
-        m1 = np.zeros(shape)
-    a_point = not ar.any()
-    b_point = not br.any()
+        cm, m1 = np.zeros(shape), np.zeros(shape)
+    del am, bm
+    a_point, b_point = not ar.any(), not br.any()
     if a_point:
         m2 = np.zeros(shape) if b_point else prod(aa, br)
     else:
-        m2 = prod(ar, ba) if b_point else prod(ar, ba + br) + prod(aa, br)
-    rad = (m2 + gamma * m1) * (1.0 + 8.0 * gamma) + 5.0 * _TINY
-    return ulp_step(cm - rad, -_INF, 2), ulp_step(cm + rad, _INF, 2)
+        m2 = prod(ar, ba if b_point else ba + br)
+        if not b_point:
+            m2 += prod(aa, br)
+    del aa, ba, ar, br
+    # rad = (m2 + gamma m1) (1 + 8 gamma) + 5 tiny, accumulated in m2
+    m2 += np.multiply(m1, gamma, out=m1)
+    del m1
+    m2 *= 1.0 + 8.0 * gamma
+    m2 += 5.0 * _TINY
+    lo = ulp_step(cm - m2, -_INF, 2)
+    cm += m2
+    return lo, ulp_step(cm, _INF, 2)
 
 
 class IMatrix(IArray):
@@ -132,8 +138,7 @@ class IMatrix(IArray):
         hull rounded outward, so an exact zero entry stays exactly zero."""
         if len(s.lo) != self.shape[0]:
             raise DimensionMismatch(f"scale {self.shape[0]} rows by {len(s.lo)}")
-        ends = [np.broadcast_to(v[:, None], self.shape) for v in (s.lo, s.hi)]
-        p = IArray(*ends) * self
+        p = IArray(s.lo[:, None], s.hi[:, None]) * self
         return IMatrix._of(p.lo, p.hi, p.err)
 
     # -- norms ------------------------------------------------------------

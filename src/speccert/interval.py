@@ -463,7 +463,11 @@ def _binary(x, y):
         err = y.err if x.err is None else x.err
     else:
         err = np.where(x.err != 0, x.err, y.err)
-    (al, ah, bl, bh), err = _bounded(err, x.lo, x.hi, y.lo, y.hi)
+    ends = (x.lo, x.hi, y.lo, y.hi)
+    if x.lo.shape != y.lo.shape:     # ends and errors take the result's shape
+        ends = np.broadcast_arrays(*ends)
+        err = None if err is None else np.broadcast_to(err, ends[0].shape)
+    (al, ah, bl, bh), err = _bounded(err, *ends)
     return type(like), al, ah, bl, bh, err
 
 

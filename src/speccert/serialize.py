@@ -72,10 +72,12 @@ def seq_to_doc(u: FourierSeq) -> dict:
 
 
 def seq_from_doc(doc: dict) -> FourierSeq:
-    if doc.get("kind") != "fourier-seq":
+    if not isinstance(doc, dict) or doc.get("kind") != "fourier-seq":
         raise InvalidParameter("not a sequence document")
     grid = Grid(int(doc["grid"]["m"]), dec_float(doc["grid"]["d"]))
-    s = int(doc["S"])
+    s = doc["S"]
+    if type(s) is not int or s < 0:
+        raise InvalidParameter(f"S = {s!r}: the support radius must be an integer >= 0")
     sector = doc["sector"]
     side = 2 * s + 1 if sector == "full" else s + 1
     shape = (side,) * grid.m

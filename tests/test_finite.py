@@ -23,7 +23,7 @@ from speccert.finite import (
     shell_indices,
     symbol_diag,
 )
-from speccert.imatrix import IMatrix
+from speccert.imatrix import IMatrix, verified_inverse
 from speccert.models import sh_model
 
 GRID1 = Grid(1, 10.0)
@@ -173,7 +173,7 @@ def test_pseudo_diag_two_by_two():
     pd = build_pseudo_diag(a, [(0,), (1,)], self_adjoint=True)
     vals = sorted(l.mid() for l in pd.lams.elements())
     assert abs(vals[0] + 1.0) < 1e-12 and abs(vals[1] - 1.0) < 1e-12
-    assert pd.inv_defect.hi < 1e-12
+    assert verified_inverse(pd.P)[1].hi < 1e-12
     assert not np.diag(pd.off.hi).any() and pd.off.hi.max() < 1e-12
 
 
@@ -186,7 +186,7 @@ def test_pseudo_diag_random_symmetric():
     true = np.linalg.eigvalsh(s)
     got = sorted(l.mid() for l in pd.lams.elements())
     assert np.max(np.abs(np.array(got) - true)) < 1e-8
-    assert pd.inv_defect.hi < 1e-10
+    assert verified_inverse(pd.P)[1].hi < 1e-10
     assert isinstance(pd.lams, IArray)
     assert all(l.width() < 1e-10 for l in pd.lams.elements())
 
@@ -223,9 +223,10 @@ def test_mid_rows_dominate_truncated_row_sums(sh_toy):
     disks = sh_toy["disks"]
     big = assemble_jacobian(model, w, "c", disks.n_mid)
     mag = big.mag()
-    n_inner_count = len(disks.inner_indices)
-    idx = index_list(sh_toy["grid"], "c", disks.n_mid)
-    for pos, n in enumerate(disks.mid_indices):
+    grid = sh_toy["grid"]
+    n_inner_count = len(index_list(grid, "c", disks.n_inner))
+    idx = index_list(grid, "c", disks.n_mid)
+    for pos, n in enumerate(shell_indices(grid, "c", disks.n_inner, disks.n_mid)):
         i = idx.index(n)
         row = mag[i].sum() - mag[i, i]
         k = n_inner_count + pos
@@ -289,7 +290,7 @@ def _center_bounds(boxes):
 def _assert_streamed_equals_dense(model, w, sector, N, pseudo, a):
     disks = gershgorin_disks(model, w, sector, N, pseudo, a)
     centers, radii = _dense_mid_disks(model, w, sector, N, pseudo)
-    p = len(disks.inner_indices)
+    p = len(index_list(w.grid, sector, N))
     got_c = _center_bounds(disks.centers[p:])
     want_c = _center_bounds(centers)
     got_r = np.array(disks.radii[p:])
@@ -304,7 +305,7 @@ def test_streamed_mid_rows_equal_dense_2d():
     w = _even_kernel_2d(43, 8)
     model, pseudo, a = _finite_stage_2d(w, 4)
     disks = _assert_streamed_equals_dense(model, w, "cc", 4, pseudo, a)
-    assert len(disks.mid_indices) == 144
+    assert len(shell_indices(w.grid, "cc", 4, disks.n_mid)) == 144
     assert 2 * finite._MID_ROW_BLOCK < 144 < 3 * finite._MID_ROW_BLOCK
 
 
@@ -313,7 +314,7 @@ def test_streamed_mid_rows_equal_dense_sh_toy(sh_toy):
     disks = _assert_streamed_equals_dense(sh_toy["model"], sh_toy["w"], "c",
                                           sh_toy["N"], sh_toy["pseudo"],
                                           sh_toy["jac"])
-    assert len(disks.mid_indices) <= finite._MID_ROW_BLOCK
+    assert len(disks.radii) - len(sh_toy["pseudo"].lams.lo) <= finite._MID_ROW_BLOCK
 
 
 def test_gershgorin_disks_memory_2d():
@@ -327,7 +328,7 @@ def test_gershgorin_disks_memory_2d():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (len(disks.mid_indices), disks.n_mid) == (544, 24)
+    assert (len(shell_indices(w.grid, "cc", 8, disks.n_mid)), disks.n_mid) == (544, 24)
     assert peak < 40e6, peak
 
 
@@ -355,8 +356,6 @@ def _synthetic_disks(centers, radii):
         grid=GRID1, sector="c", n_inner=2, n_mid=4,
         center_re=IArray([c.lo for c in re], [c.hi for c in re]),
         radii=np.array(radii, dtype=float),
-        inner_indices=[(i,) for i in range(len(centers))],
-        mid_indices=[],
         w0=Interval(0.0),
         tail_radius=0.0, min_tail_s=1.0, sym_factor=1.0)
 

@@ -180,3 +180,6 @@ def test_malformed_sequences_rejected():
         FourierSeq.from_point(GRID1, "s", [1.0, 2.0])
     with pytest.raises(DimensionMismatch):
         FourierSeq.from_point(GRID1, "full", [1.0, 2.0])  # even side
+    for sector in ("c", "full"):
+        with pytest.raises(DimensionMismatch, match="empty"):
+            FourierSeq.from_point(GRID1, sector, [])

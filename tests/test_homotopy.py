@@ -12,8 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from speccert import homotopy, pipeline
 from speccert.errors import ConditionViolated
-from speccert.finite import DiskSet, cluster_disks, conv_block
-from speccert.fourier import FourierSeq, Grid, seq_l1
+from speccert.finite import DiskSet, cluster_disks, conv_block, shell_indices
+from speccert.fourier import FourierSeq, Grid, index_list, seq_l1
 from speccert.homotopy import (
     _disk_gap,
     compute_bounds,
@@ -341,6 +341,14 @@ def test_fmat_operand_bounds_the_exact_products(toy_bounds, monkeypatch,
         assert Fraction(fmat.hi[i, j]) >= exact, (i, j)
 
 
+def test_shift_inside_an_eigenvalue_enclosure_is_rejected(toy_bounds):
+    wb = toy_bounds["wb"]
+    t = -wb.pseudo.lams.elements()[3].mid()
+    with pytest.raises(ConditionViolated, match="puts -t inside the eigenvalue") as exc:
+        compute_bounds(wb, t)
+    assert f"shift t = {t!r}" in str(exc.value)
+
+
 def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
     bounds = toy_bounds["bounds"]
     t = toy_bounds["t"]
@@ -354,16 +362,18 @@ def test_bounds_dominate_dense_block_norms(sh_toy, toy_bounds):
     np.fill_diagonal(od, 0.0)
     assert np.linalg.norm(sinv @ od, 2) <= bounds.z13.hi * (1 + 1e-9)
 
-    dg_nm = conv_block(w, "c", disks.inner_indices, disks.mid_indices).mid()
+    inner = index_list(sh_toy["grid"], "c", disks.n_inner)
+    mid = shell_indices(sh_toy["grid"], "c", disks.n_inner, disks.n_mid)
+    dg_nm = conv_block(w, "c", inner, mid).mid()
     z14_sample = np.linalg.norm(sinv @ pseudo.Pinv.mid() @ dg_nm, 2)
     assert z14_sample <= bounds.z14.hi * (1 + 1e-9)
 
-    dg_mn = conv_block(w, "c", disks.mid_indices, disks.inner_indices).mid()
+    dg_mn = conv_block(w, "c", mid, inner).mid()
     window = toy_bounds["window"]
     from speccert.finite import freq_norm_iv
 
     dists = []
-    lams = sh_toy["model"].symbol_at(freq_norm_iv(sh_toy["grid"], disks.mid_indices))
+    lams = sh_toy["model"].symbol_at(freq_norm_iv(sh_toy["grid"], mid))
     for lam in lams.elements():
         l = lam.mid()
         dists.append(max(window.lo - l, l - window.hi, 0.0))

@@ -284,6 +284,20 @@ def test_cli_non_finite_state_exits_2(tmp_path, sh_toy, capsys, mode):
     assert "solution = " in err and "must be finite" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "not a sequence document"),
+    ({"schema": serialize.SCHEMA_VERSION, "kind": "fourier-seq",
+      "grid": {"m": 1, "d": serialize.enc_float(20.0)}, "sector": "c", "S": -1,
+      "lo": [], "hi": []}, "S = -1"),
+])
+def test_cli_malformed_state_exits_2(tmp_path, sh_toy, capsys, doc, message):
+    path, cfg = _toy_config(tmp_path, sh_toy, mode="gershgorin-only")
+    Path(cfg["solution"]["path"]).write_text(json.dumps(doc))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"solution = {cfg['solution']!r}" in err and message in err
+
+
 def test_seq_csv_loader(tmp_path):
     grid = Grid(1, 10.0)
     p = tmp_path / "u.csv"
@@ -365,6 +379,22 @@ def test_cli_certify_and_determinism(tmp_path, sh_toy, capsys):
     assert (tmp_path / "cert.json").read_text() == first
     out = capsys.readouterr().out
     assert "stability: stable" in out
+
+
+def test_certify_reuses_the_finite_stage_blocks(tmp_path, sh_toy, monkeypatch):
+    # the homotopy stage reads the coupling blocks and the symbol values off
+    # the DiskSet, so it builds none itself and the certificate keeps its bytes
+    path, _ = _toy_config(tmp_path, sh_toy)
+    assert main(["--config", str(path)]) == 0
+    want = (tmp_path / "cert.json").read_bytes()
+
+    def refuse(*args):
+        raise AssertionError("the homotopy stage rebuilt a finite-stage quantity")
+
+    monkeypatch.setattr(homotopy, "conv_block", refuse)
+    monkeypatch.setattr(homotopy, "symbol_diag", refuse)
+    assert main(["--config", str(path)]) == 0
+    assert (tmp_path / "cert.json").read_bytes() == want
 
 
 def test_cli_gershgorin_with_plot(tmp_path, sh_toy):
