@@ -156,8 +156,9 @@ def read_config(doc) -> RunConfig:
     sector = doc["sector"]
     _expect(grid.m == model.m, "grid", doc["grid"],
             f"m = {model.m}, the dimension of the {model.name} model")
-    _expect(sector in _SECTORS[grid.m], "sector", sector,
-            f"one of {', '.join(_SECTORS[grid.m])} for grid.m = {grid.m}")
+    _expect(sector in ("full", "c" * grid.m), "sector", sector,
+            f"full or {'c' * grid.m} for grid.m = {grid.m}: mode {mode!r} "
+            f"takes no state with an odd (sine) axis")
     opts = {k: float(doc[k]) for k in ("delta0", "margin", "t")
             if k in doc}
     if "window" in doc:

@@ -252,10 +252,9 @@ class DiskSet:
 
     The linearization is self-adjoint, so a disk center is real: center_re
     holds the centers as one IArray and radii the radii as a float array,
-    inner disks first.  `centers` derives ComplexBoxes with imaginary part
-    exactly [0, 0] for the readers of boxes: the disk-set and certificate
-    JSON write each center as a re/im pair, and the CLI plot and the
-    benchmark harness read `re` and `im`.
+    inner disks first.  `centers` derives one ComplexBox (imaginary part
+    [0, 0]) per center for the readers of re/im pairs: the disk-set and
+    certificate JSON, the CLI plot and the benchmark harness.
 
     * inner disks: centers lams from the pseudo-diagonal block I^N;
     * mid disks: centers l(n~) + diagonal kernel term for I^M minus I^N;
@@ -386,26 +385,40 @@ class Cluster:
     count: int
 
 
-def cluster_disks(diskset: DiskSet) -> list:
-    """Group overlapping finite disks; counts carry multiplicity.
-
-    Disks i and j join when mig(c_i - c_j) <= r_i + r_j; clusters are the
-    connected components.  The pairs i < j go row by row in blocks of at
-    most _PAIR_BLOCK pairs (or one row), each tested by one ComplexBox.mig
-    call on real IArray boxes and folded into the labels at once, so no
-    array holds all n^2/2 pairs.  IArray gives the Interval bits element by
-    element, so partition, member order and lo/hi bits are the scalar pair
-    loop's.  No sort-and-sweep prefilter yet: 1089 planar disks take
-    0.11 s (one core of a 2-core Xeon), and on separated 1D spectra no
-    pair would pass one.
-    """
+def _checked(diskset: DiskSet):
+    """The centers and radii of a disk set, refusing an unbounded disk."""
     c = diskset.center_re
-    re_lo, re_hi, n = c.lo, c.hi, len(c.lo)
-    if n > 1 and not (np.isfinite(re_lo).all() and np.isfinite(re_hi).all()):
+    if len(c.lo) > 1 and not (np.isfinite(c.lo).all() and np.isfinite(c.hi).all()):
         raise UnboundedOperand("disk center with an infinite endpoint")
     r = np.asarray(diskset.radii, dtype=float)
     if not np.isfinite(r).all():
         raise UnboundedOperand("disk with a NaN or infinite radius")
+    return c, r
+
+
+def spectral_edge(diskset: DiskSet) -> float:
+    """Certified upper real edge of the finite disks, bit for bit the
+    highest cluster end of cluster_disks: a step up is monotone, so the
+    highest cluster's end is the highest disk end stepped up."""
+    c, r = _checked(diskset)
+    return math.nextafter(float(np.max(c.hi + r)), _INF)
+
+
+def cluster_disks(diskset: DiskSet) -> list:
+    """Group overlapping finite disks; counts carry multiplicity.
+
+    Disks i and j join when mig(c_i - c_j) <= r_i + r_j; clusters are the
+    connected components.  The centers are real, so the gap is the exact
+    mignitude of an outward-rounded difference: it never exceeds the true
+    distance, and the test merges whatever exact overlap asks for.  The
+    pairs i < j go row by row in blocks of at most _PAIR_BLOCK pairs (or
+    one row), each tested by one ComplexBox.mig call on an IArray batch
+    and folded into the labels at once, so no array holds all n^2/2
+    pairs.  IArray gives the Interval bits element by element, so
+    partition, member order and lo/hi bits are the scalar pair loop's.
+    """
+    c, r = _checked(diskset)
+    re_lo, re_hi, n = c.lo, c.hi, len(c.lo)
     label, a = np.arange(n), 0
     while a < n - 1:
         # rows a..b-1 against columns a+1..n-1: at most _PAIR_BLOCK pairs

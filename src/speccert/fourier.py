@@ -106,8 +106,8 @@ class FourierSeq:
             S = side // 2
         else:
             S = side - 1
-        if np.any(lo > hi):
-            raise DimensionMismatch("lower bound above upper bound")
+        if not (lo <= hi).all():
+            raise DimensionMismatch("lower bound above upper bound, or a NaN bound")
         self.grid = grid
         self.sector = sector
         self.S = S

@@ -34,7 +34,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularityUnverified
+from .errors import DimensionMismatch, SingularityUnverified, UnboundedOperand
 from .interval import IArray, Interval, iv_sqrt, ulp_step
 
 _U = 2.0 ** -53
@@ -48,6 +48,7 @@ def _mid_rad(lo, hi):
     return mid, ulp_step(np.maximum(hi - mid, mid - lo), _INF, 2, keep_zero=True)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
     """Enclosure of the product of real interval matrices, or of another
     bilinear product `prod` (a convolution, say) given the shape of its
@@ -80,6 +81,8 @@ def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
     m2 += 5.0 * _TINY
     lo = ulp_step(cm - m2, -_INF, 2)
     cm += m2
+    if np.isnan(lo).any() or np.isnan(cm).any():     # inf - inf
+        raise UnboundedOperand("interval product overflows the double range")
     return lo, ulp_step(cm, _INF, 2)
 
 

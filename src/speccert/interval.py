@@ -1,4 +1,4 @@
-"""Outward-rounded real intervals and complex rectangles.
+"""Outward-rounded real intervals, and the real disk centers as complex boxes.
 
 Endpoints are IEEE doubles.  Every arithmetic operation returns an interval
 guaranteed to contain the exact result; rounding is handled by stepping the
@@ -716,30 +716,21 @@ PI = Interval(3.141592653589793, 3.1415926535897936)    # the doubles around pi
 
 
 class ComplexBox:
-    """Axis-aligned rectangle in the complex plane (re and im intervals).
+    """A real disk center as a box of the complex plane: the interval re
+    (an IArray for a batch), with imaginary part `im` exactly [0, 0]."""
 
-    Only what its users need: the disk centers of the finite stage and the
-    pair gap test of the clustering take a difference and the squared
-    modulus, so there is no rectangle multiplication or division.  With
-    IArray components a ComplexBox holds a batch of boxes; -, abs2 and mig
-    then work elementwise.
-    """
+    __slots__ = ("re",)
+    im = ZERO
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
+    def __init__(self, re):
         self.re = re if isinstance(re, IArray) else _as_interval(re)
-        self.im = ZERO if im is None else im if isinstance(im, IArray) else _as_interval(im)
 
     def __sub__(self, other: "ComplexBox") -> "ComplexBox":
-        return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def abs2(self) -> Interval:
-        return self.re.sq() + self.im.sq()
+        return ComplexBox(self.re - other.re)
 
     def mig(self) -> float:
-        """Lower bound on |z| over the box (an array for a batch)."""
-        return iv_sqrt(self.abs2()).lo
+        """The exact lower bound on |z| over the box (an array for a batch)."""
+        return self.re.mig()
 
     def __repr__(self) -> str:
-        return f"ComplexBox({self.re!r}, {self.im!r})"
+        return f"ComplexBox({self.re!r})"

@@ -30,6 +30,7 @@ from .finite import (
     cluster_disks,
     gershgorin_disks,
     kernel_from_state,
+    spectral_edge,
 )
 from .fourier import FourierSeq, index_list, seq_l1
 from .homotopy import HomotopyBounds, compute_bounds, inflate_disks, window_bounds
@@ -77,11 +78,6 @@ def select_shift(edge: float, margin: float) -> float:
     return -(edge + margin)
 
 
-def _spectral_edge(clusters) -> float:
-    """Certified upper real edge of the explicit disks."""
-    return max(c.hi for c in clusters)
-
-
 @dataclass(frozen=True)
 class CertifyOptions:
     delta0: float = 1e-2
@@ -120,7 +116,7 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     idx = index_list(u0.grid, sector, N)
     pseudo = build_pseudo_diag(a, idx, model.self_adjoint)
     disks = gershgorin_disks(model, w, sector, N, pseudo, a)
-    raw_clusters = cluster_disks(disks)
+    edge = spectral_edge(disks)        # refuses an unbounded disk, whatever t
 
     l1u = seq_l1(u0)
     lam_max = model.lambda_max(l1u, disks.l1w, Interval(r0)).hi
@@ -133,9 +129,8 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     if opts.t is not None:
         shifts = [opts.t]
     else:
-        edge = _spectral_edge(raw_clusters)
         shifts = [select_shift(lam_max, opts.margin)]
-        # the certified edge from pass 1 permits tighter shifts; the best
+        # the certified disk edge permits tighter shifts; the best
         # margin balances |lambda + t| against the 1/|lambda + t| weights,
         # so try a short ladder and keep the tightest family
         for mg in (0.25 * opts.margin, 0.5 * opts.margin,

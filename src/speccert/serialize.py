@@ -43,10 +43,6 @@ def enc_interval(v: Interval) -> dict:
     return {"lo": enc_float(v.lo), "hi": enc_float(v.hi)}
 
 
-def dec_interval(obj) -> Interval:
-    return Interval(dec_float(obj["lo"]), dec_float(obj["hi"]))
-
-
 def enc_box(z: ComplexBox) -> dict:
     return {"re": enc_interval(z.re), "im": enc_interval(z.im)}
 

@@ -22,6 +22,7 @@ from speccert.finite import (
     gershgorin_disks,
     kernel_from_state,
     newton_solve,
+    spectral_edge,
 )
 from speccert.fourier import FourierSeq, Grid, index_list, seq_l1
 from speccert.homotopy import compute_bounds, inflate_disks, window_bounds
@@ -40,7 +41,6 @@ from speccert.models import (
     whitham_model,
 )
 from speccert.pipeline import (
-    _spectral_edge,
     certify,
     default_window,
     select_shift,
@@ -73,24 +73,22 @@ def test_interval_soundness_million_trials():
         assert iv_sqrt(y).contains(math.sqrt(q)); trials += 1
         assert x.abs().contains(abs(p)); trials += 1
 
-    # complex boxes: the difference and the modulus lower bound of the pair
-    # gap test, against the exact rational values at points of the boxes
+    # disk centers: the difference and the gap of the pair test, against
+    # the exact rational values at points of the centers; columns 0 and 2
+    # lie apart, columns 1 and 3 overlap
     n = 16000
     re = rng.uniform(-20, 20, (n, 4))
     w = rng.uniform(0, 2, (n, 4))
     t = rng.uniform(0, 1, (n, 4))
     re[:, 2] += 41
     for i in range(n):
-        z1 = ComplexBox(Interval(re[i, 0], re[i, 0] + w[i, 0]),
-                        Interval(re[i, 1], re[i, 1] + w[i, 1]))
-        z2 = ComplexBox(Interval(re[i, 2], re[i, 2] + w[i, 2]),
-                        Interval(re[i, 3], re[i, 3] + w[i, 3]))
         p = [Fraction(re[i, k] + t[i, k] * w[i, k]) for k in range(4)]
-        dr, di = p[0] - p[2], p[1] - p[3]
-        d = z1 - z2
-        assert (Fraction(d.re.lo) <= dr <= Fraction(d.re.hi)
-                and Fraction(d.im.lo) <= di <= Fraction(d.im.hi)); trials += 1
-        assert Fraction(d.mig()) ** 2 <= dr * dr + di * di; trials += 1
+        for a, b in ((0, 2), (1, 3)):
+            d = (ComplexBox(Interval(re[i, a], re[i, a] + w[i, a]))
+                 - ComplexBox(Interval(re[i, b], re[i, b] + w[i, b])))
+            dr = p[a] - p[b]
+            assert Fraction(d.re.lo) <= dr <= Fraction(d.re.hi); trials += 1
+            assert Fraction(d.mig()) <= abs(dr); trials += 1
 
     for k in range(40):
         m = int(rng.integers(5, 12))
@@ -261,7 +259,7 @@ def test_selfadjoint_dominance_20_runs():
         idx = index_list(grid, "c", 32)
         pseudo = build_pseudo_diag(a, idx, True)
         disks = gershgorin_disks(model, w, "c", 32, pseudo, a)
-        edge = _spectral_edge(cluster_disks(disks))
+        edge = spectral_edge(disks)
         lam_max = model.lambda_max(seq_l1(u0), seq_l1(w), Interval(1e-8)).hi
         window = default_window(lam_max, 0.01)
         t = select_shift(edge, 4.0)

@@ -7,6 +7,10 @@ everything) and lie within 2 ulps of it at each finite end, and the array
 bits must be the scalar bits (float.hex, which tells -0.0 from 0.0).  A
 scalar error, such as division by an interval through zero, must be the
 element's recorded error.
+
+abs, mig and mag are exact, and so is the clustering gap test built on
+them: two disks whose exact distance is at most the sum of their radii
+always share a cluster.
 """
 
 import math
@@ -14,9 +18,12 @@ import random
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import example, given, settings
 
 from speccert.errors import CertifyError
+from speccert.finite import cluster_disks
 from speccert.interval import IArray, Interval
+from test_finite import _disk_sets, _synthetic_disks
 
 _MIN_NORMAL = 2.2250738585072014e-308
 _MAX = 1.7976931348623157e308
@@ -127,3 +134,39 @@ def test_operand_table_reaches_the_edge_cases():
     assert any(v.lo == _MAX for v in sums)
     assert any(0.0 < abs(v.hi) < _MIN_NORMAL for v in prods)
     assert any(v.lo == v.hi != 0.0 for v in prods)
+
+
+def _exact_mig_mag(x):
+    a, b = Fraction(x.lo), Fraction(x.hi)
+    mag = max(abs(a), abs(b))
+    return (Fraction(0) if a <= 0 <= b else min(abs(a), abs(b))), mag
+
+
+def test_abs_mig_mag_are_exact_and_arrays_match_scalars():
+    # the table, plus signed zeros at either end
+    ivs = _operands() + [Interval(-0.0), Interval(-0.0, 0.0), Interval(-0.0, 5e-324),
+                         Interval(-_MIN_NORMAL, -0.0), Interval(-0.0, _MAX)]
+    arr = IArray([x.lo for x in ivs], [x.hi for x in ivs])
+    assert any(x.lo < 0.0 < x.hi for x in ivs)
+    for x, g, m, a in zip(ivs, arr.mig(), arr.mag(), arr.abs().elements()):
+        mig, mag = _exact_mig_mag(x)
+        assert (Fraction(x.mig()), Fraction(x.mag())) == (mig, mag), x
+        assert (Fraction(x.abs().lo), Fraction(x.abs().hi)) == (mig, mag), x
+        assert (g.hex(), m.hex()) == (x.mig().hex(), x.mag().hex()), x
+        assert _bits(a) == _bits(x.abs()), x
+
+
+@given(_disk_sets())
+@example(_synthetic_disks([0.0, 1.0, 2.5], [0.5, 0.5, 1.0]))       # tangent
+@example(_synthetic_disks([Interval(-0.25, 0.25), 1.0], [0.25, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_disks_within_exact_reach_share_a_cluster(ds):
+    cluster_of = {i: k for k, c in enumerate(cluster_disks(ds)) for i in c.members}
+    lo, hi = ds.center_re.lo.tolist(), ds.center_re.hi.tolist()
+    r = [Fraction(x) for x in ds.radii.tolist()]
+    for i in range(len(r)):
+        for j in range(i + 1, len(r)):
+            gap = max(Fraction(0), Fraction(lo[i]) - Fraction(hi[j]),
+                      Fraction(lo[j]) - Fraction(hi[i]))
+            if gap <= r[i] + r[j]:
+                assert cluster_of[i] == cluster_of[j], (i, j)

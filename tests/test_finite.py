@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from speccert import finite
 from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter, UnboundedOperand
@@ -21,6 +21,7 @@ from speccert.finite import (
     kernel_from_state,
     min_tail_freq,
     shell_indices,
+    spectral_edge,
     symbol_diag,
 )
 from speccert.imatrix import IMatrix, verified_inverse
@@ -456,14 +457,23 @@ def test_cluster_disks_matches_scalar_union_find(ds, block):
     assert _cluster_bits(got) == _cluster_bits(_scalar_clusters(ds))
 
 
+@given(_disk_sets())
+@example(_synthetic_disks([-0.0, 0.0], [0.0, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_spectral_edge_is_the_highest_cluster_end(ds):
+    assume(len(ds.radii))
+    assert spectral_edge(ds).hex() == max(c.hi for c in cluster_disks(ds)).hex()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_cluster_disks_refuses_unbounded_radius(bad):
     # the second disk covers the first one's center; a NaN radius would
     # leave them apart (too little merging), an infinite one is unbounded
-    with pytest.raises(UnboundedOperand, match="radius"):
-        cluster_disks(_synthetic_disks([0.0, 0.5], [bad, 1.0]))
-    with pytest.raises(UnboundedOperand, match="radius"):
-        cluster_disks(_synthetic_disks([0.0], [bad]))
+    for fn in (cluster_disks, spectral_edge):
+        with pytest.raises(UnboundedOperand, match="radius"):
+            fn(_synthetic_disks([0.0, 0.5], [bad, 1.0]))
+        with pytest.raises(UnboundedOperand, match="radius"):
+            fn(_synthetic_disks([0.0], [bad]))
 
 
 def test_cluster_disks_memory():

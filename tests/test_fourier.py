@@ -183,3 +183,16 @@ def test_malformed_sequences_rejected():
     for sector in ("c", "full"):
         with pytest.raises(DimensionMismatch, match="empty"):
             FourierSeq.from_point(GRID1, sector, [])
+    # a NaN bound is refused, as IMatrix refuses it
+    for lo, hi in (([math.nan, 0.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, math.nan])):
+        with pytest.raises(DimensionMismatch, match="NaN"):
+            FourierSeq(GRID1, "c", np.array(lo), np.array(hi))
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_convolution_raises_unbounded():
+    # 1e160^2 passes the double range: the enclosure would hold inf - inf,
+    # and numpy may not warn about it
+    u = FourierSeq.from_point(GRID1, "c", [1e160, 1e160, 1e160])
+    with pytest.raises(UnboundedOperand, match="overflows"):
+        conv(u, u)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from speccert import homotopy, pipeline
 from speccert.errors import ConditionViolated
-from speccert.finite import DiskSet, cluster_disks, conv_block, shell_indices
+from speccert.finite import DiskSet, conv_block, shell_indices, spectral_edge
 from speccert.fourier import FourierSeq, Grid, index_list, seq_l1
 from speccert.homotopy import (
     _disk_gap,
@@ -28,11 +28,7 @@ from speccert.homotopy import (
 from speccert.imatrix import IMatrix
 from speccert.interval import ComplexBox, IArray, Interval
 from speccert.models import DecayBound, sh_model
-from speccert.pipeline import (
-    default_window,
-    select_shift,
-    _spectral_edge,
-)
+from speccert.pipeline import default_window, select_shift
 import scalar_paths
 
 
@@ -303,8 +299,7 @@ def test_homotopy_stage_stays_on_the_real_line():
 def toy_bounds(sh_toy):
     model = sh_toy["model"]
     disks = sh_toy["disks"]
-    clusters = cluster_disks(disks)
-    edge = _spectral_edge(clusters)
+    edge = spectral_edge(disks)
     t = select_shift(edge, 1.0)
     window = default_window(3.56, 0.01)
     u0_l1 = seq_l1(sh_toy["u0"])
@@ -408,7 +403,7 @@ def test_selfadjoint_path_dominates_at_generous_shift(sh_toy, toy_bounds):
     # with a shift well clear of the spectrum the symmetric resolvent
     # estimate beats the Neumann-series route on every disk
     disks = sh_toy["disks"]
-    edge = _spectral_edge(cluster_disks(disks))
+    edge = spectral_edge(disks)
     t = select_shift(edge, 4.0)
     b = compute_bounds(toy_bounds["wb"], t)
     (_, gen), (_, sa) = inflate_disks(disks, b)

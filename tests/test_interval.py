@@ -165,42 +165,41 @@ def test_log_nonpositive_rejected():
         iv_log(Interval(0.0, 1.0))
 
 
-cplx = st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
+real = st.floats(-1e6, 1e6)
 
 
-def box_contains_exact(box, re, im):
-    """Containment of the point re + i im, with rational re and im."""
-    return (float(box.re.lo) <= re <= float(box.re.hi)
-            and float(box.im.lo) <= im <= float(box.im.hi))
+def exact_mig(lo, hi):
+    """The distance of the rational interval [lo, hi] from 0."""
+    return max(Fraction(0), lo, -hi)
 
 
-@given(cplx, cplx, cplx, cplx, st.floats(0, 1), st.floats(0, 1),
-       st.floats(0, 1), st.floats(0, 1))
+@given(real, real, real, real, st.floats(0, 1), st.floats(0, 1))
 @settings(max_examples=250)
-def test_complex_box_containment(a, b, c, d, t1, t2, t3, t4):
-    x = ComplexBox(make_interval(a[0], b[0]), make_interval(a[1], b[1]))
-    y = ComplexBox(make_interval(c[0], d[0]), make_interval(c[1], d[1]))
-    px = complex(pick(x.re, t1), pick(x.im, t2))
-    py = complex(pick(y.re, t3), pick(y.im, t4))
-    # the oracle is the exact rational result for the picked points, not
-    # Python's rounded complex arithmetic
-    xr, xi = Fraction(px.real), Fraction(px.imag)
-    yr, yi = Fraction(py.real), Fraction(py.imag)
-    assert box_contains_exact(x - y, xr - yr, xi - yi)
-    dr, di = xr - yr, xi - yi
-    a2 = (x - y).abs2()
-    assert Fraction(a2.lo) <= dr * dr + di * di <= Fraction(a2.hi)
-    assert Fraction((x - y).mig()) ** 2 <= dr * dr + di * di
+def test_complex_box_containment(a, b, c, d, t1, t3):
+    x = ComplexBox(make_interval(a, b))
+    y = ComplexBox(make_interval(c, d))
+    # the oracle is the exact rational difference of picked points, not
+    # Python's rounded float arithmetic
+    dr = Fraction(pick(x.re, t1)) - Fraction(pick(y.re, t3))
+    z = x - y
+    assert Fraction(z.re.lo) <= dr <= Fraction(z.re.hi)
+    assert z.im.lo == z.im.hi == 0.0
+    # the gap is the exact mignitude of the enclosure, so at most |dr|
+    lo, hi = Fraction(z.re.lo), Fraction(z.re.hi)
+    assert Fraction(z.mig()) == exact_mig(lo, hi) <= abs(dr)
+    exact = exact_mig(Fraction(x.re.lo) - Fraction(y.re.hi),
+                      Fraction(x.re.hi) - Fraction(y.re.lo))
+    assert Fraction(z.mig()) <= exact
 
 
 def test_complex_mag_mig():
-    z = ComplexBox(Interval(3.0, 3.0), Interval(4.0, 4.0))
-    assert z.abs2().contains(25.0) and z.abs2().width() < 1e-12
-    assert z.mig() <= 5.0
-    assert abs(z.mig() - 5.0) < 1e-12
-    assert (z - ComplexBox(3.0, 4.0)).mig() == 0.0
-    zero = ComplexBox(Interval(-1.0, 1.0), Interval(-1.0, 1.0))
+    z = ComplexBox(Interval(3.0, 3.0))
+    assert z.mig() == 3.0 and z.im == Interval(0.0)
+    assert (z - ComplexBox(3.0)).mig() == 0.0
+    zero = ComplexBox(Interval(-1.0, 1.0))
     assert zero.mig() == 0.0
-    # the gap from [4, 5] x [0, 1] to the box around the origin is 3
-    gap = (ComplexBox(Interval(4.0, 5.0), Interval(0.0, 1.0)) - zero).mig()
-    assert gap <= 3.0 and 3.0 - gap < 1e-12
+    assert ComplexBox(Interval(-5.0, -4.0)).mig() == 4.0
+    # the gap from [4, 5] to the interval around the origin is exactly 3
+    gap = (ComplexBox(Interval(4.0, 5.0)) - zero).mig()
+    assert Fraction(gap) == 3
+    assert (zero - ComplexBox(Interval(4.0, 5.0))).mig() == 3.0

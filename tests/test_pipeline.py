@@ -21,6 +21,7 @@ from speccert.errors import (
     KernelMismatch,
     ReductionUnavailable,
     SingularityUnverified,
+    UnboundedOperand,
 )
 from speccert.finite import (
     assemble_jacobian,
@@ -144,6 +145,43 @@ def test_window_bounds_computed_once_per_certificate(sh_toy, monkeypatch):
                      "compute_bounds": 5}
 
 
+def test_certify_clusters_the_disks_once(sh_toy, toy_cert, monkeypatch):
+    # the shift ladder reads its edge off the disks: only the inflated disks
+    # of the chosen family are clustered, and the certificate keeps its bytes
+    calls = []
+    real = finite.cluster_disks
+
+    def counted(diskset):
+        calls.append(1)
+        return real(diskset)
+
+    monkeypatch.setattr(finite, "cluster_disks", counted)
+    monkeypatch.setattr(pipeline, "cluster_disks", counted)
+    cert = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    assert len(calls) == 1
+    assert (serialize.dumps(serialize.certificate_to_doc(cert))
+            == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
+
+
+@pytest.mark.parametrize("t", [None, -5.0])
+def test_certify_refuses_a_nan_radius_before_window_bounds(sh_toy, monkeypatch, t):
+    # also with a fixed shift, which reads no disk edge
+    real = pipeline.gershgorin_disks
+
+    def nan_radius(*args):
+        disks = real(*args)
+        disks.radii[0] = math.nan
+        return disks
+
+    def unreachable(*args):
+        raise AssertionError("window_bounds ran")
+
+    monkeypatch.setattr(pipeline, "gershgorin_disks", nan_radius)
+    monkeypatch.setattr(pipeline, "window_bounds", unreachable)
+    with pytest.raises(UnboundedOperand, match="NaN or infinite radius"):
+        certify(sh_toy["model"], sh_toy["u0"], 1e-8, sh_toy["N"], CertifyOptions(t=t))
+
+
 def test_kappa_cache_leaves_certificate_bytes_unchanged(sh_toy, toy_cert,
                                                         monkeypatch):
     monkeypatch.setattr(Model, "kappa", lambda self: self.kappa_hook())
@@ -243,13 +281,17 @@ def test_float_round_trip():
             x != x and serialize.dec_float(serialize.enc_float(x)) != x)
 
 
+def _dec_interval(doc):
+    return Interval(serialize.dec_float(doc["lo"]), serialize.dec_float(doc["hi"]))
+
+
 def test_interval_and_box_round_trip():
     iv = Interval(-1.25, 7.5e-12)
-    assert serialize.dec_interval(serialize.enc_interval(iv)) == iv
-    box = ComplexBox(Interval(0.5, 0.75), Interval(-2.0, -1.0))
+    assert _dec_interval(serialize.enc_interval(iv)) == iv
+    box = ComplexBox(Interval(0.5, 0.75))
     doc = serialize.enc_box(box)
-    assert serialize.dec_interval(doc["re"]) == box.re
-    assert serialize.dec_interval(doc["im"]) == box.im
+    assert _dec_interval(doc["re"]) == box.re
+    assert _dec_interval(doc["im"]) == Interval(0.0)
 
 
 def test_seq_round_trip(sh_toy):
@@ -529,6 +571,44 @@ def test_cli_two_component_model_refused_before_the_state(tmp_path, monkeypatch,
     assert "'gray-scott'" in err and repr(mode) in err
 
 
+@pytest.mark.parametrize("sector, m", [("s", 1), ("cs", 2)])
+@pytest.mark.parametrize("mode", ["newton", "gershgorin-only", "certify"])
+def test_cli_odd_sector_refused_before_the_state(tmp_path, capsys, mode,
+                                                 sector, m):
+    # the solution file does not exist, so exit 2 for it would name the file
+    cfg = {"mode": mode,
+           "model": {"name": "swift-hohenberg", "m": m,
+                     "params": {"mu": 1.5, "nu1": -3.2, "nu2": 1.0}},
+           "grid": {"m": m, "d": 10.0}, "sector": sector, "N": 4, "r0": 1e-8,
+           "solution": {"path": str(tmp_path / "missing.json")},
+           "output": str(tmp_path / "out.json")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"sector = {sector!r}: expected full or {'c' * m} for grid.m = {m}" in err
+    assert "missing.json" not in err and "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_overflowing_kernel_exits_5(tmp_path, capsys):
+    # the kernel of three cosine coefficients 1e160 passes the double range
+    sol = tmp_path / "u0.csv"
+    sol.write_text("0,1e160\n1,1e160\n2,1e160\n")
+    cfg = {"mode": "gershgorin-only",
+           "model": {"name": "swift-hohenberg", "m": 1,
+                     "params": {"mu": 1.5, "nu1": -3.2, "nu2": 1.0}},
+           "grid": {"m": 1, "d": 10.0}, "sector": "c", "N": 4,
+           "solution": {"csv": str(sol), "S": 2},
+           "output": str(tmp_path / "out.json")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--config", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert "overflows" in err and "Warning" not in err
+    assert not (tmp_path / "out.json").exists()
+
+
 def _bench_tracing(monkeypatch):
     """bench/tracing.py, loaded by file path."""
     spec = importlib.util.spec_from_file_location(
@@ -607,5 +687,5 @@ def test_cli_essential_mode(tmp_path):
     doc = json.loads((tmp_path / "ess.json").read_text())
     ray = doc["rays"][0]
     assert ray["hi"] is None
-    lo = serialize.dec_interval(ray["lo"])
+    lo = _dec_interval(ray["lo"])
     assert abs(lo.mid() - 0.2) <= 1e-12 and lo.width() <= 1e-12
