@@ -80,10 +80,7 @@ def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
         terms.append(term.scaled(coeff))
     if not terms:
         raise InvalidParameter(f"{model.name}: empty nonlinearity")
-    out = terms[0]
-    for t in terms[1:]:
-        out = out + t
-    return out
+    return sum(terms[1:], terms[0])
 
 
 def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
@@ -339,9 +336,10 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     r_mid = np.empty(0)
     if mid:
         ext = shell_indices(grid, sector, N, m_cut + sw)
+        ext_col = {n: j for j, n in enumerate(ext)}
+        ext = np.array(ext, dtype=np.int64).reshape(len(ext), grid.m)   # conv_block's form
         dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
         term1 = dg_p.mag().sum(axis=1)
-        ext_col = {n: j for j, n in enumerate(ext)}
         term2 = np.empty(len(mid))
         for b in range(0, len(mid), _MID_ROW_BLOCK):
             rows = mid[b:b + _MID_ROW_BLOCK]
@@ -404,27 +402,54 @@ def spectral_edge(diskset: DiskSet) -> float:
     return math.nextafter(float(np.max(c.hi + r)), _INF)
 
 
+def _candidate_pairs(c: IArray, r: np.ndarray):
+    """Blocks (i, j), i < j, of at most _PAIR_BLOCK pairs, and at least one
+    block: every disk pair whose widened real extents [L, H] overlap.
+
+    With u = 2^-53 and A = mag(c) + r: L = fl(fl(c.lo - r) - m), H =
+    fl(fl(c.hi + r) + m), m = fl(fl(A) 2^-50) + 2^-1072 >= 8u(1 - u)A (the
+    2^-1072 covers a subnormal product).  Two roundings to nearest put L at
+    most at c.lo - r - (1 - u)m + 2u(1 + u)A, and H as far above.  The test
+    joins i and j when max(0, d.lo, -d.hi) <= fl(r_i + r_j), d = c_i - c_j,
+    with d.lo the two-sum c_i.lo - c_j.hi at most an ulp low: a joined pair
+    has c_i.lo - c_j.hi - r_i - r_j <= 2u(1 + u)(A_i + A_j), less than the
+    (8(1 - u)^2 - 2(1 + u))u(A_i + A_j) the margins allow, so L_i <= H_j;
+    -d.hi gives L_j <= H_i.  Ends and margins overflow outward, to +-inf.
+    A d that overflows is clamped to the largest double; if fl(r_i + r_j)
+    reaches it, A_i + A_j exceeds twice it, so some fl(A) is inf or
+    c_i.lo - c_j.hi - r_i - r_j < 2^972, within the margins.  Sorted by L,
+    disk p meets the q > p with L_q <= H_p.
+    """
+    # a lone disk may have an infinite center: its NaN ends meet nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = (np.maximum(np.abs(c.lo), np.abs(c.hi)) + r) * 2.0 ** -50 + 2.0 ** -1072
+        ext_lo, ext_hi = c.lo - r - m, c.hi + r + m
+    by_lo = np.argsort(ext_lo, kind="stable")
+    cnt = np.searchsorted(ext_lo[by_lo], ext_hi[by_lo], side="right") - np.arange(len(r)) - 1
+    first, total = np.cumsum(cnt) - cnt, int(cnt.sum())    # pair number of p's first pair
+    for k0 in range(0, max(total, 1), _PAIR_BLOCK):
+        k = np.arange(k0, min(total, k0 + _PAIR_BLOCK))
+        p = np.searchsorted(first, k, side="right") - 1
+        a, b = by_lo[p], by_lo[p + 1 + k - first[p]]
+        yield np.minimum(a, b), np.maximum(a, b)
+
+
 def cluster_disks(diskset: DiskSet) -> list:
     """Group overlapping finite disks; counts carry multiplicity.
 
     Disks i and j join when mig(c_i - c_j) <= r_i + r_j; clusters are the
     connected components.  The centers are real, so the gap is the exact
-    mignitude of an outward-rounded difference: it never exceeds the true
-    distance, and the test merges whatever exact overlap asks for.  The
-    pairs i < j go row by row in blocks of at most _PAIR_BLOCK pairs (or
-    one row), each tested by one ComplexBox.mig call on an IArray batch
-    and folded into the labels at once, so no array holds all n^2/2
-    pairs.  IArray gives the Interval bits element by element, so
-    partition, member order and lo/hi bits are the scalar pair loop's.
+    mignitude of an outward-rounded difference: the test merges whatever
+    exact overlap asks for.  It runs on the blocks of _candidate_pairs, a
+    superset of the joined pairs, one ComplexBox.mig call on an IArray
+    batch each, folded into the labels at once; so partition, member order
+    and lo/hi bits are the all-pairs loop's.  The cost is O(n log n +
+    candidates), quadratic only when all extents overlap.
     """
     c, r = _checked(diskset)
     re_lo, re_hi, n = c.lo, c.hi, len(c.lo)
-    label, a = np.arange(n), 0
-    while a < n - 1:
-        # rows a..b-1 against columns a+1..n-1: at most _PAIR_BLOCK pairs
-        b = min(n - 1, a + max(1, _PAIR_BLOCK // (n - 1 - a)))
-        i, j = np.nonzero(np.arange(a + 1, n) > np.arange(a, b)[:, None])
-        i, j, a = i + a, j + a + 1, b
+    label = np.arange(n)
+    for i, j in _candidate_pairs(c, r):
         touch = (ComplexBox(c[i]) - ComplexBox(c[j])).mig() <= r[i] + r[j]
         if touch.any():
             edges = coo_matrix((np.ones(touch.sum()), (label[i[touch]], label[j[touch]])),

@@ -56,6 +56,7 @@ _STEP_MIN = 1000          # below this size np.nextafter is faster
 _STEP_BLOCK = 1 << 15     # elements per integer step, for a 256 KB temporary
 
 
+@np.errstate(invalid="ignore")    # a signalling NaN steps to a NaN, unreported
 def ulp_step(x, to: float, steps: int = 1, out=None, keep_zero: bool = False):
     """x stepped `steps` ulps toward `to` (+-inf) into out (default x), bit for
     bit as np.nextafter; with keep_zero an exact zero comes out 0.0."""
@@ -653,32 +654,22 @@ _MP_DPS = 40
 _GUARD = 1e-32                # relative guard; a double, exact as an mpf
 
 
-def _mp_down(fn, x: float) -> float:
-    """Float lower bound on fn(x); guards against the tiny mpmath error."""
+def _mp_out(fn, x: float, s: int) -> float:
+    """Float bound on fn(x), below for s = -1 and above for s = 1; guards
+    against the tiny mpmath error."""
     import mpmath
     with mpmath.workdps(_MP_DPS):
         y = fn(mpmath.mpf(x))
-        y = y - abs(y) * _GUARD - mpmath.mpf("1e-305")
+        y = y + s * abs(y) * _GUARD + s * mpmath.mpf("1e-305")
         f = float(y)
-        while mpmath.mpf(f) > y:
-            f = _down(f)
-    return f
-
-
-def _mp_up(fn, x: float) -> float:
-    import mpmath
-    with mpmath.workdps(_MP_DPS):
-        y = fn(mpmath.mpf(x))
-        y = y + abs(y) * _GUARD + mpmath.mpf("1e-305")
-        f = float(y)
-        while mpmath.mpf(f) < y:
-            f = _up(f)
+        while s * (mpmath.mpf(f) - y) < 0:
+            f = math.nextafter(f, s * _INF)
     return f
 
 
 def _monotone_inc(fn, x: Interval) -> Interval:
     x._require_bounded()
-    return Interval(_mp_down(fn, x.lo), _mp_up(fn, x.hi))
+    return Interval(_mp_out(fn, x.lo, -1), _mp_out(fn, x.hi, 1))
 
 
 def iv_exp(x: Interval) -> Interval:

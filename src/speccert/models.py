@@ -26,8 +26,7 @@ from .errors import (
 from .interval import (
     PI,
     Interval,
-    _mp_down,
-    _mp_up,
+    _mp_out,
     elementwise,
     iv_pow_int,
     iv_sqrt,
@@ -281,18 +280,12 @@ def sh_model(mu, nu1, nu2, m: int = 2) -> Model:
 # Whitham
 
 
-def _tanhc_lo(x: float) -> float:
+def _tanhc(x: float, s: int) -> float:
+    """tanh(x) / x, rounded down for s = -1 and up for s = 1."""
     if x == 0.0:
         return 1.0
     import mpmath
-    return _mp_down(lambda s: mpmath.tanh(s) / s, x)
-
-
-def _tanhc_hi(x: float) -> float:
-    if x == 0.0:
-        return 1.0
-    import mpmath
-    return _mp_up(lambda s: mpmath.tanh(s) / s, x)
+    return _mp_out(lambda v: mpmath.tanh(v) / v, x, s)
 
 
 def whitham_model(T, c, m: int = 1) -> Model:
@@ -313,7 +306,7 @@ def whitham_model(T, c, m: int = 1) -> Model:
     def symbol(s: Interval) -> Interval:
         if s.lo < 0:
             s = Interval(max(s.lo, 0.0), max(s.hi, 0.0))
-        tc = Interval(_tanhc_lo(s.hi), _tanhc_hi(s.lo))
+        tc = Interval(_tanhc(s.hi, -1), _tanhc(s.lo, 1))
         msq = tc * (Interval(1.0) + T * s.sq())
         return iv_sqrt(msq) - c
 

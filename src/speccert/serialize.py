@@ -23,20 +23,11 @@ SCHEMA_VERSION = 1
 
 def enc_float(x: float) -> dict:
     x = float(x)
-    if math.isinf(x):
-        return {"dec": repr(x), "hex": "inf" if x > 0 else "-inf"}
-    return {"dec": repr(x), "hex": x.hex()}
+    return {"dec": repr(x), "hex": x.hex()}     # "inf" and "-inf" for infinities
 
 
 def dec_float(obj) -> float:
-    if isinstance(obj, dict):
-        h = obj["hex"]
-        if h == "inf":
-            return math.inf
-        if h == "-inf":
-            return -math.inf
-        return float.fromhex(h)
-    return float(obj)
+    return float.fromhex(obj["hex"]) if isinstance(obj, dict) else float(obj)
 
 
 def enc_interval(v: Interval) -> dict:

@@ -18,12 +18,13 @@ import random
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
-from speccert.errors import CertifyError
+from speccert.errors import CertifyError, UnboundedOperand
 from speccert.finite import cluster_disks
+from speccert.imatrix import IMatrix
 from speccert.interval import IArray, Interval
-from test_finite import _disk_sets, _synthetic_disks
+from test_finite import _disk_sets, _extreme_disk_sets, _synthetic_disks
 
 _MIN_NORMAL = 2.2250738585072014e-308
 _MAX = 1.7976931348623157e308
@@ -161,6 +162,16 @@ def test_abs_mig_mag_are_exact_and_arrays_match_scalars():
 @example(_synthetic_disks([Interval(-0.25, 0.25), 1.0], [0.25, 0.5]))
 @settings(max_examples=300, deadline=None)
 def test_disks_within_exact_reach_share_a_cluster(ds):
+    _assert_exact_reach_shares_a_cluster(ds)
+
+
+@given(_extreme_disk_sets())
+@settings(max_examples=300, deadline=None)
+def test_disks_within_exact_reach_share_a_cluster_at_extreme_magnitudes(ds):
+    _assert_exact_reach_shares_a_cluster(ds)
+
+
+def _assert_exact_reach_shares_a_cluster(ds):
     cluster_of = {i: k for k, c in enumerate(cluster_disks(ds)) for i in c.members}
     lo, hi = ds.center_re.lo.tolist(), ds.center_re.hi.tolist()
     r = [Fraction(x) for x in ds.radii.tolist()]
@@ -170,3 +181,85 @@ def test_disks_within_exact_reach_share_a_cluster(ds):
                       Fraction(lo[j]) - Fraction(hi[i]))
             if gap <= r[i] + r[j]:
                 assert cluster_of[i] == cluster_of[j], (i, j)
+
+
+# -- matrix products and norms ---------------------------------------------
+
+# exact zeros, subnormals, +-min normal, inexact products (0.1) and sums
+# that cancel (+-1e16 and 1); in a third of the matrices also magnitudes
+# whose products pass the top of the range while sums of three do not
+MATRIX_VALUES = [0.0, -0.0, 1.0, -1.0, 0.75, -3.0, 0.1, 1e16, -1e16, 5e-324, -5e-324,
+                 1e-310, -3e-320, _MIN_NORMAL, -_MIN_NORMAL]
+NEAR_OVERFLOW = [2.0 ** 1000, -2.0 ** 1000, 2.0 ** 1022, _MAX / 4]
+
+
+@st.composite
+def _imatrices(draw, rows, cols):
+    """An interval matrix of table entries, at times identically zero."""
+    if draw(st.integers(0, 5)) == 0:
+        return IMatrix.from_point(np.zeros((rows, cols)))
+    big = draw(st.integers(0, 2)) == 0
+    value = st.sampled_from(MATRIX_VALUES + (NEAR_OVERFLOW if big else []))
+    entry = st.one_of(value.map(lambda v: (v, v)),
+                      st.tuples(value, value).map(lambda p: (min(p), max(p))))
+    ents = draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols))
+    return IMatrix(np.array([e[0] for e in ents]).reshape(rows, cols),
+                   np.array([e[1] for e in ents]).reshape(rows, cols))
+
+
+def _fractions(a):
+    return [[(Fraction(lo), Fraction(hi)) for lo, hi in zip(rl, rh)]
+            for rl, rh in zip(a.lo.tolist(), a.hi.tolist())]
+
+
+def _encloses(got_lo, got_hi, lo, hi):
+    return ((got_lo == -math.inf or Fraction(got_lo) <= lo)
+            and (got_hi == math.inf or Fraction(got_hi) >= hi))
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_matmul_encloses_the_exact_product(data, m, k, n):
+    _assert_product_encloses(data.draw(_imatrices(m, k)), data.draw(_imatrices(k, n)))
+
+
+def test_matmul_encloses_a_cancelling_exact_product():
+    # 1e16 + 1 rounds to 1e16, so the midpoint product is 0 against an exact 1
+    _assert_product_encloses(IMatrix.from_point([[1e16, 1.0, -1e16]]),
+                             IMatrix.from_point([[1.0], [1.0], [1.0]]))
+
+
+def _assert_product_encloses(a, b):
+    (m, k), n = a.shape, b.shape[1]
+    fa, fb = _fractions(a), _fractions(b)
+    # entry (i, j) is a sum of k products of independent factors: its exact
+    # range is the sum of the exact product ranges
+    terms = [[[_exact_binary("*", Interval(*map(float, fa[i][q])), Interval(*map(float, fb[q][j])))
+               for q in range(k)] for j in range(n)] for i in range(m)]
+    try:
+        got = a @ b
+    except UnboundedOperand:
+        # refused only where a product of two entries nears the top of the range
+        assert max(max(abs(lo), abs(hi)) for row in terms for ts in row
+                   for lo, hi in ts) >= Fraction(_MAX) / 4
+        return
+    assert not (np.isnan(got.lo).any() or np.isnan(got.hi).any())
+    for i in range(m):
+        for j in range(n):
+            lo, hi = sum(t[0] for t in terms[i][j]), sum(t[1] for t in terms[i][j])
+            assert _encloses(got.lo[i, j], got.hi[i, j], lo, hi), (i, j)
+    if not (a.lo.any() or a.hi.any()) or not (b.lo.any() or b.hi.any()):
+        # an identically zero operand gives exact zeros
+        assert not (got.lo.any() or got.hi.any())
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=300, deadline=None)
+def test_norms_bound_the_exact_sums_of_magnitudes(data, m, n):
+    a = data.draw(_imatrices(m, n))
+    mag = [[max(abs(lo), abs(hi)) for lo, hi in row] for row in _fractions(a)]
+    rows, cols = [sum(r) for r in mag], [sum(c) for c in zip(*mag)]
+    for got, exact in zip(a.row_sums_hi().tolist(), rows):
+        assert _encloses(-math.inf, got, 0, exact)
+    assert _encloses(-math.inf, a.norminf_hi(), 0, max(rows))
+    assert _encloses(-math.inf, a.norm1_hi(), 0, max(cols))

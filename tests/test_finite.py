@@ -457,6 +457,68 @@ def test_cluster_disks_matches_scalar_union_find(ds, block):
     assert _cluster_bits(got) == _cluster_bits(_scalar_clusters(ds))
 
 
+_scale = st.one_of(st.integers(-1074, 1000), st.sampled_from([-1074, -1071, -1022, 0, 1000]))
+
+
+@st.composite
+def _extreme_disk_sets(draw):
+    """Disks with integer or float ends and radii scaled by 2^k, k in
+    [-1074, 1000]: subnormal and zero radii, centers straddling 0,
+    magnitudes far apart in one set, and partners that touch a disk as
+    far as rounding tells or miss it by an ulp."""
+    ks = draw(st.lists(_scale, min_size=1, max_size=3))
+    end = st.one_of(st.integers(-64, 64), st.floats(-64.0, 64.0))
+    disks = []
+    for a, b, r, k in draw(st.lists(st.tuples(end, end, st.one_of(st.integers(0, 16),
+                                                                   st.floats(0.0, 16.0)),
+                                              st.sampled_from(ks)),
+                                    max_size=30)):
+        disks.append((Interval(math.ldexp(min(a, b), k), math.ldexp(max(a, b), k)),
+                      math.ldexp(r, k)))
+    partners = st.tuples(st.integers(0, 29), st.sampled_from([0.0, 0.5, 1.0, 2.0, 5e-324]),
+                         st.booleans(), st.sampled_from([0.0, math.inf, -math.inf]))
+    for pos, f, right, nudge in draw(st.lists(partners, max_size=8)):
+        if disks:
+            c, r = disks[pos % len(disks)]
+            r2 = r * f if f != 5e-324 else f
+            x = c.hi + r + r2 if right else c.lo - r - r2
+            disks.append((Interval(math.nextafter(x, nudge) if nudge else x), r2))
+    disks = draw(st.permutations(disks))
+    return _synthetic_disks([c for c, _ in disks], [r for _, r in disks])
+
+
+@given(_extreme_disk_sets(), st.sampled_from([1, 5, finite._PAIR_BLOCK]))
+@example(_synthetic_disks([0.0, 1e-323, 2e-323], [5e-324, 0.0, 5e-324]), 1)   # subnormal, tangent
+@example(_synthetic_disks([Interval(-2.0 ** 1002, 2.0 ** 1000), 5 * 2.0 ** 1000],   # huge, tangent
+                          [0.0, 2.0 ** 1002]), 1)
+@settings(max_examples=300, deadline=None)
+def test_cluster_disks_matches_scalar_union_find_at_extreme_magnitudes(ds, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_PAIR_BLOCK", block)
+        got = cluster_disks(ds)
+    assert _cluster_bits(got) == _cluster_bits(_scalar_clusters(ds))
+
+
+@given(st.one_of(_disk_sets(), _extreme_disk_sets()), st.sampled_from([1, 7, finite._PAIR_BLOCK]))
+# the gap c_0 - c_1 overflows and is clamped to the largest double, which
+# the rounded radius sum reaches: the pair joins although it does not meet
+@example(_synthetic_disks([1.7976931348623157e308, -2.0 ** 971],
+                          [2.0 ** 1023 - 2.0 ** 970] * 2), 1)
+@settings(max_examples=300, deadline=None)
+@np.errstate(over="ignore")
+def test_every_pair_the_gap_test_joins_is_a_candidate(ds, block):
+    n, cs, r = len(ds.radii), ds.centers, ds.radii
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finite, "_PAIR_BLOCK", block)
+        blocks = list(finite._candidate_pairs(ds.center_re, r))
+    assert blocks and all(len(i) == len(j) <= block for i, j in blocks)
+    pairs = [(a, b) for i, j in blocks for a, b in zip(i.tolist(), j.tolist())]
+    assert len(set(pairs)) == len(pairs) and all(a < b for a, b in pairs)
+    joined = {(a, b) for a in range(n) for b in range(a + 1, n)
+              if (cs[a] - cs[b]).mig() <= r[a] + r[b]}
+    assert joined <= set(pairs)
+
+
 @given(_disk_sets())
 @example(_synthetic_disks([-0.0, 0.0], [0.0, 0.0]))
 @settings(max_examples=300, deadline=None)

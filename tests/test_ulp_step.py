@@ -9,9 +9,11 @@ Fortran-ordered and non-contiguous targets.
 
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import speccert
@@ -34,8 +36,9 @@ value = st.one_of(any_bits, st.sampled_from(PINNED))
 
 def _reference(x, to, steps, keep_zero):
     ref = x.copy()
-    for _ in range(steps):
-        ref = np.nextafter(ref, to)
+    with np.errstate(invalid="ignore"):     # np.nextafter warns on a signalling NaN
+        for _ in range(steps):
+            ref = np.nextafter(ref, to)
     return np.where(x == 0, 0.0, ref) if keep_zero else ref
 
 
@@ -99,6 +102,17 @@ def test_ulp_step_is_nextafter_bit_for_bit(x, to, steps, kind, use_out, keep_zer
     if home is not target:              # nothing outside the block is written
         home_before[1:len(x) + 1, 1:4] = home[1:len(x) + 1, 1:4]
         _same_bits(home, home_before)
+
+
+@pytest.mark.parametrize("n", [1, 4097])
+@pytest.mark.parametrize("to", [_INF, -_INF])
+def test_ulp_step_keeps_a_signalling_nan_without_a_warning(n, to):
+    # both the np.nextafter path and the integer path's fallback block
+    snan = np.full(n, 0x7FF0000000000001, dtype=np.int64).view(np.float64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = ulp_step(snan.copy(), to, 2)
+    assert np.isnan(got).all()
 
 
 def test_no_array_nextafter_outside_the_kernel():
