@@ -7,8 +7,10 @@ the orthonormal sector basis b_k = m_k^{-1/2} sum_sigma chi(sigma) e_{sigma k}
 
     A[n, k] = delta_{nk} l(n~) + sqrt(m_n / m_k) sum_sigma chi(sigma) W[n - sigma k],
 
-which is what conv_block assembles.  Everything here is interval-rigorous
-except newton_solve, which only manufactures candidate states.
+which is what conv_block assembles, in one pass for all sigma: coordinates
+on a reflected axis are >= 0, so the identity reaches every entry a flip
+does.  Everything here is interval-rigorous except newton_solve, which only
+manufactures candidate states.
 """
 
 from __future__ import annotations
@@ -83,68 +85,52 @@ def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
     return sum(terms[1:], terms[0])
 
 
-def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
-    """Interval matrix of convolution by w between sector basis vectors.
-
-    The kernel must be reflection-invariant (no odd axes) unless the basis
-    sector is "full", in which case no symmetrization happens at all.  Work
-    follows the reach: per flip sigma a row n meets only the columns
-    k = sigma (n - delta), |delta|_inf <= S, found in a position table over
-    the columns' box (so columns must be distinct).  The bits are the dense
-    formula's; entries no kernel coefficient reaches are exact zeros.
-    """
+def _conv_entries(w: FourierSeq, sector: str, rows, cols):
+    """conv_block's reached entries as arrays (i, j, lo, hi)."""
     m, sw = w.grid.m, w.S
     axes = _axis_types(m, sector)
     if "s" in w.sector:
         raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
     rows_a = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
     cols_a = np.asarray(cols, dtype=np.int64).reshape(len(cols), m)
-    n_r, n_c = len(rows_a), len(cols_a)
+    refl = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+    if (rows_a[:, refl] < 0).any() or (cols_a[:, refl] < 0).any():
+        raise InvalidParameter(f"a negative coordinate on a reflected axis of {sector!r}")
     # the box holds the origin, which also covers an empty column list
     base, top = cols_a.min(axis=0, initial=0), cols_a.max(axis=0, initial=0)
     table = np.full(tuple(top - base + 1), -1, dtype=np.int64)
-    table[tuple((cols_a - base).T)] = np.arange(n_c)
-    if np.count_nonzero(table >= 0) != n_c:
+    table[tuple((cols_a - base).T)] = np.arange(len(cols_a))
+    if np.count_nonzero(table >= 0) != len(cols_a):
         raise DimensionMismatch("conv_block columns must be distinct")
-    stride = np.array(table.strides) // table.itemsize
     # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
     width = np.minimum(2 * sw + 1, top - base + 1)
-    lpos = np.indices(tuple(width)).reshape(m, -1).T
+    start = np.clip(rows_a - sw, base, top - width + 1)
+    r, *offset = np.indices((len(rows_a), *width), sparse=True)    # a (row, window) grid
+    n, k = [rows_a[r, ax] for ax in range(m)], [start[r, ax] + offset[ax] for ax in range(m)]
+    j = table[tuple(k[ax] - base[ax] for ax in range(m))]
+    hit = j >= 0
+    for ax in range(m):
+        hit &= np.abs(k[ax] - n[ax]) <= sw
+
+    def entries(x):
+        return np.broadcast_to(x, hit.shape)[hit]
     wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
+    pos = entries(sum((n[ax] - k[ax] + sw) * wstride[ax] for ax in range(m)))
+    flip_ok = {ax: entries((n[ax] + k[ax] <= sw) & (k[ax] != 0)) for ax in refl}
+    shift = {ax: entries(2 * wstride[ax] * k[ax]) for ax in refl}
+    # the identity flip's terms (x for 0 + x: only a -0.0 differs, and the
+    # step erases it); flipping axis a adds those with n_a + k_a <= S and
+    # k_a != 0 (each orbit element once) at the kernel position moved by 2 k_a
     wlo, whi = (x.ravel() for x in w.expand_signed())
-
-    hit, terms = np.zeros(n_r * n_c, dtype=bool), []
-    for flips in itertools.product(*[(1,) if kind == "signed" else (1, -1) for kind in axes]):
-        sig = np.array(flips)
-        # k = sigma (n - delta) with |delta|_inf <= S is |k - sigma n|_inf <= S;
-        # no reflection of k_a = 0: each orbit element appears exactly once
-        ctr = sig * rows_a
-        start = np.clip(ctr - sw, base, top - width + 1)
-        ok = np.ones((n_r, 1), dtype=bool)
-        for ax in range(m):
-            k = start[:, ax, None] + np.arange(width[ax])
-            ok_ax = (np.abs(k - ctr[:, ax, None]) <= sw) & ((k != 0) | (sig[ax] == 1))
-            ok = (ok[:, :, None] & ok_ax[:, None, :]).reshape(n_r, ok.shape[1] * width[ax])
-        i, t = np.nonzero(ok)
-        j = table.ravel()[((start - base) @ stride)[i] + (lpos @ stride)[t]]
-        keep = j >= 0
-        i, t, flat = i[keep], t[keep], i[keep] * n_c + j[keep]
-        # kernel position delta + S = n - sigma k + S
-        t = ((rows_a - sig * start + sw) @ wstride)[i] - ((lpos * sig) @ wstride)[t]
-        hit[flat] = True
+    acc_lo, acc_hi = ulp_step(wlo[pos], -_INF), ulp_step(whi[pos], _INF)
+    for flags in list(itertools.product((False, True), repeat=len(refl)))[1:]:
+        flipped = [ax for ax, flip in zip(refl, flags) if flip]
+        sel = np.flatnonzero(np.logical_and.reduce([flip_ok[ax] for ax in flipped]))
+        at = pos[sel] + sum(shift[ax][sel] for ax in flipped)
         # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
-        odd = sum(fl == -1 and kind == "s" for fl, kind in zip(flips, axes)) % 2
-        terms.append((flat, -whi[t], -wlo[t]) if odd else (flat, wlo[t], whi[t]))
-
-    # accumulate on the reached entries only, stepping all of them outward
-    # after each flip as the dense formula does
-    pos = np.flatnonzero(hit)
-    rank = np.cumsum(hit) - 1
-    acc_lo, acc_hi = np.zeros(len(pos)), np.zeros(len(pos))
-    for flat, glo, ghi in terms:
-        q = rank[flat]
-        acc_lo[q] += glo
-        acc_hi[q] += ghi
+        glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
+        acc_lo[sel] += glo[at]
+        acc_hi[sel] += ghi[at]
         ulp_step(acc_lo, -_INF)
         ulp_step(acc_hi, _INF)
 
@@ -153,13 +139,27 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     # bounds are acc_lo * f and acc_hi * f at one end of f
     ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
     f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
-    sym_axes = [ax for ax, kind in enumerate(axes) if kind != "signed"]
-    cnt_r, cnt_c = (np.count_nonzero(x[:, sym_axes], axis=1) for x in (rows_a, cols_a))
-    e = cnt_r[pos // n_c] + m - cnt_c[pos % n_c]
-    out_lo, out_hi = np.zeros((n_r, n_c)), np.zeros((n_r, n_c))
-    out_lo.ravel()[pos] = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
-    out_hi.ravel()[pos] = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
-    return IMatrix(out_lo, out_hi)
+    e = entries(m + sum(np.sign(n[ax]) - np.sign(k[ax]) for ax in refl))
+    lo = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
+    hi = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
+    return entries(r), j[hit], lo, hi
+
+
+def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
+    """Interval matrix of convolution by w between sector basis vectors.
+
+    The kernel must be reflection-invariant (no odd axes) unless the basis
+    sector is "full", in which case no symmetrization happens at all.  A
+    negative coordinate on a reflected axis is refused: n_a + k_a <= S then
+    implies |n_a - k_a| <= S, so one pass over the pairs |k - n|_inf <= S
+    (columns distinct) serves every flip sigma.  Per flip the terms are
+    added, then every reached entry steps outward: the bits are the dense
+    formula's, entry by entry, and unreached entries are exact zeros.
+    """
+    i, j, lo, hi = _conv_entries(w, sector, rows, cols)
+    out = IMatrix.from_point(np.zeros((len(rows), len(cols))))
+    out.lo[i, j], out.hi[i, j] = lo, hi
+    return out
 
 
 def symbol_diag(model: Model, grid: Grid, indices) -> IArray:
@@ -203,17 +203,14 @@ class PseudoDiag:
 
 
 def _normalize_columns(vecs: np.ndarray) -> np.ndarray:
-    """Unit columns whose entry of largest magnitude is positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            col = -col
-        nrm = np.linalg.norm(col)
-        if nrm == 0:
-            raise DegenerateEigenbasis("zero eigenvector column")
-        out[:, j] = col / nrm
-    return out
+    """Unit columns whose entry of largest magnitude is positive; a norm is
+    np.linalg.norm's, the root of a unit-stride dot product, bit for bit."""
+    cols = vecs.T.copy()
+    cols[cols[np.arange(len(cols)), np.argmax(np.abs(cols), axis=1)] < 0] *= -1.0
+    nrm = np.sqrt(np.vecdot(cols, cols))
+    if (nrm == 0).any():
+        raise DegenerateEigenbasis("zero eigenvector column")
+    return np.ascontiguousarray((cols / nrm[:, None]).T)
 
 
 def build_pseudo_diag(a: IMatrix, indices, self_adjoint: bool) -> PseudoDiag:
@@ -290,9 +287,8 @@ def _kernel_w0(w: FourierSeq) -> Interval:
 
 def sym_factor(grid: Grid, sector: str) -> float:
     """Upper bound on sqrt(m_n / m_k) over sector index pairs."""
-    axes = _axis_types(grid.m, sector)
-    a = sum(1 for k in axes if k != "signed")
-    return iv_sqrt(Interval(2.0 ** a)).hi if a else 1.0
+    a = sum(kind != "signed" for kind in _axis_types(grid.m, sector))
+    return iv_sqrt(Interval(2.0 ** a)).hi
 
 
 def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
@@ -303,12 +299,12 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     from.  M = N + S_W is where explicit rows stop and the uniform tail
     radius takes over.
 
-    Mid rows meet the ext shell in blocks of _MID_ROW_BLOCK rows, never as
-    one dense mid x ext block: at the N = 16 planar spot 64 rows peak at
-    145 MB RSS against 218 MB dense (16 rows: 145 MB, 256 rows: 168 MB).
-    The disks are bit for bit those of the dense block, since a conv_block
-    entry depends only on its own (row, column) and every block keeps all
-    ext columns, so each row sum adds the same terms in the same order.
+    Mid rows go in blocks of _MID_ROW_BLOCK, one _conv_entries pass each
+    over the columns inner + ext: the inner columns fill DG(mid <- inner),
+    the diagonal gives the centers and |.| of the rest, placed in a zeroed
+    rows x ext block, the radii.  At the N = 16 planar spot 64 rows peak at
+    133 MB RSS, one pass at 190 MB (16 rows: 133 MB, 256: 157 MB).  The disks
+    are the dense block's, bit for bit: row sums add the same values in order.
     """
     grid = w.grid
     sw = w.S
@@ -331,34 +327,36 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     c_m = sym_factor(grid, sector)
     l1w = seq_l1(w)
     lam = symbol_diag(model, grid, inner + mid)
-    lam_mid = lam[p:]
-    c_lo, c_hi = np.empty(len(mid)), np.empty(len(mid))
-    r_mid = np.empty(0)
+    ext = shell_indices(grid, sector, N, m_cut + sw)
+    d_lo, d_hi, term1, term2 = (np.zeros(len(mid)) for _ in range(4))   # d: the kernel diagonal
     if mid:
-        ext = shell_indices(grid, sector, N, m_cut + sw)
-        ext_col = {n: j for j, n in enumerate(ext)}
-        ext = np.array(ext, dtype=np.int64).reshape(len(ext), grid.m)   # conv_block's form
-        dg_p = conv_block(w, sector, mid, inner) @ pseudo.P
-        term1 = dg_p.mag().sum(axis=1)
-        term2 = np.empty(len(mid))
+        # mid is the part of ext inside I^M, in ext's order
+        diag_col = np.array([c for c, n in enumerate(ext, p) if max(map(abs, n)) <= m_cut])
+        cols = np.array(inner + ext, dtype=np.int64).reshape(p + len(ext), grid.m)
+        mi_lo, mi_hi = np.zeros((len(mid), p)), np.zeros((len(mid), p))
         for b in range(0, len(mid), _MID_ROW_BLOCK):
             rows = mid[b:b + _MID_ROW_BLOCK]
-            dg_rows_ext = conv_block(w, sector, rows, ext)
-            i, j = np.arange(len(rows)), np.array([ext_col[n] for n in rows])
-            diag = lam_mid[b:b + len(rows)] + IArray(dg_rows_ext.lo[i, j], dg_rows_ext.hi[i, j])
-            c_lo[b:b + len(rows)], c_hi[b:b + len(rows)] = diag.checked().lo, diag.hi
-            mag_ext = dg_rows_ext.mag()
-            mag_ext[i, j] = 0.0
+            i, j, lo, hi = _conv_entries(w, sector, rows, cols)
+            into, on_diag = j < p, j == diag_col[b + i]
+            mi_lo[b + i[into], j[into]], mi_hi[b + i[into], j[into]] = lo[into], hi[into]
+            d_lo[b + i[on_diag]], d_hi[b + i[on_diag]] = lo[on_diag], hi[on_diag]
+            off = ~(into | on_diag)
+            mag_ext = np.zeros((len(rows), len(ext)))
+            mag_ext[i[off], j[off] - p] = np.maximum(np.abs(lo[off]), np.abs(hi[off]))
             term2[b:b + len(rows)] = mag_ext.sum(axis=1)
-        r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
+        del i, j, lo, hi, mag_ext     # free the last block before the product
+        dg_p = IMatrix(mi_lo, mi_hi) @ pseudo.P
+        term1 = dg_p.mag().sum(axis=1)
+    r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
+    c_mid = (lam[p:] + IArray(d_lo, d_hi)).checked()
 
     return DiskSet(
         grid=grid,
         sector=sector,
         n_inner=N,
         n_mid=m_cut,
-        center_re=IArray(np.concatenate([pseudo.lams.lo, c_lo]),
-                         np.concatenate([pseudo.lams.hi, c_hi])),
+        center_re=IArray(np.concatenate([pseudo.lams.lo, c_mid.lo]),
+                         np.concatenate([pseudo.lams.hi, c_mid.hi])),
         radii=np.concatenate([r_inner, r_mid]),
         lam=lam,
         pinv_dg=pinv_dg,

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve as _sp_convolve
 
 from .errors import DimensionMismatch, GridMismatch, InvalidParameter
 from .imatrix import _mm_real
@@ -74,7 +73,8 @@ def _mult_weights(shape, axes):
 def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if a.ndim == 1:
         return np.convolve(a, b)
-    return _sp_convolve(a, b, mode="full", method="direct")
+    from scipy.signal import convolve     # imported here: 1D runs never load it
+    return convolve(a, b, mode="full", method="direct")
 
 
 def _conv_real(al, ah, bl, bh):

@@ -472,6 +472,7 @@ def _binary(x, y):
     return type(like), al, ah, bl, bh, err
 
 
+@np.errstate(over="ignore", invalid="ignore")     # an overflow rounds to +-inf, handled below
 def _sum_lo_array(a, b):
     """_sum_lo elementwise."""
     s = a + b
@@ -484,6 +485,7 @@ def _sum_lo_array(a, b):
     return lo
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sum_hi_array(a, b):
     """_sum_hi elementwise."""
     s = a + b

@@ -1,18 +1,31 @@
-"""The scalar loops that the batched radial and homotopy code replaced.
+"""The scalar loops that the batched radial and homotopy code replaced, and
+the per-flip conv_block that the finite stage replaced.
 
-Each function is the one-Interval-at-a-time version of a library function,
-with the same signature, so that a test can check the batched version bit
-for bit against it, or put it in the library's place.  None of them is
-fast; all of them are simple.
+Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
+of a library function, with the same signature, so that a test can check
+the faster version bit for bit against it, or put it in the library's
+place.  None of them is fast; all of them are simple.
 """
 
 import heapq
+import itertools
 import math
 
-from speccert.errors import DivisionByZeroInterval, DomainError
-from speccert.fourier import conv
-from speccert.interval import PI, Interval, elementwise, iv_exp
+import numpy as np
+
+from speccert.errors import (
+    DegenerateEigenbasis,
+    DimensionMismatch,
+    DivisionByZeroInterval,
+    DomainError,
+    GridMismatch,
+)
+from speccert.fourier import FourierSeq, _axis_types, conv
+from speccert.imatrix import IMatrix
+from speccert.interval import PI, Interval, elementwise, iv_exp, ulp_step
 from speccert.radial import _MIN_WIDTH
+
+_INF = math.inf
 
 
 # -- radial ---------------------------------------------------------------
@@ -168,3 +181,102 @@ def inflate_disks(disks, bounds):
 
     return [(False, family(lambda r, s: bounds.eps_factor * s)),
             (True, family(lambda r, s: bounds.sa_factor * (r + s)))]
+
+
+# -- finite ---------------------------------------------------------------
+
+def conv_block_reference(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
+    """finite.conv_block one flip at a time: each flip sigma enumerates its
+    own windows and looks its columns up in the table, and a hit mask with
+    a dense rank collects the reached entries.
+
+    Interval matrix of convolution by w between sector basis vectors.
+
+    The kernel must be reflection-invariant (no odd axes) unless the basis
+    sector is "full", in which case no symmetrization happens at all.  Work
+    follows the reach: per flip sigma a row n meets only the columns
+    k = sigma (n - delta), |delta|_inf <= S, found in a position table over
+    the columns' box (so columns must be distinct).  The bits are the dense
+    formula's; entries no kernel coefficient reaches are exact zeros.
+    """
+    m, sw = w.grid.m, w.S
+    axes = _axis_types(m, sector)
+    if "s" in w.sector:
+        raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
+    rows_a = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
+    cols_a = np.asarray(cols, dtype=np.int64).reshape(len(cols), m)
+    n_r, n_c = len(rows_a), len(cols_a)
+    # the box holds the origin, which also covers an empty column list
+    base, top = cols_a.min(axis=0, initial=0), cols_a.max(axis=0, initial=0)
+    table = np.full(tuple(top - base + 1), -1, dtype=np.int64)
+    table[tuple((cols_a - base).T)] = np.arange(n_c)
+    if np.count_nonzero(table >= 0) != n_c:
+        raise DimensionMismatch("conv_block columns must be distinct")
+    stride = np.array(table.strides) // table.itemsize
+    # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
+    width = np.minimum(2 * sw + 1, top - base + 1)
+    lpos = np.indices(tuple(width)).reshape(m, -1).T
+    wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
+    wlo, whi = (x.ravel() for x in w.expand_signed())
+
+    hit, terms = np.zeros(n_r * n_c, dtype=bool), []
+    for flips in itertools.product(*[(1,) if kind == "signed" else (1, -1) for kind in axes]):
+        sig = np.array(flips)
+        # k = sigma (n - delta) with |delta|_inf <= S is |k - sigma n|_inf <= S;
+        # no reflection of k_a = 0: each orbit element appears exactly once
+        ctr = sig * rows_a
+        start = np.clip(ctr - sw, base, top - width + 1)
+        ok = np.ones((n_r, 1), dtype=bool)
+        for ax in range(m):
+            k = start[:, ax, None] + np.arange(width[ax])
+            ok_ax = (np.abs(k - ctr[:, ax, None]) <= sw) & ((k != 0) | (sig[ax] == 1))
+            ok = (ok[:, :, None] & ok_ax[:, None, :]).reshape(n_r, ok.shape[1] * width[ax])
+        i, t = np.nonzero(ok)
+        j = table.ravel()[((start - base) @ stride)[i] + (lpos @ stride)[t]]
+        keep = j >= 0
+        i, t, flat = i[keep], t[keep], i[keep] * n_c + j[keep]
+        # kernel position delta + S = n - sigma k + S
+        t = ((rows_a - sig * start + sw) @ wstride)[i] - ((lpos * sig) @ wstride)[t]
+        hit[flat] = True
+        # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
+        odd = sum(fl == -1 and kind == "s" for fl, kind in zip(flips, axes)) % 2
+        terms.append((flat, -whi[t], -wlo[t]) if odd else (flat, wlo[t], whi[t]))
+
+    # accumulate on the reached entries only, stepping all of them outward
+    # after each flip as the dense formula does
+    pos = np.flatnonzero(hit)
+    rank = np.cumsum(hit) - 1
+    acc_lo, acc_hi = np.zeros(len(pos)), np.zeros(len(pos))
+    for flat, glo, ghi in terms:
+        q = rank[flat]
+        acc_lo[q] += glo
+        acc_hi[q] += ghi
+        ulp_step(acc_lo, -_INF)
+        ulp_step(acc_hi, _INF)
+
+    # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
+    # values, each a tiny outward-rounded interval; as f > 0 the product
+    # bounds are acc_lo * f and acc_hi * f at one end of f
+    ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
+    f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
+    sym_axes = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+    cnt_r, cnt_c = (np.count_nonzero(x[:, sym_axes], axis=1) for x in (rows_a, cols_a))
+    e = cnt_r[pos // n_c] + m - cnt_c[pos % n_c]
+    out_lo, out_hi = np.zeros((n_r, n_c)), np.zeros((n_r, n_c))
+    out_lo.ravel()[pos] = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
+    out_hi.ravel()[pos] = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
+    return IMatrix(out_lo, out_hi)
+
+
+def normalize_columns_reference(vecs):
+    """finite._normalize_columns one column at a time."""
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            col = -col
+        nrm = np.linalg.norm(col)
+        if nrm == 0:
+            raise DegenerateEigenbasis("zero eigenvector column")
+        out[:, j] = col / nrm
+    return out

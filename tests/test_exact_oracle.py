@@ -11,19 +11,26 @@ element's recorded error.
 abs, mig and mag are exact, and so is the clustering gap test built on
 them: two disks whose exact distance is at most the sum of their radii
 always share a cluster.
+
+conv_block's entries hold the exact orbit sums times sqrt(m_n / m_k), and
+sym_factor bounds that factor; both are checked by squares, with no root.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from speccert.errors import CertifyError, UnboundedOperand
-from speccert.finite import cluster_disks
+from speccert.finite import cluster_disks, conv_block, sym_factor
+from speccert.fourier import Grid, _axis_types
 from speccert.imatrix import IMatrix
 from speccert.interval import IArray, Interval
+from test_exact_zeros import BASES, conv_cases
 from test_finite import _disk_sets, _extreme_disk_sets, _synthetic_disks
 
 _MIN_NORMAL = 2.2250738585072014e-308
@@ -263,3 +270,48 @@ def test_norms_bound_the_exact_sums_of_magnitudes(data, m, n):
         assert _encloses(-math.inf, got, 0, exact)
     assert _encloses(-math.inf, a.norminf_hi(), 0, max(rows))
     assert _encloses(-math.inf, a.norm1_hi(), 0, max(cols))
+
+
+# -- the orbit factors of conv_block and sym_factor --------------------------
+
+def _below_root_times(x, r, y):
+    """x <= sqrt(r) y exactly, for Fractions x, y and r > 0, compared by
+    squares with the signs handled."""
+    if y >= 0:
+        return x <= 0 or x * x <= r * y * y
+    return x < 0 and x * x >= r * y * y
+
+
+def _orbit(axes, n):
+    return 2 ** sum(kind != "signed" and c != 0 for kind, c in zip(axes, n))
+
+
+@given(conv_cases())
+@settings(max_examples=150, deadline=None)
+def test_conv_block_encloses_the_exact_orbit_sum(case):
+    # every entry, reached or not, holds sqrt(m_n / m_k) sum_sigma chi W[n - sigma k]
+    w, sector, rows, cols = case
+    axes, sw = _axis_types(w.grid.m, sector), w.S
+    wlo, whi = w.expand_signed()
+    got = conv_block(w, sector, rows, cols)
+    for i, n in enumerate(rows):
+        for j, k in enumerate(cols):
+            lo = hi = Fraction(0)
+            for sig in itertools.product(*[(1,) if a == "signed" else (1, -1) for a in axes]):
+                d = tuple(nc - s * kc for nc, s, kc in zip(n, sig, k))
+                if max(map(abs, d)) > sw or any(s == -1 and kc == 0 for s, kc in zip(sig, k)):
+                    continue
+                at = tuple(x + sw for x in d)
+                a, b = Fraction(float(wlo[at])), Fraction(float(whi[at]))
+                odd = sum(s == -1 and kind == "s" for s, kind in zip(sig, axes)) % 2
+                lo, hi = (lo - b, hi - a) if odd else (lo + a, hi + b)
+            r = Fraction(_orbit(axes, n), _orbit(axes, k))
+            assert _below_root_times(Fraction(got.lo[i, j]), r, lo), (n, k)
+            assert _below_root_times(-Fraction(got.hi[i, j]), r, -hi), (n, k)
+
+
+@pytest.mark.parametrize("m, sector", BASES)
+def test_sym_factor_bounds_every_orbit_ratio(m, sector):
+    # sqrt(m_n / m_k) is at most sqrt(2^a), a the number of reflected axes
+    a = sum(kind != "signed" for kind in _axis_types(m, sector))
+    assert Fraction(sym_factor(Grid(m, 3.0), sector)) ** 2 >= 2 ** a

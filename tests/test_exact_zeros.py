@@ -25,6 +25,7 @@ from speccert.fourier import (
     index_list,
 )
 from speccert.imatrix import IMatrix
+from scalar_paths import conv_block_reference
 
 _U = 2.0 ** -53
 _TINY = 5e-308
@@ -318,6 +319,59 @@ def test_conv_block_row_slices_are_bit_identical(seed, case, S, outer, scale, da
     part = conv_block(w, sector, rows[a:b], cols)
     for got, want in ((part.lo, whole.lo), (part.hi, whole.hi)):
         assert got.tobytes() == want[a:b].tobytes()
+
+
+# -- the one-pass conv_block against the per-flip reference ------------------
+
+BASES = [(1, "c"), (1, "s"), (1, "full"),
+         (2, "cc"), (2, "cs"), (2, "sc"), (2, "ss"), (2, "full")]
+# exact zeros of both signs next to normal, tiny and huge coefficients
+KERNEL_VALUES = (0.0, -0.0, 1.0, -0.75, 0.1, 3e-300, -2.5e250)
+
+
+@st.composite
+def conv_cases(draw):
+    """(w, sector, rows, cols): a kernel with -0.0 and exact-zero ends, and
+    shuffled, thinned or empty row and column lists drawn from a cube that
+    holds index 0 on every axis, odd ones included."""
+    m, sector = draw(st.sampled_from(BASES))
+    grid, S = Grid(m, 7.0), draw(st.integers(0, 3))
+    w_sector = draw(st.sampled_from(["full", "c" * m])) if sector == "full" else "c" * m
+    side = 2 * S + 1 if w_sector == "full" else S + 1
+    coeffs = st.lists(st.sampled_from(KERNEL_VALUES), min_size=side ** m, max_size=side ** m)
+    lo = np.array(draw(coeffs)).reshape((side,) * m)
+    rad = np.array(draw(st.lists(st.sampled_from((0.0, 0.0, 1e-9, 2.0)),
+                                 min_size=lo.size, max_size=lo.size))).reshape(lo.shape)
+    w = FourierSeq(grid, w_sector, lo, np.where(rad == 0.0, lo, lo + rad))
+    cube = index_list(grid, sector, draw(st.integers(0, S + 2)))
+    rows, cols = (draw(st.permutations(cube)) for _ in range(2))
+    rows = rows[:draw(st.integers(0, len(rows)))]
+    cols = cols[:draw(st.integers(0, len(cols)))]
+    return w, sector, rows, cols
+
+
+@given(conv_cases())
+@settings(max_examples=300, deadline=None)
+def test_conv_block_matches_the_per_flip_reference(case):
+    got = conv_block(*case)
+    want = conv_block_reference(*case)
+    assert got.lo.tobytes() == want.lo.tobytes()
+    assert got.hi.tobytes() == want.hi.tobytes()
+
+
+@given(conv_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_conv_block_column_slices_are_bit_identical(case, data):
+    # gershgorin_disks reads the inner and the ext columns of one pass over
+    # inner + ext on this invariant: a slice of the columns is bit for bit
+    # the same columns of the whole block
+    w, sector, rows, cols = case
+    a = data.draw(st.integers(0, len(cols)))
+    b = data.draw(st.integers(a, len(cols)))
+    whole = conv_block(w, sector, rows, cols)
+    part = conv_block(w, sector, rows, cols[a:b])
+    for got, want in ((part.lo, whole.lo), (part.hi, whole.hi)):
+        assert got.tobytes() == want[:, a:b].tobytes()
 
 
 # -- no subnormal bounds on the 1D pulse -------------------------------------

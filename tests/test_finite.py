@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from speccert import finite
-from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter, UnboundedOperand
+from speccert.errors import (
+    DegenerateEigenbasis,
+    DimensionMismatch,
+    GridMismatch,
+    InvalidParameter,
+    UnboundedOperand,
+)
 from speccert.fourier import FourierSeq, Grid, conv, index_list
 from speccert.interval import ComplexBox, IArray, Interval
 from speccert.finite import (
@@ -26,6 +32,7 @@ from speccert.finite import (
 )
 from speccert.imatrix import IMatrix, verified_inverse
 from speccert.models import sh_model
+import scalar_paths
 
 GRID1 = Grid(1, 10.0)
 
@@ -122,6 +129,22 @@ def test_conv_block_refuses_odd_kernel(sector):
         conv_block(w, sector, [(1,)], [(1,)])
 
 
+@pytest.mark.parametrize("sector, row, col", [
+    ("c", (-1,), (1,)), ("s", (1,), (-2,)), ("cs", (1, -1), (0, 0)), ("sc", (0, 0), (-3, 2)),
+])
+def test_conv_block_refuses_a_negative_reflected_coordinate(sector, row, col):
+    # a reflected axis reaches only through n_a + k_a <= S => |n_a - k_a| <= S,
+    # which a negative coordinate breaks: refused, not silently missed
+    m = len(row)
+    w = FourierSeq.from_point(Grid(m, 5.0), "c" * m, np.ones((3,) * m))
+    with pytest.raises(InvalidParameter, match="negative coordinate"):
+        conv_block(w, sector, [row], [col])
+    # signed axes take any sign
+    full = conv_block(FourierSeq.from_point(Grid(m, 5.0), "full", np.ones((7,) * m)),
+                      "full", [row], [col])
+    assert full.lo[0, 0] > 0.0
+
+
 def test_conv_block_2d_symmetric_oracle():
     # the cc-sector block must be symmetric up to the orbit normalization,
     # which makes it exactly symmetric in the orthonormal basis
@@ -190,6 +213,35 @@ def test_pseudo_diag_random_symmetric():
     assert verified_inverse(pd.P)[1].hi < 1e-10
     assert isinstance(pd.lams, IArray)
     assert all(l.width() < 1e-10 for l in pd.lams.elements())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40), st.integers(1, 12),
+       st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_normalize_columns_matches_the_column_loop(seed, n, c, ties, fortran):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((n, c)) * 10.0 ** rng.integers(-150, 150, c)
+    if ties:
+        # small integers: many entries share the largest magnitude, of
+        # either sign, and some columns are zero
+        v = np.round(rng.uniform(-2.0, 2.0, (n, c)))
+    if fortran:
+        v = np.asfortranarray(v)
+    try:
+        want = scalar_paths.normalize_columns_reference(v)
+    except DegenerateEigenbasis:
+        with pytest.raises(DegenerateEigenbasis):
+            finite._normalize_columns(v)
+        return
+    got = finite._normalize_columns(v)
+    assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+def test_normalize_columns_refuses_a_zero_column():
+    v = np.array([[1.0, 0.0, -2.0], [-3.0, 0.0, 2.0]])
+    for fn in (finite._normalize_columns, scalar_paths.normalize_columns_reference):
+        with pytest.raises(DegenerateEigenbasis, match="zero eigenvector column"):
+            fn(v)
 
 
 def test_pseudo_diag_refuses_non_self_adjoint():

@@ -117,6 +117,17 @@ def test_iarray_matches_interval(pairs, c):
             assert (g.hex(), m.hex()) == (x.mig().hex(), x.mag().hex())
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflowing_array_sum_is_silent_and_matches_the_scalar(sign):
+    # the two-sum meets inf - inf past the largest double; cluster_disks
+    # gets there with two centers more than the largest double apart
+    big = iarray([Interval(sign * _MAX)])
+    want = Interval(sign * _MAX) + Interval(sign * _MAX)
+    assert batched(big + big) == [(want.lo.hex(), want.hi.hex())]
+    assert (want.lo, want.hi) == ((_MAX, math.inf) if sign > 0 else (-math.inf, -_MAX))
+
+
 # finite boxes whose differences cannot overflow: dyadic endpoints (exact
 # sums and squares), signed zeros, subnormals and general floats
 box_end = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -1e-310]),

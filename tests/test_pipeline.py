@@ -3,6 +3,8 @@ import importlib.util
 import inspect
 import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -588,6 +590,30 @@ def test_cli_odd_sector_refused_before_the_state(tmp_path, capsys, mode,
     err = capsys.readouterr().err
     assert f"sector = {sector!r}: expected full or {'c' * m} for grid.m = {m}" in err
     assert "missing.json" not in err and "Traceback" not in err
+
+
+def test_1d_cli_run_leaves_scipy_signal_unloaded(tmp_path):
+    # scipy.signal was most of the CLI's import time; only N-D convolutions use it
+    sol = tmp_path / "u0.csv"
+    sol.write_text("0,0.3\n1,0.2\n2,0.1\n")
+    cfg = {"mode": "gershgorin-only",
+           "model": {"name": "swift-hohenberg", "m": 1,
+                     "params": {"mu": 1.5, "nu1": -3.2, "nu2": 1.0}},
+           "grid": {"m": 1, "d": 10.0}, "sector": "c", "N": 8,
+           "solution": {"csv": str(sol), "S": 2},
+           "output": str(tmp_path / "out.json")}
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import sys\nimport speccert.cli\n"
+            "print('scipy.signal' in sys.modules)\n"
+            f"print(speccert.cli.main(['--config', {str(path)!r}]))\n"
+            "print('scipy.signal' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-3:] == ["False", "0", "False"]
+    assert (tmp_path / "out.json").exists()
 
 
 @pytest.mark.filterwarnings("error")
