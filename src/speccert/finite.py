@@ -9,8 +9,9 @@ the orthonormal sector basis b_k = m_k^{-1/2} sum_sigma chi(sigma) e_{sigma k}
 
 which is what conv_block assembles, in one pass for all sigma: coordinates
 on a reflected axis are >= 0, so the identity reaches every entry a flip
-does.  Everything here is interval-rigorous except newton_solve, which only
-manufactures candidate states.
+does; an entry no flip touches is a value of (n - k, m_n / m_k) from a
+table.  Everything here is interval-rigorous except newton_solve, which
+only manufactures candidate states.
 """
 
 from __future__ import annotations
@@ -53,12 +54,6 @@ def freq_norm_iv(grid: Grid, indices) -> IArray:
     return (Interval(2.0) * PI * root) / Interval(2.0 * grid.d)
 
 
-def shell_indices(grid: Grid, sector: str, inner: int, outer: int):
-    """Sector indices n with inner < |n|_inf <= outer, deterministic order."""
-    return [n for n in index_list(grid, sector, outer)
-            if max(abs(c) for c in n) > inner]
-
-
 def min_tail_freq(grid: Grid, R: int) -> float:
     """Lower bound on |2 pi n~|_2 over indices outside the cube I^R."""
     v = (Interval(2.0) * PI * Interval(float(R + 1))) / Interval(2.0 * grid.d)
@@ -85,64 +80,87 @@ def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
     return sum(terms[1:], terms[0])
 
 
-def _conv_entries(w: FourierSeq, sector: str, rows, cols):
-    """conv_block's reached entries as arrays (i, j, lo, hi)."""
+def _reach(w: FourierSeq, sector: str, cols):
+    """conv_block over the columns `cols`, prepared once: a function of the
+    rows that returns the reached entries as arrays (i, j, lo, hi)."""
     m, sw = w.grid.m, w.S
     axes = _axis_types(m, sector)
     if "s" in w.sector:
         raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
-    rows_a = np.asarray(rows, dtype=np.int64).reshape(len(rows), m)
-    cols_a = np.asarray(cols, dtype=np.int64).reshape(len(cols), m)
     refl = [ax for ax, kind in enumerate(axes) if kind != "signed"]
-    if (rows_a[:, refl] < 0).any() or (cols_a[:, refl] < 0).any():
-        raise InvalidParameter(f"a negative coordinate on a reflected axis of {sector!r}")
+
+    def coords(x):
+        x = np.asarray(x, dtype=np.int64).reshape(len(x), m)
+        if (x[:, refl] < 0).any():
+            raise InvalidParameter(f"a negative coordinate on a reflected axis of {sector!r}")
+        return x
+    cols_a = coords(cols)
     # the box holds the origin, which also covers an empty column list
     base, top = cols_a.min(axis=0, initial=0), cols_a.max(axis=0, initial=0)
     table = np.full(tuple(top - base + 1), -1, dtype=np.int64)
     table[tuple((cols_a - base).T)] = np.arange(len(cols_a))
     if np.count_nonzero(table >= 0) != len(cols_a):
         raise DimensionMismatch("conv_block columns must be distinct")
+    tstride, table = np.array(table.strides) // table.itemsize, table.ravel()
     # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
     width = np.minimum(2 * sw + 1, top - base + 1)
-    start = np.clip(rows_a - sw, base, top - width + 1)
-    r, *offset = np.indices((len(rows_a), *width), sparse=True)    # a (row, window) grid
-    n, k = [rows_a[r, ax] for ax in range(m)], [start[r, ax] + offset[ax] for ax in range(m)]
-    j = table[tuple(k[ax] - base[ax] for ax in range(m))]
-    hit = j >= 0
-    for ax in range(m):
-        hit &= np.abs(k[ax] - n[ax]) <= sw
-
-    def entries(x):
-        return np.broadcast_to(x, hit.shape)[hit]
     wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
-    pos = entries(sum((n[ax] - k[ax] + sw) * wstride[ax] for ax in range(m)))
-    flip_ok = {ax: entries((n[ax] + k[ax] <= sw) & (k[ax] != 0)) for ax in refl}
-    shift = {ax: entries(2 * wstride[ax] * k[ax]) for ax in refl}
-    # the identity flip's terms (x for 0 + x: only a -0.0 differs, and the
-    # step erases it); flipping axis a adds those with n_a + k_a <= S and
-    # k_a != 0 (each orbit element once) at the kernel position moved by 2 k_a
     wlo, whi = (x.ravel() for x in w.expand_signed())
-    acc_lo, acc_hi = ulp_step(wlo[pos], -_INF), ulp_step(whi[pos], _INF)
-    for flags in list(itertools.product((False, True), repeat=len(refl)))[1:]:
-        flipped = [ax for ax, flip in zip(refl, flags) if flip]
-        sel = np.flatnonzero(np.logical_and.reduce([flip_ok[ax] for ax in flipped]))
-        at = pos[sel] + sum(shift[ax][sel] for ax in flipped)
-        # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
-        glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
-        acc_lo[sel] += glo[at]
-        acc_hi[sel] += ghi[at]
-        ulp_step(acc_lo, -_INF)
-        ulp_step(acc_hi, _INF)
-
+    n_w, flips = len(wlo), [[ax for ax, flip in zip(refl, flags) if flip] for flags in
+                            list(itertools.product((False, True), repeat=len(refl)))[1:]]
     # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
-    # values, each a tiny outward-rounded interval; as f > 0 the product
+    # values f_e, each a tiny outward-rounded interval; as f > 0 the product
     # bounds are acc_lo * f and acc_hi * f at one end of f
     ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
     f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
-    e = entries(m + sum(np.sign(n[ax]) - np.sign(k[ax]) for ax in refl))
-    lo = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
-    hi = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
-    return entries(r), j[hit], lo, hi
+
+    def scaled(acc_lo, acc_hi, e):
+        return (ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF),
+                ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF))
+    # an entry no flip touches is its identity term stepped 1 + len(flips)
+    # times, then scaled: a value of e and the kernel position, at e n_w + position
+    with np.errstate(over="ignore"):    # positions no row reaches may overflow too
+        u_lo, u_hi = (x.ravel() for x in scaled(
+            ulp_step(wlo[None, :].copy(), -_INF, 1 + len(flips)),
+            ulp_step(whi[None, :].copy(), _INF, 1 + len(flips)), np.arange(2 * m + 1)[:, None]))
+
+    def flips_at(n_a, k_a):     # flipping axis a adds the terms of n_a + k_a <= S, k_a != 0
+        return (n_a + k_a <= sw) & (k_a != 0)
+
+    def block(rows):
+        rows_a = coords(rows)
+        start = np.clip(rows_a - sw, base, top - width + 1)
+        r, *offset = np.indices((len(rows_a), *width), sparse=True)    # a (row, window) grid
+        n, k = [rows_a[r, ax] for ax in range(m)], [start[r, ax] + offset[ax] for ax in range(m)]
+        j = table.take(sum((k[ax] - base[ax]) * tstride[ax] for ax in range(m)))
+        hit = j >= 0
+        for ax in range(m):
+            hit &= np.abs(k[ax] - n[ax]) <= sw
+        touched = sum((flips_at(n[ax], k[ax]) for ax in refl), np.zeros(hit.shape, dtype=bool))
+
+        def entries(x):
+            return np.broadcast_to(x, hit.shape)[hit]
+        i, j, t = entries(r), j[hit], np.flatnonzero(touched[hit])
+        ue = entries(m * n_w + sum((n[ax] - k[ax] + sw) * wstride[ax] + (ax in refl) * n_w
+                                   * (np.sign(n[ax]) - np.sign(k[ax])) for ax in range(m)))
+        lo, hi = u_lo.take(ue), u_hi.take(ue)
+        # touched entries: identity terms (x for 0 + x differs only at -0.0, which
+        # the step erases), then per flip its terms at positions moved by 2 k_a
+        (e, at0), kt = np.divmod(ue[t], n_w), cols_a[j[t]]
+        ok = {ax: flips_at(rows_a[i[t], ax], kt[:, ax]) for ax in refl}
+        acc_lo, acc_hi = ulp_step(wlo[at0], -_INF), ulp_step(whi[at0], _INF)
+        for flipped in flips:
+            sel = np.flatnonzero(np.logical_and.reduce([ok[ax] for ax in flipped]))
+            at = at0[sel] + sum(2 * wstride[ax] * kt[sel, ax] for ax in flipped)
+            # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
+            glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
+            acc_lo[sel] += glo[at]
+            acc_hi[sel] += ghi[at]
+            ulp_step(acc_lo, -_INF)
+            ulp_step(acc_hi, _INF)
+        lo[t], hi[t] = scaled(acc_lo, acc_hi, e)
+        return i, j, lo, hi
+    return block
 
 
 def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
@@ -154,9 +172,11 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     implies |n_a - k_a| <= S, so one pass over the pairs |k - n|_inf <= S
     (columns distinct) serves every flip sigma.  Per flip the terms are
     added, then every reached entry steps outward: the bits are the dense
-    formula's, entry by entry, and unreached entries are exact zeros.
+    formula's, entry by entry, and unreached entries are exact zeros.  An
+    entry no flip touches is step^(1+F)(W[n - k]) for F flips, scaled by
+    f_e: _reach tabulates it per kernel position and e, once per column list.
     """
-    i, j, lo, hi = _conv_entries(w, sector, rows, cols)
+    i, j, lo, hi = _reach(w, sector, cols)(rows)
     out = IMatrix.from_point(np.zeros((len(rows), len(cols))))
     out.lo[i, j], out.hi[i, j] = lo, hi
     return out
@@ -299,25 +319,26 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     from.  M = N + S_W is where explicit rows stop and the uniform tail
     radius takes over.
 
-    Mid rows go in blocks of _MID_ROW_BLOCK, one _conv_entries pass each
-    over the columns inner + ext: the inner columns fill DG(mid <- inner),
-    the diagonal gives the centers and |.| of the rest, placed in a zeroed
-    rows x ext block, the radii.  At the N = 16 planar spot 64 rows peak at
-    133 MB RSS, one pass at 190 MB (16 rows: 133 MB, 256: 157 MB).  The disks
+    Mid rows go in blocks of _MID_ROW_BLOCK through one _reach over the
+    columns inner + ext: the inner columns fill DG(mid <- inner), the
+    diagonal gives the centers, and |.| of the other ext entries, in place in
+    a zeroed block, the radii.  At the N = 16 planar spot 64 rows peak at
+    135 MB RSS, one pass at 187 MB (16 rows: 135 MB, 256: 152 MB).  The disks
     are the dense block's, bit for bit: row sums add the same values in order.
     """
-    grid = w.grid
-    sw = w.S
+    grid, sw = w.grid, w.S
     m_cut = N + sw
-    inner = index_list(grid, sector, N)
-    mid = shell_indices(grid, sector, N, m_cut)
-    p = len(inner)
+    # I^(M+S) in index_list's row-major order; inner, mid and ext keep it
+    cube = np.array(index_list(grid, sector, m_cut + sw), dtype=np.int64).reshape(-1, grid.m)
+    size = np.abs(cube).max(axis=1)
+    inner, ext, in_mid = cube[size <= N], cube[size > N], size[size > N] <= m_cut
+    mid, p = ext[in_mid], len(inner)       # mid is the part of ext inside I^M
 
     # region (i): rows of D off the diagonal, plus the coupling into the mid
     # shell through Pinv DG
     r_inner = pseudo.off.hi.sum(axis=1)
     pinv_dg = dg_p = None
-    if mid:
+    if len(mid):
         pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
         r_inner = r_inner + pinv_dg.mag().sum(axis=1)
     r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
@@ -326,25 +347,23 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     w0 = _kernel_w0(w)
     c_m = sym_factor(grid, sector)
     l1w = seq_l1(w)
-    lam = symbol_diag(model, grid, inner + mid)
-    ext = shell_indices(grid, sector, N, m_cut + sw)
+    lam = symbol_diag(model, grid, np.concatenate([inner, mid]))
     d_lo, d_hi, term1, term2 = (np.zeros(len(mid)) for _ in range(4))   # d: the kernel diagonal
-    if mid:
-        # mid is the part of ext inside I^M, in ext's order
-        diag_col = np.array([c for c, n in enumerate(ext, p) if max(map(abs, n)) <= m_cut])
-        cols = np.array(inner + ext, dtype=np.int64).reshape(p + len(ext), grid.m)
+    if len(mid):
+        diag_col, cols = p + np.flatnonzero(in_mid), np.concatenate([inner, ext])
+        reach = _reach(w, sector, cols)
         mi_lo, mi_hi = np.zeros((len(mid), p)), np.zeros((len(mid), p))
         for b in range(0, len(mid), _MID_ROW_BLOCK):
             rows = mid[b:b + _MID_ROW_BLOCK]
-            i, j, lo, hi = _conv_entries(w, sector, rows, cols)
+            i, j, lo, hi = reach(rows)
             into, on_diag = j < p, j == diag_col[b + i]
             mi_lo[b + i[into], j[into]], mi_hi[b + i[into], j[into]] = lo[into], hi[into]
             d_lo[b + i[on_diag]], d_hi[b + i[on_diag]] = lo[on_diag], hi[on_diag]
-            off = ~(into | on_diag)
-            mag_ext = np.zeros((len(rows), len(ext)))
-            mag_ext[i[off], j[off] - p] = np.maximum(np.abs(lo[off]), np.abs(hi[off]))
-            term2[b:b + len(rows)] = mag_ext.sum(axis=1)
-        del i, j, lo, hi, mag_ext     # free the last block before the product
+            mag = np.zeros((len(rows), len(cols)))
+            np.put(mag, i * len(cols) + j, np.maximum(np.abs(lo), np.abs(hi)))
+            mag[np.arange(len(rows)), diag_col[b:b + len(rows)]] = 0.0
+            term2[b:b + len(rows)] = mag[:, p:].sum(axis=1)
+        del i, j, lo, hi, mag     # free the last block before the product
         dg_p = IMatrix(mi_lo, mi_hi) @ pseudo.P
         term1 = dg_p.mag().sum(axis=1)
     r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)

@@ -147,9 +147,10 @@ class IMatrix(IArray):
     # -- norms ------------------------------------------------------------
 
     def _sum_hi(self, axis: int) -> np.ndarray:
+        # adding non-negative doubles has no underflow error: the factor covers
+        # the sum and the two steps the product, and a zero sum is exact
         s = self.mag().sum(axis=axis)
-        n = self.shape[axis]
-        return ulp_step(s * (1.0 + (n + 2) * _U) + _TINY, _INF, 2)
+        return ulp_step(s * (1.0 + (self.shape[axis] + 2) * _U), _INF, 2, keep_zero=True)
 
     def norm1_hi(self) -> float:
         """Upper bound on the maximum column sum of magnitudes."""

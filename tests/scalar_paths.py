@@ -1,5 +1,6 @@
 """The scalar loops that the batched radial and homotopy code replaced, and
-the per-flip conv_block that the finite stage replaced.
+the per-flip conv_block and list-built shell indices that the finite stage
+replaced.
 
 Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
 of a library function, with the same signature, so that a test can check
@@ -20,7 +21,7 @@ from speccert.errors import (
     DomainError,
     GridMismatch,
 )
-from speccert.fourier import FourierSeq, _axis_types, conv
+from speccert.fourier import FourierSeq, _axis_types, conv, index_list
 from speccert.imatrix import IMatrix
 from speccert.interval import PI, Interval, elementwise, iv_exp, ulp_step
 from speccert.radial import _MIN_WIDTH
@@ -184,6 +185,13 @@ def inflate_disks(disks, bounds):
 
 
 # -- finite ---------------------------------------------------------------
+
+def shell_indices(grid, sector: str, inner: int, outer: int):
+    """Sector indices n with inner < |n|_inf <= outer, deterministic order:
+    the list form of the cube split that gershgorin_disks makes on arrays."""
+    return [n for n in index_list(grid, sector, outer)
+            if max(abs(c) for c in n) > inner]
+
 
 def conv_block_reference(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     """finite.conv_block one flip at a time: each flip sigma enumerates its

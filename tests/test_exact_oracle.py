@@ -28,7 +28,7 @@ from hypothesis import example, given, settings, strategies as st
 from speccert.errors import CertifyError, UnboundedOperand
 from speccert.finite import cluster_disks, conv_block, sym_factor
 from speccert.fourier import Grid, _axis_types
-from speccert.imatrix import IMatrix
+from speccert.imatrix import IMatrix, op_norm2_bound
 from speccert.interval import IArray, Interval
 from test_exact_zeros import BASES, conv_cases
 from test_finite import _disk_sets, _extreme_disk_sets, _synthetic_disks
@@ -270,6 +270,35 @@ def test_norms_bound_the_exact_sums_of_magnitudes(data, m, n):
         assert _encloses(-math.inf, got, 0, exact)
     assert _encloses(-math.inf, a.norminf_hi(), 0, max(rows))
     assert _encloses(-math.inf, a.norm1_hi(), 0, max(cols))
+
+
+@given(st.data(), st.integers(1, 3), st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_norms_of_zero_rows_and_columns_are_exactly_zero(data, m, n):
+    # a sum of magnitudes has no underflow error, so an exact zero sum comes
+    # out 0.0, and every other sum still bounds the exact one
+    a = data.draw(_imatrices(m, n))
+    for q in data.draw(st.sets(st.integers(0, m - 1))):
+        a.lo[q], a.hi[q] = 0.0, 0.0
+    for q in data.draw(st.sets(st.integers(0, n - 1))):
+        a.lo[:, q], a.hi[:, q] = 0.0, 0.0
+    mag = [[max(abs(lo), abs(hi)) for lo, hi in row] for row in _fractions(a)]
+    rows, cols = [sum(r) for r in mag], [sum(c) for c in zip(*mag)]
+    for got, exact in [*zip(a.row_sums_hi().tolist(), rows),
+                       (a.norminf_hi(), max(rows)), (a.norm1_hi(), max(cols))]:
+        assert _encloses(-math.inf, got, 0, exact)
+        if exact == 0:
+            assert got.hex() == "0x0.0p+0"
+    if not (a.lo.any() or a.hi.any()):
+        bound = op_norm2_bound(a)
+        assert (bound.lo.hex(), bound.hi.hex()) == ("0x0.0p+0", "0x0.0p+0")
+
+
+def test_zero_matrix_norms_are_exactly_zero():
+    z = IMatrix.from_point(np.zeros((3, 2)))
+    sums = [z.norm1_hi(), z.norminf_hi(), *z.row_sums_hi().tolist()]
+    bound = op_norm2_bound(z)
+    assert [x.hex() for x in sums + [bound.lo, bound.hi]] == ["0x0.0p+0"] * 7
 
 
 # -- the orbit factors of conv_block and sym_factor --------------------------

@@ -9,13 +9,15 @@ rational arithmetic.
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speccert.finite import conv_block, shell_indices
+from speccert import finite
+from speccert.finite import conv_block
 from speccert.fourier import (
     FourierSeq,
     Grid,
@@ -25,7 +27,7 @@ from speccert.fourier import (
     index_list,
 )
 from speccert.imatrix import IMatrix
-from scalar_paths import conv_block_reference
+from scalar_paths import conv_block_reference, shell_indices
 
 _U = 2.0 ** -53
 _TINY = 5e-308
@@ -372,6 +374,43 @@ def test_conv_block_column_slices_are_bit_identical(case, data):
     part = conv_block(w, sector, rows, cols[a:b])
     for got, want in ((part.lo, whole.lo), (part.hi, whole.hi)):
         assert got.tobytes() == want[:, a:b].tobytes()
+
+
+@given(conv_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_one_prepared_reach_serves_any_row_blocks(case, data):
+    # gershgorin_disks prepares one _reach for all its mid-row blocks: blocks
+    # in order, repeated and interleaved are each the reference's rows, so
+    # no call leaves state behind for the next
+    w, sector, rows, cols = case
+    want = conv_block_reference(w, sector, rows, cols)
+    reach = finite._reach(w, sector, cols)
+    edges = [0, *sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3))), len(rows)]
+    spans = list(zip(edges, edges[1:]))
+    for a, b in spans + data.draw(st.lists(st.sampled_from(spans), max_size=5)):
+        i, j, lo, hi = reach(rows[a:b])
+        got_lo, got_hi = np.zeros((b - a, len(cols))), np.zeros((b - a, len(cols)))
+        got_lo[i, j], got_hi[i, j] = lo, hi
+        assert got_lo.tobytes() == want.lo[a:b].tobytes()
+        assert got_hi.tobytes() == want.hi[a:b].tobytes()
+
+
+@pytest.mark.parametrize("m, sector, w_sector", [(1, "c", "c"), (1, "full", "full"),
+                                                 (2, "cc", "cc"), (2, "sc", "cc")])
+def test_unreached_huge_coefficient_raises_no_warning(m, sector, w_sector):
+    # the table of untouched entries covers every kernel position: stepping
+    # and scaling [-MAX, MAX] overflows there, though no row reaches it
+    grid, S, big = Grid(m, 7.0), 3, 1.7976931348623157e308
+    lo = np.full((2 * S + 1 if w_sector == "full" else S + 1,) * m, 0.25)
+    hi = lo.copy()
+    lo[(-1,) * m], hi[(-1,) * m] = -big, big
+    w = FourierSeq(grid, w_sector, lo, hi)
+    rows = cols = index_list(grid, sector, 1)    # |n - sigma k|_inf <= 2 < S
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = conv_block(w, sector, rows, cols)
+    want = conv_block_reference(w, sector, rows, cols)
+    assert got.lo.tobytes() == want.lo.tobytes() and got.hi.tobytes() == want.hi.tobytes()
 
 
 # -- no subnormal bounds on the 1D pulse -------------------------------------

@@ -26,13 +26,13 @@ from speccert.finite import (
     gershgorin_disks,
     kernel_from_state,
     min_tail_freq,
-    shell_indices,
     spectral_edge,
     symbol_diag,
 )
 from speccert.imatrix import IMatrix, verified_inverse
 from speccert.models import sh_model
 import scalar_paths
+from scalar_paths import shell_indices
 
 GRID1 = Grid(1, 10.0)
 

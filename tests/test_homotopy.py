@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from speccert import homotopy, pipeline
 from speccert.errors import ConditionViolated
-from speccert.finite import DiskSet, conv_block, shell_indices, spectral_edge
+from speccert.finite import DiskSet, conv_block, spectral_edge
 from speccert.fourier import FourierSeq, Grid, index_list, seq_l1
 from speccert.homotopy import (
     _disk_gap,
@@ -30,6 +30,7 @@ from speccert.interval import ComplexBox, IArray, Interval
 from speccert.models import DecayBound, sh_model
 from speccert.pipeline import default_window, select_shift
 import scalar_paths
+from scalar_paths import shell_indices
 
 
 # -- weighted kernel integrals against quadrature -------------------------

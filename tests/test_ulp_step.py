@@ -78,12 +78,32 @@ def cases(draw):
     return x
 
 
-@given(cases(), st.sampled_from([_INF, -_INF]), st.sampled_from([1, 2]),
+def _bits(*patterns):
+    return np.array(patterns, dtype=np.int64).view(np.float64)
+
+
+# the near-top guard of a block is `bits > 0x7FF0000000000000 - steps`: at
+# 4 steps 0x7FEFFFFFFFFFFFFC (3 ulps below the largest double) still takes
+# the integer path to inf, and one ulp more takes np.nextafter; at 3 steps
+# both take the integer path
+NEAR_TOP = [0x7FEFFFFFFFFFFFFC, 0x7FEFFFFFFFFFFFFD]
+
+
+# 1 and 2 steps round a bound outward; conv_block's table of untouched
+# entries steps a kernel 1 + F times for F flips: 2 on c, 4 on cc
+@given(cases(), st.sampled_from([_INF, -_INF]), st.sampled_from([1, 2, 3, 4]),
        st.sampled_from(["c", "fortran", "transposed"]), st.booleans(), st.booleans())
 @example(np.array(PINNED * 100), _INF, 2, "c", False, False)
 @example(np.array(PINNED * 100), -_INF, 2, "transposed", True, False)
 @example(np.array([-5e-324] * 2000), _INF, 2, "c", False, False)
 @example(np.array([5e-324] * 2000), -_INF, 2, "fortran", False, True)
+# 4 steps that cross -0.0 on the way up, and their mirror images
+@example(np.array([-5e-324] * 2000), _INF, 4, "c", False, False)
+@example(np.array([-1e-323] * 2000), _INF, 4, "transposed", True, False)
+@example(np.array([1e-323] * 2000), -_INF, 4, "fortran", False, True)
+@example(np.resize(_bits(NEAR_TOP[0]), 2000), _INF, 4, "c", False, False)
+@example(np.resize(_bits(*NEAR_TOP), 2000), _INF, 4, "c", True, False)
+@example(-np.resize(_bits(*NEAR_TOP), 2000), -_INF, 3, "fortran", False, False)
 @settings(max_examples=400, deadline=None)
 @np.errstate(over="ignore")             # np.nextafter warns on stepping to inf
 def test_ulp_step_is_nextafter_bit_for_bit(x, to, steps, kind, use_out, keep_zero):
