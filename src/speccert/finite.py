@@ -286,13 +286,18 @@ class DiskSet:
     center_re: IArray
     radii: np.ndarray
     lam: IArray = None
-    pinv_dg: IMatrix | None = None     # Pinv DG(inner <- mid); None without a shell
-    dg_p: IMatrix | None = None        # DG(mid <- inner) P
+    dg_p: IMatrix | None = None        # DG(mid <- inner) P; None without a shell
+    dg_pad: np.ndarray | None = None   # per mid index j, delta s_j of gershgorin_disks
     w0: Interval = None                # the kernel diagonal
     tail_radius: float = 0.0
     min_tail_s: float = 0.0
     sym_factor: float = 1.0            # c_m
     l1w: Interval = None               # |W|_1
+
+    def inner_coupling(self) -> IMatrix | None:
+        """An enclosure of Pinv DG(inner <- mid): dg_p^T with column j
+        widened by dg_pad[j] (gershgorin_disks derives it)."""
+        return None if self.dg_p is None else self.dg_p.T + IArray(-self.dg_pad, self.dg_pad)
 
     @property
     def centers(self) -> list:
@@ -320,11 +325,17 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     radius takes over.
 
     Mid rows go in blocks of _MID_ROW_BLOCK through one _reach over the
-    columns inner + ext: the inner columns fill DG(mid <- inner), the
-    diagonal gives the centers, and |.| of the other ext entries, in place in
-    a zeroed block, the radii.  At the N = 16 planar spot 64 rows peak at
-    135 MB RSS, one pass at 187 MB (16 rows: 135 MB, 256: 152 MB).  The disks
-    are the dense block's, bit for bit: row sums add the same values in order.
+    columns inner + ext: the inner columns fill H = DG(mid <- inner), the
+    diagonal gives the centers, and |.| of the other ext entries, in place
+    in a zeroed block, the radii: the dense block's, bit for bit.
+
+    No block of G = DG(inner <- mid) is built.  The operator is self-adjoint
+    in the orthonormal sector basis, so G = H^T exactly and
+    Pinv G = P^T G + (Pinv - P^T) G, with P^T G = (H P)^T in dg_p^T and
+    |(Pinv - P^T) G|_ij <= delta sum_l |H_jl| <= delta s_j: delta bounds
+    |Pinv - P^T| entrywise (Pinv encloses P^-1) and s_j the row sums of
+    |H|, both rounded up.  An inner radius takes the column sums of |dg_p|
+    plus sum_j delta s_j; DiskSet.inner_coupling widens dg_p^T by them.
     """
     grid, sw = w.grid, w.S
     m_cut = N + sw
@@ -334,21 +345,14 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     inner, ext, in_mid = cube[size <= N], cube[size > N], size[size > N] <= m_cut
     mid, p = ext[in_mid], len(inner)       # mid is the part of ext inside I^M
 
-    # region (i): rows of D off the diagonal, plus the coupling into the mid
-    # shell through Pinv DG
-    r_inner = pseudo.off.hi.sum(axis=1)
-    pinv_dg = dg_p = None
-    if len(mid):
-        pinv_dg = pseudo.Pinv @ conv_block(w, sector, inner, mid)
-        r_inner = r_inner + pinv_dg.mag().sum(axis=1)
-    r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
-
     # region (ii): explicit rows in the shell
     w0 = _kernel_w0(w)
     c_m = sym_factor(grid, sector)
     l1w = seq_l1(w)
     lam = symbol_diag(model, grid, np.concatenate([inner, mid]))
     d_lo, d_hi, term1, term2 = (np.zeros(len(mid)) for _ in range(4))   # d: the kernel diagonal
+    r_inner = pseudo.off.hi.sum(axis=1)    # region (i): rows of D off the diagonal
+    dg_p = dg_pad = None
     if len(mid):
         diag_col, cols = p + np.flatnonzero(in_mid), np.concatenate([inner, ext])
         reach = _reach(w, sector, cols)
@@ -364,8 +368,19 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
             mag[np.arange(len(rows)), diag_col[b:b + len(rows)]] = 0.0
             term2[b:b + len(rows)] = mag[:, p:].sum(axis=1)
         del i, j, lo, hi, mag     # free the last block before the product
-        dg_p = IMatrix(mi_lo, mi_hi) @ pseudo.P
-        term1 = dg_p.mag().sum(axis=1)
+        h = IMatrix(mi_lo, mi_hi)
+        dg_p = h @ pseudo.P
+        mag_dg_p = dg_p.mag()
+        term1 = mag_dg_p.sum(axis=1)
+        # region (i) couples into the shell through Pinv H^T = dg_p^T + pad.
+        # delta >= max |Pinv - P^T|: a difference rounds by at most 2^-53 of
+        # itself, which two ulps up cover
+        pt = pseudo.P.lo.T
+        delta = float(max(np.abs(pseudo.Pinv.lo - pt).max(), np.abs(pseudo.Pinv.hi - pt).max()))
+        delta = math.nextafter(math.nextafter(delta, _INF), _INF)
+        dg_pad = (Interval(delta) * IArray(h.row_sums_hi())).hi
+        r_inner = r_inner + (mag_dg_p.sum(axis=0) + dg_pad.sum())
+    r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
     r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
     c_mid = (lam[p:] + IArray(d_lo, d_hi)).checked()
 
@@ -378,8 +393,8 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
                          np.concatenate([pseudo.lams.hi, c_mid.hi])),
         radii=np.concatenate([r_inner, r_mid]),
         lam=lam,
-        pinv_dg=pinv_dg,
         dg_p=dg_p,
+        dg_pad=dg_pad,
         w0=w0,
         tail_radius=(Interval(c_m) * (l1w - w0.abs())).hi,
         min_tail_s=min_tail_freq(grid, m_cut),

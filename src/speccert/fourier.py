@@ -143,6 +143,19 @@ class FourierSeq:
     def mid(self) -> np.ndarray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
+    def require_even(self) -> "FourierSeq":
+        """self, unless signed storage differs from its point reflection:
+        real coefficients against e^{i pi n.x/d} make a real function only
+        when u[-n] = u[n].  Sector storage is even by construction."""
+        flip = (slice(None, None, -1),) * self.grid.m
+        bad = np.argwhere((self.lo != self.lo[flip]) | (self.hi != self.hi[flip])) - self.S
+        if self.axes[0] == "signed" and len(bad):
+            raise InvalidParameter(" but ".join(
+                f"u[{tuple(n.tolist())}] = [{float(self.lo[tuple(n + self.S)])!r}, "
+                f"{float(self.hi[tuple(n + self.S)])!r}]" for n in (bad[0], -bad[0]))
+                + ": a full-sector state must equal its point reflection")
+        return self
+
     def _check_mate(self, other: "FourierSeq") -> None:
         if self.grid != other.grid:
             raise GridMismatch("sequences live on different grids")

@@ -16,8 +16,9 @@ by all disks, and a self-adjoint shortcut yields the alternative inflation
 Most bounds depend on the spectral window but not on the shift t, so
 `window_bounds` computes them once per certificate: kappa and the Lipschitz
 drift, Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q, and the
-window distances of the symbol values.  The symbol values and the blocks
-DG(shell <- inner) P and Pinv DG(inner <- shell) come built on the DiskSet.
+window distances of the symbol values.  The symbol values and the block
+DG(shell <- inner) P come built on the DiskSet, and Pinv DG(inner <- shell)
+is derived from that block once (DiskSet.inner_coupling).
 `compute_bounds` adds what each shift of the ladder needs: (S + t)^{-1},
 Z13, Z14, the matrix factor behind Zu3 and C2 r0, the inflation factors, and
 the self-adjoint factor with its disk gap.
@@ -229,6 +230,7 @@ class WindowBounds:
     c1r0: Interval
     kappa1: Interval
     sq: Interval                  # sqrt(1 + kappa1^2)
+    pinv_dg: IMatrix | None       # Pinv DG(inner <- shell); None without a shell
     kappa2: Interval
     kappa2q: Interval
     conditions: dict
@@ -290,7 +292,8 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
         sup_mid=sup_to_window(lam_mid, window),
         colw=sup_to_window(disks.lam[:p], window).hi,
         z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
-        kappa1=kappa1, sq=sq, kappa2=kappa2, kappa2q=kappa2q,
+        kappa1=kappa1, sq=sq, pinv_dg=disks.inner_coupling(),
+        kappa2=kappa2, kappa2q=kappa2q,
         conditions=conditions,
     )
 
@@ -323,8 +326,8 @@ def compute_bounds(wb: WindowBounds, t: float) -> HomotopyBounds:
     z13 = op_norm2_bound(pseudo.off.scale_rows(sinv))
 
     # Z14: coupling into the shell through Pinv DG
-    z14 = (Interval(0.0) if disks.pinv_dg is None
-           else op_norm2_bound(disks.pinv_dg.scale_rows(sinv)))
+    z14 = (Interval(0.0) if wb.pinv_dg is None
+           else op_norm2_bound(wb.pinv_dg.scale_rows(sinv)))
 
     # finite matrix factor shared by Zu3 and C2: the norm of |G| diag(colw),
     # each product rounded up as the IArray product rounds it

@@ -1,6 +1,6 @@
 """The scalar loops that the batched radial and homotopy code replaced, and
-the per-flip conv_block and list-built shell indices that the finite stage
-replaced.
+the per-flip conv_block, list-built shell indices and inner-to-shell
+coupling product that the finite stage replaced.
 
 Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
 of a library function, with the same signature, so that a test can check
@@ -274,6 +274,21 @@ def conv_block_reference(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     out_lo.ravel()[pos] = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
     out_hi.ravel()[pos] = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
     return IMatrix(out_lo, out_hi)
+
+
+def inner_coupling_reference(w: FourierSeq, sector: str, inner, mid, pseudo) -> IMatrix:
+    """Pinv DG(inner <- mid) as gershgorin_disks built it before it read the
+    coupling off DG(mid <- inner) P by symmetry: one more convolution block
+    and one more interval product."""
+    return pseudo.Pinv @ conv_block_reference(w, sector, inner, mid)
+
+
+def inner_radii_reference(pseudo, pinv_dg: IMatrix) -> np.ndarray:
+    """The inner disk radii of that path: the off-diagonal row sums of the
+    pseudo-diagonal block plus the row sums of |Pinv DG(inner <- mid)|."""
+    p, n_mid = pinv_dg.shape
+    r = pseudo.off.hi.sum(axis=1) + pinv_dg.mag().sum(axis=1)
+    return np.nextafter(r * (1.0 + (p + n_mid + 4) * 2.0 ** -53), _INF)
 
 
 def normalize_columns_reference(vecs):

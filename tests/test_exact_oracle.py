@@ -14,6 +14,9 @@ always share a cluster.
 
 conv_block's entries hold the exact orbit sums times sqrt(m_n / m_k), and
 sym_factor bounds that factor; both are checked by squares, with no root.
+
+IMatrix.scale_rows holds the exact products, and op_norm2_bound's b makes
+b^2 I - M^T M positive semidefinite, by an exact LDL^T, at drawn points M.
 """
 
 import itertools
@@ -299,6 +302,78 @@ def test_zero_matrix_norms_are_exactly_zero():
     sums = [z.norm1_hi(), z.norminf_hi(), *z.row_sums_hi().tolist()]
     bound = op_norm2_bound(z)
     assert [x.hex() for x in sums + [bound.lo, bound.hi]] == ["0x0.0p+0"] * 7
+
+
+@st.composite
+def _row_scales(draw, rows):
+    """An IArray of table entries, one per row."""
+    value = st.sampled_from(MATRIX_VALUES + NEAR_OVERFLOW)
+    ends = draw(st.lists(st.tuples(value, value).map(sorted), min_size=rows, max_size=rows))
+    return IArray([e[0] for e in ends], [e[1] for e in ends])
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_scale_rows_encloses_the_exact_products(data, m, n):
+    # entry (i, j) holds s_i a_ij for every point of both intervals; an exact
+    # zero entry or row scale gives an exact zero
+    a, s = data.draw(_imatrices(m, n)), data.draw(_row_scales(m))
+    got = a.scale_rows(s)
+    for i, row in enumerate(_fractions(a)):
+        si = Interval(s.lo[i], s.hi[i])
+        for j, (lo, hi) in enumerate(row):
+            exact = _exact_binary("*", si, Interval(float(lo), float(hi)))
+            assert _encloses(got.lo[i, j], got.hi[i, j], *exact), (i, j)
+            if lo == hi == 0 or si.lo == si.hi == 0:
+                assert got.lo[i, j] == got.hi[i, j] == 0.0, (i, j)
+
+
+def _positive_semidefinite(a):
+    """Exact LDL^T of a symmetric Fraction matrix: PSD iff no pivot is
+    negative and a zero pivot leaves its row zero."""
+    a = [row[:] for row in a]
+    for k in range(len(a)):
+        if a[k][k] < 0 or (a[k][k] == 0 and any(a[k][k + 1:])):
+            return False
+        for i in range(k + 1, len(a)):
+            if a[k][k] != 0 and a[i][k] != 0:
+                f = a[i][k] / a[k][k]
+                a[i] = [x - f * y if q > k else x for q, (x, y) in enumerate(zip(a[i], a[k]))]
+    return True
+
+
+def test_positive_semidefinite_oracle():
+    assert _positive_semidefinite([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]])
+    assert not _positive_semidefinite([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(1)]])
+    assert not _positive_semidefinite([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(5)]])
+    assert _positive_semidefinite([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]])
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_op_norm2_bound_dominates_every_drawn_point_exactly(data, m, n):
+    # b^2 I - M^T M is positive semidefinite for M = lo, hi and random
+    # vertices of the interval matrix, checked exactly; the norm is convex,
+    # so its maximum over the box is at a vertex
+    a = data.draw(_imatrices(m, n))
+    try:
+        b = op_norm2_bound(a)
+    except UnboundedOperand:
+        assert max(np.abs(a.lo).max(), np.abs(a.hi).max()) >= 2.0 ** 1000
+        return
+    assert b.lo == 0.0
+    if b.hi == math.inf:
+        return
+    b2 = Fraction(b.hi) ** 2
+    fa = _fractions(a)
+    picks = [[[0] * n] * m, [[1] * n] * m] + data.draw(st.lists(st.lists(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m),
+        max_size=3))
+    for pick in picks:
+        pt = [[fa[i][j][pick[i][j]] for j in range(n)] for i in range(m)]
+        gram = [[(b2 if p == q else 0) - sum(pt[i][p] * pt[i][q] for i in range(m))
+                 for q in range(n)] for p in range(n)]
+        assert _positive_semidefinite(gram), pick
 
 
 # -- the orbit factors of conv_block and sym_factor --------------------------

@@ -196,3 +196,24 @@ def test_overflowing_convolution_raises_unbounded():
     u = FourierSeq.from_point(GRID1, "c", [1e160, 1e160, 1e160])
     with pytest.raises(UnboundedOperand, match="overflows"):
         conv(u, u)
+
+
+def test_require_even_compares_signed_storage_with_its_point_reflection():
+    # real coefficients against e^{i pi n.x/d} are a real function only when
+    # u[-n] = u[n]; in 2D that is the point reflection, not one axis flip
+    grid2 = Grid(2, 5.0)
+    v = np.zeros((5, 5))
+    v[3, 4] = v[1, 0] = 0.5           # u[(1, 2)] = u[(-1, -2)]
+    u = FourierSeq.from_point(grid2, "full", v)
+    assert u.require_even() is u
+    v[3, 0] = 0.25                    # u[(1, -2)], with u[(-1, 2)] = 0
+    with pytest.raises(InvalidParameter, match=r"u\[\(-1, 2\)\] = \[0\.0, 0\.0\] but "
+                                               r"u\[\(1, -2\)\] = \[0\.25, 0\.25\]"):
+        FourierSeq.from_point(grid2, "full", v).require_even()
+    # the bounds are compared exactly, each end on its own
+    lo = np.array([0.5, 1.0, 0.5])
+    with pytest.raises(InvalidParameter, match=r"u\[\(-1,\)\]"):
+        FourierSeq(GRID1, "full", lo, lo + np.array([0.0, 0.0, 2.0 ** -50])).require_even()
+    # sector storage is even by construction, whatever its values
+    c = FourierSeq.from_point(grid2, "cc", v)
+    assert c.require_even() is c

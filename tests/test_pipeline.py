@@ -342,6 +342,40 @@ def test_cli_malformed_state_exits_2(tmp_path, sh_toy, capsys, doc, message):
     assert f"solution = {cfg['solution']!r}" in err and message in err
 
 
+def _full_pulse(sh_toy, odd=0.0):
+    """The toy pulse in signed (full) storage, plus odd (e_3 - e_-3)."""
+    lo = sh_toy["u0"].expand_signed()[0].copy()
+    S = sh_toy["u0"].S
+    lo[S + 3] += odd
+    lo[S - 3] -= odd
+    return FourierSeq.from_point(sh_toy["grid"], "full", lo)
+
+
+@pytest.mark.parametrize("mode", ["gershgorin-only", "certify"])
+def test_cli_refuses_a_full_state_that_is_not_even(tmp_path, sh_toy, capsys, mode):
+    # real coefficients against e^{i pi n x / d} make a real function only
+    # when u[-n] = u[n]: an odd perturbation would reach the self-adjoint
+    # pipeline with an asymmetric operator
+    path, cfg = _toy_config(tmp_path, sh_toy, mode=mode, sector="full")
+    sol = Path(cfg["solution"]["path"])
+    sol.write_text(serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy))))
+    assert cli.load_solution(cfg["solution"], sh_toy["grid"], "full") == _full_pulse(sh_toy)
+    sol.write_text(serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy, 0.05))))
+    assert main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"solution = {cfg['solution']!r}" in err
+    assert "u[(-3,)] = [" in err and "] but u[(3,)] = [" in err
+
+
+def test_certify_refuses_a_full_state_that_is_not_even_before_any_work(sh_toy, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the finite stage ran")
+
+    monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
+    with pytest.raises(InvalidParameter, match=r"u\[\(-3,\)\] = .* but u\[\(3,\)\] = "):
+        certify(_toy_model(), _full_pulse(sh_toy, 0.05), 1e-8, sh_toy["N"])
+
+
 def test_seq_csv_loader(tmp_path):
     grid = Grid(1, 10.0)
     p = tmp_path / "u.csv"
