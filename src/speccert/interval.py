@@ -524,6 +524,7 @@ def _unit(v):
     return (a == 0.0) | (a == 1.0)
 
 
+@np.errstate(over="ignore")      # an overflow rounds to +-inf, stepped below
 def _mul(x, y) -> IArray:
     cls, al, ah, bl, bh, err = _binary(x, y)
     cands = (al * bl, al * bh, ah * bl, ah * bh)
@@ -534,6 +535,7 @@ def _mul(x, y) -> IArray:
                    np.where(exact, hi, ulp_step(hi, _INF, out=np.empty_like(hi))), err)
 
 
+@np.errstate(over="ignore")
 def _div(x, y) -> IArray:
     cls, al, ah, bl, bh, err = _binary(x, y)
     zero = (bl <= 0.0) & (0.0 <= bh)
