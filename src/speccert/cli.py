@@ -173,14 +173,14 @@ def read_config(doc) -> RunConfig:
 
 def load_solution(sol: dict, grid: Grid, sector: str) -> FourierSeq:
     """The state a checked "solution" entry names, which must live on the
-    configured grid and sector and, in full storage, be even."""
+    configured grid and sector."""
     try:
         if "csv" in sol:
-            return serialize.load_seq_csv(sol["csv"], grid, sector, sol["S"]).require_even()
+            return serialize.load_seq_csv(sol["csv"], grid, sector, sol["S"])
         with open(sol["path"]) as fh:
-            u0 = serialize.seq_from_doc(json.load(fh)).require_even()
+            u0 = serialize.seq_from_doc(json.load(fh))
     except (ValueError, KeyError, TypeError, CertifyError) as exc:
-        raise ConfigError(f"solution = {sol!r}: unusable state: {exc}") from exc
+        raise ConfigError(f"solution = {sol!r}: unreadable state: {exc}") from exc
     _expect((u0.grid, u0.sector) == (grid, sector), "grid, sector",
             (grid, sector), f"the grid and sector of {sol['path']!r}: "
             f"{u0.grid!r}, {u0.sector!r}")
@@ -278,7 +278,7 @@ def main(argv=None) -> int:
         print(f"verification abort: {exc}", file=sys.stderr)
         return 4
     except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-            ConfigError) as exc:
+            ConfigError, InvalidParameter) as exc:
         print(f"I/O or configuration error: {exc}", file=sys.stderr)
         return 2
     except CertifyError as exc:

@@ -65,7 +65,9 @@ def min_tail_freq(grid: Grid, R: int) -> float:
 
 
 def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
-    """W = DG(u0) as a coefficient sequence (rigorous convolutions)."""
+    """W = DG(u0) as a coefficient sequence (rigorous convolutions); u0 must
+    be even (FourierSeq.require_even), as gershgorin_disks relies on it."""
+    u0.require_even()
     terms = []
     for pw, coeff in model.kernel_coeffs():
         if pw < 1:
@@ -287,7 +289,8 @@ class DiskSet:
     radii: np.ndarray
     lam: IArray = None
     dg_p: IMatrix | None = None        # DG(mid <- inner) P; None without a shell
-    dg_pad: np.ndarray | None = None   # per mid index j, delta s_j of gershgorin_disks
+    dg_delta: np.ndarray | None = None  # per inner row i, delta_i of gershgorin_disks
+    dg_s: np.ndarray | None = None     # per mid row j, s_j of gershgorin_disks
     w0: Interval = None                # the kernel diagonal
     tail_radius: float = 0.0
     min_tail_s: float = 0.0
@@ -295,9 +298,12 @@ class DiskSet:
     l1w: Interval = None               # |W|_1
 
     def inner_coupling(self) -> IMatrix | None:
-        """An enclosure of Pinv DG(inner <- mid): dg_p^T with column j
-        widened by dg_pad[j] (gershgorin_disks derives it)."""
-        return None if self.dg_p is None else self.dg_p.T + IArray(-self.dg_pad, self.dg_pad)
+        """An enclosure of Pinv DG(inner <- mid): dg_p^T with entry (i, j)
+        widened by delta_i s_j (gershgorin_disks derives it)."""
+        if self.dg_p is None:
+            return None
+        pad = (IArray(self.dg_delta[:, None]) * IArray(self.dg_s)).hi
+        return self.dg_p.T + IArray(-pad, pad)
 
     @property
     def centers(self) -> list:
@@ -329,13 +335,14 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     diagonal gives the centers, and |.| of the other ext entries, in place
     in a zeroed block, the radii: the dense block's, bit for bit.
 
-    No block of G = DG(inner <- mid) is built.  The operator is self-adjoint
-    in the orthonormal sector basis, so G = H^T exactly and
+    No block of G = DG(inner <- mid) is built.  w must be even, as
+    kernel_from_state requires of its state: the operator is then
+    self-adjoint in the orthonormal sector basis, so G = H^T exactly and
     Pinv G = P^T G + (Pinv - P^T) G, with P^T G = (H P)^T in dg_p^T and
-    |(Pinv - P^T) G|_ij <= delta sum_l |H_jl| <= delta s_j: delta bounds
-    |Pinv - P^T| entrywise (Pinv encloses P^-1) and s_j the row sums of
-    |H|, both rounded up.  An inner radius takes the column sums of |dg_p|
-    plus sum_j delta s_j; DiskSet.inner_coupling widens dg_p^T by them.
+    |(Pinv - P^T) G|_ij <= delta_i sum_l |H_jl| <= delta_i s_j: delta_i
+    bounds row i of |Pinv - P^T| (Pinv encloses P^-1) and s_j the row sums
+    of |H|, both rounded up.  Inner radius i takes column i's sum of |dg_p|
+    plus delta_i sum_j s_j; DiskSet.inner_coupling widens dg_p^T by delta_i s_j.
     """
     grid, sw = w.grid, w.S
     m_cut = N + sw
@@ -352,7 +359,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     lam = symbol_diag(model, grid, np.concatenate([inner, mid]))
     d_lo, d_hi, term1, term2 = (np.zeros(len(mid)) for _ in range(4))   # d: the kernel diagonal
     r_inner = pseudo.off.hi.sum(axis=1)    # region (i): rows of D off the diagonal
-    dg_p = dg_pad = None
+    dg_p = dg_delta = dg_s = None
     if len(mid):
         diag_col, cols = p + np.flatnonzero(in_mid), np.concatenate([inner, ext])
         reach = _reach(w, sector, cols)
@@ -373,13 +380,14 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         mag_dg_p = dg_p.mag()
         term1 = mag_dg_p.sum(axis=1)
         # region (i) couples into the shell through Pinv H^T = dg_p^T + pad.
-        # delta >= max |Pinv - P^T|: a difference rounds by at most 2^-53 of
-        # itself, which two ulps up cover
+        # delta_i >= max_l |Pinv - P^T|_il: a difference rounds by at most
+        # 2^-53 of itself, which two ulps up cover
         pt = pseudo.P.lo.T
-        delta = float(max(np.abs(pseudo.Pinv.lo - pt).max(), np.abs(pseudo.Pinv.hi - pt).max()))
-        delta = math.nextafter(math.nextafter(delta, _INF), _INF)
-        dg_pad = (Interval(delta) * IArray(h.row_sums_hi())).hi
-        r_inner = r_inner + (mag_dg_p.sum(axis=0) + dg_pad.sum())
+        dg_delta = ulp_step(np.maximum(np.abs(pseudo.Pinv.lo - pt).max(axis=1),
+                                       np.abs(pseudo.Pinv.hi - pt).max(axis=1)), _INF, 2)
+        dg_s = h.row_sums_hi()
+        pad = (IArray(dg_delta) * IArray(dg_s).sum()).hi
+        r_inner = r_inner + (mag_dg_p.sum(axis=0) + pad)
     r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
     r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
     c_mid = (lam[p:] + IArray(d_lo, d_hi)).checked()
@@ -394,7 +402,8 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         radii=np.concatenate([r_inner, r_mid]),
         lam=lam,
         dg_p=dg_p,
-        dg_pad=dg_pad,
+        dg_delta=dg_delta,
+        dg_s=dg_s,
         w0=w0,
         tail_radius=(Interval(c_m) * (l1w - w0.abs())).hi,
         min_tail_s=min_tail_freq(grid, m_cut),
@@ -508,7 +517,8 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
 
     seed is a FourierSeq or a raw coefficient array in sector storage.  The
     returned sequence is a point sequence; its defect must be certified
-    elsewhere before any rigorous claim.
+    elsewhere before any rigorous claim.  A full-storage iterate is made
+    exactly even, 0.5 (v + v[::-1]): the flat v reversed is its reflection.
     """
     if model.components != 1:
         raise InvalidParameter("newton_solve supports scalar models only")
@@ -518,7 +528,11 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
     shape = (side,) * grid.m
     if not isinstance(seed, FourierSeq):
         seed = FourierSeq.from_point(grid, sector, np.asarray(seed, dtype=np.float64))
-    vec = _flatten_to(seed, grid, sector, N)
+
+    def even(v: np.ndarray) -> np.ndarray:
+        return 0.5 * (v + v[::-1]) if sector == "full" else v
+
+    vec = even(_flatten_to(seed, grid, sector, N))
 
     def to_seq(v: np.ndarray) -> FourierSeq:
         return FourierSeq.from_point(grid, sector, v.reshape(shape))
@@ -549,8 +563,8 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         if not math.isfinite(ns):
             raise NoConvergence("Newton step is not finite")
         # cap the max-norm of early steps; full steps once in the basin
-        vec = vec - (step if ns < _NEWTON_STEP_CAP
-                     else step * (_NEWTON_STEP_CAP / ns))
+        vec = even(vec - (step if ns < _NEWTON_STEP_CAP
+                          else step * (_NEWTON_STEP_CAP / ns)))
     raise NoConvergence(f"no convergence after {max_iter} Newton steps")
 
 

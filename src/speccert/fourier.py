@@ -148,13 +148,14 @@ class FourierSeq:
         real coefficients against e^{i pi n.x/d} make a real function only
         when u[-n] = u[n].  Sector storage is even by construction."""
         flip = (slice(None, None, -1),) * self.grid.m
-        bad = np.argwhere((self.lo != self.lo[flip]) | (self.hi != self.hi[flip])) - self.S
-        if self.axes[0] == "signed" and len(bad):
-            raise InvalidParameter(" but ".join(
-                f"u[{tuple(n.tolist())}] = [{float(self.lo[tuple(n + self.S)])!r}, "
-                f"{float(self.hi[tuple(n + self.S)])!r}]" for n in (bad[0], -bad[0]))
-                + ": a full-sector state must equal its point reflection")
-        return self
+        if self.axes[0] != "signed" or (np.array_equal(self.lo, self.lo[flip])
+                                         and np.array_equal(self.hi, self.hi[flip])):
+            return self
+        n = np.argwhere((self.lo != self.lo[flip]) | (self.hi != self.hi[flip]))[0]
+        raise InvalidParameter(" but ".join(
+            f"u[{tuple((k - self.S).tolist())}] = [{float(self.lo[tuple(k)])!r}, "
+            f"{float(self.hi[tuple(k)])!r}]" for k in (n, 2 * self.S - n))
+            + ": a full-sector state must equal its point reflection")
 
     def _check_mate(self, other: "FourierSeq") -> None:
         if self.grid != other.grid:

@@ -97,7 +97,6 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     opts = options or CertifyOptions()
     if not (r0 >= 0 and math.isfinite(r0)):
         raise InvalidParameter(f"r0={r0} must be a finite nonnegative float")
-    u0.require_even()      # the disks read DG(inner <- shell) as DG(shell <- inner)^T
     unmet = [f"no {hook}" for hook in ("kappa_hook", "lip_dg", "lambda_max",
                                        "decay_provider")
              if getattr(model, hook) is None]

@@ -3,16 +3,17 @@
 gershgorin_disks builds no block G = DG(inner <- mid).  For an even state
 the operator is self-adjoint in the orthonormal sector basis, so G is the
 exact transpose of H = DG(mid <- inner), and it reads Pinv G as
-(H P)^T widened by delta s_j in column j (DiskSet.inner_coupling).  On
-random even kernels in the c, cc and even full sectors:
+(H P)^T widened by delta_i s_j in entry (i, j) (DiskSet.inner_coupling).
+On random even kernels in the c, cc and even full sectors:
 
 (a) conv_block(rows, cols) and conv_block(cols, rows)^T both enclose the
     exact entries, Fractions compared by squares with no root;
 (b) the derived coupling encloses the exact P^-1 G, with P^-1 from
     Fraction Gauss-Jordan and G in Q(sqrt 2), and meets the reference
     product Pinv conv_block(inner, mid) of scalar_paths in every entry;
-(c) the inner radii stay within 1e-9 relative of the reference path's,
-    or within twice the pad sum_j delta s_j where a radius is tiny.
+(c) the inner radii stay within 1e-12 of the block's largest radius of
+    the reference path's, and within 1e-12 relative of their own plus
+    twice the row's pad delta_i sum_j s_j, which a tiny radius needs.
 
 A call count guards the single product and the single reach of one
 gershgorin_disks call.
@@ -196,18 +197,18 @@ def test_derived_coupling_encloses_the_exact_product(stage):
 @given(finite_stages(max_inner=64))
 @settings(max_examples=60, deadline=None)
 def test_inner_radii_stay_near_the_reference_path(stage):
-    # (c): the paths differ by the pad sum_j delta s_j and by Pinv's width,
-    # which the pad also bounds, plus rounding.  Both stay below 1e-9 of
-    # the block's largest radius; a row the shell hardly reaches (radius
-    # 1e-9, say) may move by more than 1e-9 of its own radius
+    # (c): row i of the paths differs by its pad delta_i sum_j s_j, by
+    # (Pinv - P^T) G, which the pad also bounds, and by rounding.  A row the
+    # shell hardly reaches (radius 5e-12, say) moves by up to 3e-5 of its
+    # own radius, yet by less than a quarter of its pad
     w, sector, N, pseudo, disks = stage
     inner = index_list(w.grid, sector, N)
     mid = shell_indices(w.grid, sector, N, disks.n_mid)
     want = inner_radii_reference(pseudo, inner_coupling_reference(w, sector, inner, mid, pseudo))
     got = disks.radii[:len(inner)]
-    pad = 0.0 if disks.dg_pad is None else disks.dg_pad.sum()
-    assert (np.abs(got - want) <= 1e-9 * want + 2.0 * pad).all()
-    assert (np.abs(got - want) <= 1e-9 * want.max()).all()
+    pad = 0.0 if disks.dg_p is None else disks.dg_delta * disks.dg_s.sum()
+    assert (np.abs(got - want) <= 1e-12 * want + 2.0 * pad).all()
+    assert (np.abs(got - want) <= 1e-12 * want.max()).all()
 
 
 def test_one_gershgorin_disks_call_makes_one_product_and_one_reach(monkeypatch):

@@ -358,20 +358,39 @@ def test_cli_refuses_a_full_state_that_is_not_even(tmp_path, sh_toy, capsys, mod
     # pipeline with an asymmetric operator
     path, cfg = _toy_config(tmp_path, sh_toy, mode=mode, sector="full")
     sol = Path(cfg["solution"]["path"])
-    sol.write_text(serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy))))
-    assert cli.load_solution(cfg["solution"], sh_toy["grid"], "full") == _full_pulse(sh_toy)
     sol.write_text(serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy, 0.05))))
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert f"solution = {cfg['solution']!r}" in err
-    assert "u[(-3,)] = [" in err and "] but u[(3,)] = [" in err
+    assert "I/O or configuration error: u[(-3,)] = [" in err and "] but u[(3,)] = [" in err
+    assert not Path(cfg["output"]).exists()
+
+
+def test_cli_newton_output_goes_on_to_certify_in_full_storage(tmp_path, sh_toy, capsys):
+    # newton keeps its full-storage iterates exactly even, so it takes a seed
+    # that is not even and its output passes the check certify makes.  The
+    # window stays above the translation eigenvalue 0 that full storage adds
+    path, cfg = _toy_config(tmp_path, sh_toy, mode="newton", sector="full",
+                            output=str(tmp_path / "u1.json"))
+    Path(cfg["solution"]["path"]).write_text(
+        serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy, 1e-3))))
+    assert main(["--config", str(path)]) == 0
+    u1 = serialize.seq_from_doc(json.loads((tmp_path / "u1.json").read_text()))
+    assert (u1.lo[::-1] == u1.lo).all() and (u1.hi[::-1] == u1.hi).all()
+    path, _ = _toy_config(tmp_path, sh_toy, sector="full", window=[0.5, 4.0],
+                          solution={"path": str(tmp_path / "u1.json")})
+    assert main(["--config", str(path)]) == 0
+    assert "no eigenvalues of the linearization at the true state in [0.5, 4.0]" \
+        in capsys.readouterr().out
 
 
 def test_certify_refuses_a_full_state_that_is_not_even_before_any_work(sh_toy, monkeypatch):
+    # kernel_from_state makes the check before its first convolution, so
+    # every path to gershgorin_disks passes it
     def unreachable(*args, **kwargs):
         raise AssertionError("the finite stage ran")
 
-    monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
+    monkeypatch.setattr(finite, "conv", unreachable)
+    monkeypatch.setattr(pipeline, "assemble_jacobian", unreachable)
     with pytest.raises(InvalidParameter, match=r"u\[\(-3,\)\] = .* but u\[\(3,\)\] = "):
         certify(_toy_model(), _full_pulse(sh_toy, 0.05), 1e-8, sh_toy["N"])
 
