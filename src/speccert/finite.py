@@ -9,9 +9,9 @@ the orthonormal sector basis b_k = m_k^{-1/2} sum_sigma chi(sigma) e_{sigma k}
 
 which is what conv_block assembles, in one pass for all sigma: coordinates
 on a reflected axis are >= 0, so the identity reaches every entry a flip
-does; an entry no flip touches is a value of (n - k, m_n / m_k) from a
-table.  Everything here is interval-rigorous except newton_solve, which
-only manufactures candidate states.
+does, and an entry is a value of its per-axis states, read from a table
+that runs each state's sum once.  Everything here is interval-rigorous
+except newton_solve, which only manufactures candidate states.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
 
 def _reach(w: FourierSeq, sector: str, cols):
     """conv_block over the columns `cols`, prepared once: a function of the
-    rows that returns the reached entries as arrays (i, j, lo, hi)."""
+    rows that returns the reached entries as arrays (i, j, lo, hi), read
+    from one table over the per-axis states (conv_block says why)."""
     m, sw = w.grid.m, w.S
     axes = _axis_types(m, sector)
     if "s" in w.sector:
@@ -103,65 +104,65 @@ def _reach(w: FourierSeq, sector: str, cols):
     table[tuple((cols_a - base).T)] = np.arange(len(cols_a))
     if np.count_nonzero(table >= 0) != len(cols_a):
         raise DimensionMismatch("conv_block columns must be distinct")
-    tstride, table = np.array(table.strides) // table.itemsize, table.ravel()
     # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
     width = np.minimum(2 * sw + 1, top - base + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(table, tuple(width))
     wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
     wlo, whi = (x.ravel() for x in w.expand_signed())
-    n_w, flips = len(wlo), [[ax for ax, flip in zip(refl, flags) if flip] for flags in
-                            list(itertools.product((False, True), repeat=len(refl)))[1:]]
+
+    def state(ax, n_a, k_a):    # the code of (n_a, k_a), |n_a - k_a| <= S
+        if axes[ax] == "signed":
+            return n_a - k_a + sw
+        s = n_a + k_a
+        return np.where((s <= sw) & (k_a != 0), 3 * sw + s * (s - 1) // 2 + k_a,
+                        n_a - k_a + sw + sw * ((k_a == 0) & (n_a > 0)))
+    # one (n_a, k_a) per state in code order: on a reflected axis the
+    # untouched (d_a, 0) and (d_a > 0, 1), then from 3S + 1 on the touched
+    d, (s, k) = np.arange(-sw, sw + 1), (x + 1 for x in np.tril_indices(sw))
+    reps = [(d, 0 * d) if kind == "signed" else (np.concatenate([sw + 1 + d, d[sw + 1:], s - k]),
+            np.concatenate([0 * d + sw + 1, 0 * d[sw + 1:], k])) for kind in axes]
+    pos = sum(np.ix_(*[(n_a - k_a + sw) * wstride[ax] for ax, (n_a, k_a) in enumerate(reps)]))
+    e = m + sum(np.ix_(*[(ax in refl) * (np.sign(n_a) - np.sign(k_a)) for ax, (n_a, k_a)
+                         in enumerate(reps)]))
+    flips = [[ax for ax, flip in zip(refl, flags) if flip] for flags in
+             list(itertools.product((False, True), repeat=len(refl)))[1:]]
     # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
     # values f_e, each a tiny outward-rounded interval; as f > 0 the product
     # bounds are acc_lo * f and acc_hi * f at one end of f
     ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
     f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
-
-    def scaled(acc_lo, acc_hi, e):
-        return (ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF),
-                ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF))
-    # an entry no flip touches is its identity term stepped 1 + len(flips)
-    # times, then scaled: a value of e and the kernel position, at e n_w + position
-    with np.errstate(over="ignore"):    # positions no row reaches may overflow too
-        u_lo, u_hi = (x.ravel() for x in scaled(
-            ulp_step(wlo[None, :].copy(), -_INF, 1 + len(flips)),
-            ulp_step(whi[None, :].copy(), _INF, 1 + len(flips)), np.arange(2 * m + 1)[:, None]))
-
-    def flips_at(n_a, k_a):     # flipping axis a adds the terms of n_a + k_a <= S, k_a != 0
-        return (n_a + k_a <= sw) & (k_a != 0)
+    # each state runs the chain once, from W stepped (0 + W differs only at
+    # -0.0, which the step erases); states no row reaches may overflow too
+    with np.errstate(over="ignore"):
+        acc_lo, acc_hi = ulp_step(wlo[pos], -_INF), ulp_step(whi[pos], _INF)
+        for flipped in flips:
+            # the states it touches are a box of the table; its terms sit at
+            # n_a + k_a on the flipped axes, and chi = -1 for an odd number of
+            # reflected odd axes: -W, as x - y is x + (-y)
+            box = tuple(slice(3 * sw + 1 if ax in flipped else 0, None) for ax in range(m))
+            at = pos[box] + sum(np.ix_(*[(ax in flipped) * 2 * wstride[ax] * k_a[cut] for
+                                         ax, ((_, k_a), cut) in enumerate(zip(reps, box))]))
+            glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
+            acc_lo[box] += glo[at]
+            acc_hi[box] += ghi[at]
+            ulp_step(acc_lo, -_INF)
+            ulp_step(acc_hi, _INF)
+        lo = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
+        hi = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
+    sstride, t_lo, t_hi = np.array(lo.strides) // lo.itemsize, lo.ravel(), hi.ravel()
 
     def block(rows):
         rows_a = coords(rows)
         start = np.clip(rows_a - sw, base, top - width + 1)
         r, *offset = np.indices((len(rows_a), *width), sparse=True)    # a (row, window) grid
         n, k = [rows_a[r, ax] for ax in range(m)], [start[r, ax] + offset[ax] for ax in range(m)]
-        j = table.take(sum((k[ax] - base[ax]) * tstride[ax] for ax in range(m)))
+        j = windows[tuple((start - base).T)]
         hit = j >= 0
         for ax in range(m):
             hit &= np.abs(k[ax] - n[ax]) <= sw
-        touched = sum((flips_at(n[ax], k[ax]) for ax in refl), np.zeros(hit.shape, dtype=bool))
-
-        def entries(x):
-            return np.broadcast_to(x, hit.shape)[hit]
-        i, j, t = entries(r), j[hit], np.flatnonzero(touched[hit])
-        ue = entries(m * n_w + sum((n[ax] - k[ax] + sw) * wstride[ax] + (ax in refl) * n_w
-                                   * (np.sign(n[ax]) - np.sign(k[ax])) for ax in range(m)))
-        lo, hi = u_lo.take(ue), u_hi.take(ue)
-        # touched entries: identity terms (x for 0 + x differs only at -0.0, which
-        # the step erases), then per flip its terms at positions moved by 2 k_a
-        (e, at0), kt = np.divmod(ue[t], n_w), cols_a[j[t]]
-        ok = {ax: flips_at(rows_a[i[t], ax], kt[:, ax]) for ax in refl}
-        acc_lo, acc_hi = ulp_step(wlo[at0], -_INF), ulp_step(whi[at0], _INF)
-        for flipped in flips:
-            sel = np.flatnonzero(np.logical_and.reduce([ok[ax] for ax in flipped]))
-            at = at0[sel] + sum(2 * wstride[ax] * kt[sel, ax] for ax in flipped)
-            # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
-            glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
-            acc_lo[sel] += glo[at]
-            acc_hi[sel] += ghi[at]
-            ulp_step(acc_lo, -_INF)
-            ulp_step(acc_hi, _INF)
-        lo[t], hi[t] = scaled(acc_lo, acc_hi, e)
-        return i, j, lo, hi
+        at = np.broadcast_to(sum(state(ax, n[ax], k[ax]) * sstride[ax] for ax in range(m)),
+                             hit.shape)[hit]
+        return np.broadcast_to(r, hit.shape)[hit], j[hit], t_lo.take(at), t_hi.take(at)
     return block
 
 
@@ -174,9 +175,18 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     implies |n_a - k_a| <= S, so one pass over the pairs |k - n|_inf <= S
     (columns distinct) serves every flip sigma.  Per flip the terms are
     added, then every reached entry steps outward: the bits are the dense
-    formula's, entry by entry, and unreached entries are exact zeros.  An
-    entry no flip touches is step^(1+F)(W[n - k]) for F flips, scaled by
-    f_e: _reach tabulates it per kernel position and e, once per column list.
+    formula's, entry by entry, and unreached entries are exact zeros.
+
+    An entry depends only on its per-axis states: it is W[n - k] stepped,
+    plus, per flip sigma that touches every axis of sigma (n_a + k_a <= S,
+    k_a != 0), W at n_a + k_a on those axes and n_a - k_a off them, each
+    flip followed by a step, then scaled by f_e, e = m + the sum of sign n_a
+    - sign k_a over the reflected axes.  So d_a = n_a - k_a fixes a signed
+    axis, and a reflected one the touched (n_a + k_a, k_a) or the untouched
+    (d_a, sign n_a - sign k_a), whose sign difference is 0 or 1: k_a = 0
+    gives sign n_a >= 0, and k_a > 0 with n_a + k_a > S >= |n_a - k_a| gives
+    n_a > 0.  _reach runs the chain once per state, 3S + 1 + S(S + 1)/2 per
+    reflected axis, and a block reads its entries from that table.
     """
     i, j, lo, hi = _reach(w, sector, cols)(rows)
     out = IMatrix.from_point(np.zeros((len(rows), len(cols))))
@@ -322,6 +332,7 @@ def sym_factor(grid: Grid, sector: str) -> float:
     return iv_sqrt(Interval(2.0 ** a)).hi
 
 
+@np.errstate(over="ignore")     # a radius sum past the largest double is +inf, a sound bound
 def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
                      pseudo: PseudoDiag, a_inner: IMatrix) -> DiskSet:
     """Disks for the full (infinite) sector operator.
@@ -374,7 +385,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
             np.put(mag, i * len(cols) + j, np.maximum(np.abs(lo), np.abs(hi)))
             mag[np.arange(len(rows)), diag_col[b:b + len(rows)]] = 0.0
             term2[b:b + len(rows)] = mag[:, p:].sum(axis=1)
-        del i, j, lo, hi, mag     # free the last block before the product
+        del reach, i, j, lo, hi, mag     # free the table and last block before the product
         h = IMatrix(mi_lo, mi_hi)
         dg_p = h @ pseudo.P
         mag_dg_p = dg_p.mag()

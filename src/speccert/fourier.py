@@ -30,6 +30,7 @@ from .interval import IArray, Interval
 
 _U = 2.0 ** -53
 _TINY = 5e-308
+_MAX = np.finfo(np.float64).max
 
 _SECTORS = {1: ("full", "c", "s"), 2: ("full", "cc", "cs", "sc", "ss")}
 
@@ -278,13 +279,14 @@ def conv(u: FourierSeq, v: FourierSeq) -> FourierSeq:
     return _fold(u.grid, sec, lo, hi)
 
 
+@np.errstate(over="ignore")     # a sum past the largest double is +inf
 def seq_l1(u: FourierSeq) -> Interval:
     """Enclosure of the l1 norm (with orbit multiplicities)."""
     w = _mult_weights(u.lo.shape, u.axes)
     c = IArray(u.lo, u.hi)
     n = u.lo.size
     hi = float((w * c.mag()).sum()) * (1.0 + (n + 4) * _U) + _TINY
-    lo = max(float((w * c.mig()).sum()) * (1.0 - (n + 4) * _U) - _TINY, 0.0)
+    lo = min(max(float((w * c.mig()).sum()) * (1.0 - (n + 4) * _U) - _TINY, 0.0), _MAX)
     return Interval(lo, hi)
 
 

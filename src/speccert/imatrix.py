@@ -59,14 +59,14 @@ def _mm_real(al, ah, bl, bh, prod=np.matmul, shape=None, k=None):
         return np.zeros(shape), np.zeros(shape)
     am, ar = _mid_rad(al, ah)
     bm, br = _mid_rad(bl, bh)
-    aa, ba = np.abs(am), np.abs(bm)
-    gamma = (k + 4) * _U
-    if am.any() and bm.any():
-        cm, m1 = prod(am, bm), prod(aa, ba)
-    else:
-        cm, m1 = np.zeros(shape), np.zeros(shape)
-    del am, bm
+    gamma, mids = (k + 4) * _U, am.any() and bm.any()
+    cm = prod(am, bm) if mids else np.zeros(shape)
+    # each temporary goes once its last reader has run: |A_mid| and |B_mid|
+    # overwrite the midpoints, and a point B leaves |A_mid| no reader after m1
+    aa, ba = np.abs(am, out=am), np.abs(bm, out=bm)
+    m1 = prod(aa, ba) if mids else np.zeros(shape)
     a_point, b_point = not ar.any(), not br.any()
+    aa = None if b_point else aa
     if a_point:
         m2 = np.zeros(shape) if b_point else prod(aa, br)
     else:
@@ -146,6 +146,7 @@ class IMatrix(IArray):
 
     # -- norms ------------------------------------------------------------
 
+    @np.errstate(over="ignore")     # a sum past the largest double is +inf, a sound bound
     def _sum_hi(self, axis: int) -> np.ndarray:
         # adding non-negative doubles has no underflow error: the factor covers
         # the sum and the two steps the product, and a zero sum is exact

@@ -1,6 +1,7 @@
 """The scalar loops that the batched radial and homotopy code replaced, and
-the per-flip conv_block, list-built shell indices and inner-to-shell
-coupling product that the finite stage replaced.
+the per-flip conv_block, the per-block flip loop of its prepared reach,
+list-built shell indices and inner-to-shell coupling product that the
+finite stage replaced.
 
 Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
 of a library function, with the same signature, so that a test can check
@@ -20,6 +21,7 @@ from speccert.errors import (
     DivisionByZeroInterval,
     DomainError,
     GridMismatch,
+    InvalidParameter,
 )
 from speccert.fourier import FourierSeq, _axis_types, conv, index_list
 from speccert.imatrix import IMatrix
@@ -274,6 +276,90 @@ def conv_block_reference(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     out_lo.ravel()[pos] = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
     out_hi.ravel()[pos] = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
     return IMatrix(out_lo, out_hi)
+
+
+def reach_reference(w: FourierSeq, sector: str, cols):
+    """finite._reach with the flip loop in every block: the entries no flip
+    touches come from a table of kernel position and e, and each block adds
+    and steps the flip terms of its touched entries itself."""
+    m, sw = w.grid.m, w.S
+    axes = _axis_types(m, sector)
+    if "s" in w.sector:
+        raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
+    refl = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+
+    def coords(x):
+        x = np.asarray(x, dtype=np.int64).reshape(len(x), m)
+        if (x[:, refl] < 0).any():
+            raise InvalidParameter(f"a negative coordinate on a reflected axis of {sector!r}")
+        return x
+    cols_a = coords(cols)
+    # the box holds the origin, which also covers an empty column list
+    base, top = cols_a.min(axis=0, initial=0), cols_a.max(axis=0, initial=0)
+    table = np.full(tuple(top - base + 1), -1, dtype=np.int64)
+    table[tuple((cols_a - base).T)] = np.arange(len(cols_a))
+    if np.count_nonzero(table >= 0) != len(cols_a):
+        raise DimensionMismatch("conv_block columns must be distinct")
+    tstride, table = np.array(table.strides) // table.itemsize, table.ravel()
+    # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
+    width = np.minimum(2 * sw + 1, top - base + 1)
+    wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
+    wlo, whi = (x.ravel() for x in w.expand_signed())
+    n_w, flips = len(wlo), [[ax for ax, flip in zip(refl, flags) if flip] for flags in
+                            list(itertools.product((False, True), repeat=len(refl)))[1:]]
+    # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
+    # values f_e, each a tiny outward-rounded interval; as f > 0 the product
+    # bounds are acc_lo * f and acc_hi * f at one end of f
+    ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
+    f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
+
+    def scaled(acc_lo, acc_hi, e):
+        return (ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF),
+                ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF))
+    # an entry no flip touches is its identity term stepped 1 + len(flips)
+    # times, then scaled: a value of e and the kernel position, at e n_w + position
+    with np.errstate(over="ignore"):    # positions no row reaches may overflow too
+        u_lo, u_hi = (x.ravel() for x in scaled(
+            ulp_step(wlo[None, :].copy(), -_INF, 1 + len(flips)),
+            ulp_step(whi[None, :].copy(), _INF, 1 + len(flips)), np.arange(2 * m + 1)[:, None]))
+
+    def flips_at(n_a, k_a):     # flipping axis a adds the terms of n_a + k_a <= S, k_a != 0
+        return (n_a + k_a <= sw) & (k_a != 0)
+
+    def block(rows):
+        rows_a = coords(rows)
+        start = np.clip(rows_a - sw, base, top - width + 1)
+        r, *offset = np.indices((len(rows_a), *width), sparse=True)    # a (row, window) grid
+        n, k = [rows_a[r, ax] for ax in range(m)], [start[r, ax] + offset[ax] for ax in range(m)]
+        j = table.take(sum((k[ax] - base[ax]) * tstride[ax] for ax in range(m)))
+        hit = j >= 0
+        for ax in range(m):
+            hit &= np.abs(k[ax] - n[ax]) <= sw
+        touched = sum((flips_at(n[ax], k[ax]) for ax in refl), np.zeros(hit.shape, dtype=bool))
+
+        def entries(x):
+            return np.broadcast_to(x, hit.shape)[hit]
+        i, j, t = entries(r), j[hit], np.flatnonzero(touched[hit])
+        ue = entries(m * n_w + sum((n[ax] - k[ax] + sw) * wstride[ax] + (ax in refl) * n_w
+                                   * (np.sign(n[ax]) - np.sign(k[ax])) for ax in range(m)))
+        lo, hi = u_lo.take(ue), u_hi.take(ue)
+        # touched entries: identity terms (x for 0 + x differs only at -0.0, which
+        # the step erases), then per flip its terms at positions moved by 2 k_a
+        (e, at0), kt = np.divmod(ue[t], n_w), cols_a[j[t]]
+        ok = {ax: flips_at(rows_a[i[t], ax], kt[:, ax]) for ax in refl}
+        acc_lo, acc_hi = ulp_step(wlo[at0], -_INF), ulp_step(whi[at0], _INF)
+        for flipped in flips:
+            sel = np.flatnonzero(np.logical_and.reduce([ok[ax] for ax in flipped]))
+            at = at0[sel] + sum(2 * wstride[ax] * kt[sel, ax] for ax in flipped)
+            # chi = -1 for an odd number of reflected odd axes: -W, as x - y is x + (-y)
+            glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
+            acc_lo[sel] += glo[at]
+            acc_hi[sel] += ghi[at]
+            ulp_step(acc_lo, -_INF)
+            ulp_step(acc_hi, _INF)
+        lo[t], hi[t] = scaled(acc_lo, acc_hi, e)
+        return i, j, lo, hi
+    return block
 
 
 def inner_coupling_reference(w: FourierSeq, sector: str, inner, mid, pseudo) -> IMatrix:

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -629,3 +631,16 @@ def test_newton_state_is_localized(sh_toy):
     assert np.max(np.abs(vals)) > 0.5
     edge = np.abs(vals[np.abs(x) > 0.95 * sh_toy["grid"].d])
     assert edge.max() < 1e-3
+
+
+def test_gershgorin_radius_past_the_largest_double_warns_nothing(sh_toy):
+    # an inner row sum past the largest double is +inf, without the overflow
+    # warning numpy's reduction would give; the mid disks are unchanged
+    pseudo, p = sh_toy["pseudo"], sh_toy["pseudo"].off.shape[0]
+    huge = dataclasses.replace(pseudo, off=IMatrix.from_point(np.full((p, p), 1e307)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        disks = gershgorin_disks(sh_toy["model"], sh_toy["w"], "c", sh_toy["N"], huge,
+                                 sh_toy["jac"])
+    assert np.isinf(disks.radii[:p]).all()
+    assert disks.radii[p:].tobytes() == sh_toy["disks"].radii[p:].tobytes()

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -217,3 +218,14 @@ def test_require_even_compares_signed_storage_with_its_point_reflection():
     # sector storage is even by construction, whatever its values
     c = FourierSeq.from_point(grid2, "cc", v)
     assert c.require_even() is c
+
+
+def test_seq_l1_past_the_largest_double_warns_nothing():
+    # the weighted sums overflow: the upper end is +inf, the lower end the
+    # largest double, which the true norm exceeds
+    big = np.finfo(np.float64).max
+    u = FourierSeq.from_point(Grid(1, 5.0), "c", np.array([big, big, 0.5 * big]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        l1 = seq_l1(u)
+    assert l1.hi == math.inf and l1.lo == big

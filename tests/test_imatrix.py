@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -208,3 +209,17 @@ def test_difference_with_an_infinite_entry_raises():
 def test_scale_rows_refuses_a_wrong_length():
     with pytest.raises(DimensionMismatch):
         IMatrix.identity(3).scale_rows(IArray([1.0, 1.0]))
+
+
+def test_norms_past_the_largest_double_are_inf_without_a_warning():
+    # numpy warns of an overflow in a reduction from its own module, past the
+    # package's warning filter: the sums run with overflow ignored, and +inf
+    # is the sound bound
+    a = IMatrix.from_point([[1.5e308, 1.5e308], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert a.norminf_hi() == math.inf
+        rows = a.row_sums_hi()
+        assert rows[0] == math.inf and 1.0 <= rows[1] < 1.0 + 1e-15
+        with pytest.raises(UnboundedOperand):
+            op_norm2_bound(a)

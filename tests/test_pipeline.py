@@ -726,6 +726,34 @@ def test_bench_traced_names_exist(tmp_path, sh_toy, monkeypatch, capsys):
     assert tracing.missing_coverage("sh1d-certify", tracer.metrics(1)) == []
 
 
+def _traced_finite_op(model, w, sector, N):
+    """kernel -> Jacobian -> pseudo-diagonal -> disks -> clusters through the
+    `finite.` names, as the benchmark's finite-stage operations call them."""
+    a = finite.assemble_jacobian(model, w, sector, N)
+    pseudo = finite.build_pseudo_diag(a, index_list(w.grid, sector, N), model.self_adjoint)
+    return finite.cluster_disks(finite.gershgorin_disks(model, w, sector, N, pseudo, a))
+
+
+@pytest.mark.parametrize("workload", ["sh2d-disks", "sh1d-family"])
+def test_bench_traced_finite_stage_coverage(workload, monkeypatch):
+    # a small planar spot (N = 4, as the benchmark's warm-up) and one 1D
+    # family operator reach every layer their traced runs report, so a
+    # refactor that stops routing, say, the Jacobian through conv_block
+    # fails here and not as a traced benchmark run that exits 2
+    tracing = _bench_tracing(monkeypatch)
+    rng = np.random.default_rng(27)
+    with tracing.Tracer() as tracer:
+        if workload == "sh2d-disks":
+            model = sh_model(0.28, -1.6, 1.0, m=2)
+            coef = 0.1 * 0.5 ** np.add.outer(np.arange(9), np.arange(9))
+            u0 = FourierSeq.from_point(Grid(2, 16.0), "cc", coef * rng.standard_normal((9, 9)))
+            _traced_finite_op(model, finite.kernel_from_state(model, u0), "cc", 4)
+        else:
+            w = FourierSeq.from_point(Grid(1, 10.0), "c", 0.2 * rng.standard_normal(5))
+            _traced_finite_op(sh_model(1.2, -1.5, 1.0, m=1), w, "c", 25)
+    assert tracing.missing_coverage(workload, tracer.metrics(1)) == []
+
+
 def test_cli_whitham_decay_table_rows(tmp_path, monkeypatch, capsys):
     # Whitham takes no decay table: a configuration carrying one exits 2
     # naming the parameters; without it certify exits 5 naming the decay
