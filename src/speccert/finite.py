@@ -10,8 +10,10 @@ the orthonormal sector basis b_k = m_k^{-1/2} sum_sigma chi(sigma) e_{sigma k}
 which is what conv_block assembles, in one pass for all sigma: coordinates
 on a reflected axis are >= 0, so the identity reaches every entry a flip
 does, and an entry is a value of its per-axis states, read from a table
-that runs each state's sum once.  Everything here is interval-rigorous
-except newton_solve, which only manufactures candidate states.
+that runs each state's sum once.  A disk radius reads only sums of |H P|,
+H the shell coupling, which need no interval product (mag_product_sums).
+Everything here is interval-rigorous except newton_solve, which only
+manufactures candidate states.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     UnboundedOperand,
 )
 from .fourier import FourierSeq, Grid, _axis_types, conv, index_list, seq_l1
-from .imatrix import IMatrix, op_norm2_bound, verified_inverse
+from .imatrix import IMatrix, mag_product_sums, op_norm2_bound, verified_inverse
 from .interval import PI, ComplexBox, IArray, Interval, iv_sqrt, ulp_step
 from .models import Model
 
@@ -289,6 +291,8 @@ class DiskSet:
       B(l(n~) + w0, tail_radius) with tail_radius the upper end of
       c_m (|W|_1 - |w0|); the symbol range over the tail region is
       reported through min_tail_s (lower bound on the radial variable).
+
+    From dg, dg_delta and dg_s homotopy.shell_coupling forms H P and Pinv G.
     """
 
     grid: Grid
@@ -298,7 +302,7 @@ class DiskSet:
     center_re: IArray
     radii: np.ndarray
     lam: IArray = None
-    dg_p: IMatrix | None = None        # DG(mid <- inner) P; None without a shell
+    dg: IMatrix | None = None          # H = DG(mid <- inner); None without a shell
     dg_delta: np.ndarray | None = None  # per inner row i, delta_i of gershgorin_disks
     dg_s: np.ndarray | None = None     # per mid row j, s_j of gershgorin_disks
     w0: Interval = None                # the kernel diagonal
@@ -306,14 +310,6 @@ class DiskSet:
     min_tail_s: float = 0.0
     sym_factor: float = 1.0            # c_m
     l1w: Interval = None               # |W|_1
-
-    def inner_coupling(self) -> IMatrix | None:
-        """An enclosure of Pinv DG(inner <- mid): dg_p^T with entry (i, j)
-        widened by delta_i s_j (gershgorin_disks derives it)."""
-        if self.dg_p is None:
-            return None
-        pad = (IArray(self.dg_delta[:, None]) * IArray(self.dg_s)).hi
-        return self.dg_p.T + IArray(-pad, pad)
 
     @property
     def centers(self) -> list:
@@ -346,14 +342,16 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     diagonal gives the centers, and |.| of the other ext entries, in place
     in a zeroed block, the radii: the dense block's, bit for bit.
 
+    Radii read only sums of |H P|, bounded by mag_product_sums from one
+    float product without forming H P; mid radius j takes row j's sum.
     No block of G = DG(inner <- mid) is built.  w must be even, as
     kernel_from_state requires of its state: the operator is then
     self-adjoint in the orthonormal sector basis, so G = H^T exactly and
-    Pinv G = P^T G + (Pinv - P^T) G, with P^T G = (H P)^T in dg_p^T and
+    Pinv G = P^T G + (Pinv - P^T) G, with P^T G = (H P)^T and
     |(Pinv - P^T) G|_ij <= delta_i sum_l |H_jl| <= delta_i s_j: delta_i
     bounds row i of |Pinv - P^T| (Pinv encloses P^-1) and s_j the row sums
-    of |H|, both rounded up.  Inner radius i takes column i's sum of |dg_p|
-    plus delta_i sum_j s_j; DiskSet.inner_coupling widens dg_p^T by delta_i s_j.
+    of |H|, both rounded up.  Inner radius i takes column i's sum of |H P|
+    plus delta_i sum_j s_j; homotopy.shell_coupling widens (H P)^T by delta_i s_j.
     """
     grid, sw = w.grid, w.S
     m_cut = N + sw
@@ -370,7 +368,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     lam = symbol_diag(model, grid, np.concatenate([inner, mid]))
     d_lo, d_hi, term1, term2 = (np.zeros(len(mid)) for _ in range(4))   # d: the kernel diagonal
     r_inner = pseudo.off.hi.sum(axis=1)    # region (i): rows of D off the diagonal
-    dg_p = dg_delta = dg_s = None
+    dg = dg_delta = dg_s = None
     if len(mid):
         diag_col, cols = p + np.flatnonzero(in_mid), np.concatenate([inner, ext])
         reach = _reach(w, sector, cols)
@@ -385,22 +383,21 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
             np.put(mag, i * len(cols) + j, np.maximum(np.abs(lo), np.abs(hi)))
             mag[np.arange(len(rows)), diag_col[b:b + len(rows)]] = 0.0
             term2[b:b + len(rows)] = mag[:, p:].sum(axis=1)
-        del reach, i, j, lo, hi, mag     # free the table and last block before the product
-        h = IMatrix(mi_lo, mi_hi)
-        dg_p = h @ pseudo.P
-        mag_dg_p = dg_p.mag()
-        term1 = mag_dg_p.sum(axis=1)
-        # region (i) couples into the shell through Pinv H^T = dg_p^T + pad.
+        del reach, i, j, lo, hi, mag     # free the table and last block before the sums
+        dg = IMatrix(mi_lo, mi_hi)
+        term1, hp_cols = mag_product_sums(dg, pseudo.P.lo)
+        # region (i) couples into the shell through Pinv H^T = (H P)^T + pad.
         # delta_i >= max_l |Pinv - P^T|_il: a difference rounds by at most
         # 2^-53 of itself, which two ulps up cover
         pt = pseudo.P.lo.T
         dg_delta = ulp_step(np.maximum(np.abs(pseudo.Pinv.lo - pt).max(axis=1),
                                        np.abs(pseudo.Pinv.hi - pt).max(axis=1)), _INF, 2)
-        dg_s = h.row_sums_hi()
+        dg_s = dg.row_sums_hi()
         pad = (IArray(dg_delta) * IArray(dg_s).sum()).hi
-        r_inner = r_inner + (mag_dg_p.sum(axis=0) + pad)
-    r_inner = ulp_step(r_inner * (1.0 + (p + len(mid) + 4) * 2.0 ** -53), _INF)
-    r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + p + 4) * 2.0 ** -53), _INF)
+        r_inner = r_inner + (hp_cols + pad)
+    # mag_product_sums rounds its sums up: the factors cover D's and term2's
+    r_inner = ulp_step(r_inner * (1.0 + (p + 4) * 2.0 ** -53), _INF)
+    r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + 4) * 2.0 ** -53), _INF)
     c_mid = (lam[p:] + IArray(d_lo, d_hi)).checked()
 
     return DiskSet(
@@ -412,7 +409,7 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
                          np.concatenate([pseudo.lams.hi, c_mid.hi])),
         radii=np.concatenate([r_inner, r_mid]),
         lam=lam,
-        dg_p=dg_p,
+        dg=dg,
         dg_delta=dg_delta,
         dg_s=dg_s,
         w0=w0,

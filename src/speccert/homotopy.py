@@ -17,8 +17,8 @@ Most bounds depend on the spectral window but not on the shift t, so
 `window_bounds` computes them once per certificate: kappa and the Lipschitz
 drift, Z11, Z12, Zu1, Zu2, C1 r0, kappa1, kappa2 and kappa2_q, and the
 window distances of the symbol values.  The symbol values and the block
-DG(shell <- inner) P come built on the DiskSet, and Pinv DG(inner <- shell)
-is derived from that block once (DiskSet.inner_coupling).
+H = DG(shell <- inner) come built on the DiskSet; `shell_coupling` forms
+H P, once, and derives Pinv DG(inner <- shell) from it.
 `compute_bounds` adds what each shift of the ladder needs: (S + t)^{-1},
 Z13, Z14, the matrix factor behind Zu3 and C2 r0, the inflation factors, and
 the self-adjoint factor with its disk gap.
@@ -230,10 +230,20 @@ class WindowBounds:
     c1r0: Interval
     kappa1: Interval
     sq: Interval                  # sqrt(1 + kappa1^2)
+    dg_p: IMatrix | None          # DG(shell <- inner) P; None without a shell
     pinv_dg: IMatrix | None       # Pinv DG(inner <- shell); None without a shell
     kappa2: Interval
     kappa2q: Interval
     conditions: dict
+
+
+def shell_coupling(disks: DiskSet, pseudo: PseudoDiag):
+    """(H P, Pinv G), G = H^T, or (None, None): see gershgorin_disks."""
+    if disks.dg is None:
+        return None, None
+    dg_p = disks.dg @ pseudo.P
+    pad = (IArray(disks.dg_delta[:, None]) * IArray(disks.dg_s)).hi
+    return dg_p, dg_p.T + IArray(-pad, pad)
 
 
 def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
@@ -245,11 +255,12 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
 
     # Z11: shell rows against the window-weighted resolvent
     lam_mid = disks.lam[p:]
-    if disks.dg_p is not None:
+    dg_p, pinv_dg = shell_coupling(disks, pseudo)
+    if dg_p is not None:
         dist = dist_to_window(lam_mid, window)
         if (dist.lo <= 0).any():
             raise ConditionViolated("window touches a symbol value in the shell")
-        z11 = op_norm2_bound(disks.dg_p.scale_rows(Interval(1.0) / dist))
+        z11 = op_norm2_bound(dg_p.scale_rows(Interval(1.0) / dist))
     else:
         z11 = Interval(0.0)
 
@@ -292,7 +303,7 @@ def window_bounds(model: Model, w: FourierSeq, u0_l1: Interval, r0: float,
         sup_mid=sup_to_window(lam_mid, window),
         colw=sup_to_window(disks.lam[:p], window).hi,
         z11=z11, z12=z12, zu1=zu1, zu2=zu2, c1r0=c1r0,
-        kappa1=kappa1, sq=sq, pinv_dg=disks.inner_coupling(),
+        kappa1=kappa1, sq=sq, dg_p=dg_p, pinv_dg=pinv_dg,
         kappa2=kappa2, kappa2q=kappa2q,
         conditions=conditions,
     )
@@ -396,7 +407,7 @@ def _selfadjoint_factor_neumann(wb: WindowBounds, t: float, z13: Interval,
     # block-norm bound on the weighted defect E
     e = z13 + z14
     if len(shell_w.lo):
-        e = e + op_norm2_bound(disks.dg_p.scale_rows(shell_w))
+        e = e + op_norm2_bound(wb.dg_p.scale_rows(shell_w))
     e = e + Interval(disks.tail_radius) / Interval(den_min)
     if e.hi >= 1.0:
         return None

@@ -4,8 +4,8 @@ IMatrix is the 2-D interval.IArray: two float64 arrays, the lower and
 upper bounds of each entry, with IArray's elementwise sums, differences
 and bounds.  Every matrix of the finite stage is real: the Jacobian of a
 self-adjoint linearization, its eigenvectors and their verified inverse.
-What is specific to matrices lives here: the product, row scaling, the
-norms and the verified inverse.  Products use
+What is specific to matrices lives here: the product, the sums of |A P|,
+row scaling, the norms and the verified inverse.  Products use
 the classical midpoint-radius scheme (Rump, "Fast and parallel interval
 arithmetic", BIT 39, 1999): the midpoint product is one floating-point
 matmul and the radius collects operand radii plus a (k+4)u accumulation
@@ -43,9 +43,18 @@ _INF = math.inf
 
 
 def _mid_rad(lo, hi):
-    """Midpoint and outward radius; a radius of exactly 0 stays 0."""
+    """Midpoint and outward radius; a radius of exactly 0 stays 0.  A finite
+    point has the split's bits without it: lo + 0.0 (-0.0 becomes 0.0) and 0."""
+    if np.array_equal(lo, hi) and np.isfinite(lo).all():
+        return lo + 0.0, np.zeros(lo.shape)
     mid = lo + 0.5 * (hi - lo)
     return mid, ulp_step(np.maximum(hi - mid, mid - lo), _INF, 2, keep_zero=True)
+
+
+def _sum_up(s, n):
+    """Upper bound on a sum of non-negative terms from s, after at most n
+    roundings; below the smallest normal a sum is exact (products aside)."""
+    return np.where(s < 2.0 ** -1022, s, ulp_step(s * (1.0 + (n + 2) * _U), _INF, 2))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -148,10 +157,8 @@ class IMatrix(IArray):
 
     @np.errstate(over="ignore")     # a sum past the largest double is +inf, a sound bound
     def _sum_hi(self, axis: int) -> np.ndarray:
-        # adding non-negative doubles has no underflow error: the factor covers
-        # the sum and the two steps the product, and a zero sum is exact
-        s = self.mag().sum(axis=axis)
-        return ulp_step(s * (1.0 + (self.shape[axis] + 2) * _U), _INF, 2, keep_zero=True)
+        # adding non-negative doubles has no underflow error, so a zero sum is exact
+        return _sum_up(self.mag().sum(axis=axis), self.shape[axis])
 
     def norm1_hi(self) -> float:
         """Upper bound on the maximum column sum of magnitudes."""
@@ -168,6 +175,34 @@ class IMatrix(IArray):
         if self.shape[1] == 0:
             return np.zeros(self.shape[0])
         return self._sum_hi(axis=1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def mag_product_sums(a: IMatrix, p: np.ndarray):
+    """Upper bounds (rows, cols) on the row and column sums of |A~ P| over
+    every A~ in `a` (m x k), for a float p (k x n), from one float product.
+    With a = Am +- Ar (_mid_rad) and C = fl(Am P), |A~ P| <= |C| + (Ar +
+    gamma_k |Am|)|P|, gamma_k = ku / (1 - ku) <= (k + 1) u for k < 9e7
+    (Higham, Accuracy and Stability, 3.5).  Summed before it is multiplied
+    out (Rump, BIT 39, 1999), row i is sum_j |C_ij| + ((Ar + gamma_k |Am|)
+    |P| 1)_i, and column j likewise with 1^T Ar and 1^T |Am|.  Each sum is
+    rounded up by its length (_sum_up); 5 _TINY per entry, as in _mm_real,
+    covers underflow."""
+    (m, k), n = a.shape, p.shape[1]
+    if not (a.lo.any() or a.hi.any()) or not p.any():
+        return np.zeros(m), np.zeros(n)
+    am, ar = _mid_rad(a.lo, a.hi)
+    c = np.abs(am @ p)
+    aa, pa, gamma = np.abs(am, out=am), np.abs(p), (k + 1) * _U
+    v = _sum_up(pa.sum(axis=1), n)
+    rows = _sum_up(c.sum(axis=1) + _sum_up(ar @ v, k) + gamma * _sum_up(aa @ v, k)
+                   + 5.0 * _TINY * n, n + 2)
+    ar_cols, aa_cols = (_sum_up(x.sum(axis=0), m) for x in (ar, aa))
+    cols = _sum_up(c.sum(axis=0) + _sum_up(ar_cols @ pa, k) + gamma * _sum_up(aa_cols @ pa, k)
+                   + 5.0 * _TINY * m, m + 2)
+    if np.isnan(rows).any() or np.isnan(cols).any():     # inf - inf or inf * 0
+        raise UnboundedOperand("interval product overflows the double range")
+    return rows, cols
 
 
 def op_norm2_bound(a: IMatrix) -> Interval:

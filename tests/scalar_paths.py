@@ -1,6 +1,7 @@
 """The scalar loops that the batched radial and homotopy code replaced, and
 the per-flip conv_block, the per-block flip loop of its prepared reach,
-list-built shell indices and inner-to-shell coupling product that the
+list-built shell indices, inner-to-shell coupling product and interval
+shell product H P whose magnitudes the disk radii summed, all of which the
 finite stage replaced.
 
 Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
@@ -375,6 +376,20 @@ def inner_radii_reference(pseudo, pinv_dg: IMatrix) -> np.ndarray:
     p, n_mid = pinv_dg.shape
     r = pseudo.off.hi.sum(axis=1) + pinv_dg.mag().sum(axis=1)
     return np.nextafter(r * (1.0 + (p + n_mid + 4) * 2.0 ** -53), _INF)
+
+
+def mid_rad_reference(lo, hi):
+    """imatrix._mid_rad without the point shortcut: every operand split."""
+    mid = lo + 0.5 * (hi - lo)
+    return mid, ulp_step(np.maximum(hi - mid, mid - lo), _INF, 2, keep_zero=True)
+
+
+def mag_product_sums_reference(a: IMatrix, p) -> tuple:
+    """imatrix.mag_product_sums as gershgorin_disks had it before: the row
+    and column sums of |a @ P| from the interval product, each sum rounded
+    up as IMatrix rounds a magnitude sum."""
+    prod = a @ IMatrix.from_point(p)
+    return prod.row_sums_hi(), prod._sum_hi(axis=0)
 
 
 def normalize_columns_reference(vecs):

@@ -31,7 +31,7 @@ from speccert.finite import (
     spectral_edge,
     symbol_diag,
 )
-from speccert.imatrix import IMatrix, verified_inverse
+from speccert.imatrix import IMatrix, mag_product_sums, verified_inverse
 from speccert.models import sh_model
 import scalar_paths
 from scalar_paths import shell_indices
@@ -332,9 +332,9 @@ def _dense_mid_disks(model, w, sector, N, pseudo):
         j = ext.index(n)
         centers.append(ComplexBox(lam_mid[i] + Interval(dense.lo[i, j], dense.hi[i, j])))
         mag_ext[i, j] = 0.0
-    term1 = (conv_block(w, sector, mid, inner) @ pseudo.P).mag().sum(axis=1)
-    radii = np.nextafter((term1 + mag_ext.sum(axis=1))
-                         * (1.0 + (len(ext) + len(inner) + 4) * 2.0 ** -53), np.inf)
+    term1 = mag_product_sums(conv_block(w, sector, mid, inner), pseudo.P.lo)[0]
+    radii = np.nextafter((term1 + mag_ext.sum(axis=1)) * (1.0 + (len(ext) + 4) * 2.0 ** -53),
+                         np.inf)
     return centers, radii
 
 

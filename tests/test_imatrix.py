@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from speccert.errors import DimensionMismatch, SingularityUnverified, UnboundedOperand
-from speccert.imatrix import IMatrix, op_norm2_bound, verified_inverse
+from speccert.imatrix import IMatrix, _mid_rad, mag_product_sums, op_norm2_bound, verified_inverse
 from speccert.interval import IArray, Interval
+from scalar_paths import mag_product_sums_reference, mid_rad_reference
 
 
 def exact_product(a, b):
@@ -223,3 +224,80 @@ def test_norms_past_the_largest_double_are_inf_without_a_warning():
         assert rows[0] == math.inf and 1.0 <= rows[1] < 1.0 + 1e-15
         with pytest.raises(UnboundedOperand):
             op_norm2_bound(a)
+
+
+# -- point operands and the sums of |A P| ---------------------------------
+
+_POINT_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -0.75, 3.0, 1.0 / 3.0, 5e-324, -5e-324,
+                 2.2250738585072014e-308, 1e-300, -1e-300)
+
+
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+@settings(max_examples=200, deadline=None)
+def test_point_operand_split_is_bit_identical(m, n, data):
+    vals = data.draw(st.lists(st.sampled_from(_POINT_VALUES) | st.floats(-1e3, 1e3),
+                              min_size=m * n, max_size=m * n))
+    a = np.array(vals, dtype=float).reshape(m, n) * data.draw(st.sampled_from((1.0, 1e-300)))
+    got, want = _mid_rad(a, a.copy()), mid_rad_reference(a, a.copy())
+    for x, y in zip(got, want):
+        assert x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def test_an_infinite_point_operand_still_raises():
+    with pytest.raises(UnboundedOperand):
+        IMatrix.from_point([[math.inf, 1.0]]) @ IMatrix.identity(2)
+
+
+def _sums_case(data, m, k, n):
+    """An interval a (m x k), point p (k x n) and a point a~ in a, as
+    Fractions: exact zeros, subnormals, 1e-300 and 1e300 scales, and signs
+    that cancel inside a row."""
+    scale = data.draw(st.sampled_from((1.0, 1e-300, 1e300)))
+    mids = np.array(data.draw(st.lists(st.sampled_from(_POINT_VALUES), min_size=m * k,
+                                       max_size=m * k)), dtype=float).reshape(m, k) * scale
+    rad = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.0, 5e-324, 2.0 ** -40, 0.25)),
+                                      min_size=m * k, max_size=m * k))).reshape(m, k)
+    rad = np.where(rad == 5e-324, rad, rad * np.abs(mids))
+    a = IMatrix(mids - rad, mids + rad)
+    pscale = 1.0 if scale == 1e300 else data.draw(st.sampled_from((1.0, 1e-300)))
+    p = np.array(data.draw(st.lists(st.sampled_from(_POINT_VALUES), min_size=k * n,
+                                    max_size=k * n)), dtype=float).reshape(k, n) * pscale
+    pick = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=m * k, max_size=m * k))
+    at = [[(Fraction(a.lo[i, l]), Fraction(a.hi[i, l]),
+            (Fraction(a.lo[i, l]) + Fraction(a.hi[i, l])) / 2)[pick[i * k + l]]
+           for l in range(k)] for i in range(m)]
+    return a, p, at
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.data())
+@settings(max_examples=300, deadline=None)
+@example(0, 3, 2, None)     # an empty shell
+def test_mag_product_sums_enclose_exact_sums_and_match_the_product(m, k, n, data):
+    if data is None:
+        a, p, at = IMatrix(np.zeros((0, k)), np.zeros((0, k))), np.ones((k, n)), []
+    else:
+        a, p, at = _sums_case(data, m, k, n)
+    rows, cols = mag_product_sums(a, p)
+    assert rows.shape == (m,) and cols.shape == (n,)
+    exact = [[abs(sum(at[i][l] * Fraction(p[l, j]) for l in range(k))) for j in range(n)]
+             for i in range(m)]
+    for i in range(m):
+        assert sum(exact[i]) <= Fraction(rows[i])
+    for j in range(n):
+        assert sum(row[j] for row in exact) <= Fraction(cols[j])
+    # no looser than the interval product's magnitude sums, up to 4u
+    try:
+        ref = mag_product_sums_reference(a, p)
+    except UnboundedOperand:
+        return
+    slack = 1 + Fraction(4, 2 ** 53)
+    for got, want in zip((rows, cols), ref):
+        assert all(Fraction(x) <= Fraction(y) * slack for x, y in zip(got, want))
+
+
+def test_mag_product_sums_of_cancelling_rows_cover_rounding_only():
+    # row [1, 1] against columns (1, -1) and (1, 1): exact sums 0 + 2
+    a, p = IMatrix.from_point([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1.0], [-1.0, 1.0]])
+    rows, cols = mag_product_sums(a, p)
+    assert 2.0 <= rows[0] < 2.0 + 1e-14 and 0.0 < rows[1] < 1e-300
+    assert 0.0 <= cols[0] < 1e-14 and 2.0 <= cols[1] < 2.0 + 1e-14

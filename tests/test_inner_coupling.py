@@ -2,8 +2,9 @@
 
 gershgorin_disks builds no block G = DG(inner <- mid).  For an even state
 the operator is self-adjoint in the orthonormal sector basis, so G is the
-exact transpose of H = DG(mid <- inner), and it reads Pinv G as
-(H P)^T widened by delta_i s_j in entry (i, j) (DiskSet.inner_coupling).
+exact transpose of H = DG(mid <- inner), and the homotopy stage reads
+Pinv G as (H P)^T widened by delta_i s_j in entry (i, j)
+(homotopy.shell_coupling).
 On random even kernels in the c, cc and even full sectors:
 
 (a) conv_block(rows, cols) and conv_block(cols, rows)^T both enclose the
@@ -15,8 +16,8 @@ On random even kernels in the c, cc and even full sectors:
     the reference path's, and within 1e-12 relative of their own plus
     twice the row's pad delta_i sum_j s_j, which a tiny radius needs.
 
-A call count guards the single product and the single reach of one
-gershgorin_disks call.
+A call count guards the single reach, and the absence of any interval
+product, of one gershgorin_disks call.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from speccert.finite import (
     gershgorin_disks,
 )
 from speccert.fourier import FourierSeq, Grid, _axis_types, index_list
+from speccert.homotopy import shell_coupling
 from speccert.imatrix import IMatrix
 from speccert.models import sh_model
 from scalar_paths import inner_coupling_reference, inner_radii_reference, shell_indices
@@ -175,12 +177,12 @@ def _exact_coupling(w, sector, inner, mid, p):
 @given(finite_stages(max_inner=8))
 @settings(max_examples=60, deadline=None)
 def test_derived_coupling_encloses_the_exact_product(stage):
-    # (b) for n <= 8 inner rows: Pinv G read off dg_p^T holds P^-1 G exactly,
+    # (b) for n <= 8 inner rows: Pinv G read off (H P)^T holds P^-1 G exactly,
     # and it meets the product of the path it replaced
     w, sector, N, pseudo, disks = stage
     inner = index_list(w.grid, sector, N)
     mid = shell_indices(w.grid, sector, N, disks.n_mid)
-    got = disks.inner_coupling()
+    got = shell_coupling(disks, pseudo)[1]
     ref = inner_coupling_reference(w, sector, inner, mid, pseudo)
     assert got.shape == ref.shape == (len(inner), len(mid))
     assert (got.lo <= ref.hi).all() and (ref.lo <= got.hi).all()
@@ -206,14 +208,14 @@ def test_inner_radii_stay_near_the_reference_path(stage):
     mid = shell_indices(w.grid, sector, N, disks.n_mid)
     want = inner_radii_reference(pseudo, inner_coupling_reference(w, sector, inner, mid, pseudo))
     got = disks.radii[:len(inner)]
-    pad = 0.0 if disks.dg_p is None else disks.dg_delta * disks.dg_s.sum()
+    pad = 0.0 if disks.dg is None else disks.dg_delta * disks.dg_s.sum()
     assert (np.abs(got - want) <= 1e-12 * want + 2.0 * pad).all()
     assert (np.abs(got - want) <= 1e-12 * want.max()).all()
 
 
-def test_one_gershgorin_disks_call_makes_one_product_and_one_reach(monkeypatch):
-    # the coupling comes from the streamed block: a second convolution block
-    # or a second interval product would show here
+def test_one_gershgorin_disks_call_makes_no_product_and_one_reach(monkeypatch):
+    # the coupling comes from the streamed block and the radii from sums of
+    # |H P|: a second convolution block or any interval product shows here
     w = _even_kernel_2d(43, 8)
     model, pseudo, a = _finite_stage_2d(w, 4)
     calls = Counter()
@@ -228,5 +230,6 @@ def test_one_gershgorin_disks_call_makes_one_product_and_one_reach(monkeypatch):
     monkeypatch.setattr(finite, "_reach", counted("_reach", finite._reach))
     monkeypatch.setattr(finite, "conv_block", counted("conv_block", finite.conv_block))
     disks = gershgorin_disks(model, w, "cc", 4, pseudo, a)
-    assert calls == {"matmul": 1, "_reach": 1}
-    assert disks.dg_p.shape == disks.inner_coupling().T.shape == (144, 25)
+    assert calls == {"_reach": 1}
+    dg_p, pinv_dg = shell_coupling(disks, pseudo)
+    assert dg_p.shape == pinv_dg.T.shape == (144, 25)
