@@ -9,9 +9,9 @@ the orthonormal sector basis b_k = m_k^{-1/2} sum_sigma chi(sigma) e_{sigma k}
 
 which is what conv_block assembles, in one pass for all sigma: coordinates
 on a reflected axis are >= 0, so the identity reaches every entry a flip
-does, and an entry is a value of its per-axis states, read from a table
-that runs each state's sum once.  A disk radius reads only sums of |H P|,
-H the shell coupling, which need no interval product (mag_product_sums).
+does.  A table runs each tuple of per-axis states once, and one state
+matrix st[n_a, k_a] reads it per axis.  A disk radius needs no shell entry
+outside H = DG(mid <- inner) and no interval product (gershgorin_disks).
 Everything here is interval-rigorous except newton_solve, which only
 manufactures candidate states.
 """
@@ -35,13 +35,14 @@ from .errors import (
     UnboundedOperand,
 )
 from .fourier import FourierSeq, Grid, _axis_types, conv, index_list, seq_l1
-from .imatrix import IMatrix, mag_product_sums, op_norm2_bound, verified_inverse
+from .imatrix import IMatrix, _sum_up, mag_product_sums, op_norm2_bound, verified_inverse
 from .interval import PI, ComplexBox, IArray, Interval, iv_sqrt, ulp_step
 from .models import Model
 
 _INF = math.inf
+_MAX = np.finfo(np.float64).max
 _NEWTON_STEP_CAP = 0.5        # max-norm cap of a Newton step
-_MID_ROW_BLOCK = 64           # mid-shell rows per streamed conv_block
+_MID_ROW_BLOCK = 64           # rows per block of gathered state codes
 _PAIR_BLOCK = 1 << 16         # disk pairs per batched clustering gap test
 
 
@@ -84,88 +85,103 @@ def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
     return sum(terms[1:], terms[0])
 
 
-def _reach(w: FourierSeq, sector: str, cols):
-    """conv_block over the columns `cols`, prepared once: a function of the
-    rows that returns the reached entries as arrays (i, j, lo, hi), read
-    from one table over the per-axis states (conv_block says why)."""
-    m, sw = w.grid.m, w.S
-    axes = _axis_types(m, sector)
-    if "s" in w.sector:
-        raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
-    refl = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+class _StateTable:
+    """Entry (n, k) of conv_block is T[st[n_1, k_1], ..., st[n_m, k_m]] (the
+    docstring there says why), for coordinates up to top in magnitude.  One
+    state matrix st serves every axis, as a sector's axes are all signed or
+    all reflected; it is indexed by coordinate + off.  T (lo, hi) has one
+    state more per axis, for |n_a - k_a| > S, where it is exactly 0."""
 
-    def coords(x):
-        x = np.asarray(x, dtype=np.int64).reshape(len(x), m)
-        if (x[:, refl] < 0).any():
-            raise InvalidParameter(f"a negative coordinate on a reflected axis of {sector!r}")
-        return x
-    cols_a = coords(cols)
-    # the box holds the origin, which also covers an empty column list
-    base, top = cols_a.min(axis=0, initial=0), cols_a.max(axis=0, initial=0)
-    table = np.full(tuple(top - base + 1), -1, dtype=np.int64)
-    table[tuple((cols_a - base).T)] = np.arange(len(cols_a))
-    if np.count_nonzero(table >= 0) != len(cols_a):
-        raise DimensionMismatch("conv_block columns must be distinct")
-    # per axis, a window of <= 2S + 1 box coordinates holds every k_a a row reaches
-    width = np.minimum(2 * sw + 1, top - base + 1)
-    windows = np.lib.stride_tricks.sliding_window_view(table, tuple(width))
-    wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
-    wlo, whi = (x.ravel() for x in w.expand_signed())
+    def __init__(self, w: FourierSeq, sector: str, top: int):
+        m, sw = w.grid.m, w.S
+        axes = _axis_types(m, sector)
+        if "s" in w.sector:
+            raise GridMismatch(f"{sector!r} basis with an odd kernel is not supported")
+        refl = [ax for ax, kind in enumerate(axes) if kind != "signed"]
+        wstride = (2 * sw + 1) ** np.arange(m - 1, -1, -1)
+        wlo, whi = (x.ravel() for x in w.expand_signed())
+        # one (n_a, k_a) per state in code order: on a reflected axis the
+        # untouched (d_a, 0) and (d_a > 0, 1), then from 3S + 1 on the touched
+        d, (s, k) = np.arange(-sw, sw + 1), (x + 1 for x in np.tril_indices(sw))
+        n_r, k_r = (d, 0 * d) if not refl else (np.r_[sw + 1 + d, d[sw + 1:], s - k],
+                                                np.r_[0 * d + sw + 1, 0 * d[sw + 1:], k])
+        pos = sum(np.ix_(*[(n_r - k_r + sw) * step for step in wstride]))
+        e = m + sum(np.ix_(*[bool(refl) * (np.sign(n_r) - np.sign(k_r))] * m))
+        flips = [[ax for ax, flip in zip(refl, flags) if flip] for flags in
+                 list(itertools.product((False, True), repeat=len(refl)))[1:]]
+        # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
+        # values f_e, each a tiny outward-rounded interval; as f > 0 the product
+        # bounds are acc_lo * f and acc_hi * f at one end of f
+        ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
+        f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
+        # each state runs the chain once, from W stepped (0 + W differs only at
+        # -0.0, which the step erases); states no row reaches may overflow too
+        with np.errstate(over="ignore"):
+            acc_lo, acc_hi = ulp_step(wlo[pos], -_INF), ulp_step(whi[pos], _INF)
+            for flipped in flips:
+                # the states it touches are a box of the table; its terms sit at
+                # n_a + k_a on the flipped axes, and chi = -1 for an odd number of
+                # reflected odd axes: -W, as x - y is x + (-y)
+                box = tuple(slice(3 * sw + 1 if ax in flipped else 0, None) for ax in range(m))
+                at = pos[box] + sum(np.ix_(*[(ax in flipped) * 2 * wstride[ax] * k_r[cut]
+                                             for ax, cut in enumerate(box)]))
+                glo, ghi = (-whi, -wlo) if sum(axes[a] == "s" for a in flipped) % 2 else (wlo, whi)
+                acc_lo[box] += glo[at]
+                acc_hi[box] += ghi[at]
+                ulp_step(acc_lo, -_INF)
+                ulp_step(acc_hi, _INF)
+            lo = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
+            hi = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
+        self.lo, self.hi = np.zeros(np.add(lo.shape, 1)), np.zeros(np.add(lo.shape, 1))
+        self.lo[tuple(map(slice, lo.shape))], self.hi[tuple(map(slice, lo.shape))] = lo, hi
+        # st on the band |n_a - k_a| <= S: the state code, touched, untouched
+        # or untouched with k_a = 0 < n_a; off the band the zero state
+        self.off = 0 if refl else top
+        n = np.arange(-self.off, top + 1)[:, None]
+        k, s = n + d, 2 * n + d
+        code = n - k + sw if not refl else np.where((s <= sw) & (k != 0), 3 * sw + s * (s - 1) // 2
+                                                    + k, n - k + sw + sw * ((k == 0) & (n > 0)))
+        band = (k >= -self.off) & (k <= top)
+        self.st = np.full((len(n), len(n)), len(n_r), np.min_scalar_type(len(n_r)))
+        self.st[np.broadcast_to(n, k.shape)[band] + self.off, k[band] + self.off] = code[band]
 
-    def state(ax, n_a, k_a):    # the code of (n_a, k_a), |n_a - k_a| <= S
-        if axes[ax] == "signed":
-            return n_a - k_a + sw
-        s = n_a + k_a
-        return np.where((s <= sw) & (k_a != 0), 3 * sw + s * (s - 1) // 2 + k_a,
-                        n_a - k_a + sw + sw * ((k_a == 0) & (n_a > 0)))
-    # one (n_a, k_a) per state in code order: on a reflected axis the
-    # untouched (d_a, 0) and (d_a > 0, 1), then from 3S + 1 on the touched
-    d, (s, k) = np.arange(-sw, sw + 1), (x + 1 for x in np.tril_indices(sw))
-    reps = [(d, 0 * d) if kind == "signed" else (np.concatenate([sw + 1 + d, d[sw + 1:], s - k]),
-            np.concatenate([0 * d + sw + 1, 0 * d[sw + 1:], k])) for kind in axes]
-    pos = sum(np.ix_(*[(n_a - k_a + sw) * wstride[ax] for ax, (n_a, k_a) in enumerate(reps)]))
-    e = m + sum(np.ix_(*[(ax in refl) * (np.sign(n_a) - np.sign(k_a)) for ax, (n_a, k_a)
-                         in enumerate(reps)]))
-    flips = [[ax for ax, flip in zip(refl, flags) if flip] for flags in
-             list(itertools.product((False, True), repeat=len(refl)))[1:]]
-    # sqrt(m_n / m_k), m = 2^(nonzero symmetric coordinates), takes 2m + 1
-    # values f_e, each a tiny outward-rounded interval; as f > 0 the product
-    # bounds are acc_lo * f and acc_hi * f at one end of f
-    ratio = np.sqrt(2.0 ** np.arange(-m, m + 1))
-    f_lo, f_hi = (ulp_step(ratio, to, 2, out=np.empty_like(ratio)) for to in (-_INF, _INF))
-    # each state runs the chain once, from W stepped (0 + W differs only at
-    # -0.0, which the step erases); states no row reaches may overflow too
-    with np.errstate(over="ignore"):
-        acc_lo, acc_hi = ulp_step(wlo[pos], -_INF), ulp_step(whi[pos], _INF)
-        for flipped in flips:
-            # the states it touches are a box of the table; its terms sit at
-            # n_a + k_a on the flipped axes, and chi = -1 for an odd number of
-            # reflected odd axes: -W, as x - y is x + (-y)
-            box = tuple(slice(3 * sw + 1 if ax in flipped else 0, None) for ax in range(m))
-            at = pos[box] + sum(np.ix_(*[(ax in flipped) * 2 * wstride[ax] * k_a[cut] for
-                                         ax, ((_, k_a), cut) in enumerate(zip(reps, box))]))
-            glo, ghi = (-whi, -wlo) if sum(axes[ax] == "s" for ax in flipped) % 2 else (wlo, whi)
-            acc_lo[box] += glo[at]
-            acc_hi[box] += ghi[at]
-            ulp_step(acc_lo, -_INF)
-            ulp_step(acc_hi, _INF)
-        lo = ulp_step(np.minimum(acc_lo * f_lo[e], acc_lo * f_hi[e]), -_INF)
-        hi = ulp_step(np.maximum(acc_hi * f_lo[e], acc_hi * f_hi[e]), _INF)
-    sstride, t_lo, t_hi = np.array(lo.strides) // lo.itemsize, lo.ravel(), hi.ravel()
+    def _at(self, states):      # flat table positions, one state array per axis
+        at = states[0].astype(np.intp)
+        for s in states[1:]:
+            at = at * len(self.lo) + s
+        return at
 
-    def block(rows):
-        rows_a = coords(rows)
-        start = np.clip(rows_a - sw, base, top - width + 1)
-        r, *offset = np.indices((len(rows_a), *width), sparse=True)    # a (row, window) grid
-        n, k = [rows_a[r, ax] for ax in range(m)], [start[r, ax] + offset[ax] for ax in range(m)]
-        j = windows[tuple((start - base).T)]
-        hit = j >= 0
-        for ax in range(m):
-            hit &= np.abs(k[ax] - n[ax]) <= sw
-        at = np.broadcast_to(sum(state(ax, n[ax], k[ax]) * sstride[ax] for ax in range(m)),
-                             hit.shape)[hit]
-        return np.broadcast_to(r, hit.shape)[hit], j[hit], t_lo.take(at), t_hi.take(at)
-    return block
+    def gather(self, rows, cols):
+        """Entries (rows x cols) as arrays lo and hi, _MID_ROW_BLOCK rows of
+        table positions at a time ("clip": in range, taken unbuffered)."""
+        lo, hi = np.empty((len(rows), len(cols))), np.empty((len(rows), len(cols)))
+        st = [self.st[:, c] for c in cols.T + self.off]     # per axis, the columns' states
+        for b in range(0, len(rows), _MID_ROW_BLOCK):
+            at = self._at([s[r] for s, r in zip(st, rows[b:b + _MID_ROW_BLOCK].T + self.off)])
+            self.lo.take(at, out=lo[b:b + _MID_ROW_BLOCK], mode="clip")
+            self.hi.take(at, out=hi[b:b + _MID_ROW_BLOCK], mode="clip")
+        return lo, hi
+
+    def centers(self, rows):
+        at = self._at([self.st[r, r] for r in rows.T + self.off])
+        return self.lo.take(at), self.hi.take(at)
+
+    @np.errstate(over="ignore")     # a sum past the largest double is +inf, a sound bound
+    def ext_sums(self, rows, N: int) -> np.ndarray:
+        """Upper bounds on each row's sum of |entries| over the columns k != n
+        with N < |k|_inf <= top (gershgorin_disks has the derivation)."""
+        m, line = self.lo.ndim, np.arange(len(self.st))
+        mag = np.minimum(np.maximum(np.abs(self.lo), np.abs(self.hi)), _MAX)
+        mag[np.ix_(*[np.diagonal(self.st)] * m)] = 0.0    # the center k = n
+        inside, sums = np.abs(line - self.off) <= N, 0.0
+        for a in range(m):      # |k_b| <= N before axis a, |k_a| > N, any k_b after it
+            part = mag
+            for keep in [inside] * a + [~inside] + [slice(None)] * (m - 1 - a):
+                count = np.zeros((len(line), len(mag)))     # C[n_b, s]
+                count[line[:, None], self.st[:, keep]] = 1.0
+                part = np.minimum(np.tensordot(part, count, axes=(0, 1)), _MAX)
+            sums = sums + part[tuple(rows.T + self.off)]
+        return _sum_up(sums, len(line) ** m - np.count_nonzero(inside) ** m)
 
 
 def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
@@ -174,8 +190,8 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     The kernel must be reflection-invariant (no odd axes) unless the basis
     sector is "full", in which case no symmetrization happens at all.  A
     negative coordinate on a reflected axis is refused: n_a + k_a <= S then
-    implies |n_a - k_a| <= S, so one pass over the pairs |k - n|_inf <= S
-    (columns distinct) serves every flip sigma.  Per flip the terms are
+    implies |n_a - k_a| <= S, so the pairs |k - n|_inf <= S hold the terms
+    of every flip sigma.  Columns must be distinct.  Per flip the terms are
     added, then every reached entry steps outward: the bits are the dense
     formula's, entry by entry, and unreached entries are exact zeros.
 
@@ -187,13 +203,18 @@ def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     axis, and a reflected one the touched (n_a + k_a, k_a) or the untouched
     (d_a, sign n_a - sign k_a), whose sign difference is 0 or 1: k_a = 0
     gives sign n_a >= 0, and k_a > 0 with n_a + k_a > S >= |n_a - k_a| gives
-    n_a > 0.  _reach runs the chain once per state, 3S + 1 + S(S + 1)/2 per
-    reflected axis, and a block reads its entries from that table.
+    n_a > 0.  _StateTable runs the chain once per tuple of states, 2S + 1
+    per signed and 3S + 1 + S(S + 1)/2 per reflected axis, and keeps the
+    per-axis codes as a matrix st[n_a, k_a]; a block is one gather.
     """
-    i, j, lo, hi = _reach(w, sector, cols)(rows)
-    out = IMatrix.from_point(np.zeros((len(rows), len(cols))))
-    out.lo[i, j], out.hi[i, j] = lo, hi
-    return out
+    m = w.grid.m
+    rows, cols = (np.asarray(x, dtype=np.int64).reshape(len(x), m) for x in (rows, cols))
+    if _axis_types(m, sector)[0] != "signed" and ((rows < 0).any() or (cols < 0).any()):
+        raise InvalidParameter(f"a negative coordinate on a reflected axis of {sector!r}")
+    top = max(np.abs(rows).max(initial=0), np.abs(cols).max(initial=0))
+    if len(np.unique(cols @ (2 * top + 1) ** np.arange(m))) != len(cols):
+        raise DimensionMismatch("conv_block columns must be distinct")
+    return IMatrix(*_StateTable(w, sector, int(top)).gather(rows, cols))
 
 
 def symbol_diag(model: Model, grid: Grid, indices) -> IArray:
@@ -335,12 +356,24 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
 
     a_inner must be the jacobian block the pseudo-diagonalization was built
     from.  M = N + S_W is where explicit rows stop and the uniform tail
-    radius takes over.
+    radius takes over.  One _StateTable over the cube |k|_inf <= M + S (all
+    a mid row reaches) gives H = DG(mid <- inner) and the centers (n, n).
 
-    Mid rows go in blocks of _MID_ROW_BLOCK through one _reach over the
-    columns inner + ext: the inner columns fill H = DG(mid <- inner), the
-    diagonal gives the centers, and |.| of the other ext entries, in place
-    in a zeroed block, the radii: the dense block's, bit for bit.
+    The ext columns, the cube less I^N, need no entry: they are the union
+    over a of the products {|k_b| <= N, b < a} x {|k_a| > N} x {any k_b,
+    b > a} ({|k| > N} in 1D), and over a product K_1 x ... x K_m the sum of
+    |T| separates by axis, as the row sums of summed-area tables do (Crow,
+    SIGGRAPH 1984).  With C_a[n_a, s] = 1 where some k_a in K_a has
+    st[n_a, k_a] = s (n_a and s fix k_a), row n sums the contraction of |T|
+    with C_1, ..., C_m at n, in 2D (C_1 |T| C_2^T)[n_1, n_2].  A state fixes
+    d_a = n_a - k_a, so zeroing |T| where every d_a = 0 drops the center
+    k = n exactly.  A product by a 0/1 count is exact, so contracting a
+    factor with c_a reached coordinates rounds at most c_a - 1 times,
+    sum_a (c_a - 1) <= c_1 ... c_m - 1, and joining the m products rounds
+    m - 1 times: at most |ext| - 1 roundings in any order (Higham, Accuracy
+    and Stability, 3.1), which _sum_up covers.  |T| and each contraction
+    are clamped to the largest double, as 0 * inf is NaN; a reached clamped
+    term leaves a sum that rounds up to +inf.
 
     Radii read only sums of |H P|, bounded by mag_product_sums from one
     float product without forming H P; mid radius j takes row j's sum.
@@ -353,39 +386,26 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
     of |H|, both rounded up.  Inner radius i takes column i's sum of |H P|
     plus delta_i sum_j s_j; homotopy.shell_coupling widens (H P)^T by delta_i s_j.
     """
-    grid, sw = w.grid, w.S
-    m_cut = N + sw
-    # I^(M+S) in index_list's row-major order; inner, mid and ext keep it
-    cube = np.array(index_list(grid, sector, m_cut + sw), dtype=np.int64).reshape(-1, grid.m)
+    grid, sw, m_cut = w.grid, w.S, N + w.S
+    # I^M in index_list's row-major order, split into inner and mid
+    cube = np.array(index_list(grid, sector, m_cut), dtype=np.int64).reshape(-1, grid.m)
     size = np.abs(cube).max(axis=1)
-    inner, ext, in_mid = cube[size <= N], cube[size > N], size[size > N] <= m_cut
-    mid, p = ext[in_mid], len(inner)       # mid is the part of ext inside I^M
+    inner, mid = cube[size <= N], cube[size > N]
+    p = len(inner)
 
     # region (ii): explicit rows in the shell
-    w0 = _kernel_w0(w)
-    c_m = sym_factor(grid, sector)
-    l1w = seq_l1(w)
+    w0, c_m, l1w = _kernel_w0(w), sym_factor(grid, sector), seq_l1(w)
     lam = symbol_diag(model, grid, np.concatenate([inner, mid]))
-    d_lo, d_hi, term1, term2 = (np.zeros(len(mid)) for _ in range(4))   # d: the kernel diagonal
+    d_lo, d_hi, r_mid = np.zeros(len(mid)), np.zeros(len(mid)), np.zeros(len(mid))
     r_inner = pseudo.off.hi.sum(axis=1)    # region (i): rows of D off the diagonal
     dg = dg_delta = dg_s = None
     if len(mid):
-        diag_col, cols = p + np.flatnonzero(in_mid), np.concatenate([inner, ext])
-        reach = _reach(w, sector, cols)
-        mi_lo, mi_hi = np.zeros((len(mid), p)), np.zeros((len(mid), p))
-        for b in range(0, len(mid), _MID_ROW_BLOCK):
-            rows = mid[b:b + _MID_ROW_BLOCK]
-            i, j, lo, hi = reach(rows)
-            into, on_diag = j < p, j == diag_col[b + i]
-            mi_lo[b + i[into], j[into]], mi_hi[b + i[into], j[into]] = lo[into], hi[into]
-            d_lo[b + i[on_diag]], d_hi[b + i[on_diag]] = lo[on_diag], hi[on_diag]
-            mag = np.zeros((len(rows), len(cols)))
-            np.put(mag, i * len(cols) + j, np.maximum(np.abs(lo), np.abs(hi)))
-            mag[np.arange(len(rows)), diag_col[b:b + len(rows)]] = 0.0
-            term2[b:b + len(rows)] = mag[:, p:].sum(axis=1)
-        del reach, i, j, lo, hi, mag     # free the table and last block before the sums
-        dg = IMatrix(mi_lo, mi_hi)
+        table = _StateTable(w, sector, m_cut + sw)
+        dg = IMatrix(*table.gather(mid, inner))
+        (d_lo, d_hi), term2 = table.centers(mid), table.ext_sums(mid, N)
+        del table       # free the table before the sums
         term1, hp_cols = mag_product_sums(dg, pseudo.P.lo)
+        r_mid = _sum_up(term1 + term2, 1)
         # region (i) couples into the shell through Pinv H^T = (H P)^T + pad.
         # delta_i >= max_l |Pinv - P^T|_il: a difference rounds by at most
         # 2^-53 of itself, which two ulps up cover
@@ -395,9 +415,8 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
         dg_s = dg.row_sums_hi()
         pad = (IArray(dg_delta) * IArray(dg_s).sum()).hi
         r_inner = r_inner + (hp_cols + pad)
-    # mag_product_sums rounds its sums up: the factors cover D's and term2's
+    # mag_product_sums rounds its sums up: the factor covers D's
     r_inner = ulp_step(r_inner * (1.0 + (p + 4) * 2.0 ** -53), _INF)
-    r_mid = ulp_step((term1 + term2) * (1.0 + (len(ext) + 4) * 2.0 ** -53), _INF)
     c_mid = (lam[p:] + IArray(d_lo, d_hi)).checked()
 
     return DiskSet(
@@ -546,16 +565,14 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         return FourierSeq.from_point(grid, sector, v.reshape(shape))
 
     def res(v: np.ndarray) -> np.ndarray:
-        useq = to_seq(v)
-        total = None
+        useq, terms = to_seq(v), []
         for deg, coeff in model.nonlin:
             term = useq
             for _ in range(deg - 1):
                 term = conv(term, useq)
-            term = term.scaled(coeff)
-            total = term if total is None else total + term
-        g = _flatten_to(total, grid, sector, N) if total is not None else 0.0
-        return lam_mid * v + g
+            terms.append(term.scaled(coeff))
+        return lam_mid * v + (_flatten_to(sum(terms[1:], terms[0]), grid, sector, N)
+                              if terms else 0.0)
 
     for _ in range(max_iter):
         r = res(vec)
@@ -581,11 +598,5 @@ def _flatten_to(seq: FourierSeq, grid: Grid, sector: str, N: int) -> np.ndarray:
     if seq.sector != sector:
         raise GridMismatch("sector changed during Newton assembly")
     s = seq.padded(N) if seq.S < N else seq
-    mid = s.mid()
-    signed = s.axes[0] == "signed"
-    if signed:
-        off = s.S
-        sl = tuple(slice(off - N, off + N + 1) for _ in range(grid.m))
-    else:
-        sl = tuple(slice(0, N + 1) for _ in range(grid.m))
-    return mid[sl].reshape(-1)
+    off, side = (s.S - N, 2 * N + 1) if s.axes[0] == "signed" else (0, N + 1)
+    return s.mid()[(slice(off, off + side),) * grid.m].reshape(-1)

@@ -12,13 +12,16 @@ full-coefficient = i * sign(n_i) * v_|n|, which keeps all storage real and
 turns products into real convolutions with per-axis sign corrections.
 
 Convolutions are computed over the true supports (supports add, nothing
-wraps) with the same midpoint-radius enclosure used for matrix products.
+wraps) with the same midpoint-radius enclosure used for matrix products;
+in 2-D its float products are Toeplitz matmuls, whose rounding that
+enclosure covers entry by entry, which an FFT's would not.
 Sums and scalings are interval.IArray operations on the coefficient
 arrays.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -61,28 +64,36 @@ def _mult_weights(shape, axes):
     """Orbit sizes of fundamental-domain indices (1, 2, or 4 copies)."""
     w = np.ones(shape)
     for ax, kind in enumerate(axes):
-        if kind == "signed":
-            continue
-        idx = np.arange(shape[ax])
-        wax = np.where(idx == 0, 1.0, 2.0)
-        sl = [None] * len(shape)
-        sl[ax] = slice(None)
-        w = w * wax[tuple(sl)]
+        if kind != "signed":
+            w[(slice(None),) * ax + (slice(1, None),)] *= 2.0
     return w
 
 
 def _convolve_direct(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full float convolution of two 1-D or two 2-D arrays.  In 2-D each row
+    l of b is a Toeplitz block, t_l[j, j + i] = b[l, i], and result rows l,
+    l + 1, ... collect a @ t_l: one matmul per row of the shorter operand.
+    An entry still sums its terms a[j] b[n - j], and exact zeros, in some
+    order, so _mm_real's gamma_k holds (Higham, Accuracy and Stability,
+    3.1); an FFT's error has no such entrywise bound."""
     if a.ndim == 1:
         return np.convolve(a, b)
-    from scipy.signal import convolve     # imported here: 1D runs never load it
-    return convolve(a, b, mode="full", method="direct")
+    if len(a) < len(b):
+        a, b = b, a
+    (p, q), (r, s) = a.shape, b.shape
+    j, i = np.ogrid[:q, :s]
+    toeplitz = np.zeros((r, q, q + s - 1))
+    toeplitz[:, j, j + i] = b[:, None, :]
+    out = np.zeros((p + r - 1, q + s - 1))
+    for l in range(r):
+        out[l:l + p] += a @ toeplitz[l]
+    return out
 
 
 def _conv_real(al, ah, bl, bh):
     """Enclosure of the convolution of real interval arrays."""
     shape = tuple(np.add(al.shape, bl.shape) - 1)
-    return _mm_real(al, ah, bl, bh, _convolve_direct, shape,
-                    min(al.size, bl.size))
+    return _mm_real(al, ah, bl, bh, _convolve_direct, shape, min(al.size, bl.size))
 
 
 class FourierSeq:
@@ -115,11 +126,9 @@ class FourierSeq:
         self.lo = lo
         self.hi = hi
         for ax, kind in enumerate(axes):
-            if kind == "s":
-                sl = [slice(None)] * grid.m
-                sl[ax] = 0
-                if np.any(self.lo[tuple(sl)] != 0.0) or np.any(self.hi[tuple(sl)] != 0.0):
-                    raise InvalidParameter("odd-axis coefficients at index 0 must vanish")
+            zero = (slice(None),) * ax + (0,)
+            if kind == "s" and (np.any(self.lo[zero] != 0.0) or np.any(self.hi[zero] != 0.0)):
+                raise InvalidParameter("odd-axis coefficients at index 0 must vanish")
 
     # -- constructors -----------------------------------------------------
 
@@ -167,13 +176,9 @@ class FourierSeq:
         if S < self.S:
             raise DimensionMismatch("padded support below current support")
         out = FourierSeq.zeros(self.grid, self.sector, S)
-        signed = self.axes[0] == "signed"
-        off_out = S if signed else 0
-        off_in = self.S if signed else 0
-        sl_out = tuple(slice(off_out - off_in, off_out - off_in + s)
-                       for s in self.lo.shape)
-        out.lo[sl_out] = self.lo
-        out.hi[sl_out] = self.hi
+        off = S - self.S if self.axes[0] == "signed" else 0
+        box = (slice(off, off + self.lo.shape[0]),) * self.grid.m
+        out.lo[box], out.hi[box] = self.lo, self.hi
         return out
 
     def __add__(self, other: "FourierSeq") -> "FourierSeq":
@@ -198,19 +203,12 @@ class FourierSeq:
         the i factors of the odd-axis convention are accounted for by the
         sign corrections applied after convolution.
         """
-        lo = self.lo
-        hi = self.hi
+        lo, hi = self.lo, self.hi
         for ax, kind in enumerate(self.axes):
-            if kind == "signed":
-                continue
-            sl_pos = [slice(None)] * self.grid.m
-            sl_pos[ax] = slice(1, None)
-            flip_lo = np.flip(lo[tuple(sl_pos)], axis=ax)
-            flip_hi = np.flip(hi[tuple(sl_pos)], axis=ax)
-            if kind == "s":
-                flip_lo, flip_hi = -flip_hi, -flip_lo
-            lo = np.concatenate([flip_lo, lo], axis=ax)
-            hi = np.concatenate([flip_hi, hi], axis=ax)
+            if kind != "signed":
+                rev = (slice(None),) * ax + (slice(None, 0, -1),)   # indices S, ..., 1
+                flip_lo, flip_hi = (-hi[rev], -lo[rev]) if kind == "s" else (lo[rev], hi[rev])
+                lo, hi = (np.concatenate(x, axis=ax) for x in ((flip_lo, lo), (flip_hi, hi)))
         return lo, hi
 
     def __eq__(self, other) -> bool:
@@ -228,17 +226,10 @@ def _fold(grid: Grid, sector: str, lo: np.ndarray, hi: np.ndarray) -> FourierSeq
     axes = _axis_types(grid.m, sector)
     S = lo.shape[0] // 2
     for ax, kind in enumerate(axes):
-        if kind == "signed":
-            continue
-        sl = [slice(None)] * grid.m
-        sl[ax] = slice(S, None)
-        lo = lo[tuple(sl)]
-        hi = hi[tuple(sl)]
+        if kind != "signed":
+            lo, hi = (x[(slice(None),) * ax + (slice(S, None),)] for x in (lo, hi))
         if kind == "s":
-            sl0 = [slice(None)] * grid.m
-            sl0[ax] = 0
-            lo[tuple(sl0)] = 0.0
-            hi[tuple(sl0)] = 0.0
+            lo[(slice(None),) * ax + (0,)] = hi[(slice(None),) * ax + (0,)] = 0.0
     return FourierSeq(grid, sector, np.ascontiguousarray(lo),
                       np.ascontiguousarray(hi))
 
@@ -292,11 +283,5 @@ def seq_l1(u: FourierSeq) -> Interval:
 
 def index_list(grid: Grid, sector: str, S: int):
     """Fundamental-domain multi-indices in deterministic (row-major) order."""
-    axes = _axis_types(grid.m, sector)
-    if axes[0] == "signed":
-        rng = range(-S, S + 1)
-    else:
-        rng = range(S + 1)
-    if grid.m == 1:
-        return [(n,) for n in rng]
-    return [(n1, n2) for n1 in rng for n2 in rng]
+    rng = range(-S if _axis_types(grid.m, sector)[0] == "signed" else 0, S + 1)
+    return list(itertools.product(rng, repeat=grid.m))

@@ -40,6 +40,7 @@ from .interval import IArray, Interval, iv_sqrt, ulp_step
 _U = 2.0 ** -53
 _TINY = 5e-308
 _INF = math.inf
+_ROW_BLOCK = 64                 # rows per block of mag_product_sums
 
 
 def _mid_rad(lo, hi):
@@ -47,8 +48,10 @@ def _mid_rad(lo, hi):
     point has the split's bits without it: lo + 0.0 (-0.0 becomes 0.0) and 0."""
     if np.array_equal(lo, hi) and np.isfinite(lo).all():
         return lo + 0.0, np.zeros(lo.shape)
-    mid = lo + 0.5 * (hi - lo)
-    return mid, ulp_step(np.maximum(hi - mid, mid - lo), _INF, 2, keep_zero=True)
+    mid = np.subtract(hi, lo)       # lo + 0.5 (hi - lo), in place
+    np.add(np.multiply(mid, 0.5, out=mid), lo, out=mid)
+    rad = np.subtract(hi, mid)
+    return mid, ulp_step(np.maximum(rad, mid - lo, out=rad), _INF, 2, keep_zero=True)
 
 
 def _sum_up(s, n):
@@ -162,18 +165,12 @@ class IMatrix(IArray):
 
     def norm1_hi(self) -> float:
         """Upper bound on the maximum column sum of magnitudes."""
-        if self.shape[0] == 0 or self.shape[1] == 0:
-            return 0.0
-        return float(self._sum_hi(axis=0).max())
+        return float(self._sum_hi(axis=0).max()) if min(self.shape) else 0.0
 
     def norminf_hi(self) -> float:
-        if self.shape[0] == 0 or self.shape[1] == 0:
-            return 0.0
-        return float(self._sum_hi(axis=1).max())
+        return float(self._sum_hi(axis=1).max()) if min(self.shape) else 0.0
 
     def row_sums_hi(self) -> np.ndarray:
-        if self.shape[1] == 0:
-            return np.zeros(self.shape[0])
         return self._sum_hi(axis=1)
 
 
@@ -187,18 +184,23 @@ def mag_product_sums(a: IMatrix, p: np.ndarray):
     out (Rump, BIT 39, 1999), row i is sum_j |C_ij| + ((Ar + gamma_k |Am|)
     |P| 1)_i, and column j likewise with 1^T Ar and 1^T |Am|.  Each sum is
     rounded up by its length (_sum_up); 5 _TINY per entry, as in _mm_real,
-    covers underflow."""
+    covers underflow.  Rows go _ROW_BLOCK at a time, which keeps the
+    temporaries small; a column sum adds its m terms across the blocks."""
     (m, k), n = a.shape, p.shape[1]
     if not (a.lo.any() or a.hi.any()) or not p.any():
         return np.zeros(m), np.zeros(n)
-    am, ar = _mid_rad(a.lo, a.hi)
-    c = np.abs(am @ p)
-    aa, pa, gamma = np.abs(am, out=am), np.abs(p), (k + 1) * _U
+    pa, gamma = np.abs(p), (k + 1) * _U
     v = _sum_up(pa.sum(axis=1), n)
-    rows = _sum_up(c.sum(axis=1) + _sum_up(ar @ v, k) + gamma * _sum_up(aa @ v, k)
-                   + 5.0 * _TINY * n, n + 2)
-    ar_cols, aa_cols = (_sum_up(x.sum(axis=0), m) for x in (ar, aa))
-    cols = _sum_up(c.sum(axis=0) + _sum_up(ar_cols @ pa, k) + gamma * _sum_up(aa_cols @ pa, k)
+    rows, c_cols, r_cols, a_cols = np.empty(m), 0.0, 0.0, 0.0
+    for b in range(0, m, _ROW_BLOCK):
+        am, ar = _mid_rad(a.lo[b:b + _ROW_BLOCK], a.hi[b:b + _ROW_BLOCK])
+        c = np.abs(am @ p)
+        aa = np.abs(am, out=am)
+        rows[b:b + _ROW_BLOCK] = c.sum(axis=1) + _sum_up(ar @ v, k) + gamma * _sum_up(aa @ v, k)
+        c_cols, r_cols, a_cols = c_cols + c.sum(0), r_cols + ar.sum(0), a_cols + aa.sum(0)
+    rows = _sum_up(rows + 5.0 * _TINY * n, n + 2)
+    ar_cols, aa_cols = _sum_up(r_cols, m), _sum_up(a_cols, m)
+    cols = _sum_up(c_cols + _sum_up(ar_cols @ pa, k) + gamma * _sum_up(aa_cols @ pa, k)
                    + 5.0 * _TINY * m, m + 2)
     if np.isnan(rows).any() or np.isnan(cols).any():     # inf - inf or inf * 0
         raise UnboundedOperand("interval product overflows the double range")

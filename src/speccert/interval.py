@@ -370,7 +370,9 @@ class IArray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
     def mag(self) -> np.ndarray:
-        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+        # lo <= hi: hi < 0 gives |lo| >= |hi|; adding 0.0 turns -0.0 into 0.0
+        m = np.abs(self.lo)
+        return np.add(np.maximum(m, self.hi, out=m), 0.0, out=m)
 
     def mig(self) -> np.ndarray:
         return np.where((self.lo <= 0.0) & (0.0 <= self.hi), 0.0,

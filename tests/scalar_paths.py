@@ -1,8 +1,9 @@
 """The scalar loops that the batched radial and homotopy code replaced, and
-the per-flip conv_block, the per-block flip loop of its prepared reach,
+the per-flip conv_block, the per-block flip loop of its state table,
 list-built shell indices, inner-to-shell coupling product and interval
 shell product H P whose magnitudes the disk radii summed, all of which the
-finite stage replaced.
+finite stage replaced; and scipy's direct N-D convolution, which the
+Toeplitz matmuls of the 2-D coefficient convolution replaced.
 
 Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
 of a library function, with the same signature, so that a test can check
@@ -280,9 +281,11 @@ def conv_block_reference(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
 
 
 def reach_reference(w: FourierSeq, sector: str, cols):
-    """finite._reach with the flip loop in every block: the entries no flip
-    touches come from a table of kernel position and e, and each block adds
-    and steps the flip terms of its touched entries itself."""
+    """finite._StateTable.gather with the flip loop in every block, as a
+    function of the rows that returns the reached entries (i, j, lo, hi):
+    the entries no flip touches come from a table of kernel position and e,
+    and each block adds and steps the flip terms of its touched entries
+    itself."""
     m, sw = w.grid.m, w.S
     axes = _axis_types(m, sector)
     if "s" in w.sector:
@@ -361,6 +364,15 @@ def reach_reference(w: FourierSeq, sector: str, cols):
         lo[t], hi[t] = scaled(acc_lo, acc_hi, e)
         return i, j, lo, hi
     return block
+
+
+def convolve_direct_reference(a, b):
+    """fourier._convolve_direct before the Toeplitz matmuls: scipy.signal's
+    direct convolution, one product per pair of entries."""
+    if a.ndim == 1:
+        return np.convolve(a, b)
+    from scipy.signal import convolve
+    return convolve(a, b, mode="full", method="direct")
 
 
 def inner_coupling_reference(w: FourierSeq, sector: str, inner, mid, pseudo) -> IMatrix:

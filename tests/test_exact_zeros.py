@@ -364,9 +364,8 @@ def test_conv_block_matches_the_per_flip_reference(case):
 @given(conv_cases(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_conv_block_column_slices_are_bit_identical(case, data):
-    # gershgorin_disks reads the inner and the ext columns of one pass over
-    # inner + ext on this invariant: a slice of the columns is bit for bit
-    # the same columns of the whole block
+    # an entry depends on its row and column alone: a slice of the columns
+    # is bit for bit the same columns of the whole block
     w, sector, rows, cols = case
     a = data.draw(st.integers(0, len(cols)))
     b = data.draw(st.integers(a, len(cols)))
@@ -379,18 +378,19 @@ def test_conv_block_column_slices_are_bit_identical(case, data):
 @given(conv_cases(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_one_prepared_reach_serves_any_row_blocks(case, data):
-    # gershgorin_disks prepares one _reach for all its mid-row blocks: blocks
-    # in order, repeated and interleaved are each the reference's rows, so
-    # no call leaves state behind for the next
+    # gershgorin_disks builds one _StateTable for all its mid-row blocks:
+    # blocks in order, repeated and interleaved are each the reference's
+    # rows, so no gather leaves state behind for the next
     w, sector, rows, cols = case
     want = conv_block_reference(w, sector, rows, cols)
-    reach = finite._reach(w, sector, cols)
+    m = w.grid.m
+    rows_a, cols_a = (np.asarray(x, dtype=np.int64).reshape(len(x), m) for x in (rows, cols))
+    top = max(np.abs(rows_a).max(initial=0), np.abs(cols_a).max(initial=0))
+    table = finite._StateTable(w, sector, int(top))
     edges = [0, *sorted(data.draw(st.lists(st.integers(0, len(rows)), max_size=3))), len(rows)]
     spans = list(zip(edges, edges[1:]))
     for a, b in spans + data.draw(st.lists(st.sampled_from(spans), max_size=5)):
-        i, j, lo, hi = reach(rows[a:b])
-        got_lo, got_hi = np.zeros((b - a, len(cols))), np.zeros((b - a, len(cols)))
-        got_lo[i, j], got_hi[i, j] = lo, hi
+        got_lo, got_hi = table.gather(rows_a[a:b], cols_a)
         assert got_lo.tobytes() == want.lo[a:b].tobytes()
         assert got_hi.tobytes() == want.hi[a:b].tobytes()
 

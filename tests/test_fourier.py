@@ -10,13 +10,16 @@ from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter, U
 from speccert.fourier import (
     FourierSeq,
     Grid,
+    _conv_real,
     conv,
     index_list,
     seq_l1,
 )
+from speccert.imatrix import _mm_real
 from speccert.interval import Interval
 
 from oracles import sample_gamma_dagger
+from scalar_paths import convolve_direct_reference
 
 GRID1 = Grid(1, 10.0)
 GRID2 = Grid(2, 6.0)
@@ -229,3 +232,62 @@ def test_seq_l1_past_the_largest_double_warns_nothing():
         warnings.simplefilter("error")
         l1 = seq_l1(u)
     assert l1.hi == math.inf and l1.lo == big
+
+
+# -- the 2-D float convolution as Toeplitz matmuls --------------------------
+
+# exact zeros of both signs, subnormals, and magnitudes whose products
+# underflow (1e-300^2) or overflow (1e300^2)
+CONV_VALUES = (0.0, -0.0, 1.0, -0.75, 3.5, 5e-324, -3e-320, 1e-300, -1e-300, 1e300, -1e300)
+
+
+@st.composite
+def interval_operand(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    ends = [np.array(draw(st.lists(st.sampled_from(CONV_VALUES), min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1]))).reshape(shape)
+            for _ in range(2)]
+    return np.minimum(*ends), np.maximum(*ends)
+
+
+def _reference_conv_real(al, ah, bl, bh):
+    """_conv_real through scipy's direct convolution."""
+    return _mm_real(al, ah, bl, bh, convolve_direct_reference,
+                    tuple(np.add(al.shape, bl.shape) - 1), min(al.size, bl.size))
+
+
+def _enclosure(conv_real, *operands):
+    """The enclosure, or None where a product passes the double range."""
+    try:
+        return conv_real(*operands)
+    except UnboundedOperand:
+        return None
+
+
+def _exact_conv(x, y):
+    out = np.zeros(tuple(np.add(x.shape, y.shape) - 1), dtype=object)
+    for i in np.ndindex(x.shape):
+        for j in np.ndindex(y.shape):
+            out[tuple(np.add(i, j))] += Fraction(x[i]) * Fraction(y[j])
+    return out
+
+
+@given(interval_operand(), interval_operand(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_toeplitz_convolution_encloses_the_exact_one(a, b, data):
+    (al, ah), (bl, bh) = a, b
+    got = _enclosure(_conv_real, al, ah, bl, bh)
+    want = _enclosure(_reference_conv_real, al, ah, bl, bh)
+    # a product past the double range is refused on both routes
+    assert (got is None) == (want is None)
+    if got is None:
+        return
+    for _ in range(3):      # each operand at one end per entry
+        x, y = (np.where(np.array(data.draw(st.lists(st.booleans(), min_size=lo.size,
+                                                      max_size=lo.size))).reshape(lo.shape),
+                         lo, hi) for lo, hi in (a, b))
+        exact = _exact_conv(x, y)
+        for lo, hi in (got, want):
+            for i in np.ndindex(exact.shape):
+                assert lo[i] == -math.inf or Fraction(lo[i]) <= exact[i]
+                assert hi[i] == math.inf or exact[i] <= Fraction(hi[i])

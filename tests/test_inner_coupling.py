@@ -16,7 +16,7 @@ On random even kernels in the c, cc and even full sectors:
     the reference path's, and within 1e-12 relative of their own plus
     twice the row's pad delta_i sum_j s_j, which a tiny radius needs.
 
-A call count guards the single reach, and the absence of any interval
+A call count guards the single state table, and the absence of any interval
 product, of one gershgorin_disks call.
 """
 
@@ -227,9 +227,9 @@ def test_one_gershgorin_disks_call_makes_no_product_and_one_reach(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(IMatrix, "__matmul__", counted("matmul", IMatrix.__matmul__))
-    monkeypatch.setattr(finite, "_reach", counted("_reach", finite._reach))
+    monkeypatch.setattr(finite, "_StateTable", counted("_StateTable", finite._StateTable))
     monkeypatch.setattr(finite, "conv_block", counted("conv_block", finite.conv_block))
     disks = gershgorin_disks(model, w, "cc", 4, pseudo, a)
-    assert calls == {"_reach": 1}
+    assert calls == {"_StateTable": 1}
     dg_p, pinv_dg = shell_coupling(disks, pseudo)
     assert dg_p.shape == pinv_dg.T.shape == (144, 25)

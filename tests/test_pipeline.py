@@ -646,7 +646,7 @@ def test_cli_odd_sector_refused_before_the_state(tmp_path, capsys, mode,
 
 
 def test_1d_cli_run_leaves_scipy_signal_unloaded(tmp_path):
-    # scipy.signal was most of the CLI's import time; only N-D convolutions use it
+    # scipy.signal was most of the CLI's import time; the library imports it nowhere
     sol = tmp_path / "u0.csv"
     sol.write_text("0,0.3\n1,0.2\n2,0.1\n")
     cfg = {"mode": "gershgorin-only",
