@@ -31,7 +31,10 @@ The stage runs on the real line.  Every model that reaches it is scalar and
 self-adjoint, so the window, the shift t and the kernel diagonal w0 are
 Intervals, a disk center is read through its real part (its imaginary part
 is exactly [0, 0]), and a diagonal weight such as (S + t)^{-1} multiplies a
-block as a row scaling, O(n^2) instead of a dense O(n^3) product.
+block as a row scaling, O(n^2) instead of a dense O(n^3) product.  Each
+spectral norm (Z11, Z13, Z14, the factor behind Zu3 and C2 r0, the Neumann
+defect) is imatrix.op_norm2_bound, whose Gershgorin bound on the Gram costs
+one float product, so a per-shift norm costs one n^3 product.
 Per-index loops (kernel modes, window distances, weights, disk gaps,
 inflated radii) run on IArrays with the scalar bits, summing in index
 order; the Neumann head search stops once it cannot change its maximum.

@@ -4,14 +4,18 @@ IMatrix is the 2-D interval.IArray: two float64 arrays, the lower and
 upper bounds of each entry, with IArray's elementwise sums, differences
 and bounds.  Every matrix of the finite stage is real: the Jacobian of a
 self-adjoint linearization, its eigenvectors and their verified inverse.
-What is specific to matrices lives here: the product, the sums of |A P|,
-row scaling, the norms and the verified inverse.  Products use
+What is specific to matrices lives here: the product, the magnitude sums
+of a product (from one float product: mag_product_sums), row scaling, the
+norms and the verified inverse.  Products use
 the classical midpoint-radius scheme (Rump, "Fast and parallel interval
 arithmetic", BIT 39, 1999): the midpoint product is one floating-point
 matmul and the radius collects operand radii plus a (k+4)u accumulation
 term that dominates the rounding error of any summation order, so the
 result encloses the exact product entrywise without touching the FPU
-rounding mode.
+rounding mode.  The Gershgorin radii and spectral norms read only the row
+and column sums of a product's magnitude, so they form no interval
+product: the radii and accumulation term are summed before they are
+multiplied out, with every rounding term in mag_product_sums' docstring.
 
 Exact zeros stay exact.  Outward rounding steps a bound through
 interval.ulp_step, which would turn a zero into a subnormal, and BLAS runs
@@ -175,50 +179,86 @@ class IMatrix(IArray):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def mag_product_sums(a: IMatrix, p: np.ndarray):
-    """Upper bounds (rows, cols) on the row and column sums of |A~ P| over
-    every A~ in `a` (m x k), for a float p (k x n), from one float product.
-    With a = Am +- Ar (_mid_rad) and C = fl(Am P), |A~ P| <= |C| + (Ar +
-    gamma_k |Am|)|P|, gamma_k = ku / (1 - ku) <= (k + 1) u for k < 9e7
-    (Higham, Accuracy and Stability, 3.5).  Summed before it is multiplied
-    out (Rump, BIT 39, 1999), row i is sum_j |C_ij| + ((Ar + gamma_k |Am|)
-    |P| 1)_i, and column j likewise with 1^T Ar and 1^T |Am|.  Each sum is
-    rounded up by its length (_sum_up); 5 _TINY per entry, as in _mm_real,
-    covers underflow.  Rows go _ROW_BLOCK at a time, which keeps the
-    temporaries small; a column sum adds its m terms across the blocks."""
-    (m, k), n = a.shape, p.shape[1]
-    if not (a.lo.any() or a.hi.any()) or not p.any():
+def mag_product_sums(a: IMatrix, b):
+    """Upper bounds (rows, cols) on the row and column sums of |A~ B~| over
+    every A~ in `a` (m x k) and B~ in `b` (k x n, a float array or an
+    IMatrix), from one float product.
+
+    With a = Am +- Ar, b = Bm +- Br (_mid_rad; Br = 0 for a float b) and
+    C = fl(Am Bm), |A~ B~| <= |C| + gamma_k |Am||Bm| + |Am| Br + Ar (|Bm| +
+    Br); gamma_k = ku / (1 - ku) (Higham, Accuracy and Stability, 3.5), and
+    (k + 1) u bounds it with the rounding of a product by it for k < 9e7.
+    Summed before it is multiplied out (Rump, "Fast and parallel interval
+    arithmetic", BIT 39, 1999), with v = |Bm| 1 and r = Br 1, row i sums to
+    at most
+
+        sum_j |C_ij| + (Ar x)_i + (|Am| y)_i,  x = v + r,  y = (k + 1) u v + r,
+
+    and column j likewise, with 1^T Ar against |Bm| + Br and 1^T |Am|
+    against (k + 1) u |Bm| + Br.  All terms are non-negative, so after at
+    most q roundings on any term's path _sum_up(s, q) bounds a sum.  A row
+    rounds its n terms of |C|, and the plain sums v and r, n - 1 times.  A
+    float b adds Ar v and (k + 1) u |Am| v, each dot product rounded up by
+    k, in turn: n + 2 roundings a row.  An IMatrix b rounds Ar x + |Am| y
+    up once by its k + 3 (for y: the product by (k + 1) u, + r, the dot
+    product, the sum) and adds it: n + 1.  5 _TINY per entry, as in
+    _mm_real, covers underflow.  Both are sound; the term-by-term order
+    keeps the radii of gershgorin_disks on its bits, which one rounded sum
+    would move by an ulp either way.  A column adds its m terms across the
+    blocks: m + 2 and m + 1 likewise.  Rows go _ROW_BLOCK at a time, which
+    keeps the temporaries small.
+    """
+    (m, k), n = a.shape, b.shape[1]
+    interval = isinstance(b, IMatrix)
+    bm, br = _mid_rad(b.lo, b.hi) if interval else (b, None)
+    if not (a.lo.any() or a.hi.any()) or not (bm.any() or interval and br.any()):
         return np.zeros(m), np.zeros(n)
-    pa, gamma = np.abs(p), (k + 1) * _U
-    v = _sum_up(pa.sum(axis=1), n)
+    pa, gamma = np.abs(bm), (k + 1) * _U
+    v = pa.sum(axis=1)
+    if interval:
+        r = br.sum(axis=1)
+        x, y = v + r, gamma * v + r
     rows, c_cols, r_cols, a_cols = np.empty(m), 0.0, 0.0, 0.0
-    for b in range(0, m, _ROW_BLOCK):
-        am, ar = _mid_rad(a.lo[b:b + _ROW_BLOCK], a.hi[b:b + _ROW_BLOCK])
-        c = np.abs(am @ p)
+    for s in range(0, m, _ROW_BLOCK):
+        blk = slice(s, s + _ROW_BLOCK)
+        am, ar = _mid_rad(a.lo[blk], a.hi[blk])
+        c = np.abs(am @ bm)
         aa = np.abs(am, out=am)
-        rows[b:b + _ROW_BLOCK] = c.sum(axis=1) + _sum_up(ar @ v, k) + gamma * _sum_up(aa @ v, k)
+        if interval:
+            rows[blk] = c.sum(axis=1) + _sum_up(ar @ x + aa @ y, k + 3)
+        else:
+            rows[blk] = c.sum(axis=1) + _sum_up(ar @ v, k) + gamma * _sum_up(aa @ v, k)
         c_cols, r_cols, a_cols = c_cols + c.sum(0), r_cols + ar.sum(0), a_cols + aa.sum(0)
-    rows = _sum_up(rows + 5.0 * _TINY * n, n + 2)
-    ar_cols, aa_cols = _sum_up(r_cols, m), _sum_up(a_cols, m)
-    cols = _sum_up(c_cols + _sum_up(ar_cols @ pa, k) + gamma * _sum_up(aa_cols @ pa, k)
-                   + 5.0 * _TINY * m, m + 2)
+    if interval:
+        cols = c_cols + _sum_up(r_cols @ pa + gamma * (a_cols @ pa) + (r_cols + a_cols) @ br, k + 3)
+    else:
+        cols = c_cols + _sum_up(r_cols @ pa, k) + gamma * _sum_up(a_cols @ pa, k)
+    rows = _sum_up(rows + 5.0 * _TINY * n, n + 2 - interval)
+    cols = _sum_up(cols + 5.0 * _TINY * m, m + 2 - interval)
     if np.isnan(rows).any() or np.isnan(cols).any():     # inf - inf or inf * 0
         raise UnboundedOperand("interval product overflows the double range")
     return rows, cols
 
 
 def op_norm2_bound(a: IMatrix) -> Interval:
-    """Enclosure [0, b] with the spectral norm certified to be at most b.
+    """Enclosure [0, b] with the spectral norm of every A~ in `a` at most b:
+    the smaller of sqrt(norm1 * norminf) and the square root of a Gershgorin
+    bound on A~^T A~, which mag_product_sums(a^T, a) gives from one float
+    product.  For a (m x n) = Am +- Ar, C = fl(Am^T Am), v = |Am| 1 and
+    r = Ar 1, row i of |A~^T A~| sums to at most
 
-    Takes the smaller of sqrt(norm1 * norminf) and the square root of a
-    Gershgorin bound on A^T A; the second route usually wins for the
-    nearly-diagonal matrices produced by pseudo-diagonalization.
+        sum_j |C_ij| + (Ar^T (v + r))_i + (|Am|^T ((m + 1) u v + r))_i,
+
+    the last two terms rounded up once by their m + 3 roundings, the row by
+    its n + 1 after 5 _TINY per entry is added for underflow.  Row i and
+    column i sum alike, so the smaller bound serves.  A Gram or a norm
+    product past the double range raises UnboundedOperand.
     """
     if a.shape[0] == 0 or a.shape[1] == 0:
         return Interval(0.0, 0.0)
     b1 = iv_sqrt(Interval(0.0, a.norm1_hi()) * Interval(0.0, a.norminf_hi())).hi
-    ata = a.T @ a
-    b2 = iv_sqrt(Interval(0.0, float(ata.row_sums_hi().max()))).hi
+    rows, cols = mag_product_sums(IMatrix._of(a.lo.T, a.hi.T, None), a)
+    b2 = iv_sqrt(Interval(0.0, float(np.minimum(rows, cols).max()))).hi
     return Interval(0.0, min(b1, b2))
 
 

@@ -2,8 +2,9 @@
 the per-flip conv_block, the per-block flip loop of its state table,
 list-built shell indices, inner-to-shell coupling product and interval
 shell product H P whose magnitudes the disk radii summed, all of which the
-finite stage replaced; and scipy's direct N-D convolution, which the
-Toeplitz matmuls of the 2-D coefficient convolution replaced.
+finite stage replaced; scipy's direct N-D convolution, which the Toeplitz
+matmuls of the 2-D coefficient convolution replaced; and the interval Gram
+whose magnitude sums bounded the spectral norm.
 
 Each function is the one-Interval-at-a-time (or one-flip-at-a-time) version
 of a library function, with the same signature, so that a test can check
@@ -27,7 +28,7 @@ from speccert.errors import (
 )
 from speccert.fourier import FourierSeq, _axis_types, conv, index_list
 from speccert.imatrix import IMatrix
-from speccert.interval import PI, Interval, elementwise, iv_exp, ulp_step
+from speccert.interval import PI, Interval, elementwise, iv_exp, iv_sqrt, ulp_step
 from speccert.radial import _MIN_WIDTH
 
 _INF = math.inf
@@ -396,12 +397,23 @@ def mid_rad_reference(lo, hi):
     return mid, ulp_step(np.maximum(hi - mid, mid - lo), _INF, 2, keep_zero=True)
 
 
-def mag_product_sums_reference(a: IMatrix, p) -> tuple:
+def mag_product_sums_reference(a: IMatrix, b) -> tuple:
     """imatrix.mag_product_sums as gershgorin_disks had it before: the row
-    and column sums of |a @ P| from the interval product, each sum rounded
-    up as IMatrix rounds a magnitude sum."""
-    prod = a @ IMatrix.from_point(p)
+    and column sums of |a @ b|, for a float or interval b, from the interval
+    product, each sum rounded up as IMatrix rounds a magnitude sum."""
+    prod = a @ (b if isinstance(b, IMatrix) else IMatrix.from_point(b))
     return prod.row_sums_hi(), prod._sum_hi(axis=0)
+
+
+def op_norm2_bound_reference(a: IMatrix) -> Interval:
+    """imatrix.op_norm2_bound with its Gershgorin bound on the interval Gram
+    a^T a: the row sums of its magnitude, rounded up as IMatrix rounds a
+    magnitude sum."""
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        return Interval(0.0, 0.0)
+    b1 = iv_sqrt(Interval(0.0, a.norm1_hi()) * Interval(0.0, a.norminf_hi())).hi
+    b2 = iv_sqrt(Interval(0.0, float((a.T @ a).row_sums_hi().max()))).hi
+    return Interval(0.0, min(b1, b2))
 
 
 def normalize_columns_reference(vecs):

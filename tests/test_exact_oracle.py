@@ -16,7 +16,8 @@ conv_block's entries hold the exact orbit sums times sqrt(m_n / m_k), and
 sym_factor bounds that factor; both are checked by squares, with no root.
 
 IMatrix.scale_rows holds the exact products, and op_norm2_bound's b makes
-b^2 I - M^T M positive semidefinite, by an exact LDL^T, at drawn points M.
+b^2 I - M^T M positive semidefinite, by an exact LDL^T, at drawn members M
+of interval matrices, also of ones whose entries are midpoints with radii.
 """
 
 import itertools
@@ -349,13 +350,31 @@ def test_positive_semidefinite_oracle():
     assert _positive_semidefinite([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]])
 
 
+@st.composite
+def _centered_imatrices(draw, rows, cols):
+    """mid +- rad for table midpoints, with a radius of 0, 5e-324 or a
+    fraction 2^-40, 1e-3, 0.25 or 1 of |mid|."""
+    value = st.sampled_from(MATRIX_VALUES + (NEAR_OVERFLOW if draw(st.booleans()) else []))
+    mids = np.array(draw(st.lists(value, min_size=rows * cols, max_size=rows * cols)))
+    rel = np.array(draw(st.lists(st.sampled_from((0.0, 5e-324, 2.0 ** -40, 1e-3, 0.25, 1.0)),
+                                 min_size=rows * cols, max_size=rows * cols)))
+    rad = np.where(rel == 5e-324, rel, rel * np.abs(mids))
+    return IMatrix((mids - rad).reshape(rows, cols), (mids + rad).reshape(rows, cols))
+
+
+def _member(lo, hi, pick):
+    """lo, hi, the midpoint or the point a third of the way up, exactly."""
+    return (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3)[pick]
+
+
 @given(st.data(), st.integers(1, 6), st.integers(1, 6))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_op_norm2_bound_dominates_every_drawn_point_exactly(data, m, n):
     # b^2 I - M^T M is positive semidefinite for M = lo, hi and random
-    # vertices of the interval matrix, checked exactly; the norm is convex,
-    # so its maximum over the box is at a vertex
-    a = data.draw(_imatrices(m, n))
+    # members of the interval matrix (vertices, midpoints, interior
+    # points), checked exactly; the norm is convex, so its maximum over the
+    # box is at a vertex
+    a = data.draw(_imatrices(m, n) | _centered_imatrices(m, n))
     try:
         b = op_norm2_bound(a)
     except UnboundedOperand:
@@ -367,10 +386,10 @@ def test_op_norm2_bound_dominates_every_drawn_point_exactly(data, m, n):
     b2 = Fraction(b.hi) ** 2
     fa = _fractions(a)
     picks = [[[0] * n] * m, [[1] * n] * m] + data.draw(st.lists(st.lists(
-        st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=m, max_size=m),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=m, max_size=m),
         max_size=3))
     for pick in picks:
-        pt = [[fa[i][j][pick[i][j]] for j in range(n)] for i in range(m)]
+        pt = [[_member(*fa[i][j], pick[i][j]) for j in range(n)] for i in range(m)]
         gram = [[(b2 if p == q else 0) - sum(pt[i][p] * pt[i][q] for i in range(m))
                  for q in range(n)] for p in range(n)]
         assert _positive_semidefinite(gram), pick

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from speccert.errors import DimensionMismatch, SingularityUnverified, UnboundedOperand
 from speccert.imatrix import IMatrix, _mid_rad, mag_product_sums, op_norm2_bound, verified_inverse
 from speccert.interval import IArray, Interval
-from scalar_paths import mag_product_sums_reference, mid_rad_reference
+from scalar_paths import mag_product_sums_reference, mid_rad_reference, op_norm2_bound_reference
 
 
 def exact_product(a, b):
@@ -248,38 +248,49 @@ def test_an_infinite_point_operand_still_raises():
         IMatrix.from_point([[math.inf, 1.0]]) @ IMatrix.identity(2)
 
 
-def _sums_case(data, m, k, n):
-    """An interval a (m x k), point p (k x n) and a point a~ in a, as
-    Fractions: exact zeros, subnormals, 1e-300 and 1e300 scales, and signs
-    that cancel inside a row."""
-    scale = data.draw(st.sampled_from((1.0, 1e-300, 1e300)))
-    mids = np.array(data.draw(st.lists(st.sampled_from(_POINT_VALUES), min_size=m * k,
-                                       max_size=m * k)), dtype=float).reshape(m, k) * scale
+def _drawn_interval(data, rows, cols, scale):
+    """An interval matrix of table midpoints times scale, radii 0, 5e-324,
+    2^-40 |mid| or |mid| / 4, and a member of it as Fractions: each entry
+    its lower end, upper end or midpoint."""
+    size = rows * cols
+    mids = np.array(data.draw(st.lists(st.sampled_from(_POINT_VALUES), min_size=size,
+                                       max_size=size)), dtype=float).reshape(rows, cols) * scale
     rad = np.array(data.draw(st.lists(st.sampled_from((0.0, 0.0, 5e-324, 2.0 ** -40, 0.25)),
-                                      min_size=m * k, max_size=m * k))).reshape(m, k)
+                                      min_size=size, max_size=size))).reshape(rows, cols)
     rad = np.where(rad == 5e-324, rad, rad * np.abs(mids))
-    a = IMatrix(mids - rad, mids + rad)
-    pscale = 1.0 if scale == 1e300 else data.draw(st.sampled_from((1.0, 1e-300)))
+    x = IMatrix(mids - rad, mids + rad)
+    pick = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=size, max_size=size))
+    member = [[(Fraction(x.lo[i, l]), Fraction(x.hi[i, l]),
+                (Fraction(x.lo[i, l]) + Fraction(x.hi[i, l])) / 2)[pick[i * cols + l]]
+               for l in range(cols)] for i in range(rows)]
+    return x, member
+
+
+def _sums_case(data, m, k, n):
+    """An interval a (m x k), b (k x n), a float p or an interval, and
+    members a~ and b~ as Fractions: exact zeros, subnormals, 1e-300 and
+    1e300 scales, and signs that cancel inside a row."""
+    scale = data.draw(st.sampled_from((1.0, 1e-300, 1e300)))
+    a, at = _drawn_interval(data, m, k, scale)
+    bscale = 1.0 if scale == 1e300 else data.draw(st.sampled_from((1.0, 1e-300)))
+    if data.draw(st.booleans()):
+        return (a, *_drawn_interval(data, k, n, bscale), at)
     p = np.array(data.draw(st.lists(st.sampled_from(_POINT_VALUES), min_size=k * n,
-                                    max_size=k * n)), dtype=float).reshape(k, n) * pscale
-    pick = data.draw(st.lists(st.sampled_from((0, 1, 2)), min_size=m * k, max_size=m * k))
-    at = [[(Fraction(a.lo[i, l]), Fraction(a.hi[i, l]),
-            (Fraction(a.lo[i, l]) + Fraction(a.hi[i, l])) / 2)[pick[i * k + l]]
-           for l in range(k)] for i in range(m)]
-    return a, p, at
+                                    max_size=k * n)), dtype=float).reshape(k, n) * bscale
+    return a, p, [[Fraction(x) for x in row] for row in p.tolist()], at
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.data())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @example(0, 3, 2, None)     # an empty shell
 def test_mag_product_sums_enclose_exact_sums_and_match_the_product(m, k, n, data):
     if data is None:
-        a, p, at = IMatrix(np.zeros((0, k)), np.zeros((0, k))), np.ones((k, n)), []
+        a, b, bt, at = IMatrix(np.zeros((0, k)), np.zeros((0, k))), np.ones((k, n)), [], []
     else:
-        a, p, at = _sums_case(data, m, k, n)
-    rows, cols = mag_product_sums(a, p)
+        a, b, bt, at = _sums_case(data, m, k, n)
+    rows, cols = mag_product_sums(a, b)
     assert rows.shape == (m,) and cols.shape == (n,)
-    exact = [[abs(sum(at[i][l] * Fraction(p[l, j]) for l in range(k))) for j in range(n)]
+    exact = [[abs(sum(at[i][l] * bt[l][j] for l in range(k))) for j in range(n)]
              for i in range(m)]
     for i in range(m):
         assert sum(exact[i]) <= Fraction(rows[i])
@@ -287,7 +298,7 @@ def test_mag_product_sums_enclose_exact_sums_and_match_the_product(m, k, n, data
         assert sum(row[j] for row in exact) <= Fraction(cols[j])
     # no looser than the interval product's magnitude sums, up to 4u
     try:
-        ref = mag_product_sums_reference(a, p)
+        ref = mag_product_sums_reference(a, b)
     except UnboundedOperand:
         return
     slack = 1 + Fraction(4, 2 ** 53)
@@ -296,8 +307,53 @@ def test_mag_product_sums_enclose_exact_sums_and_match_the_product(m, k, n, data
 
 
 def test_mag_product_sums_of_cancelling_rows_cover_rounding_only():
-    # row [1, 1] against columns (1, -1) and (1, 1): exact sums 0 + 2
+    # row [1, 1] against columns (1, -1) and (1, 1): exact sums 0 + 2; and
+    # 1e16 + 1 - 1e16, whose float sum 0 only the gamma_k term lifts to 1
     a, p = IMatrix.from_point([[1.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1.0], [-1.0, 1.0]])
-    rows, cols = mag_product_sums(a, p)
-    assert 2.0 <= rows[0] < 2.0 + 1e-14 and 0.0 < rows[1] < 1e-300
-    assert 0.0 <= cols[0] < 1e-14 and 2.0 <= cols[1] < 2.0 + 1e-14
+    c, q = IMatrix.from_point([[1e16, 1.0, -1e16]]), np.ones((3, 1))
+    for b, d in ((p, q), (IMatrix.from_point(p), IMatrix.from_point(q))):
+        rows, cols = mag_product_sums(a, b)
+        assert 2.0 <= rows[0] < 2.0 + 1e-14 and 0.0 < rows[1] < 1e-300
+        assert 0.0 <= cols[0] < 1e-14 and 2.0 <= cols[1] < 2.0 + 1e-14
+        rows, cols = mag_product_sums(c, d)
+        assert 1.0 <= rows[0] < 20.0 and 1.0 <= cols[0] < 20.0
+
+
+# -- the spectral norm against the interval Gram ----------------------------
+
+# +-0, subnormals, the smallest normal, magnitudes whose squares near the top
+# of the range, and ordinary values; a radius is absolute (5e-324) or a
+# fraction of its midpoint's magnitude
+_GRAM_MIDS = (0.0, -0.0, 1.0, -0.75, 3.0, 0.1, -7.0 / 3.0, 5e-324, -5e-324, 1e-310,
+              2.2250738585072014e-308, 1e154, -1.3e154)
+_GRAM_RADII = (0.0, 5e-324, 2.0 ** -40, 1e-3, 0.25, 1.0)
+
+
+@st.composite
+def _gram_cases(draw):
+    """An interval matrix, up to 6 x 24, with radii and zero rows."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 24))
+    mids = np.array(draw(st.lists(st.sampled_from(_GRAM_MIDS), min_size=m * n,
+                                  max_size=m * n))).reshape(m, n)
+    rel = np.array(draw(st.lists(st.sampled_from(_GRAM_RADII), min_size=m * n,
+                                 max_size=m * n))).reshape(m, n)
+    rad = np.where(rel == 5e-324, rel, rel * np.abs(mids))
+    lo, hi = mids - rad, mids + rad
+    for q in draw(st.sets(st.integers(0, m - 1), max_size=m - 1)):
+        lo[q], hi[q] = 0.0, 0.0
+    return IMatrix(lo, hi)
+
+
+@given(_gram_cases())
+@settings(max_examples=400, deadline=None)
+@example(IMatrix(np.full((1, 24), 0.75), np.full((1, 24), 1.25)))      # wide, wide radii
+@example(IMatrix(np.full((6, 3), -1.0), np.ones((6, 3))))              # zero midpoints
+def test_op_norm2_bound_is_no_looser_than_the_interval_gram(a):
+    # the Gram's sums from one float product never exceed those of the
+    # interval product a^T a that the bound was taken from before
+    try:
+        want = op_norm2_bound_reference(a)
+    except UnboundedOperand:
+        return
+    got = op_norm2_bound(a)
+    assert got.lo == 0.0 and got.hi <= want.hi
