@@ -274,10 +274,11 @@ def _sums_case(data, m, k, n):
     a, at = _drawn_interval(data, m, k, scale)
     bscale = 1.0 if scale == 1e300 else data.draw(st.sampled_from((1.0, 1e-300)))
     if data.draw(st.booleans()):
-        return (a, *_drawn_interval(data, k, n, bscale), at)
+        b, bt = _drawn_interval(data, k, n, bscale)
+        return a, b, at, bt
     p = np.array(data.draw(st.lists(st.sampled_from(_POINT_VALUES), min_size=k * n,
                                     max_size=k * n)), dtype=float).reshape(k, n) * bscale
-    return a, p, [[Fraction(x) for x in row] for row in p.tolist()], at
+    return a, p, at, [[Fraction(x) for x in row] for row in p.tolist()]
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(1, 4), st.data())
@@ -285,9 +286,9 @@ def _sums_case(data, m, k, n):
 @example(0, 3, 2, None)     # an empty shell
 def test_mag_product_sums_enclose_exact_sums_and_match_the_product(m, k, n, data):
     if data is None:
-        a, b, bt, at = IMatrix(np.zeros((0, k)), np.zeros((0, k))), np.ones((k, n)), [], []
+        a, b, at, bt = IMatrix(np.zeros((0, k)), np.zeros((0, k))), np.ones((k, n)), [], []
     else:
-        a, b, bt, at = _sums_case(data, m, k, n)
+        a, b, at, bt = _sums_case(data, m, k, n)
     rows, cols = mag_product_sums(a, b)
     assert rows.shape == (m,) and cols.shape == (n,)
     exact = [[abs(sum(at[i][l] * bt[l][j] for l in range(k))) for j in range(n)]
