@@ -185,56 +185,48 @@ def mag_product_sums(a: IMatrix, b):
     IMatrix), from one float product.
 
     With a = Am +- Ar, b = Bm +- Br (_mid_rad; Br = 0 for a float b) and
-    C = fl(Am Bm), |A~ B~| <= |C| + gamma_k |Am||Bm| + |Am| Br + Ar (|Bm| +
-    Br); gamma_k = ku / (1 - ku) (Higham, Accuracy and Stability, 3.5), and
-    (k + 1) u bounds it with the rounding of a product by it for k < 9e7.
-    Summed before it is multiplied out (Rump, "Fast and parallel interval
-    arithmetic", BIT 39, 1999), with v = |Bm| 1 and r = Br 1, row i sums to
-    at most
+    C = fl(Am Bm), |A~ B~| <= |C| + gamma_k |Am||Bm| + Ar |Bm| + (|Am| +
+    Ar) Br; gamma_k = ku / (1 - ku) (Higham, Accuracy and Stability, 3.5),
+    and (k + 1) u bounds it with the rounding of a product by it for
+    k < 9e7.  Summed before it is multiplied out (Rump, "Fast and parallel
+    interval arithmetic", BIT 39, 1999), with v = |Bm| 1 and r = Br 1, row
+    i sums to at most
 
-        sum_j |C_ij| + (Ar x)_i + (|Am| y)_i,  x = v + r,  y = (k + 1) u v + r,
+        sum_j |C_ij| + (Ar x + |Am| r)_i + (k + 1) u (|Am| v)_i,  x = v + r,
 
-    and column j likewise, with 1^T Ar against |Bm| + Br and 1^T |Am|
-    against (k + 1) u |Bm| + Br.  All terms are non-negative, so after at
-    most q roundings on any term's path _sum_up(s, q) bounds a sum.  A row
-    rounds its n terms of |C|, and the plain sums v and r, n - 1 times.  A
-    float b adds Ar v and (k + 1) u |Am| v, each dot product rounded up by
-    k, in turn: n + 2 roundings a row.  An IMatrix b rounds Ar x + |Am| y
-    up once by its k + 3 (for y: the product by (k + 1) u, + r, the dot
-    product, the sum) and adds it: n + 1.  5 _TINY per entry, as in
-    _mm_real, covers underflow.  Both are sound; the term-by-term order
-    keeps the radii of gershgorin_disks on its bits, which one rounded sum
-    would move by an ulp either way.  A column adds its m terms across the
-    blocks: m + 2 and m + 1 likewise.  Rows go _ROW_BLOCK at a time, which
-    keeps the temporaries small.
+    and column j likewise, with 1^T Ar against |Bm|, 1^T |Am| + 1^T Ar
+    against Br and 1^T |Am| against |Bm|.  All terms are non-negative, so
+    after at most q roundings on any term's path _sum_up(s, q) bounds a
+    sum.  The radius term is rounded up by its k + 2 roundings (x, the dot
+    product, the sum), or by k where Br = 0, as x = v and |Am| r = 0 are
+    then exact.  The gamma term is rounded up by the k of its dot product
+    and multiplied by (k + 1) u after it, so that a tiny v underflows
+    nowhere but in the dot products, which 5 _TINY per entry, as in
+    _mm_real, covers; it is added to the gamma term.  A row rounds its n
+    terms of |C|, and the plain sums v and r, n - 1 times, then adds the
+    two terms: n + 1 roundings.  A column adds its m terms across the
+    blocks: m + 1 likewise.  Rows go _ROW_BLOCK at a time, which keeps the
+    temporaries small.
     """
     (m, k), n = a.shape, b.shape[1]
-    interval = isinstance(b, IMatrix)
-    bm, br = _mid_rad(b.lo, b.hi) if interval else (b, None)
-    if not (a.lo.any() or a.hi.any()) or not (bm.any() or interval and br.any()):
+    bm, br = _mid_rad(b.lo, b.hi) if isinstance(b, IMatrix) else (b, np.zeros(b.shape))
+    if not (a.lo.any() or a.hi.any()) or not (bm.any() or br.any()):
         return np.zeros(m), np.zeros(n)
-    pa, gamma = np.abs(bm), (k + 1) * _U
-    v = pa.sum(axis=1)
-    if interval:
-        r = br.sum(axis=1)
-        x, y = v + r, gamma * v + r
+    pa, gamma, q = np.abs(bm), (k + 1) * _U, k + 2 * bool(br.any())
+    v, r = pa.sum(axis=1), br.sum(axis=1)
+    x = v + r
     rows, c_cols, r_cols, a_cols = np.empty(m), 0.0, 0.0, 0.0
     for s in range(0, m, _ROW_BLOCK):
         blk = slice(s, s + _ROW_BLOCK)
         am, ar = _mid_rad(a.lo[blk], a.hi[blk])
         c = np.abs(am @ bm)
         aa = np.abs(am, out=am)
-        if interval:
-            rows[blk] = c.sum(axis=1) + _sum_up(ar @ x + aa @ y, k + 3)
-        else:
-            rows[blk] = c.sum(axis=1) + _sum_up(ar @ v, k) + gamma * _sum_up(aa @ v, k)
+        rows[blk] = (c.sum(axis=1) + _sum_up(ar @ x + aa @ r, q)
+                     + (gamma * _sum_up(aa @ v, k) + 5.0 * _TINY * n))
         c_cols, r_cols, a_cols = c_cols + c.sum(0), r_cols + ar.sum(0), a_cols + aa.sum(0)
-    if interval:
-        cols = c_cols + _sum_up(r_cols @ pa + gamma * (a_cols @ pa) + (r_cols + a_cols) @ br, k + 3)
-    else:
-        cols = c_cols + _sum_up(r_cols @ pa, k) + gamma * _sum_up(a_cols @ pa, k)
-    rows = _sum_up(rows + 5.0 * _TINY * n, n + 2 - interval)
-    cols = _sum_up(cols + 5.0 * _TINY * m, m + 2 - interval)
+    cols = (c_cols + _sum_up(r_cols @ pa + (a_cols + r_cols) @ br, q)
+            + (gamma * _sum_up(a_cols @ pa, k) + 5.0 * _TINY * m))
+    rows, cols = _sum_up(rows, n + 1), _sum_up(cols, m + 1)
     if np.isnan(rows).any() or np.isnan(cols).any():     # inf - inf or inf * 0
         raise UnboundedOperand("interval product overflows the double range")
     return rows, cols
@@ -247,12 +239,13 @@ def op_norm2_bound(a: IMatrix) -> Interval:
     product.  For a (m x n) = Am +- Ar, C = fl(Am^T Am), v = |Am| 1 and
     r = Ar 1, row i of |A~^T A~| sums to at most
 
-        sum_j |C_ij| + (Ar^T (v + r))_i + (|Am|^T ((m + 1) u v + r))_i,
+        sum_j |C_ij| + (Ar^T x + |Am|^T r)_i + (m + 1) u (|Am|^T v)_i,  x = v + r,
 
-    the last two terms rounded up once by their m + 3 roundings, the row by
-    its n + 1 after 5 _TINY per entry is added for underflow.  Row i and
-    column i sum alike, so the smaller bound serves.  A Gram or a norm
-    product past the double range raises UnboundedOperand.
+    the radius term rounded up by its m + 2 roundings (m for a point a),
+    the last by its m, the row by its n + 1 after 5 _TINY per entry is
+    added for underflow.  Row i and column i sum alike, so the smaller bound
+    serves.  A Gram or a norm product past the double range raises
+    UnboundedOperand.
     """
     if a.shape[0] == 0 or a.shape[1] == 0:
         return Interval(0.0, 0.0)

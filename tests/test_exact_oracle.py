@@ -362,19 +362,10 @@ def _centered_imatrices(draw, rows, cols):
     return IMatrix((mids - rad).reshape(rows, cols), (mids + rad).reshape(rows, cols))
 
 
-def _member(lo, hi, pick):
-    """lo, hi, the midpoint or the point a third of the way up, exactly."""
-    return (lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3)[pick]
-
-
-@given(st.data(), st.integers(1, 6), st.integers(1, 6))
-@settings(max_examples=300, deadline=None)
-def test_op_norm2_bound_dominates_every_drawn_point_exactly(data, m, n):
-    # b^2 I - M^T M is positive semidefinite for M = lo, hi and random
-    # members of the interval matrix (vertices, midpoints, interior
-    # points), checked exactly; the norm is convex, so its maximum over the
-    # box is at a vertex
-    a = data.draw(_imatrices(m, n) | _centered_imatrices(m, n))
+def _assert_dominates_drawn_members(data, a, m, n, member_lists):
+    """b^2 I - M^T M is positive semidefinite, checked exactly, for M = lo,
+    hi and the drawn members: per entry a pick 0 (lo), 1 (hi), 2 (the
+    midpoint) or 3 (the point a third of the way up)."""
     try:
         b = op_norm2_bound(a)
     except UnboundedOperand:
@@ -385,14 +376,34 @@ def test_op_norm2_bound_dominates_every_drawn_point_exactly(data, m, n):
         return
     b2 = Fraction(b.hi) ** 2
     fa = _fractions(a)
-    picks = [[[0] * n] * m, [[1] * n] * m] + data.draw(st.lists(st.lists(
-        st.lists(st.integers(0, 3), min_size=n, max_size=n), min_size=m, max_size=m),
-        max_size=3))
+    picks = [[[0] * n] * m, [[1] * n] * m]
+    for members in member_lists:
+        picks += data.draw(st.lists(st.lists(st.lists(members, min_size=n, max_size=n),
+                                             min_size=m, max_size=m), max_size=3))
     for pick in picks:
-        pt = [[_member(*fa[i][j], pick[i][j]) for j in range(n)] for i in range(m)]
+        pt = [[(lo, hi, (lo + hi) / 2, lo + (hi - lo) / 3)[pick[i][j]]
+               for j, (lo, hi) in enumerate(fa[i])] for i in range(m)]
         gram = [[(b2 if p == q else 0) - sum(pt[i][p] * pt[i][q] for i in range(m))
                  for q in range(n)] for p in range(n)]
         assert _positive_semidefinite(gram), pick
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_op_norm2_bound_dominates_every_drawn_point_exactly(data, m, n):
+    # at lo, hi and random vertices of the interval matrix; the norm is
+    # convex, so its maximum over the box is at a vertex
+    a = data.draw(_imatrices(m, n))
+    _assert_dominates_drawn_members(data, a, m, n, [st.integers(0, 1)])
+
+
+@given(st.data(), st.integers(1, 6), st.integers(1, 6))
+@settings(max_examples=150, deadline=None)
+def test_op_norm2_bound_dominates_drawn_members_of_mid_rad_matrices_exactly(data, m, n):
+    # mid +- rad matrices at random vertices, and also at exact midpoints
+    # and interior points, the members a midpoint-radius bound reads
+    a = data.draw(_centered_imatrices(m, n))
+    _assert_dominates_drawn_members(data, a, m, n, [st.integers(0, 1), st.integers(2, 3)])
 
 
 # -- the orbit factors of conv_block and sym_factor --------------------------
