@@ -171,19 +171,19 @@ def read_config(doc) -> RunConfig:
                      CertifyOptions(**opts))
 
 
-def load_solution(sol: dict, grid: Grid, sector: str) -> FourierSeq:
-    """The state a checked "solution" entry names, which must live on the
-    configured grid and sector."""
+def load_solution(sol: dict, grid: Grid, sector: str, average: bool) -> FourierSeq:
+    """The state a checked "solution" entry names, on the configured grid
+    and stored "c"/"cc": a "full" one is folded (fourier.read_seq)."""
     try:
         if "csv" in sol:
-            return serialize.load_seq_csv(sol["csv"], grid, sector, sol["S"])
+            return serialize.load_seq_csv(sol["csv"], grid, sector, sol["S"], average)
         with open(sol["path"]) as fh:
-            u0 = serialize.seq_from_doc(json.load(fh))
+            u0 = serialize.seq_from_doc(json.load(fh), average)
     except (ValueError, KeyError, TypeError, CertifyError) as exc:
         raise ConfigError(f"solution = {sol!r}: unreadable state: {exc}") from exc
-    _expect((u0.grid, u0.sector) == (grid, sector), "grid, sector",
-            (grid, sector), f"the grid and sector of {sol['path']!r}: "
-            f"{u0.grid!r}, {u0.sector!r}")
+    _expect((u0.grid, u0.sector) == (grid, "c" * grid.m), "grid", grid,
+            f"the grid of {sol['path']!r}, {u0.grid!r}, and a state stored "
+            f"'full' or {'c' * grid.m!r}, not {u0.sector!r}")
     return u0
 
 
@@ -215,10 +215,10 @@ def run(cfg: RunConfig, plot_path: str | None = None) -> int:
         return 0
 
     grid, sector, n_inner = cfg.grid, cfg.sector, cfg.n_inner
-    u0 = load_solution(cfg.solution, grid, sector)
+    u0 = load_solution(cfg.solution, grid, sector, average=cfg.mode == "newton")
 
     if cfg.mode == "newton":
-        u0 = newton_solve(model, grid, sector, u0, n_inner, **cfg.newton)
+        u0 = newton_solve(model, grid, u0.sector, u0, n_inner, **cfg.newton)
         _write(out, serialize.seq_to_doc(u0))
         _log(f"newton state written to {out}", t_start)
         return 0
@@ -235,7 +235,7 @@ def run(cfg: RunConfig, plot_path: str | None = None) -> int:
         _log(f"disk set written to {out}", t_start)
         return 0
 
-    cert = certify(model, u0, cfg.r0, n_inner, cfg.options)
+    cert = certify(model, u0, sector, cfg.r0, n_inner, cfg.options)
     _write(out, serialize.certificate_to_doc(cert))
     if plot_path:
         _emit_plot(plot_path, sector, cert.bounds.window_bounds.disks.centers,

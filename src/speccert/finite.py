@@ -1,7 +1,8 @@
 """Finite-dimensional stage: Jacobian blocks, pseudo-diagonalization, disks.
 
 The linearization at a state with coefficient sequence U0 acts on sector
-coordinates as diag(l(n~)) plus convolution by the kernel W = DG(U0).  With
+coordinates as diag(l(n~)) plus convolution by the kernel W = DG(U0), stored
+"c"/"cc"; the basis `sector` is "full" (m_k = 1, no flips) or a sector.  With
 the orthonormal sector basis b_k = m_k^{-1/2} sum_sigma chi(sigma) e_{sigma k}
 (chi flips sign on reflected odd axes) the matrix entries are
 
@@ -68,9 +69,9 @@ def min_tail_freq(grid: Grid, R: int) -> float:
 
 
 def kernel_from_state(model: Model, u0: FourierSeq) -> FourierSeq:
-    """W = DG(u0) as a coefficient sequence (rigorous convolutions); u0 must
-    be even (FourierSeq.require_even), as gershgorin_disks relies on it."""
-    u0.require_even()
+    """W = DG(u0) as a coefficient sequence (rigorous convolutions).  A
+    state is stored in a sector, so an even u0 ("c"/"cc") gives an even W
+    by construction, which gershgorin_disks relies on."""
     terms = []
     for pw, coeff in model.kernel_coeffs():
         if pw < 1:
@@ -187,8 +188,8 @@ class _StateTable:
 def conv_block(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
     """Interval matrix of convolution by w between sector basis vectors.
 
-    The kernel must be reflection-invariant (no odd axes) unless the basis
-    sector is "full", in which case no symmetrization happens at all.  A
+    The kernel is stored in a sector with no odd axis, so it is even in
+    every axis; in the "full" basis no symmetrization happens at all.  A
     negative coordinate on a reflected axis is refused: n_a + k_a <= S then
     implies |n_a - k_a| <= S, so the pairs |k - n|_inf <= S hold the terms
     of every flip sigma.  Columns must be distinct.  Per flip the terms are
@@ -339,8 +340,7 @@ class DiskSet:
 
 
 def _kernel_w0(w: FourierSeq) -> Interval:
-    pos = (w.S if w.axes[0] == "signed" else 0,) * w.grid.m
-    return Interval(float(w.lo[pos]), float(w.hi[pos]))
+    return Interval(float(w.lo.flat[0]), float(w.hi.flat[0]))
 
 
 def sym_factor(grid: Grid, sector: str) -> float:
@@ -377,8 +377,9 @@ def gershgorin_disks(model: Model, w: FourierSeq, sector: str, N: int,
 
     Radii read only sums of |H P|, bounded by mag_product_sums from one
     float product without forming H P; mid radius j takes row j's sum.
-    No block of G = DG(inner <- mid) is built.  w must be even, as
-    kernel_from_state requires of its state: the operator is then
+    No block of G = DG(inner <- mid) is built.  w is even by construction,
+    a sector-stored kernel with no odd axis (_StateTable refuses any
+    other), in every basis, "full" included: the operator is then
     self-adjoint in the orthonormal sector basis, so G = H^T exactly and
     Pinv G = P^T G + (Pinv - P^T) G, with P^T G = (H P)^T and
     |(Pinv - P^T) G|_ij <= delta_i sum_l |H_jl| <= delta_i s_j: delta_i
@@ -544,25 +545,18 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
 
     seed is a FourierSeq or a raw coefficient array in sector storage.  The
     returned sequence is a point sequence; its defect must be certified
-    elsewhere before any rigorous claim.  A full-storage iterate is made
-    exactly even, 0.5 (v + v[::-1]): the flat v reversed is its reflection.
+    elsewhere before any rigorous claim.
     """
     if model.components != 1:
         raise InvalidParameter("newton_solve supports scalar models only")
     idx = index_list(grid, sector, N)
     lam_mid = np.array([l.mid() for l in symbol_diag(model, grid, idx).elements()])
-    side = 2 * N + 1 if sector == "full" else N + 1
-    shape = (side,) * grid.m
     if not isinstance(seed, FourierSeq):
         seed = FourierSeq.from_point(grid, sector, np.asarray(seed, dtype=np.float64))
-
-    def even(v: np.ndarray) -> np.ndarray:
-        return 0.5 * (v + v[::-1]) if sector == "full" else v
-
-    vec = even(_flatten_to(seed, grid, sector, N))
+    vec = _flatten_to(seed, grid, sector, N)
 
     def to_seq(v: np.ndarray) -> FourierSeq:
-        return FourierSeq.from_point(grid, sector, v.reshape(shape))
+        return FourierSeq.from_point(grid, sector, v.reshape((N + 1,) * grid.m))
 
     def res(v: np.ndarray) -> np.ndarray:
         useq, terms = to_seq(v), []
@@ -588,8 +582,7 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         if not math.isfinite(ns):
             raise NoConvergence("Newton step is not finite")
         # cap the max-norm of early steps; full steps once in the basin
-        vec = even(vec - (step if ns < _NEWTON_STEP_CAP
-                          else step * (_NEWTON_STEP_CAP / ns)))
+        vec = vec - (step if ns < _NEWTON_STEP_CAP else step * (_NEWTON_STEP_CAP / ns))
     raise NoConvergence(f"no convergence after {max_iter} Newton steps")
 
 
@@ -598,5 +591,4 @@ def _flatten_to(seq: FourierSeq, grid: Grid, sector: str, N: int) -> np.ndarray:
     if seq.sector != sector:
         raise GridMismatch("sector changed during Newton assembly")
     s = seq.padded(N) if seq.S < N else seq
-    off, side = (s.S - N, 2 * N + 1) if s.axes[0] == "signed" else (0, N + 1)
-    return s.mid()[(slice(off, off + side),) * grid.m].reshape(-1)
+    return s.mid()[(slice(N + 1),) * grid.m].reshape(-1)

@@ -2,10 +2,15 @@
 
 A sequence represents a function on the box Omega_d = (-d, d)^m through its
 coefficients against e^{i pi n . x / d}.  Coefficients are real intervals.
-Symmetry sectors store one fundamental-domain copy:
+A sequence is stored in a symmetry sector, one fundamental-domain copy:
 
-  m = 1:  "full" (signed indices), "c" (even), "s" (odd);
-  m = 2:  "full", and "cc", "cs", "sc", "ss" (even/odd per axis).
+  m = 1:  "c" (even), "s" (odd);
+  m = 2:  "cc", "cs", "sc", "ss" (even/odd per axis).
+
+"full" (signed indices, no symmetry) names a basis only: index_list and
+the finite stage take it as the basis of a sector-stored kernel.  A signed
+coefficient tensor read from outside is stored by read_seq, which takes
+an even tensor to "c"/"cc" exactly.
 
 For an odd axis the stored value v_n is the amplitude in the convention
 full-coefficient = i * sign(n_i) * v_|n|, which keeps all storage real and
@@ -60,12 +65,11 @@ def _axis_types(m: int, sector: str):
     return tuple("c" if ch == "c" else "s" for ch in sector)
 
 
-def _mult_weights(shape, axes):
+def _mult_weights(shape):
     """Orbit sizes of fundamental-domain indices (1, 2, or 4 copies)."""
     w = np.ones(shape)
-    for ax, kind in enumerate(axes):
-        if kind != "signed":
-            w[(slice(None),) * ax + (slice(1, None),)] *= 2.0
+    for ax in range(len(shape)):
+        w[(slice(None),) * ax + (slice(1, None),)] *= 2.0
     return w
 
 
@@ -102,6 +106,9 @@ class FourierSeq:
     __slots__ = ("grid", "sector", "S", "lo", "hi")
 
     def __init__(self, grid: Grid, sector: str, lo, hi):
+        if sector == "full":
+            raise InvalidParameter(f"'full' is a basis: an even state is stored "
+                                   f"as {'c' * grid.m!r}")
         axes = _axis_types(grid.m, sector)
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
@@ -112,17 +119,11 @@ class FourierSeq:
             raise DimensionMismatch("empty coefficient tensor")
         if any(s != side for s in lo.shape):
             raise DimensionMismatch("coefficient tensor must be cubical")
-        if axes[0] == "signed":
-            if side % 2 == 0:
-                raise DimensionMismatch("signed storage needs odd side length")
-            S = side // 2
-        else:
-            S = side - 1
         if not (lo <= hi).all():
             raise DimensionMismatch("lower bound above upper bound, or a NaN bound")
         self.grid = grid
         self.sector = sector
-        self.S = S
+        self.S = side - 1
         self.lo = lo
         self.hi = hi
         for ax, kind in enumerate(axes):
@@ -134,9 +135,7 @@ class FourierSeq:
 
     @classmethod
     def zeros(cls, grid: Grid, sector: str, S: int) -> "FourierSeq":
-        axes = _axis_types(grid.m, sector)
-        side = 2 * S + 1 if axes[0] == "signed" else S + 1
-        z = np.zeros((side,) * grid.m)
+        z = np.zeros((S + 1,) * grid.m)
         return cls(grid, sector, z, z.copy())
 
     @classmethod
@@ -153,20 +152,6 @@ class FourierSeq:
     def mid(self) -> np.ndarray:
         return self.lo + 0.5 * (self.hi - self.lo)
 
-    def require_even(self) -> "FourierSeq":
-        """self, unless signed storage differs from its point reflection:
-        real coefficients against e^{i pi n.x/d} make a real function only
-        when u[-n] = u[n].  Sector storage is even by construction."""
-        flip = (slice(None, None, -1),) * self.grid.m
-        if self.axes[0] != "signed" or (np.array_equal(self.lo, self.lo[flip])
-                                         and np.array_equal(self.hi, self.hi[flip])):
-            return self
-        n = np.argwhere((self.lo != self.lo[flip]) | (self.hi != self.hi[flip]))[0]
-        raise InvalidParameter(" but ".join(
-            f"u[{tuple((k - self.S).tolist())}] = [{float(self.lo[tuple(k)])!r}, "
-            f"{float(self.hi[tuple(k)])!r}]" for k in (n, 2 * self.S - n))
-            + ": a full-sector state must equal its point reflection")
-
     def _check_mate(self, other: "FourierSeq") -> None:
         if self.grid != other.grid:
             raise GridMismatch("sequences live on different grids")
@@ -176,8 +161,7 @@ class FourierSeq:
         if S < self.S:
             raise DimensionMismatch("padded support below current support")
         out = FourierSeq.zeros(self.grid, self.sector, S)
-        off = S - self.S if self.axes[0] == "signed" else 0
-        box = (slice(off, off + self.lo.shape[0]),) * self.grid.m
+        box = (slice(self.S + 1),) * self.grid.m
         out.lo[box], out.hi[box] = self.lo, self.hi
         return out
 
@@ -205,10 +189,9 @@ class FourierSeq:
         """
         lo, hi = self.lo, self.hi
         for ax, kind in enumerate(self.axes):
-            if kind != "signed":
-                rev = (slice(None),) * ax + (slice(None, 0, -1),)   # indices S, ..., 1
-                flip_lo, flip_hi = (-hi[rev], -lo[rev]) if kind == "s" else (lo[rev], hi[rev])
-                lo, hi = (np.concatenate(x, axis=ax) for x in ((flip_lo, lo), (flip_hi, hi)))
+            rev = (slice(None),) * ax + (slice(None, 0, -1),)   # indices S, ..., 1
+            flip_lo, flip_hi = (-hi[rev], -lo[rev]) if kind == "s" else (lo[rev], hi[rev])
+            lo, hi = (np.concatenate(x, axis=ax) for x in ((flip_lo, lo), (flip_hi, hi)))
         return lo, hi
 
     def __eq__(self, other) -> bool:
@@ -223,27 +206,40 @@ class FourierSeq:
 
 def _fold(grid: Grid, sector: str, lo: np.ndarray, hi: np.ndarray) -> FourierSeq:
     """Restrict a signed array with the sector's symmetry to its domain."""
-    axes = _axis_types(grid.m, sector)
     S = lo.shape[0] // 2
-    for ax, kind in enumerate(axes):
-        if kind != "signed":
-            lo, hi = (x[(slice(None),) * ax + (slice(S, None),)] for x in (lo, hi))
+    for ax, kind in enumerate(_axis_types(grid.m, sector)):
+        lo, hi = (x[(slice(None),) * ax + (slice(S, None),)] for x in (lo, hi))
         if kind == "s":
             lo[(slice(None),) * ax + (0,)] = hi[(slice(None),) * ax + (0,)] = 0.0
     return FourierSeq(grid, sector, np.ascontiguousarray(lo),
                       np.ascontiguousarray(hi))
 
 
-def _product_sector(m: int, sa: str, sb: str):
+def read_seq(grid: Grid, sector: str, lo: np.ndarray, hi: np.ndarray,
+             average: bool = False) -> FourierSeq:
+    """The sequence of coefficient tensors given in `sector`'s layout.  A
+    "full" tensor (side 2S + 1, index n at n + S) equal to its reflection in
+    every axis is stored as "c"/"cc", bit for bit; any other raises
+    InvalidParameter naming the first unequal pair, unless `average`, which
+    first replaces each bound by 0.5 (u + u reflected), axis after axis."""
+    if sector != "full":
+        return FourierSeq(grid, sector, lo, hi)
+    for ax in range(grid.m):
+        if average:
+            lo, hi = 0.5 * (lo + np.flip(lo, ax)), 0.5 * (hi + np.flip(hi, ax))
+        bad = (lo != np.flip(lo, ax)) | (hi != np.flip(hi, ax))
+        if bad.any():
+            n = np.argwhere(bad)[0]
+            pair = (n, np.where(np.arange(grid.m) == ax, len(lo) - 1 - n, n))
+            raise InvalidParameter(" but ".join(
+                f"u[{tuple((x - len(lo) // 2).tolist())}] = [{float(lo[tuple(x)])!r}, "
+                f"{float(hi[tuple(x)])!r}]" for x in pair)
+                + ": a full state must equal its reflection in every axis")
+    return _fold(grid, "c" * grid.m, lo, hi)
+
+
+def _product_sector(sa: str, sb: str):
     """Result sector of a product plus the count of odd*odd axes."""
-    if sa == "full" or sb == "full":
-        other = sb if sa == "full" else sa
-        if "s" in other and other != "full":
-            raise GridMismatch(
-                "product of a signed-storage sequence with an odd-sector "
-                "sequence has imaginary coefficients; expand both to a "
-                "common symmetric sector first")
-        return "full", 0
     out = []
     flips = 0
     for ca, cb in zip(sa, sb):
@@ -260,8 +256,7 @@ def _product_sector(m: int, sa: str, sb: str):
 def conv(u: FourierSeq, v: FourierSeq) -> FourierSeq:
     """Rigorous convolution; the result support is the sum of supports."""
     u._check_mate(v)
-    m = u.grid.m
-    sec, flips = _product_sector(m, u.sector, v.sector)
+    sec, flips = _product_sector(u.sector, v.sector)
     alo, ahi = u.expand_signed()
     blo, bhi = v.expand_signed()
     lo, hi = _conv_real(alo, ahi, blo, bhi)
@@ -273,7 +268,7 @@ def conv(u: FourierSeq, v: FourierSeq) -> FourierSeq:
 @np.errstate(over="ignore")     # a sum past the largest double is +inf
 def seq_l1(u: FourierSeq) -> Interval:
     """Enclosure of the l1 norm (with orbit multiplicities)."""
-    w = _mult_weights(u.lo.shape, u.axes)
+    w = _mult_weights(u.lo.shape)
     c = IArray(u.lo, u.hi)
     n = u.lo.size
     hi = float((w * c.mag()).sum()) * (1.0 + (n + 4) * _U) + _TINY

@@ -1,6 +1,7 @@
 """End-to-end certification: disks, homotopy inflation, counted clusters.
 
-The driver runs one symmetry sector at a time.  A run produces a
+The driver runs in one basis, "full" or the sector of the state, which is
+stored "c"/"cc", so even in every axis, in both.  A run produces a
 Certificate: the certified eigenvalue enclosures of the linearization at
 the true localized state inside a spectral window, with per-cluster
 multiplicities, a sign summary, and the essential spectrum.  Identical
@@ -87,16 +88,20 @@ class CertifyOptions:
     k_inv: int = 0
 
 
-def certify(model: Model, u0: FourierSeq, r0: float, N: int,
+def certify(model: Model, u0: FourierSeq, sector: str, r0: float, N: int,
             options: CertifyOptions | None = None) -> Certificate:
     """Certify the spectrum in a window of the linearization at the true
-    state within r0 of u0.  The model must be scalar and self-adjoint, with
+    state within r0 of u0, in the basis `sector`: "full", or u0's own
+    sector, "c"/"cc".  The model must be scalar and self-adjoint, with
     its essential spectrum below the window, and provide kappa_hook, lip_dg,
     lambda_max and decay_provider; any other raises ReductionUnavailable
     before any work."""
     opts = options or CertifyOptions()
     if not (r0 >= 0 and math.isfinite(r0)):
         raise InvalidParameter(f"r0={r0} must be a finite nonnegative float")
+    if sector not in ("full", u0.sector):
+        raise InvalidParameter(f"basis {sector!r}: certify takes 'full' or the "
+                               f"state's own sector {u0.sector!r}")
     unmet = [f"no {hook}" for hook in ("kappa_hook", "lip_dg", "lambda_max",
                                        "decay_provider")
              if getattr(model, hook) is None]
@@ -109,7 +114,6 @@ def certify(model: Model, u0: FourierSeq, r0: float, N: int,
     if unmet:
         raise ReductionUnavailable(
             f"certify cannot take the {model.name} model: {'; '.join(unmet)}")
-    sector = u0.sector
 
     w = kernel_from_state(model, u0)
     a = assemble_jacobian(model, w, sector, N)

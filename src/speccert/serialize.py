@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .errors import InvalidParameter
-from .fourier import FourierSeq, Grid
+from .fourier import FourierSeq, Grid, read_seq
 from .homotopy import Q_MULT
 from .interval import ComplexBox, Interval
 
@@ -58,7 +58,8 @@ def seq_to_doc(u: FourierSeq) -> dict:
     }
 
 
-def seq_from_doc(doc: dict) -> FourierSeq:
+def seq_from_doc(doc: dict, average: bool = False) -> FourierSeq:
+    """The sequence a document describes (fourier.read_seq folds "full")."""
     if not isinstance(doc, dict) or doc.get("kind") != "fourier-seq":
         raise InvalidParameter("not a sequence document")
     grid = Grid(int(doc["grid"]["m"]), dec_float(doc["grid"]["d"]))
@@ -75,11 +76,12 @@ def seq_from_doc(doc: dict) -> FourierSeq:
         raise InvalidParameter(f"coefficient {bad[0]} (row-major) has the endpoint "
                                f"[{lo.flat[bad[0]]!r}, {hi.flat[bad[0]]!r}]; "
                                "state coefficients must be finite")
-    return FourierSeq(grid, sector, lo, hi)
+    return read_seq(grid, sector, lo, hi, average)
 
 
-def load_seq_csv(path: str, grid: Grid, sector: str, S: int) -> FourierSeq:
-    """Plain import: lines of comma-separated index components and a value."""
+def load_seq_csv(path: str, grid: Grid, sector: str, S: int,
+                 average: bool = False) -> FourierSeq:
+    """Plain import: lines of comma-separated `sector` indices and a value."""
     side = 2 * S + 1 if sector == "full" else S + 1
     vals = np.zeros((side,) * grid.m)
     with open(path) as fh:
@@ -98,7 +100,7 @@ def load_seq_csv(path: str, grid: Grid, sector: str, S: int) -> FourierSeq:
             vals[pos] = float(parts[-1])
             if not math.isfinite(vals[pos]):
                 raise InvalidParameter(f"csv row {raw!r}: state coefficients must be finite")
-    return FourierSeq.from_point(grid, sector, vals)
+    return read_seq(grid, sector, vals, vals.copy(), average)
 
 
 # ---------------------------------------------------------------------------

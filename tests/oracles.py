@@ -38,6 +38,4 @@ def sample_gamma_dagger(u, points: np.ndarray) -> np.ndarray:
         phase1 = np.exp(1j * theta * np.outer(flat[:, 1], idx))
         vals[:] = np.einsum("pi,ij,pj->p", phase0, coef, phase1)
     vals = np.where(inside, vals, 0.0)
-    if u.sector == "full":
-        return vals.reshape(pts.shape[:-1])
     return np.real(vals).reshape(pts.shape[:-1])

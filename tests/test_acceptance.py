@@ -185,7 +185,7 @@ def test_pipeline_toy_with_truncation_oracle(sh_toy):
     model = sh_toy["model"]
     u0 = sh_toy["u0"]
 
-    cert = certify(model, u0, 1e-8, sh_toy["N"])
+    cert = certify(model, u0, "c", 1e-8, sh_toy["N"])
     # (a) all gates certified
     assert cert.bounds.eps_factor.hi < 1.0
     assert cert.stable == "stable"
@@ -209,7 +209,7 @@ def test_pipeline_toy_with_truncation_oracle(sh_toy):
     assert inside.size == 0 and cert.clusters == []
 
     # (c) determinism
-    again = certify(model, u0, 1e-8, sh_toy["N"])
+    again = certify(model, u0, "c", 1e-8, sh_toy["N"])
     assert serialize.dumps(serialize.certificate_to_doc(cert)) == \
         serialize.dumps(serialize.certificate_to_doc(again))
 

@@ -230,15 +230,15 @@ def test_matmul_fast_path_encloses_and_is_no_wider(seed, m, k, n, kind_a, kind_b
 
 def draw_kernel(rng, grid, w_sector, S, scale):
     """A kernel with mixed zero and nonzero radii and some exact-zero entries."""
-    side = 2 * S + 1 if w_sector == "full" else S + 1
-    mid = rng.standard_normal((side,) * grid.m) * scale
+    mid = rng.standard_normal((S + 1,) * grid.m) * scale
     rad = rng.uniform(0.0, 1e-6, mid.shape) * scale * (rng.random(mid.shape) < 0.5)
     mid[rng.random(mid.shape) < 0.3] = 0.0
     return FourierSeq(grid, w_sector, mid - rad, mid + rad)
 
 
-CONV_CASES = [(1, "c", "c"), (1, "c", "s"), (1, "full", "full"), (1, "c", "full"),
-              (2, "cc", "cc"), (2, "cc", "cs"), (2, "cc", "ss"), (2, "cc", "full")]
+CONV_CASES = [(1, "c", "c"), (1, "c", "s"), (1, "c", "full"),
+              (2, "cc", "cc"), (2, "cc", "cs"), (2, "cc", "ss"), (2, "cc", "full"),
+              (2, "cc", "sc")]
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(CONV_CASES),
@@ -338,13 +338,12 @@ def conv_cases(draw):
     holds index 0 on every axis, odd ones included."""
     m, sector = draw(st.sampled_from(BASES))
     grid, S = Grid(m, 7.0), draw(st.integers(0, 3))
-    w_sector = draw(st.sampled_from(["full", "c" * m])) if sector == "full" else "c" * m
-    side = 2 * S + 1 if w_sector == "full" else S + 1
+    side = S + 1
     coeffs = st.lists(st.sampled_from(KERNEL_VALUES), min_size=side ** m, max_size=side ** m)
     lo = np.array(draw(coeffs)).reshape((side,) * m)
     rad = np.array(draw(st.lists(st.sampled_from((0.0, 0.0, 1e-9, 2.0)),
                                  min_size=lo.size, max_size=lo.size))).reshape(lo.shape)
-    w = FourierSeq(grid, w_sector, lo, np.where(rad == 0.0, lo, lo + rad))
+    w = FourierSeq(grid, "c" * m, lo, np.where(rad == 0.0, lo, lo + rad))
     cube = index_list(grid, sector, draw(st.integers(0, S + 2)))
     rows, cols = (draw(st.permutations(cube)) for _ in range(2))
     rows = rows[:draw(st.integers(0, len(rows)))]
@@ -395,13 +394,13 @@ def test_one_prepared_reach_serves_any_row_blocks(case, data):
         assert got_hi.tobytes() == want.hi[a:b].tobytes()
 
 
-@pytest.mark.parametrize("m, sector, w_sector", [(1, "c", "c"), (1, "full", "full"),
+@pytest.mark.parametrize("m, sector, w_sector", [(1, "c", "c"), (1, "full", "c"),
                                                  (2, "cc", "cc"), (2, "sc", "cc")])
 def test_unreached_huge_coefficient_raises_no_warning(m, sector, w_sector):
     # the table of untouched entries covers every kernel position: stepping
     # and scaling [-MAX, MAX] overflows there, though no row reaches it
     grid, S, big = Grid(m, 7.0), 3, 1.7976931348623157e308
-    lo = np.full((2 * S + 1 if w_sector == "full" else S + 1,) * m, 0.25)
+    lo = np.full((S + 1,) * m, 0.25)
     hi = lo.copy()
     lo[(-1,) * m], hi[(-1,) * m] = -big, big
     w = FourierSeq(grid, w_sector, lo, hi)

@@ -143,7 +143,7 @@ def test_conv_block_refuses_a_negative_reflected_coordinate(sector, row, col):
     with pytest.raises(InvalidParameter, match="negative coordinate"):
         conv_block(w, sector, [row], [col])
     # signed axes take any sign
-    full = conv_block(FourierSeq.from_point(Grid(m, 5.0), "full", np.ones((7,) * m)),
+    full = conv_block(FourierSeq.from_point(Grid(m, 5.0), "c" * m, np.ones((4,) * m)),
                       "full", [row], [col])
     assert full.lo[0, 0] > 0.0
 

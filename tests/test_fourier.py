@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speccert.errors import DimensionMismatch, GridMismatch, InvalidParameter, UnboundedOperand
+from speccert.errors import DimensionMismatch, InvalidParameter, UnboundedOperand
 from speccert.fourier import (
     FourierSeq,
     Grid,
     _conv_real,
     conv,
+    read_seq,
     index_list,
     seq_l1,
 )
@@ -26,23 +27,19 @@ GRID2 = Grid(2, 6.0)
 
 
 def _rand_seq(rng, grid, sector, S):
-    axes_signed = sector == "full"
-    side = 2 * S + 1 if axes_signed else S + 1
-    vals = rng.standard_normal((side,) * grid.m)
-    if not axes_signed and "s" in sector:
-        # odd axes must vanish at index 0
-        for ax, kind in enumerate(sector):
-            if kind == "s":
-                sl = [slice(None)] * grid.m
-                sl[ax] = 0
-                vals[tuple(sl)] = 0.0
+    vals = rng.standard_normal((S + 1,) * grid.m)
+    # odd axes must vanish at index 0
+    for ax, kind in enumerate(sector):
+        if kind == "s":
+            sl = [slice(None)] * grid.m
+            sl[ax] = 0
+            vals[tuple(sl)] = 0.0
     return FourierSeq.from_point(grid, sector, vals)
 
 
 # -- convolution vs pointwise-product oracle ------------------------------
 
-@pytest.mark.parametrize("sa,sb", [("c", "c"), ("c", "s"), ("s", "s"),
-                                   ("full", "full"), ("full", "c")])
+@pytest.mark.parametrize("sa,sb", [("c", "c"), ("c", "s"), ("s", "s")])
 def test_conv_matches_function_product_1d(sa, sb):
     rng = np.random.default_rng(7)
     u = _rand_seq(rng, GRID1, sa, 4)
@@ -57,7 +54,7 @@ def test_conv_matches_function_product_1d(sa, sb):
 
 @pytest.mark.parametrize("sa,sb,expect", [
     ("cc", "cc", "cc"), ("cc", "ss", "ss"), ("ss", "ss", "cc"),
-    ("cs", "sc", "ss"), ("full", "full", "full")])
+    ("cs", "sc", "ss")])
 def test_conv_matches_function_product_2d(sa, sb, expect):
     rng = np.random.default_rng(11)
     u = _rand_seq(rng, GRID2, sa, 3)
@@ -69,14 +66,6 @@ def test_conv_matches_function_product_2d(sa, sb, expect):
     lhs = sample_gamma_dagger(w, pts)
     rhs = sample_gamma_dagger(u, pts) * sample_gamma_dagger(v, pts)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_conv_full_with_odd_sector_rejected():
-    rng = np.random.default_rng(3)
-    u = _rand_seq(rng, GRID1, "full", 2)
-    v = _rand_seq(rng, GRID1, "s", 2)
-    with pytest.raises(GridMismatch):
-        conv(u, v)
 
 
 def test_delta0_is_convolution_identity():
@@ -182,11 +171,12 @@ def test_malformed_sequences_rejected():
         FourierSeq(GRID1, "c", np.array([1.0, 2.0]), np.array([0.0, 0.0]))
     with pytest.raises(InvalidParameter):
         FourierSeq.from_point(GRID1, "s", [1.0, 2.0])
-    with pytest.raises(DimensionMismatch):
-        FourierSeq.from_point(GRID1, "full", [1.0, 2.0])  # even side
-    for sector in ("c", "full"):
-        with pytest.raises(DimensionMismatch, match="empty"):
-            FourierSeq.from_point(GRID1, sector, [])
+    # "full" names a basis: a state is stored in a sector
+    for grid, want in ((GRID1, "'c'"), (GRID2, "'cc'")):
+        with pytest.raises(InvalidParameter, match=f"'full' is a basis.* as {want}"):
+            FourierSeq.from_point(grid, "full", np.ones((3,) * grid.m))
+    with pytest.raises(DimensionMismatch, match="empty"):
+        FourierSeq.from_point(GRID1, "c", [])
     # a NaN bound is refused, as IMatrix refuses it
     for lo, hi in (([math.nan, 0.0], [1.0, 0.0]), ([0.0, 0.0], [1.0, math.nan])):
         with pytest.raises(DimensionMismatch, match="NaN"):
@@ -202,25 +192,35 @@ def test_overflowing_convolution_raises_unbounded():
         conv(u, u)
 
 
-def test_require_even_compares_signed_storage_with_its_point_reflection():
-    # real coefficients against e^{i pi n.x/d} are a real function only when
-    # u[-n] = u[n]; in 2D that is the point reflection, not one axis flip
+def test_read_seq_folds_a_full_tensor_even_in_each_axis():
+    # a state stored "cc" is even in each axis, so a signed tensor folds only
+    # when it equals each axis reflection: the point reflection u[-n] = u[n]
+    # is not enough in 2D
     grid2 = Grid(2, 5.0)
     v = np.zeros((5, 5))
     v[3, 4] = v[1, 0] = 0.5           # u[(1, 2)] = u[(-1, -2)]
-    u = FourierSeq.from_point(grid2, "full", v)
-    assert u.require_even() is u
-    v[3, 0] = 0.25                    # u[(1, -2)], with u[(-1, 2)] = 0
-    with pytest.raises(InvalidParameter, match=r"u\[\(-1, 2\)\] = \[0\.0, 0\.0\] but "
-                                               r"u\[\(1, -2\)\] = \[0\.25, 0\.25\]"):
-        FourierSeq.from_point(grid2, "full", v).require_even()
+    with pytest.raises(InvalidParameter, match=r"u\[\(-1, -2\)\] = \[0\.5, 0\.5\] but "
+                                               r"u\[\(1, -2\)\] = \[0\.0, 0\.0\]: a full "
+                                               r"state must equal its reflection in every axis"):
+        read_seq(grid2, "full", v, v)
+    # the other axis is checked too, and its pair named
+    v = np.zeros((5, 5))
+    v[1, 0] = v[3, 0] = 0.5           # even in axis 0, not in axis 1
+    with pytest.raises(InvalidParameter, match=r"u\[\(-1, -2\)\] = \[0\.5, 0\.5\] but "
+                                               r"u\[\(-1, 2\)\] = \[0\.0, 0\.0\]"):
+        read_seq(grid2, "full", v, v)
     # the bounds are compared exactly, each end on its own
     lo = np.array([0.5, 1.0, 0.5])
     with pytest.raises(InvalidParameter, match=r"u\[\(-1,\)\]"):
-        FourierSeq(GRID1, "full", lo, lo + np.array([0.0, 0.0, 2.0 ** -50])).require_even()
-    # sector storage is even by construction, whatever its values
-    c = FourierSeq.from_point(grid2, "cc", v)
-    assert c.require_even() is c
+        read_seq(GRID1, "full", lo, lo + np.array([0.0, 0.0, 2.0 ** -50]))
+    # averaged, each end is the mean of the reflections, which is then even
+    u = read_seq(GRID1, "full", lo, lo + np.array([0.0, 0.0, 2.0 ** -50]), True)
+    assert u.sector == "c" and u.lo.tolist() == [1.0, 0.5]
+    assert u.hi.tolist() == [1.0, 0.5 + 2.0 ** -51]
+    v[1, 4] = v[3, 4] = 0.5           # now even in both axes
+    u = read_seq(grid2, "full", v, v + 1.0)
+    assert u.sector == "cc" and u.lo.tobytes() == v[2:, 2:].tobytes()
+    assert u.hi.tobytes() == (v + 1.0)[2:, 2:].tobytes()
 
 
 def test_seq_l1_past_the_largest_double_warns_nothing():

@@ -5,7 +5,7 @@ the operator is self-adjoint in the orthonormal sector basis, so G is the
 exact transpose of H = DG(mid <- inner), and the homotopy stage reads
 Pinv G as (H P)^T widened by delta_i s_j in entry (i, j)
 (homotopy.shell_coupling).
-On random even kernels in the c, cc and even full sectors:
+On random even kernels, stored "c"/"cc", in the c, cc and full bases:
 
 (a) conv_block(rows, cols) and conv_block(cols, rows)^T both enclose the
     exact entries, Fractions compared by squares with no root;
@@ -51,29 +51,17 @@ SQRT_RATIO = {Fraction(1, 4): (Fraction(1, 2), 0), Fraction(1, 2): (0, Fraction(
               Fraction(4): (Fraction(2), 0)}
 
 
-def _mirrored(a):
-    """a made equal to its point reflection: a C-order tensor reversed on
-    every axis is its flat array reversed."""
-    flat = a.ravel().copy()
-    flat[(flat.size + 1) // 2:] = flat[:flat.size // 2][::-1]
-    return flat.reshape(a.shape)
-
-
 @st.composite
-def even_kernels(draw, m, sector, values, point):
-    """An even kernel: cosine storage, or for a full basis also a mirrored
-    signed tensor; with interval radii unless `point`."""
+def even_kernels(draw, m, values, point):
+    """An even kernel in cosine storage, for any of the bases; with
+    interval radii unless `point`."""
     grid, S = Grid(m, 7.0), draw(st.integers(1, 3))
-    signed = sector == "full" and draw(st.booleans())
-    side = 2 * S + 1 if signed else S + 1
-    coeffs = st.lists(st.sampled_from(values), min_size=side ** m, max_size=side ** m)
-    lo = np.array(draw(coeffs)).reshape((side,) * m)
+    coeffs = st.lists(st.sampled_from(values), min_size=(S + 1) ** m, max_size=(S + 1) ** m)
+    lo = np.array(draw(coeffs)).reshape((S + 1,) * m)
     rad = np.zeros(lo.shape) if point else np.array(draw(st.lists(
         st.sampled_from((0.0, 0.0, 1e-9, 0.25)), min_size=lo.size, max_size=lo.size))
     ).reshape(lo.shape)
-    if signed:
-        lo, rad = _mirrored(lo), _mirrored(rad)
-    return FourierSeq(grid, "full" if signed else "c" * m, lo, np.where(rad == 0.0, lo, lo + rad))
+    return FourierSeq(grid, "c" * m, lo, np.where(rad == 0.0, lo, lo + rad))
 
 
 @st.composite
@@ -81,7 +69,7 @@ def block_cases(draw):
     """(w, sector, rows, cols): an even kernel and row and column lists
     drawn, shuffled and thinned, from one cube of the sector."""
     m, sector = draw(st.sampled_from(EVEN_BASES))
-    w = draw(even_kernels(m, sector, KERNEL_VALUES, point=False))
+    w = draw(even_kernels(m, KERNEL_VALUES, point=False))
     cube = index_list(w.grid, sector, draw(st.integers(0, w.S + 2)))
     rows, cols = (draw(st.permutations(cube)) for _ in range(2))
     return w, sector, rows[:draw(st.integers(0, len(rows)))], cols[:draw(st.integers(0, len(cols)))]
@@ -128,7 +116,7 @@ def finite_stages(draw, max_inner):
     side = 2 if sector == "full" else 1
     N = draw(st.integers(0, max(n for n in range(16) if (side * n + 1) ** m <= max_inner)))
     values = st.sampled_from((0.0, 0.0)) | st.floats(-0.5, 0.5, allow_subnormal=False)
-    w = draw(even_kernels(m, sector, tuple(draw(st.lists(values, min_size=4, max_size=4))),
+    w = draw(even_kernels(m, tuple(draw(st.lists(values, min_size=4, max_size=4))),
                           point=draw(st.booleans())))
     model = sh_model(draw(st.floats(0.2, 2.0)), draw(st.floats(-3.0, -0.5)), 1.0, m=m)
     a = assemble_jacobian(model, w, sector, N)

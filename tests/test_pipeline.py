@@ -47,7 +47,7 @@ import scalar_paths
 
 @pytest.fixture(scope="module")
 def toy_cert(sh_toy):
-    return certify(sh_toy["model"], sh_toy["u0"], 1e-8, sh_toy["N"])
+    return certify(sh_toy["model"], sh_toy["u0"], "c", 1e-8, sh_toy["N"])
 
 
 # -- certification output -------------------------------------------------
@@ -75,7 +75,7 @@ def test_certificate_window_clears_all_disks(toy_cert):
 
 
 def test_certificate_deterministic(sh_toy, toy_cert):
-    again = certify(sh_toy["model"], sh_toy["u0"], 1e-8, sh_toy["N"])
+    again = certify(sh_toy["model"], sh_toy["u0"], "c", 1e-8, sh_toy["N"])
     doc1 = serialize.dumps(serialize.certificate_to_doc(toy_cert))
     doc2 = serialize.dumps(serialize.certificate_to_doc(again))
     assert doc1 == doc2
@@ -121,7 +121,7 @@ def test_certificate_shift_gap_claims_only_a_lower_bound(toy_cert):
 
 def test_certify_huge_r0_rejected(sh_toy):
     with pytest.raises(ConditionViolated) as exc:
-        certify(sh_toy["model"], sh_toy["u0"], 1e3, sh_toy["N"])
+        certify(sh_toy["model"], sh_toy["u0"], "c", 1e3, sh_toy["N"])
     assert "r0" in str(exc.value) or "contraction" in str(exc.value)
 
 
@@ -142,7 +142,7 @@ def test_window_bounds_computed_once_per_certificate(sh_toy, monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    certify(_toy_model(), sh_toy["u0"], "c", 1e-8, sh_toy["N"])
     assert calls == {"rigorous_L2_of_reciprocal": 1, "zu_base_bounds": 1,
                      "compute_bounds": 5}
 
@@ -159,7 +159,7 @@ def test_certify_clusters_the_disks_once(sh_toy, toy_cert, monkeypatch):
 
     monkeypatch.setattr(finite, "cluster_disks", counted)
     monkeypatch.setattr(pipeline, "cluster_disks", counted)
-    cert = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    cert = certify(_toy_model(), sh_toy["u0"], "c", 1e-8, sh_toy["N"])
     assert len(calls) == 1
     assert (serialize.dumps(serialize.certificate_to_doc(cert))
             == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
@@ -181,13 +181,13 @@ def test_certify_refuses_a_nan_radius_before_window_bounds(sh_toy, monkeypatch, 
     monkeypatch.setattr(pipeline, "gershgorin_disks", nan_radius)
     monkeypatch.setattr(pipeline, "window_bounds", unreachable)
     with pytest.raises(UnboundedOperand, match="NaN or infinite radius"):
-        certify(sh_toy["model"], sh_toy["u0"], 1e-8, sh_toy["N"], CertifyOptions(t=t))
+        certify(sh_toy["model"], sh_toy["u0"], "c", 1e-8, sh_toy["N"], CertifyOptions(t=t))
 
 
 def test_kappa_cache_leaves_certificate_bytes_unchanged(sh_toy, toy_cert,
                                                         monkeypatch):
     monkeypatch.setattr(Model, "kappa", lambda self: self.kappa_hook())
-    uncached = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    uncached = certify(_toy_model(), sh_toy["u0"], "c", 1e-8, sh_toy["N"])
     assert (serialize.dumps(serialize.certificate_to_doc(uncached))
             == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
 
@@ -212,7 +212,7 @@ def test_scalar_paths_give_the_same_certificate_bytes(sh_toy, toy_cert,
             (homotopy, "_disk_gap", scalar_paths.disk_gap),
             (pipeline, "inflate_disks", scalar_paths.inflate_disks)):
         monkeypatch.setattr(module, name, ref)
-    scalar = certify(_toy_model(), sh_toy["u0"], 1e-8, sh_toy["N"])
+    scalar = certify(_toy_model(), sh_toy["u0"], "c", 1e-8, sh_toy["N"])
     assert (serialize.dumps(serialize.certificate_to_doc(scalar))
             == serialize.dumps(serialize.certificate_to_doc(toy_cert)))
 
@@ -224,7 +224,7 @@ def test_missing_hooks_fail_before_the_finite_stage(sh_toy, tmp_path,
 
     monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
     with pytest.raises(ReductionUnavailable) as exc:
-        certify(whitham_model(0.5, 0.8), sh_toy["u0"], 1e-8, 8)
+        certify(whitham_model(0.5, 0.8), sh_toy["u0"], "c", 1e-8, 8)
     assert all(hook in str(exc.value)
                for hook in ("kappa_hook", "lip_dg", "decay_provider"))
     # a model with every hook but another unmet requirement is refused as
@@ -235,7 +235,7 @@ def test_missing_hooks_fail_before_the_finite_stage(sh_toy, tmp_path,
         model = copy.copy(_toy_model())
         setattr(model, field, value)
         with pytest.raises(ReductionUnavailable, match=unmet):
-            certify(model, sh_toy["u0"], 1e-8, sh_toy["N"])
+            certify(model, sh_toy["u0"], "c", 1e-8, sh_toy["N"])
         monkeypatch.setattr(cli, "sh_model", lambda *args, _m=model, **kw: _m)
         assert main(["--config", str(path)]) == 5
         assert unmet in capsys.readouterr().err
@@ -342,13 +342,40 @@ def test_cli_malformed_state_exits_2(tmp_path, sh_toy, capsys, doc, message):
     assert f"solution = {cfg['solution']!r}" in err and message in err
 
 
-def _full_pulse(sh_toy, odd=0.0):
-    """The toy pulse in signed (full) storage, plus odd (e_3 - e_-3)."""
-    lo = sh_toy["u0"].expand_signed()[0].copy()
-    S = sh_toy["u0"].S
-    lo[S + 3] += odd
-    lo[S - 3] -= odd
-    return FourierSeq.from_point(sh_toy["grid"], "full", lo)
+def _full_doc(u, odd=0.0):
+    """The document of u's signed (full) tensor, plus odd (e_3 - e_-3) on
+    the first axis."""
+    lo, hi = (x.copy() for x in u.expand_signed())
+    if odd:
+        for x in (lo, hi):
+            x[u.S + 3] += odd
+            x[u.S - 3] -= odd
+    doc = serialize.seq_to_doc(u)
+    doc.update(sector="full", lo=[serialize.enc_float(x) for x in lo.ravel()],
+               hi=[serialize.enc_float(x) for x in hi.ravel()])
+    return doc
+
+
+def _interval_state(m, S, seed=4):
+    """A cosine-sector state with exact zeros, radii 0 and radii > 0."""
+    rng = np.random.default_rng(seed)
+    lo = rng.standard_normal((S + 1,) * m) * (rng.random((S + 1,) * m) < 0.7)
+    return FourierSeq(Grid(m, 6.0), "c" * m, lo, lo + (rng.random(lo.shape) < 0.5) * 1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_even_full_documents_and_csvs_fold_to_the_cosine_block(tmp_path, m):
+    u = _interval_state(m, 4)
+    back = serialize.seq_from_doc(json.loads(serialize.dumps(_full_doc(u))))
+    assert back.sector == "c" * m
+    assert back.lo.tobytes() == u.lo.tobytes() and back.hi.tobytes() == u.hi.tobytes()
+    p = tmp_path / "u.csv"
+    signed = u.expand_signed()[0]
+    p.write_text("".join(",".join(map(str, np.subtract(n, u.S))) + f",{float(signed[n])!r}\n"
+                         for n in np.ndindex(signed.shape)))
+    back = serialize.load_seq_csv(str(p), u.grid, "full", u.S)
+    assert back.sector == "c" * m
+    assert back.lo.tobytes() == back.hi.tobytes() == u.lo.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["gershgorin-only", "certify"])
@@ -358,24 +385,77 @@ def test_cli_refuses_a_full_state_that_is_not_even(tmp_path, sh_toy, capsys, mod
     # pipeline with an asymmetric operator
     path, cfg = _toy_config(tmp_path, sh_toy, mode=mode, sector="full")
     sol = Path(cfg["solution"]["path"])
-    sol.write_text(serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy, 0.05))))
+    sol.write_text(serialize.dumps(_full_doc(sh_toy["u0"], 0.05)))
     assert main(["--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "I/O or configuration error: u[(-3,)] = [" in err and "] but u[(3,)] = [" in err
+    assert "I/O or configuration error: " in err and "u[(-3,)] = [" in err
+    assert "] but u[(3,)] = [" in err
     assert not Path(cfg["output"]).exists()
 
 
+def test_cli_refuses_a_point_symmetric_2d_state_that_is_not_even_in_each_axis(
+        tmp_path, capsys):
+    # u[n] = u[-n] makes a real function, but "cc" storage holds states even
+    # in each axis, so the fold refuses it and names the pair
+    v = np.zeros((5, 5))
+    v[2, 2], v[3, 4], v[1, 0] = 0.3, 0.1, 0.1       # u[(1, 2)] = u[(-1, -2)]
+    doc = _full_doc(FourierSeq.from_point(Grid(2, 10.0), "cc", np.zeros((3, 3))))
+    doc.update(lo=[serialize.enc_float(x) for x in v.ravel()],
+               hi=[serialize.enc_float(x) for x in v.ravel()])
+    (tmp_path / "u0.json").write_text(serialize.dumps(doc))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "mode": "gershgorin-only",
+        "model": {"name": "swift-hohenberg", "m": 2,
+                  "params": {"mu": 0.28, "nu1": -1.6, "nu2": 1.0}},
+        "grid": {"m": 2, "d": 10.0}, "sector": "full", "N": 2,
+        "solution": {"path": str(tmp_path / "u0.json")},
+        "output": str(tmp_path / "out.json")}))
+    assert main(["--config", str(path)]) == 2
+    assert ("u[(-1, -2)] = [0.1, 0.1] but u[(1, -2)] = [0.0, 0.0]: a full state must "
+            "equal its reflection in every axis") in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cli_2d_full_basis_disks_from_a_cc_state(tmp_path, capsys):
+    # sector "full" is the basis: the cc-stored state and its signed tensor
+    # give the same disks, those of the library's full-basis stage
+    u = _interval_state(2, 2)
+    model = sh_model(0.28, -1.6, 1.0, m=2)
+    outs = []
+    for name, doc in (("cc", serialize.seq_to_doc(u)), ("full", _full_doc(u))):
+        (tmp_path / f"{name}.json").write_text(serialize.dumps(doc))
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({
+            "mode": "gershgorin-only",
+            "model": {"name": "swift-hohenberg", "m": 2,
+                      "params": {"mu": 0.28, "nu1": -1.6, "nu2": 1.0}},
+            "grid": {"m": 2, "d": 6.0}, "sector": "full", "N": 2,
+            "solution": {"path": str(tmp_path / f"{name}.json")},
+            "output": str(tmp_path / f"disks-{name}.json")}))
+        assert main(["--config", str(path)]) == 0
+        outs.append((tmp_path / f"disks-{name}.json").read_text())
+    assert outs[0] == outs[1]
+    w = finite.kernel_from_state(model, u)
+    a = assemble_jacobian(model, w, "full", 2)
+    pseudo = build_pseudo_diag(a, None, True)
+    disks = gershgorin_disks(model, w, "full", 2, pseudo, a)
+    doc = json.loads(outs[0])
+    assert doc["sector"] == "full" and len(doc["disks"]) == (2 * disks.n_mid + 1) ** 2
+    assert [serialize.dec_float(d["radius"]) for d in doc["disks"]] == disks.radii.tolist()
+
+
 def test_cli_newton_output_goes_on_to_certify_in_full_storage(tmp_path, sh_toy, capsys):
-    # newton keeps its full-storage iterates exactly even, so it takes a seed
-    # that is not even and its output passes the check certify makes.  The
-    # window stays above the translation eigenvalue 0 that full storage adds
+    # newton folds a seed that is not even by averaging it with its
+    # reflection, and writes a c-stored state, which a full-basis certify
+    # run reads.  The window stays above the translation eigenvalue 0 that
+    # the full basis adds
     path, cfg = _toy_config(tmp_path, sh_toy, mode="newton", sector="full",
                             output=str(tmp_path / "u1.json"))
-    Path(cfg["solution"]["path"]).write_text(
-        serialize.dumps(serialize.seq_to_doc(_full_pulse(sh_toy, 1e-3))))
+    Path(cfg["solution"]["path"]).write_text(serialize.dumps(_full_doc(sh_toy["u0"], 1e-3)))
     assert main(["--config", str(path)]) == 0
     u1 = serialize.seq_from_doc(json.loads((tmp_path / "u1.json").read_text()))
-    assert (u1.lo[::-1] == u1.lo).all() and (u1.hi[::-1] == u1.hi).all()
+    assert u1.sector == "c" and u1.S == sh_toy["N"]
     path, _ = _toy_config(tmp_path, sh_toy, sector="full", window=[0.5, 4.0],
                           solution={"path": str(tmp_path / "u1.json")})
     assert main(["--config", str(path)]) == 0
@@ -383,16 +463,24 @@ def test_cli_newton_output_goes_on_to_certify_in_full_storage(tmp_path, sh_toy, 
         in capsys.readouterr().out
 
 
-def test_certify_refuses_a_full_state_that_is_not_even_before_any_work(sh_toy, monkeypatch):
-    # kernel_from_state makes the check before its first convolution, so
-    # every path to gershgorin_disks passes it
+def test_certify_refuses_a_full_state_that_is_not_even_before_any_work(
+        tmp_path, sh_toy, monkeypatch, capsys):
+    # the loader folds the state before any convolution, so no path to
+    # gershgorin_disks sees a state that is not even
     def unreachable(*args, **kwargs):
         raise AssertionError("the finite stage ran")
 
     monkeypatch.setattr(finite, "conv", unreachable)
-    monkeypatch.setattr(pipeline, "assemble_jacobian", unreachable)
-    with pytest.raises(InvalidParameter, match=r"u\[\(-3,\)\] = .* but u\[\(3,\)\] = "):
-        certify(_toy_model(), _full_pulse(sh_toy, 0.05), 1e-8, sh_toy["N"])
+    monkeypatch.setattr(pipeline, "kernel_from_state", unreachable)
+    path, cfg = _toy_config(tmp_path, sh_toy, sector="full")
+    Path(cfg["solution"]["path"]).write_text(serialize.dumps(_full_doc(sh_toy["u0"], 0.05)))
+    assert main(["--config", str(path)]) == 2
+    assert "u[(-3,)] = [" in capsys.readouterr().err
+
+
+def test_certify_takes_the_full_basis_or_the_state_sector(sh_toy):
+    with pytest.raises(InvalidParameter, match="basis 's'"):
+        certify(sh_toy["model"], sh_toy["u0"], "s", 1e-8, sh_toy["N"])
 
 
 def test_seq_csv_loader(tmp_path):

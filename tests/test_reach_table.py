@@ -52,15 +52,14 @@ def reach_cases(draw):
     m, sector = draw(st.sampled_from(BASES))
     S = draw(st.integers(0, 6))
     grid = Grid(m, 7.0)
-    w_sector = draw(st.sampled_from(["full", "c" * m])) if sector == "full" else "c" * m
-    side = 2 * S + 1 if w_sector == "full" else S + 1
+    side = S + 1
     lo = np.array(draw(st.lists(st.sampled_from(KERNEL_VALUES), min_size=side ** m,
                                 max_size=side ** m))).reshape((side,) * m)
     rad = np.array(draw(st.lists(st.sampled_from(RADII), min_size=lo.size,
                                  max_size=lo.size))).reshape(lo.shape)
     with np.errstate(over="ignore"):
         hi = np.where(rad == 0.0, lo, np.minimum(lo + rad, _MAX))
-    w = FourierSeq(grid, w_sector, lo, np.maximum(hi, lo))
+    w = FourierSeq(grid, "c" * m, lo, np.maximum(hi, lo))
     inner = draw(st.integers(0, 3))
     layout = draw(st.sampled_from(LAYOUTS))
     cube = index_list(grid, sector, inner)
