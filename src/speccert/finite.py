@@ -35,7 +35,7 @@ from .errors import (
     NoConvergence,
     UnboundedOperand,
 )
-from .fourier import FourierSeq, Grid, _axis_types, conv, index_list, seq_l1
+from .fourier import FourierSeq, Grid, _axis_types, _mult_weights, conv, index_list, seq_l1
 from .imatrix import IMatrix, _sum_up, mag_product_sums, op_norm2_bound, verified_inverse
 from .interval import PI, ComplexBox, IArray, Interval, iv_sqrt, ulp_step
 from .models import Model
@@ -551,6 +551,9 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         raise InvalidParameter("newton_solve supports scalar models only")
     idx = index_list(grid, sector, N)
     lam_mid = np.array([l.mid() for l in symbol_diag(model, grid, idx).elements()])
+    # assemble_jacobian's A is in the orthonormal basis; in storage coordinates
+    # the Jacobian is D^-1/2 A D^1/2, D the orbit sizes m_n
+    root = np.sqrt(_mult_weights((N + 1,) * grid.m)).ravel()
     if not isinstance(seed, FourierSeq):
         seed = FourierSeq.from_point(grid, sector, np.asarray(seed, dtype=np.float64))
     vec = _flatten_to(seed, grid, sector, N)
@@ -575,7 +578,7 @@ def newton_solve(model: Model, grid: Grid, sector: str, seed, N: int,
         wk = kernel_from_state(model, to_seq(vec))
         jac = assemble_jacobian(model, wk, sector, N).mid()
         try:
-            step = np.linalg.solve(jac, r)
+            step = np.linalg.solve(jac, r * root) / root
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Newton system: {exc}") from exc
         ns = float(np.max(np.abs(step)))

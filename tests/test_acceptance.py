@@ -232,7 +232,9 @@ def test_whitham_fallback_advisory():
     coeffs = [np.trapezoid(prof * np.cos(np.pi * n * x / 40.0), x) / 80.0
               * (1.0 if n == 0 else 2.0) for n in range(N + 1)]
     model = whitham_model(0.5, 0.8)
-    u0 = newton_solve(model, grid, "c", np.array(coeffs), N)
+    # the root has two humps and an even eigenvalue of -4.2e-4, their nearly
+    # free relative shift: exact Newton steps reach it in 371 iterations
+    u0 = newton_solve(model, grid, "c", np.array(coeffs), N, max_iter=400)
     w = kernel_from_state(model, u0)
     a = assemble_jacobian(model, w, "c", N)
     idx = index_list(grid, "c", N)

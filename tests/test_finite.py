@@ -29,6 +29,7 @@ from speccert.finite import (
     gershgorin_disks,
     kernel_from_state,
     min_tail_freq,
+    newton_solve,
     spectral_edge,
     symbol_diag,
 )
@@ -639,6 +640,21 @@ def test_newton_state_is_localized(sh_toy):
     assert np.max(np.abs(vals)) > 0.5
     edge = np.abs(vals[np.abs(x) > 0.95 * sh_toy["grid"].d])
     assert edge.max() < 1e-3
+
+
+@pytest.mark.parametrize("mu", [1.4, 1.6, 1.8])
+def test_newton_converges_quadratically_on_the_pulses(monkeypatch, mu):
+    # the Jacobian in storage coordinates is D^-1/2 A D^1/2; solving with the
+    # orthonormal-basis A itself converges only linearly, in 13-16 solves
+    from conftest import cosine_seed
+
+    solve, rhs = np.linalg.solve, []
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: rhs.append(np.abs(b).max()) or solve(a, b))
+    grid = Grid(1, 20.0)
+    newton_solve(sh_model(mu, -3.2, 1.0, m=1), grid, "c", cosine_seed(grid, 32, 1.8, 0.8), 32)
+    assert len(rhs) <= 8
+    assert rhs[-1] <= rhs[-3] ** 2
 
 
 def test_gershgorin_radius_past_the_largest_double_warns_nothing(sh_toy):
