@@ -1,15 +1,15 @@
 """End-to-end certification: disks, homotopy inflation, counted clusters.
 
-The driver runs in one basis, "full" or the sector of the state, which is
-stored "c"/"cc", so even in every axis, in both.  A run produces a
-Certificate: the certified eigenvalue enclosures of the linearization at
-the true localized state inside a spectral window, with per-cluster
-multiplicities, a sign summary, and the essential spectrum.  Identical
-inputs give identical certificates at one BLAS thread count (bench/run.py
-pins one): imatrix products and eigh sum in an order that depends on it,
-so the sound radii move by up to 3e-3 relative at 2 threads.  Nothing here
-calls a non-rigorous routine except through the recorded inputs (U0, r0
-are inputs, not products).
+The driver runs in one basis, "full" or the sector of the state; a state
+is stored "c"/"cc", so the linearization is self-adjoint in both.  A run
+produces a Certificate: the certified eigenvalue enclosures of the
+linearization at the true localized state inside a spectral window, with
+per-cluster multiplicities, a sign summary, and the essential spectrum.
+Identical inputs give identical certificates at one BLAS thread count
+(bench/run.py pins one): imatrix products and eigh sum in an order that
+depends on it, so the sound radii move by up to 3e-3 relative at 2
+threads.  Nothing here calls a non-rigorous routine except through the
+recorded inputs (U0, r0 are inputs, not products).
 """
 
 from __future__ import annotations

@@ -205,8 +205,8 @@ def conv_block_reference(w: FourierSeq, sector: str, rows, cols) -> IMatrix:
 
     Interval matrix of convolution by w between sector basis vectors.
 
-    The kernel must be reflection-invariant (no odd axes) unless the basis
-    sector is "full", in which case no symmetrization happens at all.  Work
+    The kernel is stored in a sector with no odd axis; in the "full" basis
+    no symmetrization happens at all.  Work
     follows the reach: per flip sigma a row n meets only the columns
     k = sigma (n - delta), |delta|_inf <= S, found in a position table over
     the columns' box (so columns must be distinct).  The bits are the dense
